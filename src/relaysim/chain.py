@@ -107,6 +107,26 @@ class CrossChainTx:
         return (self.origin_chain, self.nonce)
 
 
+def decode_ctx(data: bytes) -> CrossChainTx:
+    """Parse `CrossChainTx.to_bytes` output; anything else raises ValueError."""
+    record = encoding.Reader(data)
+    if record.take(4) != b"CTX1":
+        raise ValueError("not a cross-chain transaction record")
+    dest, origin, nonce = record.u64(), record.u64(), record.u64()
+    body = encoding.Reader(record.lp())
+    record.end()
+    kind = body.take(1)
+    if kind == b"A":
+        token, amount, instruction = body.lp().decode(), body.u64(), body.lp().decode()
+        payload = AssetPayload(token=token, amount=amount, instruction=instruction)
+    elif kind == b"M":
+        payload = MessagePayload(call_data=body.lp())
+    else:
+        raise ValueError("unknown payload kind")
+    body.end()
+    return CrossChainTx(dest_chain=dest, payload=payload, origin_chain=origin, nonce=nonce)
+
+
 @dataclass(frozen=True)
 class ReceiptMessage:
     tx_hash: bytes

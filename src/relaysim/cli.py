@@ -36,23 +36,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    scenario = _load(args)
-    verdicts = []
-    if args.kind in ("liveness", "all"):
-        rc_id = scenario.relay_chain.chain_id
-        verdicts.append(harness.attack_liveness(scenario, honest_provers=1, silent_provers=1, count=20))
-        verdicts.append(harness.attack_liveness(scenario, honest_provers=0, silent_provers=2, count=5))
-        verdicts.append(harness.attack_liveness(scenario, honest_provers=1, withhold={rc_id: 0.4}, count=5))
-    if args.kind in ("consistency", "all"):
-        verdicts.append(harness.attack_consistency(scenario, forgeries=args.forgeries))
-        verdicts.append(harness.attack_collusion(scenario, colluding_fraction=0.75))
-        verdicts.append(harness.attack_collusion(scenario, colluding_fraction=0.5))
-    covered = {v.case for v in verdicts}
-    if args.kind == "all":
-        missing = set(harness.ALL_CASES) - covered
-        if missing:
-            print(f"case coverage incomplete: {sorted(missing)}", file=sys.stderr)
-            return 2
+    verdicts = harness.attack_suite(_load(args), forgeries=args.forgeries, kind=args.kind)
     ok = True
     for v in verdicts:
         print(json.dumps(v.to_dict(), sort_keys=True))

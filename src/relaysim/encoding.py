@@ -31,6 +31,33 @@ def join(fields: Iterable[bytes]) -> bytes:
     return b"".join(fields)
 
 
+class Reader:
+    """Reads fields off the front of a record; a read past its end, or
+    bytes left over at `end()`, raise ValueError."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        end = self.pos + n
+        if end > len(self.data):
+            raise ValueError("truncated record")
+        out = self.data[self.pos : end]
+        self.pos = end
+        return out
+
+    def u64(self) -> int:
+        return int.from_bytes(self.take(8), "big")
+
+    def lp(self) -> bytes:
+        return self.take(self.u64())
+
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise ValueError("trailing bytes after record")
+
+
 def pack_bits(bits: Iterable[bool]) -> bytes:
     """Bitmap encoding: u64 count followed by MSB-first packed bits."""
     bit_list = list(bits)

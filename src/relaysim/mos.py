@@ -204,12 +204,7 @@ class MosService:
         Returns the hash of the converted cross-chain transaction; rejections
         surface in the message record status.
         """
-        if chain_id == self.env.rc_id:
-            ctx, result, _ = self.env.rc.relay_receive(bundle)
-        elif chain_id in self.env.hosts:
-            ctx, result, _ = self.env.hosts[chain_id].dest_receive(bundle)
-        else:
-            raise ValueError(f"chain {chain_id} hosts no light client")
+        ctx, result, _ = self.env.host(chain_id).receive(bundle)
         if ctx is None:
             raise ValueError("bundle does not decode to a cross-chain transaction")
         record = self.records.get(ctx.key)

@@ -25,6 +25,7 @@ from .chain import (
     CrossChainTx,
     LogicalClock,
     ReceiptMessage,
+    decode_ctx,
     new_chain,
 )
 from .costs import GasCostTable, GasReceipt, hlc_setup_gas, lc_setup_gas
@@ -40,55 +41,32 @@ from .lightclient import (
 from .prover import ProofBundle, Prover
 from .trace import TraceEvent, TraceLog, ctx_key_str
 
-ICTX_TAG = b"ICTX1"
+ICTX_TAG = b"ICTX1"  # intermediate record, written on the relay chain
+FIN_TAG = b"FIN1"  # final record, written on a destination chain
 
 
-def encode_intermediate(origin_chain: int, ctx_bytes: bytes) -> bytes:
-    return ICTX_TAG + encoding.u64(origin_chain) + encoding.lp(ctx_bytes)
+@dataclass(frozen=True)
+class HopRecord:
+    """The record a hosting chain writes for a transaction it accepted:
+    `tag || u64(origin_chain) || lp(ctx)`."""
 
+    tag: bytes
+    origin_chain: int
+    ctx: CrossChainTx
 
-def decode_intermediate(payload: bytes) -> Tuple[int, bytes]:
-    if not payload.startswith(ICTX_TAG):
-        raise ValueError("not an intermediate cross-chain record")
-    origin = int.from_bytes(payload[5:13], "big")
-    body = payload[13:]
-    length = int.from_bytes(body[:8], "big")
-    ctx_bytes = body[8 : 8 + length]
-    if len(ctx_bytes) != length:
-        raise ValueError("truncated intermediate record")
-    return origin, ctx_bytes
+    def to_bytes(self) -> bytes:
+        return self.tag + encoding.u64(self.origin_chain) + encoding.lp(self.ctx.to_bytes())
 
-
-def decode_ctx(data: bytes) -> CrossChainTx:
-    """Parse the canonical CrossChainTx encoding."""
-    from .chain import AssetPayload, MessagePayload
-
-    if data[:4] != b"CTX1":
-        raise ValueError("not a cross-chain transaction record")
-    dest = int.from_bytes(data[4:12], "big")
-    origin = int.from_bytes(data[12:20], "big")
-    nonce = int.from_bytes(data[20:28], "big")
-    plen = int.from_bytes(data[28:36], "big")
-    pbytes = data[36 : 36 + plen]
-    if len(pbytes) != plen:
-        raise ValueError("truncated payload")
-    if pbytes[:1] == b"A":
-        tlen = int.from_bytes(pbytes[1:9], "big")
-        token = pbytes[9 : 9 + tlen].decode()
-        off = 9 + tlen
-        amount = int.from_bytes(pbytes[off : off + 8], "big")
-        ilen = int.from_bytes(pbytes[off + 8 : off + 16], "big")
-        instruction = pbytes[off + 16 : off + 16 + ilen].decode()
-        payload = AssetPayload(token=token, amount=amount, instruction=instruction)
-    elif pbytes[:1] == b"M":
-        clen = int.from_bytes(pbytes[1:9], "big")
-        payload = MessagePayload(call_data=pbytes[9 : 9 + clen])
-    else:
-        raise ValueError("unknown payload kind")
-    ctx = CrossChainTx(dest_chain=dest, payload=payload, origin_chain=origin, nonce=nonce)
-    if ctx.to_bytes() != data:
-        raise ValueError("non-canonical transaction encoding")
-    return ctx
+    @classmethod
+    def from_bytes(cls, tag: bytes, data: bytes) -> "HopRecord":
+        """Parse a `tag` record; anything else raises ValueError."""
+        record = encoding.Reader(data)
+        if record.take(len(tag)) != tag:
+            raise ValueError(f"not a {tag.decode()} record")
+        origin = record.u64()
+        ctx_bytes = record.lp()
+        record.end()
+        return cls(tag, origin, decode_ctx(ctx_bytes))
 
 
 @dataclass(frozen=True)
@@ -97,6 +75,10 @@ class IntermediateCtx:
     origin_chain: int
     rc_height: int
     receipt: ReceiptMessage
+
+    @property
+    def key(self) -> Tuple[int, int]:
+        return self.ctx.key
 
 
 @dataclass(frozen=True)
@@ -147,8 +129,25 @@ def deployment_plan(
 # ---------------------------------------------------------------------------
 
 
-class RelayChain:
-    """The relay chain: its own consensus plus one hybrid LC per source."""
+Delivery = Tuple[Optional[CrossChainTx], VerifyResult, bool]
+
+
+class LightClientHost:
+    """A chain hosting hybrid light clients of other chains.
+
+    The relay chain hosts one client per source chain; each destination hosts
+    one client of the relay chain. A host verifies a record delivered from a
+    tracked chain against that chain's client, queues its own record of the
+    transaction for its next block, and sweeps its blocks for those records.
+    Subclasses state which record they read, which they write, and what a
+    swept record becomes.
+
+    Subclasses bind `receive` and `resolve_confirmations` in their own class
+    body: perfbench/probes.py wraps each class's own methods, which is how a
+    traced run tells the two hops apart.
+    """
+
+    writes: bytes  # tag of the records this host writes
 
     def __init__(self, chain: Chain, table: GasCostTable, backend):
         self.chain = chain
@@ -156,11 +155,12 @@ class RelayChain:
         self.backend = backend
         self.clients: Dict[int, HybridLcState] = {}
         self.setup_receipts: Dict[int, GasReceipt] = {}
-        self.intermediate: Dict[Tuple[int, int], IntermediateCtx] = {}
+        self.confirmations: Dict[Tuple[int, int], object] = {}
         self._accepted: set[Tuple[int, int]] = set()
         self._resolved_height = chain.height
 
     def register_source(self, source: Chain) -> GasReceipt:
+        """Set up a light client of `source` from its genesis validator set."""
         chain_id = source.config.chain_id
         if chain_id in self.clients:
             raise ValueError(f"source chain {chain_id} already registered")
@@ -178,24 +178,23 @@ class RelayChain:
 
     def receive_update(self, bundle: ProofBundle) -> UpdateResult:
         state = self.clients.get(bundle.origin_chain)
-        if state is None:
-            raise ValueError(f"source chain {bundle.origin_chain} not registered")
+        if state is None:  # a header of a chain this host does not track
+            return UpdateResult(False, None, _empty_receipt(self.table), RejectReason.EPOCH_GAP)
         result = hlc_update(state, bundle.header, bundle.zk_proof, self.table, self.backend)
         if result.accepted:
             self.clients[bundle.origin_chain] = result.state
         return result
 
-    def relay_receive(self, bundle: ProofBundle) -> Tuple[Optional[CrossChainTx], VerifyResult, bool]:
-        """Verify a source confirmation; on acceptance queue the intermediate
-        record for the next relay block. Returns (ctx, verify result, fresh)."""
-        state = self.clients.get(bundle.origin_chain)
-        if state is None:
-            raise ValueError(f"source chain {bundle.origin_chain} not registered")
+    def receive(self, bundle: ProofBundle) -> Delivery:
+        """Verify a delivered record; on acceptance queue this host's record
+        for its next block. Returns (ctx, verify result, fresh)."""
         try:
-            ctx = decode_ctx(bundle.receipt_payload or b"")
+            origin, ctx = self._read(bundle)
         except ValueError:
-            dummy = VerifyResult(False, _empty_receipt(self.table), RejectReason.MERKLE_FAIL)
-            return None, dummy, False
+            return None, VerifyResult(False, _empty_receipt(self.table), RejectReason.MERKLE_FAIL), False
+        state = self.clients.get(bundle.origin_chain)
+        if state is None:  # a header of a chain this host does not track
+            return ctx, VerifyResult(False, _empty_receipt(self.table), RejectReason.EPOCH_GAP), False
         message = ReceiptMessage(
             tx_hash=bundle.receipt_hash or ctx.tx_hash,
             payload=bundle.receipt_payload,
@@ -206,111 +205,76 @@ class RelayChain:
         )
         if not result.ok:
             return ctx, result, False
+        if self._misrouted(ctx):
+            return ctx, VerifyResult(False, result.receipt, RejectReason.PUBLIC_INPUT_MISMATCH), False
         if ctx.key in self._accepted:
             return ctx, result, False  # idempotent duplicate
         self._accepted.add(ctx.key)
-        self.chain.append_event(encode_intermediate(bundle.origin_chain, ctx.to_bytes()))
+        self.chain.append_event(HopRecord(self.writes, origin, ctx).to_bytes())
         return ctx, result, True
 
-    def resolve_confirmations(self) -> List[IntermediateCtx]:
-        """Collect intermediate records confirmed by blocks not yet swept."""
+    def resolve_confirmations(self) -> list:
+        """Collect this host's records confirmed by blocks not yet swept."""
         out = []
         while self._resolved_height < self.chain.height:
             self._resolved_height += 1
             block = self.chain.block_at(self._resolved_height)
             for receipt in block.receipts:
                 try:
-                    origin, ctx_bytes = decode_intermediate(receipt.payload)
+                    record = HopRecord.from_bytes(self.writes, receipt.payload)
                 except ValueError:
                     continue
-                ctx = decode_ctx(ctx_bytes)
-                record = IntermediateCtx(
-                    ctx=ctx, origin_chain=origin, rc_height=block.header.height, receipt=receipt
-                )
-                self.intermediate[ctx.key] = record
-                out.append(record)
+                confirmed = self._confirmed(record, block.header.height, receipt)
+                self.confirmations[record.ctx.key] = confirmed
+                out.append(confirmed)
         return out
 
+    def _misrouted(self, ctx: CrossChainTx) -> bool:
+        return False
 
-class DestinationHost:
-    """A destination chain hosting the relay chain's light client."""
 
-    def __init__(self, chain: Chain, rc_chain: Chain, table: GasCostTable, backend):
-        self.chain = chain
-        self.table = table
-        self.backend = backend
-        result = hlc_setup(
-            rc_chain.config.chain_id,
-            rc_chain.validator_set(0),
-            rc_chain.config.epoch_size,
-            rc_chain.config.vote_threshold,
-            table,
-            rc_chain.config.hash_algo,
+class RelayChain(LightClientHost):
+    """The relay chain: its own consensus plus one hybrid LC per source.
+    It reads source `CTX1` records and writes `ICTX1` records."""
+
+    writes = ICTX_TAG
+    relay_receive = receive = LightClientHost.receive
+    resolve_confirmations = LightClientHost.resolve_confirmations
+
+    @staticmethod
+    def _read(bundle: ProofBundle) -> Tuple[int, CrossChainTx]:
+        return bundle.origin_chain, decode_ctx(bundle.receipt_payload or b"")
+
+    @staticmethod
+    def _confirmed(record: HopRecord, height: int, receipt: ReceiptMessage) -> IntermediateCtx:
+        return IntermediateCtx(
+            ctx=record.ctx, origin_chain=record.origin_chain, rc_height=height, receipt=receipt
         )
-        self.rc_client: HybridLcState = result.state
-        self.setup_receipt: GasReceipt = result.receipt
-        self.confirmations: Dict[Tuple[int, int], FinalConfirmation] = {}
-        self._accepted: set[Tuple[int, int]] = set()
-        self._resolved_height = chain.height
 
-    def receive_update(self, bundle: ProofBundle) -> UpdateResult:
-        result = hlc_update(self.rc_client, bundle.header, bundle.zk_proof, self.table, self.backend)
-        if result.accepted:
-            self.rc_client = result.state
-        return result
 
-    def dest_receive(self, bundle: ProofBundle) -> Tuple[Optional[CrossChainTx], VerifyResult, bool]:
-        """Final verification of an intermediate record against the RC client."""
-        try:
-            origin, ctx_bytes = decode_intermediate(bundle.receipt_payload or b"")
-            ctx = decode_ctx(ctx_bytes)
-        except ValueError:
-            dummy = VerifyResult(False, _empty_receipt(self.table), RejectReason.MERKLE_FAIL)
-            return None, dummy, False
-        message = ReceiptMessage(
-            tx_hash=bundle.receipt_hash or ctx.tx_hash,
-            payload=bundle.receipt_payload,
-            height=bundle.header.height,
+class DestinationHost(LightClientHost):
+    """A destination chain hosting the relay chain's light client. It reads
+    `ICTX1` records addressed to it and writes `FIN1` records."""
+
+    writes = FIN_TAG
+    dest_receive = receive = LightClientHost.receive
+    resolve_confirmations = LightClientHost.resolve_confirmations
+
+    @staticmethod
+    def _read(bundle: ProofBundle) -> Tuple[int, CrossChainTx]:
+        record = HopRecord.from_bytes(ICTX_TAG, bundle.receipt_payload or b"")
+        return record.origin_chain, record.ctx
+
+    def _misrouted(self, ctx: CrossChainTx) -> bool:
+        return ctx.dest_chain != self.chain.config.chain_id
+
+    def _confirmed(self, record: HopRecord, height: int, receipt: ReceiptMessage) -> FinalConfirmation:
+        return FinalConfirmation(
+            key=record.ctx.key,
+            payload_bytes=record.ctx.payload.to_bytes(),
+            dest_chain=self.chain.config.chain_id,
+            dc_height=height,
         )
-        result = hlc_verify(
-            self.rc_client,
-            message,
-            bundle.header,
-            bundle.merkle_proof,
-            bundle.zk_proof,
-            self.table,
-            self.backend,
-        )
-        if not result.ok:
-            return ctx, result, False
-        if ctx.dest_chain != self.chain.config.chain_id:
-            return ctx, VerifyResult(False, result.receipt, RejectReason.PUBLIC_INPUT_MISMATCH), False
-        if ctx.key in self._accepted:
-            return ctx, result, False
-        self._accepted.add(ctx.key)
-        self.chain.append_event(b"FIN1" + encoding.u64(origin) + encoding.lp(ctx.to_bytes()))
-        return ctx, result, True
-
-    def resolve_confirmations(self) -> List[FinalConfirmation]:
-        out = []
-        while self._resolved_height < self.chain.height:
-            self._resolved_height += 1
-            block = self.chain.block_at(self._resolved_height)
-            for receipt in block.receipts:
-                if not receipt.payload.startswith(b"FIN1"):
-                    continue
-                body = receipt.payload[4:]
-                length = int.from_bytes(body[8:16], "big")
-                ctx = decode_ctx(body[16 : 16 + length])
-                record = FinalConfirmation(
-                    key=ctx.key,
-                    payload_bytes=ctx.payload.to_bytes(),
-                    dest_chain=self.chain.config.chain_id,
-                    dc_height=block.header.height,
-                )
-                self.confirmations[ctx.key] = record
-                out.append(record)
-        return out
 
 
 def _empty_receipt(table: GasCostTable) -> GasReceipt:
@@ -360,8 +324,7 @@ class RelayEnvironment:
         self.rejections: List[Rejection] = []
         self.observers: List[Callable[[TraceEvent], None]] = []
         self.submitted: Dict[Tuple[int, int], CrossChainTx] = {}
-        self._rc_inbox: List[ProofBundle] = []
-        self._dest_inbox: Dict[int, List[ProofBundle]] = {}
+        self._inbox: Dict[int, List[ProofBundle]] = {self.rc_id: []}
         self._pending_rc_gas: Dict[Tuple[int, int], int] = {}
         self._seq = 0
         self.round = 0
@@ -374,19 +337,25 @@ class RelayEnvironment:
         chain = new_chain(config, self.clock)
         self.chains[config.chain_id] = chain
         if as_source:
-            receipt = self.rc.register_source(chain)
-            self._log_receipt("register_source", self.rc_id, receipt)
+            self.register_source(config.chain_id)
         if as_dest:
-            host = DestinationHost(chain, self.rc.chain, self.table, self.backend)
-            self.hosts[config.chain_id] = host
-            self._dest_inbox[config.chain_id] = []
-            self._log_receipt("register_rc_client", config.chain_id, host.setup_receipt)
+            host = self.hosts[config.chain_id] = DestinationHost(chain, self.table, self.backend)
+            self._inbox[config.chain_id] = []
+            self._log_receipt("register_rc_client", config.chain_id, host.register_source(self.rc.chain))
         return chain
 
     def register_source(self, chain_id: int) -> GasReceipt:
         receipt = self.rc.register_source(self.chains[chain_id])
         self._log_receipt("register_source", self.rc_id, receipt)
         return receipt
+
+    def host(self, chain_id: int) -> LightClientHost:
+        """The light-client host on `chain_id`: the relay chain or a destination."""
+        if chain_id == self.rc_id:
+            return self.rc
+        if chain_id not in self.hosts:
+            raise ValueError(f"chain {chain_id} hosts no light client")
+        return self.hosts[chain_id]
 
     def add_prover(self, name: str, profile: str = "honest") -> Prover:
         prover = Prover(name, self.backend, profile)
@@ -404,29 +373,31 @@ class RelayEnvironment:
         ctx = chain.make_tx(dest_id, payload)
         chain.submit_tx(ctx)
         self.submitted[ctx.key] = ctx
-        self._record(
-            TraceEvent(
-                key=ctx_key_str(ctx.key),
-                stage="commit_sc",
-                time=self.clock.next(),
-                chain=source_id,
-            )
-        )
+        self._record(ctx.key, "commit_sc", source_id, once=False)
         return ctx.key
 
     def transmit(self, bundle: ProofBundle, target: int) -> DeliveryReceipt:
-        if target == self.rc_id:
-            self._rc_inbox.append(bundle)
-        elif target in self._dest_inbox:
-            self._dest_inbox[target].append(bundle)
-        else:
+        if target not in self._inbox:
             raise ValueError(f"unknown transmit target {target}")
+        self._inbox[target].append(bundle)
         self._seq += 1
         return DeliveryReceipt(target=target, sequence=self._seq)
 
     # -- bookkeeping --------------------------------------------------------------
 
-    def _record(self, event: TraceEvent, once: bool = False) -> None:
+    def _record(
+        self, key, stage: str, chain: int, gas: Optional[int] = None, verdict: str = "ok", once: bool = True
+    ) -> None:
+        """Trace `stage` of `key` at the next tick; with `once`, only its first
+        occurrence reaches the log and the observers."""
+        event = TraceEvent(
+            key=ctx_key_str(key) if key else "?:?",
+            stage=stage,
+            time=self.clock.next(),
+            chain=chain,
+            verdict=verdict,
+            gas=gas,
+        )
         recorded = self.trace.record_once(event) if once else (self.trace.record(event) or True)
         if recorded:
             for observer in self.observers:
@@ -450,15 +421,7 @@ class RelayEnvironment:
         self.rejections.append(
             Rejection(stage=stage, chain=chain, key=key_t, reason=reason.value)
         )
-        self._record(
-            TraceEvent(
-                key=ctx_key_str(key_t) if key_t else "?:?",
-                stage=stage,
-                time=self.clock.next(),
-                chain=chain,
-                verdict=f"reject:{reason.value}",
-            )
-        )
+        self._record(key_t, stage, chain, verdict=f"reject:{reason.value}", once=False)
 
     @staticmethod
     def _bundle_order(bundle: ProofBundle):
@@ -474,10 +437,14 @@ class RelayEnvironment:
     def step(self) -> None:
         self.round += 1
         self._produce_source_blocks()
-        self._scan_sources()
-        self._relay_process()
-        self._scan_relay()
-        self._dest_process()
+        provers = [p for p in self.provers if p.profile != "silent"]
+        for prover in provers:
+            self._scan_sources(prover)
+        self._drain(self.rc_id)
+        for prover in provers:
+            self._scan_relay(prover)
+        for host_id in sorted(self.hosts):
+            self._drain(host_id)
 
     def _produce_source_blocks(self) -> None:
         for cid in sorted(self.chains):
@@ -493,159 +460,79 @@ class RelayEnvironment:
                     ctx = decode_ctx(receipt.payload)
                 except ValueError:
                     continue
-                self._record(
-                    TraceEvent(
-                        key=ctx_key_str(ctx.key),
-                        stage="confirm_sc",
-                        time=self.clock.next(),
-                        chain=cid,
-                    ),
-                    once=True,
-                )
+                self._record(ctx.key, "confirm_sc", cid)
             # delivery events may ride in these blocks too (a destination is
             # usually also a source); sweep their final confirmations now
             if cid in self.hosts:
-                self._record_final_confirmations(cid)
+                self._record_confirmations(cid)
 
-    def _record_final_confirmations(self, host_id: int) -> None:
-        for record in self.hosts[host_id].resolve_confirmations():
-            self._record(
-                TraceEvent(
-                    key=ctx_key_str(record.key),
-                    stage="confirm_dc",
-                    time=self.clock.next(),
-                    chain=host_id,
-                ),
-                once=True,
-            )
+    def _record_confirmations(self, host_id: int) -> None:
+        at_relay = host_id == self.rc_id
+        for record in self.host(host_id).resolve_confirmations():
+            gas = self._pending_rc_gas.pop(record.key, None) if at_relay else None
+            self._record(record.key, "confirm_rc" if at_relay else "confirm_dc", host_id, gas=gas)
 
-    def _scan_sources(self) -> None:
-        for prover in self.provers:
-            if prover.profile == "silent":
+    def _scan_sources(self, prover: Prover) -> None:
+        for cid in sorted(self.chains):
+            if cid not in self.rc.clients:
                 continue
-            for cid in sorted(self.chains):
-                if cid not in self.rc.clients:
-                    continue
-                chain = self.chains[cid]
-                for header in prover.new_boundaries(chain):
-                    self.transmit(prover.update_bundle(chain, header), self.rc_id)
-                for conf in prover.monitor(chain):
-                    try:
-                        ctx = decode_ctx(conf.message.payload)
-                    except ValueError:
-                        continue  # local events are not relayed outward
-                    bundle = prover.ctx_bundle(chain, conf)
-                    self.transmit(bundle, self.rc_id)
-                    self._record(
-                        TraceEvent(
-                            key=ctx_key_str(ctx.key),
-                            stage="prove_sc",
-                            time=self.clock.next(),
-                            chain=cid,
-                        ),
-                        once=True,
-                    )
+            chain = self.chains[cid]
+            for header in prover.new_boundaries(chain):
+                self.transmit(prover.update_bundle(chain, header), self.rc_id)
+            for conf in prover.monitor(chain):
+                try:
+                    ctx = decode_ctx(conf.message.payload)
+                except ValueError:
+                    continue  # local events are not relayed outward
+                self.transmit(prover.ctx_bundle(chain, conf), self.rc_id)
+                self._record(ctx.key, "prove_sc", cid)
 
-    def _relay_process(self) -> None:
-        bundles = sorted(self._rc_inbox, key=self._bundle_order)
-        self._rc_inbox.clear()
+    def _scan_relay(self, prover: Prover) -> None:
+        for header in prover.new_boundaries(self.rc.chain):
+            bundle = prover.update_bundle(self.rc.chain, header)
+            for host_id in sorted(self.hosts):
+                self.transmit(bundle, host_id)
+        for conf in prover.monitor(self.rc.chain):
+            try:
+                ctx = HopRecord.from_bytes(ICTX_TAG, conf.message.payload).ctx
+            except ValueError:
+                continue
+            if ctx.dest_chain in self.hosts:
+                self.transmit(prover.ctx_bundle(self.rc.chain, conf), ctx.dest_chain)
+                self._record(ctx.key, "prove_rc", self.rc_id)
+
+    def _drain(self, host_id: int) -> None:
+        """Apply a host's inbox in bundle order, then produce its next block
+        and trace the records that block confirms."""
+        host = self.host(host_id)
+        at_relay = host_id == self.rc_id
+        bundles = sorted(self._inbox[host_id], key=self._bundle_order)
+        self._inbox[host_id].clear()
         for bundle in bundles:
             if bundle.kind == "update":
-                result = self.rc.receive_update(bundle)
+                result = host.receive_update(bundle)
                 if result.accepted:
-                    self._log_receipt("hlc_update", self.rc_id, result.receipt)
+                    self._log_receipt("hlc_update", host_id, result.receipt)
                 elif result.reason != RejectReason.EPOCH_GAP:
-                    self._reject("update_rc", self.rc_id, None, result.reason)
+                    self._reject("update_rc" if at_relay else "update_dc", host_id, None, result.reason)
                 continue
-            ctx, result, fresh = self.rc.relay_receive(bundle)
+            ctx, result, fresh = host.receive(bundle)
             key = ctx.key if ctx is not None else None
             if not result.ok:
-                self._reject("confirm_rc", self.rc_id, key, result.reason)
+                self._reject("confirm_rc" if at_relay else "verify_dc", host_id, key, result.reason)
             elif fresh:
-                self._pending_rc_gas[ctx.key] = result.receipt.total
-                self._log_receipt("hlc_verify", self.rc_id, result.receipt)
-                self._log_gate_report(bundle)
-        if self.rc.chain.pending_count:
+                self._log_receipt("hlc_verify", host_id, result.receipt)
+                if at_relay:
+                    self._pending_rc_gas[key] = result.receipt.total
+                    self._log_gate_report(bundle)
+                else:
+                    self._record(key, "verify_dc", host_id, gas=result.receipt.total)
+        if host.chain.pending_count:
             try:
-                self.rc.chain.produce_block()
+                host.chain.produce_block()
             except BlockWithheld:
                 return
-            for record in self.rc.resolve_confirmations():
-                gas = self._pending_rc_gas.pop(record.ctx.key, None)
-                self._record(
-                    TraceEvent(
-                        key=ctx_key_str(record.ctx.key),
-                        stage="confirm_rc",
-                        time=self.clock.next(),
-                        chain=self.rc_id,
-                        gas=gas,
-                    ),
-                    once=True,
-                )
-
-    def _scan_relay(self) -> None:
-        for prover in self.provers:
-            if prover.profile == "silent":
-                continue
-            for header in prover.new_boundaries(self.rc.chain):
-                bundle = prover.update_bundle(self.rc.chain, header)
-                for host_id in sorted(self.hosts):
-                    self.transmit(bundle, host_id)
-            for conf in prover.monitor(self.rc.chain):
-                try:
-                    origin, ctx_bytes = decode_intermediate(conf.message.payload)
-                    ctx = decode_ctx(ctx_bytes)
-                except ValueError:
-                    continue
-                if ctx.dest_chain not in self.hosts:
-                    continue
-                bundle = prover.ctx_bundle(self.rc.chain, conf)
-                self.transmit(bundle, ctx.dest_chain)
-                self._record(
-                    TraceEvent(
-                        key=ctx_key_str(ctx.key),
-                        stage="prove_rc",
-                        time=self.clock.next(),
-                        chain=self.rc_id,
-                    ),
-                    once=True,
-                )
-
-    def _dest_process(self) -> None:
-        for host_id in sorted(self.hosts):
-            host = self.hosts[host_id]
-            bundles = sorted(self._dest_inbox[host_id], key=self._bundle_order)
-            self._dest_inbox[host_id].clear()
-            for bundle in bundles:
-                if bundle.kind == "update":
-                    result = host.receive_update(bundle)
-                    if result.accepted:
-                        self._log_receipt("hlc_update", host_id, result.receipt)
-                    elif result.reason != RejectReason.EPOCH_GAP:
-                        self._reject("update_dc", host_id, None, result.reason)
-                    continue
-                ctx, result, fresh = host.dest_receive(bundle)
-                key = ctx.key if ctx is not None else None
-                if not result.ok:
-                    self._reject("verify_dc", host_id, key, result.reason)
-                elif fresh:
-                    self._log_receipt("hlc_verify", host_id, result.receipt)
-                    self._record(
-                        TraceEvent(
-                            key=ctx_key_str(ctx.key),
-                            stage="verify_dc",
-                            time=self.clock.next(),
-                            chain=host_id,
-                            gas=result.receipt.total,
-                        ),
-                        once=True,
-                    )
-            if host.chain.pending_count:
-                try:
-                    host.chain.produce_block()
-                except BlockWithheld:
-                    continue
-                self._record_final_confirmations(host_id)
+            self._record_confirmations(host_id)
 
     # -- driving -------------------------------------------------------------------
 

@@ -357,3 +357,11 @@ def test_cli_invalid_scenario_exit_2(tmp_path, capsys):
 def test_cli_bench(capsys):
     assert cli.main(["bench"]) == 0
     assert "Deployment complexity" in capsys.readouterr().out
+
+
+def test_cli_attack_kind_selects_suite_cases(tmp_path, capsys):
+    assert cli.main(["attack", "--kind", "liveness", "--out", str(tmp_path)]) == 0
+    rows = [json.loads(line) for line in (tmp_path / "attacks.jsonl").read_text().splitlines()]
+    assert len(rows) == 3 and all(r["ok"] for r in rows)
+    assert {r["case"] for r in rows} == set(harness.LIVENESS_CASES)
+    capsys.readouterr()

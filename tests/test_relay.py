@@ -2,12 +2,18 @@
 ordering, payload conservation, and deployment complexity."""
 
 from dataclasses import replace as dc_replace
+from functools import partial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from relaysim.chain import AssetPayload, ChainConfig, CrossChainTx, MessagePayload
 from relaysim.prover import Prover
 from relaysim.relay import (
+    FIN_TAG,
+    ICTX_TAG,
+    HopRecord,
+    Rejection,
     RelayEnvironment,
     decode_ctx,
     deployment_plan,
@@ -117,6 +123,25 @@ def test_relay_receive_rejects_proofs_for_other_ctx(backend):
     assert not result.ok and result.reason == RejectReason.MERKLE_FAIL
 
 
+def test_unknown_origin_rejected_without_aborting_round(backend):
+    """A bundle from a chain the relay chain does not track is rejected as an
+    epoch gap; the rest of the round's inbox is still applied."""
+    env = _env(backend)
+    key = env.submit(1, 2, AssetPayload(token="T", amount=9))
+    env._produce_source_blocks()
+    observer = Prover("observer", backend)
+    honest = observer.ctx_bundle(env.chains[1], observer.monitor(env.chains[1])[0])
+    stray = dc_replace(honest, origin_chain=0)  # sorts before the honest bundle
+    env.transmit(stray, env.rc_id)
+    env.transmit(dc_replace(stray, kind="update"), env.rc_id)
+    env.step()  # the environment's prover delivers the honest bundle
+    assert env.rejections == [Rejection("confirm_rc", env.rc_id, key, RejectReason.EPOCH_GAP.value)]
+    assert "confirm_rc" in env.trace.stages_of(ctx_key_str(key))
+    done, stalled = env.run_until_complete([key])
+    assert done, stalled
+    assert "confirm_dc" in env.trace.stages_of(ctx_key_str(key))
+
+
 def test_relay_receive_idempotent_duplicate(backend):
     env = _env(backend)
     env.submit(1, 2, AssetPayload(token="T", amount=3))
@@ -204,7 +229,7 @@ def test_intermediate_payload_identical(backend):
     env = _env(backend)
     key = env.submit(1, 3, AssetPayload(token="X", amount=42))
     env.run(1)
-    record = env.rc.intermediate[key]
+    record = env.rc.confirmations[key]
     assert record.ctx.payload.to_bytes() == env.submitted[key].payload.to_bytes()
     assert record.origin_chain == 1
 
@@ -221,7 +246,7 @@ def test_rc_epoch_rotation_end_to_end(backend):
     assert done, stalled
     assert env.rc.chain.current_epoch >= 1
     for host in env.hosts.values():
-        assert host.rc_client.epoch == env.rc.chain.current_epoch
+        assert host.clients[env.rc_id].epoch == env.rc.chain.current_epoch
     # relay-chain boundary headers announce only the commitment
     boundary = next(h for h in env.rc.chain.headers if h.height > 0 and h.is_boundary)
     assert boundary.validator_info[0] == "committed"
@@ -296,3 +321,45 @@ def test_decode_ctx_roundtrip():
     assert decode_ctx(msg.to_bytes()) == msg
     with pytest.raises(ValueError):
         decode_ctx(b"garbage")
+
+
+u64s = st.integers(0, 2**64 - 1)
+payloads = st.one_of(
+    st.builds(AssetPayload, token=st.text(max_size=12), amount=u64s, instruction=st.text(max_size=12)),
+    st.builds(MessagePayload, call_data=st.binary(max_size=32)),
+)
+ctxs = st.builds(CrossChainTx, dest_chain=u64s, payload=payloads, origin_chain=u64s, nonce=u64s)
+
+
+@st.composite
+def wire_records(draw):
+    """(value, encoding, decoder, offset of the outer length prefix) of a
+    CTX1, ICTX1 or FIN1 record."""
+    ctx = draw(ctxs)
+    tag = draw(st.sampled_from([b"CTX1", ICTX_TAG, FIN_TAG]))
+    if tag == b"CTX1":
+        return ctx, ctx.to_bytes(), decode_ctx, 28
+    record = HopRecord(tag, draw(u64s), ctx)
+    return record, record.to_bytes(), partial(HopRecord.from_bytes, tag), len(tag) + 8
+
+
+@given(wire_records())
+def test_wire_record_roundtrip(case):
+    value, data, decode, _ = case
+    assert decode(data) == value
+
+
+@given(wire_records(), st.data())
+def test_wire_record_rejects_malformed(case, data):
+    _, raw, decode, at = case
+    length = int.from_bytes(raw[at : at + 8], "big")
+    malformed = [
+        bytes([raw[0] ^ 0x20]) + raw[1:],  # wrong tag
+        raw[: data.draw(st.integers(0, len(raw) - 1))],  # truncated
+        raw + b"\x00",  # one trailing byte
+        raw[:at] + (length + 1).to_bytes(8, "big") + raw[at + 8 :],
+        raw[:at] + (length - 1).to_bytes(8, "big") + raw[at + 8 :],
+    ]
+    for bad in malformed:
+        with pytest.raises(ValueError):
+            decode(bad)
