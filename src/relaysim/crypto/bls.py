@@ -3,7 +3,8 @@
 Keys are derived deterministically from seeds so simulation runs are
 reproducible. Verification goes through an LRU cache keyed on compressed
 encodings; the boolean outcome is pure, so caching repeated checks of the
-same header is sound.
+same header is sound. An encoding keeps only x and a sign bit, so points
+are checked on their curves before they are encoded.
 """
 
 from __future__ import annotations
@@ -82,9 +83,17 @@ def _pairing_product_cached(sig_bytes: bytes, point_bytes: bytes, apk_bytes: byt
     return bn254.pairing_check([(bn254.g1_neg(sig), bn254.G2_GEN), (point, apk)])
 
 
+def _points_valid(apk: G2Point, message_point: G1Point, signature: G1Point) -> bool:
+    # the on-curve checks accept the identity, so None is refused first
+    if apk is None or signature is None or message_point is None:
+        return False
+    g1_ok = bn254.g1_is_on_curve(signature) and bn254.g1_is_on_curve(message_point)
+    return g1_ok and bn254.g2_is_on_curve(apk)
+
+
 def verify_at_point(apk: G2Point, message_point: G1Point, signature: G1Point) -> bool:
     """Check e(sig, g2) == e(point, apk) with a precomputed message point."""
-    if apk is None or signature is None or message_point is None:
+    if not _points_valid(apk, message_point, signature):
         return False
     return _pairing_equal_cached(
         bn254.g1_to_bytes(signature), bn254.g1_to_bytes(message_point), bn254.g2_to_bytes(apk)
@@ -93,7 +102,7 @@ def verify_at_point(apk: G2Point, message_point: G1Point, signature: G1Point) ->
 
 def verify_product(apk: G2Point, message_point: G1Point, signature: G1Point) -> bool:
     """Same predicate as verify_at_point via the product-of-pairings route."""
-    if apk is None or signature is None or message_point is None:
+    if not _points_valid(apk, message_point, signature):
         return False
     return _pairing_product_cached(
         bn254.g1_to_bytes(signature), bn254.g1_to_bytes(message_point), bn254.g2_to_bytes(apk)
@@ -103,8 +112,6 @@ def verify_product(apk: G2Point, message_point: G1Point, signature: G1Point) -> 
 def verify_aggregate(apk: G2Point, message: bytes, signature: G1Point) -> bool:
     """Check an aggregate (or single) signature against an aggregate pubkey."""
     if apk is None or signature is None:
-        return False
-    if not bn254.g1_is_on_curve(signature):
         return False
     return verify_at_point(apk, hash_to_curve(message), signature)
 

@@ -5,6 +5,10 @@ Pure-Python arithmetic tuned for simulation scale: field elements are ints
 as the identity. G1 is the prime-order curve y^2 = x^3 + 3 over Fp (cofactor
 one), G2 the order-r subgroup of the sextic twist over Fp2. Signatures live
 in G1, public keys in G2.
+
+The pairing's Miller loop keeps its running point on the twist and
+multiplies by sparse line values (Beuchat et al. 2010); the final
+exponentiation squares in the cyclotomic subgroup (Granger-Scott 2010).
 """
 
 from __future__ import annotations
@@ -176,16 +180,7 @@ def fp6_inv(a: Fp6) -> Fp6:
 # ---------------------------------------------------------------------------
 # Fp12 = Fp6[w] / (w^2 - v)
 
-FP12_ZERO: Fp12 = (FP6_ZERO, FP6_ZERO)
 FP12_ONE: Fp12 = (FP6_ONE, FP6_ZERO)
-
-
-def fp12_add(a: Fp12, b: Fp12) -> Fp12:
-    return (fp6_add(a[0], b[0]), fp6_add(a[1], b[1]))
-
-
-def fp12_sub(a: Fp12, b: Fp12) -> Fp12:
-    return (fp6_sub(a[0], b[0]), fp6_sub(a[1], b[1]))
 
 
 def fp12_mul(a: Fp12, b: Fp12) -> Fp12:
@@ -203,10 +198,6 @@ def fp12_sqr(a: Fp12) -> Fp12:
     t = fp6_mul(a0, a1)
     c0 = fp6_sub(fp6_mul(fp6_add(a0, a1), fp6_add(a0, fp6_mul_v(a1))), fp6_add(t, fp6_mul_v(t)))
     return (c0, fp6_add(t, t))
-
-
-def fp12_neg(a: Fp12) -> Fp12:
-    return (fp6_neg(a[0]), fp6_neg(a[1]))
 
 
 def fp12_conj(a: Fp12) -> Fp12:
@@ -260,7 +251,7 @@ def g1_is_on_curve(pt: G1Point) -> bool:
     if pt is None:
         return True
     x, y = pt
-    return (y * y - x * x * x - B1) % P == 0
+    return 0 <= x < P and 0 <= y < P and (y * y - x * x * x - B1) % P == 0
 
 
 def g1_neg(pt: G1Point) -> G1Point:
@@ -285,10 +276,6 @@ def g1_add(a: G1Point, b: G1Point) -> G1Point:
     x3 = (lam * lam - x1 - x2) % P
     y3 = (lam * (x1 - x3) - y1) % P
     return (x3, y3)
-
-
-def g1_double(a: G1Point) -> G1Point:
-    return g1_add(a, a)
 
 
 def _g1_jac_double(X, Y, Z):
@@ -354,6 +341,8 @@ def g2_is_on_curve(pt: G2Point) -> bool:
     if pt is None:
         return True
     x, y = pt
+    if not all(0 <= c < P for c in (*x, *y)):
+        return False
     return fp2_sqr(y) == fp2_add(fp2_mul(fp2_sqr(x), x), B2)
 
 
@@ -363,42 +352,102 @@ def g2_neg(pt: G2Point) -> G2Point:
     return (pt[0], fp2_neg(pt[1]))
 
 
-def g2_add(a: G2Point, b: G2Point) -> G2Point:
+def _g2_add_slope(a: G2Point, b: G2Point) -> Tuple[G2Point, Optional[Fp2]]:
+    """a + b, and the slope of the line through a and b (the tangent when
+    a == b); the slope is None when that line is vertical or a summand is
+    the identity."""
     if a is None:
-        return b
+        return b, None
     if b is None:
-        return a
+        return a, None
     x1, y1 = a
     x2, y2 = b
     if x1 == x2:
         if fp2_add(y1, y2) == FP2_ZERO:
-            return None
+            return None, None
         lam = fp2_mul(fp2_scalar(fp2_sqr(x1), 3), fp2_inv(fp2_scalar(y1, 2)))
     else:
         lam = fp2_mul(fp2_sub(y2, y1), fp2_inv(fp2_sub(x2, x1)))
     x3 = fp2_sub(fp2_sub(fp2_sqr(lam), x1), x2)
     y3 = fp2_sub(fp2_mul(lam, fp2_sub(x1, x3)), y1)
-    return (x3, y3)
+    return (x3, y3), lam
 
 
-def g2_double(a: G2Point) -> G2Point:
-    return g2_add(a, a)
+def g2_add(a: G2Point, b: G2Point) -> G2Point:
+    return _g2_add_slope(a, b)[0]
+
+
+_G2_JAC_INF = (FP2_ONE, FP2_ONE, FP2_ZERO)
+
+
+def _g2_jac_double(X, Y, Z):
+    if Z == FP2_ZERO or Y == FP2_ZERO:
+        return _G2_JAC_INF
+    A = fp2_sqr(X)
+    B = fp2_sqr(Y)
+    C = fp2_sqr(B)
+    D = fp2_sub(fp2_sub(fp2_sqr(fp2_add(X, B)), A), C)
+    D = fp2_add(D, D)
+    E = fp2_scalar(A, 3)
+    X3 = fp2_sub(fp2_sqr(E), fp2_add(D, D))
+    Y3 = fp2_sub(fp2_mul(E, fp2_sub(D, X3)), fp2_scalar(C, 8))
+    Z3 = fp2_scalar(fp2_mul(Y, Z), 2)
+    return (X3, Y3, Z3)
+
+
+def _g2_jac_add_affine(X1, Y1, Z1, x2, y2):
+    # mixed addition, (x2, y2) affine
+    if Z1 == FP2_ZERO:
+        return (x2, y2, FP2_ONE)
+    Z1Z1 = fp2_sqr(Z1)
+    U2 = fp2_mul(x2, Z1Z1)
+    S2 = fp2_mul(fp2_mul(y2, Z1), Z1Z1)
+    H = fp2_sub(U2, X1)
+    rr = fp2_sub(S2, Y1)
+    if H == FP2_ZERO:
+        return _g2_jac_double(X1, Y1, Z1) if rr == FP2_ZERO else _G2_JAC_INF
+    rr = fp2_add(rr, rr)
+    I = fp2_scalar(fp2_sqr(H), 4)
+    J = fp2_mul(H, I)
+    V = fp2_mul(X1, I)
+    X3 = fp2_sub(fp2_sub(fp2_sqr(rr), J), fp2_add(V, V))
+    Y3 = fp2_sub(fp2_mul(rr, fp2_sub(V, X3)), fp2_scalar(fp2_mul(Y1, J), 2))
+    Z3 = fp2_scalar(fp2_mul(Z1, H), 2)
+    return (X3, Y3, Z3)
+
+
+def _g2_jac_to_affine(X, Y, Z) -> G2Point:
+    if Z == FP2_ZERO:
+        return None
+    zi = fp2_inv(Z)
+    zi2 = fp2_sqr(zi)
+    return (fp2_mul(X, zi2), fp2_mul(fp2_mul(Y, zi2), zi))
+
+
+def _g2_mul_unreduced(pt: G2Point, k: int) -> G2Point:
+    # [k]pt for k >= 0 by double-and-add on a Jacobian accumulator
+    if pt is None or k == 0:
+        return None
+    x, y = pt
+    acc = _G2_JAC_INF
+    for bit in bin(k)[2:]:
+        acc = _g2_jac_double(*acc)
+        if bit == "1":
+            acc = _g2_jac_add_affine(*acc, x, y)
+    return _g2_jac_to_affine(*acc)
 
 
 def g2_mul(pt: G2Point, k: int) -> G2Point:
-    k %= R
-    if pt is None or k == 0:
-        return None
-    acc: G2Point = None
-    for bit in bin(k)[2:]:
-        acc = g2_add(acc, acc)
-        if bit == "1":
-            acc = g2_add(acc, pt)
-    return acc
+    return _g2_mul_unreduced(pt, k % R)
 
 
 def g2_subgroup_check(pt: G2Point) -> bool:
-    return g2_is_on_curve(pt) and g2_mul(pt, R) is None
+    """True iff pt is on the twist and [R]pt is the identity.
+
+    Computes [R]pt in full (about one g2_mul), so decoding does not call it:
+    g2_from_bytes and ValidatorSet.pubkeys only check that points are on
+    the twist."""
+    return g2_is_on_curve(pt) and _g2_mul_unreduced(pt, R) is None
 
 
 # Generators. G2 coordinates are the standard alt_bn128 values.
@@ -418,176 +467,142 @@ assert g1_is_on_curve(G1_GEN)
 assert g2_is_on_curve(G2_GEN)
 
 
-class _FixedBaseTable:
-    """Doubling table for fast fixed-base scalar multiplication."""
-
-    def __init__(self, base, add, double):
-        self._add = add
-        self._table = [base]
-        for _ in range(R.bit_length()):
-            self._table.append(double(self._table[-1]))
-
-    def mul(self, k: int):
-        k %= R
-        acc = None
-        i = 0
-        while k:
-            if k & 1:
-                acc = self._add(acc, self._table[i])
-            k >>= 1
-            i += 1
-        return acc
-
-
-_G1_TABLE = _FixedBaseTable(G1_GEN, g1_add, g1_double)
-_G2_TABLE = _FixedBaseTable(G2_GEN, g2_add, g2_double)
-
-
-def g1_base_mul(k: int) -> G1Point:
-    return _G1_TABLE.mul(k)
+# Affine doublings [2^i]G2 for fixed-base multiplication.
+_G2_DOUBLINGS = [G2_GEN]
+for _ in range(R.bit_length()):
+    _G2_DOUBLINGS.append(g2_add(_G2_DOUBLINGS[-1], _G2_DOUBLINGS[-1]))
 
 
 def g2_base_mul(k: int) -> G2Point:
-    return _G2_TABLE.mul(k)
+    # mixed additions of the doublings into a Jacobian accumulator
+    k %= R
+    acc = _G2_JAC_INF
+    i = 0
+    while k:
+        if k & 1:
+            acc = _g2_jac_add_affine(*acc, *_G2_DOUBLINGS[i])
+        k >>= 1
+        i += 1
+    return _g2_jac_to_affine(*acc)
 
 
 # ---------------------------------------------------------------------------
-# Optimal ate pairing. G2 points are embedded into E(Fp12) through the twist
-# (x, y) -> (x w^2, y w^3); the Miller loop runs in projective coordinates
-# over Fp12 with the line function evaluated at the G1 point.
+# Optimal ate pairing. The Miller loop keeps T in affine coordinates on the
+# twist over Fp2. Under the untwisting (x, y) -> (x w^2, y w^3) the line
+# through T with slope lam, evaluated at P = (x_P, y_P) and negated, is the
+# sparse element y_P + (-lam x_P) w + (lam x_T - y_T) v w; the sign and
+# vertical lines lie in Fp6 and vanish in the final exponentiation.
 
 
-def _embed_fp(a: int) -> Fp12:
-    return (((a % P, 0), FP2_ZERO, FP2_ZERO), FP6_ZERO)
+def _fp6_mul_by_01(a: Fp6, b0: Fp2, b1: Fp2) -> Fp6:
+    # a * (b0 + b1 v)
+    a0, a1, a2 = a
+    t0 = fp2_mul(a0, b0)
+    t1 = fp2_mul(a1, b1)
+    c0 = fp2_add(t0, fp2_mul_xi(fp2_mul(a2, b1)))
+    c1 = fp2_sub(fp2_mul(fp2_add(a0, a1), fp2_add(b0, b1)), fp2_add(t0, t1))
+    c2 = fp2_add(t1, fp2_mul(a2, b0))
+    return (c0, c1, c2)
 
 
-def fp12_scalar_int(a: Fp12, k: int) -> Fp12:
-    (c0, c1, c2), (c3, c4, c5) = a
-    return (
-        (
-            (c0[0] * k % P, c0[1] * k % P),
-            (c1[0] * k % P, c1[1] * k % P),
-            (c2[0] * k % P, c2[1] * k % P),
-        ),
-        (
-            (c3[0] * k % P, c3[1] * k % P),
-            (c4[0] * k % P, c4[1] * k % P),
-            (c5[0] * k % P, c5[1] * k % P),
-        ),
-    )
+def _fp12_mul_by_line(f: Fp12, y_p: int, b0: Fp2, b1: Fp2) -> Fp12:
+    # f * (y_p + (b0 + b1 v) w), Karatsuba over Fp6
+    f0, f1 = f
+    t0 = tuple((c[0] * y_p % P, c[1] * y_p % P) for c in f0)
+    t1 = _fp6_mul_by_01(f1, b0, b1)
+    t2 = _fp6_mul_by_01(fp6_add(f0, f1), ((b0[0] + y_p) % P, b0[1]), b1)
+    return (fp6_add(t0, fp6_mul_v(t1)), fp6_sub(t2, fp6_add(t0, t1)))
 
 
-def _twist(pt: G2Point) -> Tuple[Fp12, Fp12]:
-    x, y = pt
-    # x * w^2 = x * v ; y * w^3 = (y * v) * w
-    xw2: Fp12 = ((FP2_ZERO, x, FP2_ZERO), FP6_ZERO)
-    yw3: Fp12 = (FP6_ZERO, (FP2_ZERO, y, FP2_ZERO))
-    return (xw2, yw3)
-
-
-def _line_eval(m_num, m_den, x1, y1, z1, xt, yt):
-    # line through (x1:y1:z1) with slope m_num/m_den, evaluated at affine (xt, yt)
-    lhs = fp12_mul(m_num, fp12_sub(fp12_scalar_int(z1, xt), x1))
-    rhs = fp12_mul(m_den, fp12_sub(fp12_scalar_int(z1, yt), y1))
-    return fp12_sub(lhs, rhs)
-
-
-def _line_tangent(pt, xt, yt):
-    x1, y1, z1 = pt
-    m_num = fp12_scalar_int(fp12_sqr(x1), 3)
-    m_den = fp12_scalar_int(fp12_mul(y1, z1), 2)
-    return _line_eval(m_num, m_den, x1, y1, z1, xt, yt)
-
-
-def _line_chord(p1, q_affine, xt, yt):
-    # q_affine has z = 1
-    x1, y1, z1 = p1
-    x2, y2 = q_affine
-    m_num = fp12_sub(fp12_mul(y2, z1), y1)
-    m_den = fp12_sub(fp12_mul(x2, z1), x1)
-    if m_den == FP12_ZERO:
-        if m_num == FP12_ZERO:
-            return _line_tangent(p1, xt, yt)
-        # vertical line x/z = x1/z1
-        return fp12_sub(fp12_scalar_int(z1, xt), x1)
-    return _line_eval(m_num, m_den, x1, y1, z1, xt, yt)
-
-
-def _proj_double(pt):
-    x, y, z = pt
-    w = fp12_scalar_int(fp12_sqr(x), 3)
-    s = fp12_mul(y, z)
-    b = fp12_mul(fp12_mul(x, y), s)
-    h = fp12_sub(fp12_sqr(w), fp12_scalar_int(b, 8))
-    s2 = fp12_sqr(s)
-    x3 = fp12_scalar_int(fp12_mul(h, s), 2)
-    y3 = fp12_sub(
-        fp12_mul(w, fp12_sub(fp12_scalar_int(b, 4), h)),
-        fp12_scalar_int(fp12_mul(fp12_sqr(y), s2), 8),
-    )
-    z3 = fp12_scalar_int(fp12_mul(s, s2), 8)
-    return (x3, y3, z3)
-
-
-def _proj_add_affine(p1, q_affine):
-    # add a z=1 point to a projective point
-    x1, y1, z1 = p1
-    x2, y2 = q_affine
-    if z1 == FP12_ZERO:
-        return (x2, y2, FP12_ONE)
-    u1 = fp12_mul(y2, z1)
-    v1 = fp12_mul(x2, z1)
-    if v1 == x1:
-        if u1 == y1:
-            return _proj_double(p1)
-        return (FP12_ONE, FP12_ONE, FP12_ZERO)
-    u = fp12_sub(u1, y1)
-    v = fp12_sub(v1, x1)
-    v2_ = fp12_sqr(v)
-    v3 = fp12_mul(v2_, v)
-    vvx = fp12_mul(v2_, x1)
-    a = fp12_sub(fp12_mul(fp12_sqr(u), z1), fp12_add(v3, fp12_scalar_int(vvx, 2)))
-    x3 = fp12_mul(v, a)
-    y3 = fp12_sub(fp12_mul(u, fp12_sub(vvx, a)), fp12_mul(v3, y1))
-    z3 = fp12_mul(v3, z1)
-    return (x3, y3, z3)
+def _line_step(f: Fp12, t: G2Point, q: G2Point, x_p: int, y_p: int):
+    """f times the line through t and q (the tangent when t == q) at P, and t + q."""
+    s, lam = _g2_add_slope(t, q)
+    if lam is None:
+        return f, s
+    x, y = t
+    b0 = (-lam[0] * x_p % P, -lam[1] * x_p % P)
+    return _fp12_mul_by_line(f, y_p, b0, fp2_sub(fp2_mul(lam, x), y)), s
 
 
 _ATE_BITS = bin(ATE_LOOP_COUNT)[3:]
+_G_VW = fp2_mul(_G_V, _G_W)
 
 
 def miller_loop(q: G2Point, p: G1Point) -> Fp12:
     if q is None or p is None:
         return FP12_ONE
-    qx, qy = _twist(q)
-    xt, yt = p[0], p[1]
-    rpt = (qx, qy, FP12_ONE)
-    f = FP12_ONE
+    x_p, y_p = p
+    f, t = FP12_ONE, q
     for bit in _ATE_BITS:
-        f = fp12_mul(fp12_sqr(f), _line_tangent(rpt, xt, yt))
-        rpt = _proj_double(rpt)
+        f, t = _line_step(fp12_sqr(f), t, t, x_p, y_p)
         if bit == "1":
-            f = fp12_mul(f, _line_chord(rpt, (qx, qy), xt, yt))
-            rpt = _proj_add_affine(rpt, (qx, qy))
-    q1 = (fp12_frobenius(qx), fp12_frobenius(qy))
-    nq2 = (fp12_frobenius2(qx), fp12_neg(fp12_frobenius2(qy)))
-    f = fp12_mul(f, _line_chord(rpt, q1, xt, yt))
-    rpt = _proj_add_affine(rpt, q1)
-    f = fp12_mul(f, _line_chord(rpt, nq2, xt, yt))
+            f, t = _line_step(f, t, q, x_p, y_p)
+    # Frobenius images of Q on the twist: Q1 = pi(Q), nq2 = -pi^2(Q)
+    x, y = q
+    q1 = (fp2_mul(fp2_conj(x), _G_V), fp2_mul(fp2_conj(y), _G_VW))
+    nq2 = g2_neg((fp2_mul(fp2_conj(q1[0]), _G_V), fp2_mul(fp2_conj(q1[1]), _G_VW)))
+    f, t = _line_step(f, t, q1, x_p, y_p)
+    f, _ = _line_step(f, t, nq2, x_p, y_p)
     return f
 
 
+def fp12_cyclotomic_sqr(a: Fp12) -> Fp12:
+    """Granger-Scott squaring, valid for a in the cyclotomic subgroup (any
+    value after the easy part of the final exponentiation). Over Fp4 =
+    Fp2[s] / (s^2 - xi), s = w^3, the pairs (c0, c4), (c3, c2), (c1, c5) are
+    the three Fp4 coefficients of a."""
+    (c0, c1, c2), (c3, c4, c5) = a
+    t0, t1 = _fp4_sqr(c0, c4)
+    t2, t3 = _fp4_sqr(c3, c2)
+    t4, t5 = _fp4_sqr(c1, c5)
+    t5 = fp2_mul_xi(t5)
+    return (
+        (_sub3(t0, c0), _sub3(t2, c1), _sub3(t4, c2)),
+        (_add3(t5, c3), _add3(t1, c4), _add3(t3, c5)),
+    )
+
+
+def _fp4_sqr(a: Fp2, b: Fp2) -> Tuple[Fp2, Fp2]:
+    # (a + b s)^2 = (a^2 + xi b^2) + 2ab s
+    ab = fp2_mul(a, b)
+    c0 = fp2_sub(fp2_mul(fp2_add(a, b), fp2_add(a, fp2_mul_xi(b))), fp2_add(ab, fp2_mul_xi(ab)))
+    return c0, fp2_add(ab, ab)
+
+
+def _sub3(t: Fp2, c: Fp2) -> Fp2:
+    # 3t - 2c
+    return ((3 * t[0] - 2 * c[0]) % P, (3 * t[1] - 2 * c[1]) % P)
+
+
+def _add3(t: Fp2, c: Fp2) -> Fp2:
+    # 3t + 2c
+    return ((3 * t[0] + 2 * c[0]) % P, (3 * t[1] + 2 * c[1]) % P)
+
+
+_U_BITS = bin(U)[3:]
+
+
+def _cyclotomic_pow_u(a: Fp12) -> Fp12:
+    # a^U by square-and-multiply with cyclotomic squarings
+    result = a
+    for bit in _U_BITS:
+        result = fp12_cyclotomic_sqr(result)
+        if bit == "1":
+            result = fp12_mul(result, a)
+    return result
+
+
 def final_exponentiation(f: Fp12) -> Fp12:
-    # easy part: f^((p^6 - 1)(p^2 + 1))
+    # easy part: f^((p^6 - 1)(p^2 + 1)), after which m is cyclotomic
     t0 = fp12_mul(fp12_conj(f), fp12_inv(f))
     m = fp12_mul(fp12_frobenius2(t0), t0)
     # hard part (standard BN addition chain)
     fp1 = fp12_frobenius(m)
     fp2_ = fp12_frobenius2(m)
     fp3 = fp12_frobenius(fp2_)
-    fu = fp12_pow(m, U)
-    fu2 = fp12_pow(fu, U)
-    fu3 = fp12_pow(fu2, U)
+    fu = _cyclotomic_pow_u(m)
+    fu2 = _cyclotomic_pow_u(fu)
+    fu3 = _cyclotomic_pow_u(fu2)
     y0 = fp12_mul(fp12_mul(fp1, fp2_), fp3)
     y1 = fp12_conj(m)
     y2 = fp12_frobenius2(fu2)
@@ -595,13 +610,13 @@ def final_exponentiation(f: Fp12) -> Fp12:
     y4 = fp12_conj(fp12_mul(fu, fp12_frobenius(fu2)))
     y5 = fp12_conj(fu2)
     y6 = fp12_conj(fp12_mul(fu3, fp12_frobenius(fu3)))
-    t0 = fp12_mul(fp12_mul(fp12_sqr(y6), y4), y5)
+    t0 = fp12_mul(fp12_mul(fp12_cyclotomic_sqr(y6), y4), y5)
     t1 = fp12_mul(fp12_mul(y3, y5), t0)
     t0 = fp12_mul(t0, y2)
-    t1 = fp12_sqr(fp12_mul(fp12_sqr(t1), t0))
+    t1 = fp12_cyclotomic_sqr(fp12_mul(fp12_cyclotomic_sqr(t1), t0))
     t0 = fp12_mul(t1, y1)
     t1 = fp12_mul(t1, y0)
-    t0 = fp12_sqr(t0)
+    t0 = fp12_cyclotomic_sqr(t0)
     return fp12_mul(t0, t1)
 
 

@@ -1,5 +1,7 @@
-"""BN254 pairing engine: pinned values, bilinearity, identity handling, the
-product route, and the operation counts of the demo run."""
+"""BN254 pairing engine and G2 arithmetic: pinned pairing values,
+bilinearity, identity handling, the product route, the operation counts of
+the demo run, the Jacobian G2 ladder against an affine reference, and the
+G2 subgroup check."""
 
 import hashlib
 from pathlib import Path
@@ -92,3 +94,45 @@ def test_demo_run_operation_counts(monkeypatch):
     result = harness.run(load_scenario(DEMO))
     assert result.ok
     assert counts == {"pairing": 8, "pairing_product": 0, "miller_loop": 8, "final_exponentiation": 8}
+
+
+def _twist_point_outside_subgroup():
+    for k in range(1, 100):
+        x = (k, 1)
+        y = bn254.fp2_sqrt(bn254.fp2_add(bn254.fp2_mul(bn254.fp2_sqr(x), x), bn254.B2))
+        if y is not None:
+            return (x, y)
+    raise AssertionError("no twist point found")
+
+
+def _affine_ladder(pt, k):
+    # reference for the Jacobian ladder: affine double-and-add
+    acc = None
+    for bit in bin(k)[2:]:
+        acc = g2_add(acc, acc)
+        if bit == "1":
+            acc = g2_add(acc, pt)
+    return acc
+
+
+def test_g2_jacobian_multiplication_matches_affine_ladder():
+    q = g2_mul(G2_GEN, 0xC0FFEE)
+    stray = _twist_point_outside_subgroup()
+    for k in (1, 2, 3, 0xDEADBEEF, R - 1, A % R):
+        assert g2_mul(q, k) == _affine_ladder(q, k)
+        assert bn254.g2_base_mul(k) == _affine_ladder(G2_GEN, k)
+        assert g2_mul(stray, k) == _affine_ladder(stray, k)
+    assert g2_mul(q, 0) is None and g2_mul(q, R) is None and g2_mul(None, 5) is None
+    assert bn254.g2_base_mul(R) is None
+    assert g2_mul(q, R + 5) == g2_mul(q, 5)
+
+
+def test_g2_subgroup_check_computes_order():
+    stray = _twist_point_outside_subgroup()
+    assert bn254.g2_is_on_curve(stray)
+    assert not bn254.g2_subgroup_check(stray)
+    assert bn254.g2_subgroup_check(G2_GEN)
+    assert bn254.g2_subgroup_check(bls.keygen("subgroup").public)
+    assert bn254.g2_subgroup_check(None)
+    off = (G2_GEN[0], bn254.fp2_add(G2_GEN[1], bn254.FP2_ONE))
+    assert not bn254.g2_subgroup_check(off)

@@ -4,12 +4,14 @@ and the exhaustive small-set completeness/soundness sweep."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from relaysim.crypto import bls
+from relaysim.crypto import bls, bn254
 from relaysim.crypto.bn254 import (
     FP12_ONE,
     G1_GEN,
     G2_GEN,
+    P,
     R,
     fp12_pow,
     g1_from_bytes,
@@ -145,22 +147,83 @@ def test_pairing_bilinearity():
     assert pairing(g1_mul(G1_GEN, a), g2_mul(G2_GEN, b)) == fp12_pow(e, a * b)
 
 
-def test_point_serialization_roundtrip():
-    rng = random.Random(11)
-    for _ in range(20):
-        k = rng.randrange(1, R)
-        p = g1_mul(G1_GEN, k)
-        q = g2_mul(G2_GEN, k)
-        assert g1_from_bytes(g1_to_bytes(p)) == p
-        assert g2_from_bytes(g2_to_bytes(q)) == q
-    assert g1_from_bytes(g1_to_bytes(None)) is None
-    assert g2_from_bytes(g2_to_bytes(None)) is None
+scalars = st.integers(0, R - 1)
 
 
-def test_point_deserialization_rejects_garbage():
-    with pytest.raises(ValueError):
-        g1_from_bytes(b"\x02" + b"\xff" * 32)
-    with pytest.raises(ValueError):
-        g1_from_bytes(b"\x05" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        g2_from_bytes(b"\x02" + b"\xff" * 64)
+@settings(max_examples=25, deadline=None)
+@given(scalars, scalars)
+def test_point_serialization_roundtrip(k1, k2):
+    p, q = g1_mul(G1_GEN, k1), g2_mul(G2_GEN, k2)  # k = 0 gives the identity
+    assert g1_from_bytes(g1_to_bytes(p)) == p
+    assert g2_from_bytes(g2_to_bytes(q)) == q
+    assert len(g1_to_bytes(p)) == bn254.G1_ENC_LEN
+    assert len(g2_to_bytes(q)) == bn254.G2_ENC_LEN
+
+
+def _first_x(pred) -> int:
+    return next(x for x in range(1, 100) if pred(x))
+
+
+# x-coordinates with no point above them on G1 and on the twist
+G1_BAD_X = _first_x(lambda x: pow((x**3 + bn254.B1) % P, (P - 1) // 2, P) != 1)
+G2_BAD_X = _first_x(
+    lambda x: bn254.fp2_sqrt(bn254.fp2_add(bn254.fp2_mul(bn254.fp2_sqr((x, 0)), (x, 0)), bn254.B2)) is None
+)
+bad_tags = st.integers(0, 255).filter(lambda t: t not in (0x00, 0x02, 0x03))
+
+
+@settings(max_examples=25, deadline=None)
+@given(scalars.filter(bool), bad_tags, st.integers(1, 64), st.integers(1, 255))
+def test_point_deserialization_rejects_garbage(k, tag, at, junk):
+    p_raw = g1_to_bytes(g1_mul(G1_GEN, k))
+    q_raw = g2_to_bytes(g2_mul(G2_GEN, k))
+    x_p = int.from_bytes(p_raw[1:], "big")
+    x_q0 = int.from_bytes(q_raw[1:33], "big")
+    g1_bad = [
+        b"\x02" + b"\xff" * 32,
+        p_raw[:1] + (x_p + P).to_bytes(32, "big"),  # x >= P
+        bytes([tag]) + p_raw[1:],
+        bytes(min(at, 32)) + bytes([junk]) + bytes(32 - min(at, 32)),  # identity padding
+        b"\x02" + G1_BAD_X.to_bytes(32, "big"),
+        p_raw[:-1],
+        p_raw + b"\x00",
+    ]
+    g2_bad = [
+        b"\x02" + b"\xff" * 64,
+        q_raw[:1] + (x_q0 + P).to_bytes(32, "big") + q_raw[33:],  # x.c0 >= P
+        q_raw[:33] + P.to_bytes(32, "big"),  # x.c1 >= P
+        bytes([tag]) + q_raw[1:],
+        bytes(at) + bytes([junk]) + bytes(64 - at),  # identity padding
+        b"\x03" + G2_BAD_X.to_bytes(32, "big") + bytes(32),
+        q_raw[:-1],
+        q_raw + b"\x00",
+    ]
+    for bad in g1_bad:
+        with pytest.raises(ValueError):
+            g1_from_bytes(bad)
+    for bad in g2_bad:
+        with pytest.raises(ValueError):
+            g2_from_bytes(bad)
+
+
+def test_off_curve_points_rejected_on_both_routes(keypairs):
+    # each bad point encodes like a valid one (same x, same sign bit) or is
+    # not reduced, so only a point check before encoding can refuse it
+    from relaysim.crypto.hash_to_curve import hash_to_curve
+
+    kp = keypairs[0]
+    sig = bls.sign(kp.secret, MSG)
+    point = hash_to_curve(MSG)
+    (x0, x1), (y0, y1) = kp.public
+    cases = [
+        (kp.public, point, (sig[0], (sig[1] + 2) % P)),
+        (kp.public, point, (sig[0] + P, sig[1])),
+        (kp.public, (point[0], (point[1] + 2) % P), sig),
+        (((x0, x1), ((y0 + 2) % P, y1)), point, sig),
+        (((x0 + P, x1), (y0, y1)), point, sig),
+    ]
+    for verify in (bls.verify_at_point, bls.verify_product):
+        assert verify(kp.public, point, sig)
+        for apk, msg_point, signature in cases:
+            assert not verify(apk, msg_point, signature)
+    assert not bls.verify_aggregate(kp.public, MSG, cases[0][2])

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from relaysim.chain import AssetPayload, ChainConfig, MessagePayload, new_chain
+from relaysim.crypto.bn254 import P, g1_neg
 from relaysim.crypto.commitment import commitment_digest
 from relaysim.lightclient import (
     RejectReason,
@@ -491,3 +492,25 @@ def test_client_equivalence_randomized_suite(gas_table, backend):
         assert nres.ok == hres.ok, f"divergence on variant {variant}: {nres.reason} vs {hres.reason}"
         checked += 1
     assert checked >= 500
+
+
+def test_off_curve_signature_rejected_by_both_client_families(gas_table, backend, counting_backend):
+    """A signature moved off the curve keeps its compressed encoding (same x,
+    same y parity), so it must be refused as a point, not as bytes: lc_update
+    rejects it for the same gas as an on-curve wrong signature, and neither
+    backend proves it, so hlc_update/hlc_verify never see a proof for it."""
+    chain = _chain(epoch_size=2, ns="offcurve")
+    state = lc_setup(1, chain.validator_set(0), 2, T23, gas_table).state
+    chain.produce_block()
+    _, boundary = chain.produce_block()
+    x, y = boundary.agg.point
+    off_curve = dc_replace(boundary, agg=dc_replace(boundary.agg, point=(x, (y + 2) % P)))
+    wrong = dc_replace(boundary, agg=dc_replace(boundary.agg, point=g1_neg(boundary.agg.point)))
+    assert lc_update(state, boundary, gas_table).accepted
+    rejected = lc_update(state, off_curve, gas_table)
+    assert not rejected.accepted and rejected.reason == RejectReason.BAD_SIGNATURE
+    assert rejected.receipt == lc_update(state, wrong, gas_table).receipt
+    for b in (backend, counting_backend):
+        b.prove(statement_for_header(chain, boundary))
+        with pytest.raises(UnsatisfiedStatement):
+            b.prove(statement_for_header(chain, off_curve))
