@@ -336,6 +336,56 @@ def test_metering_soundness(gas_table, backend):
     assert receipt.count("weight_step") == 5
 
 
+def test_hybrid_receipt_items_pinned(gas_table, backend):
+    """The exact gas items of hlc_verify and hlc_update, on acceptance and on
+    each rejection, with the default table: the proof check charges three
+    storage reads, four hash operations and one SNARK verification."""
+    chain = _chain(ns="receipts")
+    ctxs = [chain.make_tx(2, AssetPayload(token="T", amount=5 + i)) for i in range(3)]
+    for ctx in ctxs:
+        chain.submit_tx(ctx)
+    _, header = chain.produce_block()
+    conf, proof = chain.confirm(ctxs[0].tx_hash), chain.receipt_proof(ctxs[0].tx_hash)
+    state = hlc_setup(1, chain.validator_set(0), 4, T23, gas_table).state
+    prover = Prover("p", backend)
+    zk = prover.zk_proof_for(chain, header)
+    bad_zk = dc_replace(zk, attestation=bytes(32))
+    tampered = dc_replace(conf.message, payload=conf.message.payload[:-1] + b"\x00")
+    other_state = dc_replace(state, commitment=b"\x33" * 32)
+
+    call = (("call_overhead", 1, 21_000),)
+    publics = call + (("sload_word", 3, 800), ("hash_op", 4, 60))
+    snark = publics + (("snark_verify", 1, 626_000),)
+    verify_cases = [
+        (state, conf.message, zk, None, snark + (("merkle_level", 2, 700),)),
+        (dc_replace(state, epoch=2), conf.message, zk, RejectReason.EPOCH_GAP, call),
+        (other_state, conf.message, zk, RejectReason.PUBLIC_INPUT_MISMATCH, publics),
+        (state, conf.message, bad_zk, RejectReason.PROOF_INVALID, snark),
+        (state, tampered, zk, RejectReason.MERKLE_FAIL, snark + (("merkle_level", 2, 700),)),
+    ]
+    for st, message, zk_proof, reason, items in verify_cases:
+        result = hlc_verify(st, message, header, proof, zk_proof, gas_table, backend)
+        assert (result.ok, result.reason) == (reason is None, reason)
+        assert result.receipt.operation == "hlc_verify"
+        assert result.receipt.items == items, reason
+
+    while chain.height < 4:
+        chain.produce_block()
+    boundary = chain.headers[4]
+    zb = prover.zk_proof_for(chain, boundary)
+    update_cases = [
+        (boundary, zb, None, snark + (("sstore_word", 2, 20_000),)),
+        (header, zk, RejectReason.EPOCH_GAP, call),
+        (boundary, zk, RejectReason.PUBLIC_INPUT_MISMATCH, publics),
+        (boundary, dc_replace(zb, attestation=bytes(32)), RejectReason.PROOF_INVALID, snark),
+    ]
+    for hdr, zk_proof, reason, items in update_cases:
+        result = hlc_update(state, hdr, zk_proof, gas_table, backend)
+        assert (result.accepted, result.reason) == (reason is None, reason)
+        assert result.receipt.operation == "hlc_update"
+        assert result.receipt.items == items, reason
+
+
 # ---------------------------------------------------------------------------
 # epoch safety
 

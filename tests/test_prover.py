@@ -1,6 +1,8 @@
 """Prover runtime and proof backends: monitoring, statement checking, the
 gate-count model, attestation soundness, and backend agreement."""
 
+import hashlib
+import hmac
 import random
 from dataclasses import replace as dc_replace
 from fractions import Fraction
@@ -10,13 +12,17 @@ import pytest
 from relaysim.chain import AssetPayload, ChainConfig, MessagePayload, new_chain
 from relaysim.costs import baseline_gates, gate_report, split_gates
 from relaysim.prover import (
+    CountingBackend,
     Prover,
+    PublicInputs,
+    TransparentBackend,
     UnsatisfiedStatement,
     statement_for_header,
     verify_proof,
 )
 
 T23 = Fraction(2, 3)
+PI1_SHA256 = "b31a336d45af3cb1e64b660cc024dc5dd0bfe13ccca0a0099f2d57be1f5bfb9a"
 
 
 def _chain(n=3, epoch_size=6, chain_id=1, ns="pv"):
@@ -193,6 +199,26 @@ def test_proof_binding_between_headers(backend):
     proof1 = backend.prove(s1)
     assert verify_proof(proof1, s1.publics, backend)
     assert not verify_proof(proof1, s2.publics, backend)
+
+
+def test_attestation_is_hmac_over_name_and_pi1():
+    """Each backend attests HMAC-SHA256(key, name || "|" || PI1 bytes), and
+    the PI1 encoding of a fixed statement is pinned."""
+    publics = PublicInputs(
+        commitment=b"\x01" * 32,
+        t=(5, 7),
+        header_digest=b"\x02" * 32,
+        new_commitment=b"\x03" * 32,
+        threshold=Fraction(2, 3),
+        claimed_weight=3,
+    )
+    pi1 = publics.canonical_bytes()
+    assert hashlib.sha256(pi1).hexdigest() == PI1_SHA256
+    key = b"attestation-key"
+    for backend in (TransparentBackend(key), CountingBackend(key)):
+        expected = hmac.new(key, backend.name.encode() + b"|" + pi1, hashlib.sha256).digest()
+        assert backend._attest(publics) == expected
+    assert TransparentBackend(key)._attest(publics) != CountingBackend(key)._attest(publics)
 
 
 # ---------------------------------------------------------------------------
