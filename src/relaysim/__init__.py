@@ -23,6 +23,7 @@ from .economics import StakeLedger, check_tx_safety, degradation_report, network
 from .lightclient import (
     HybridLcState,
     NormalLcState,
+    PublicInputs,
     RejectReason,
     hlc_setup,
     hlc_update,
@@ -36,12 +37,10 @@ from .prover import (
     CountingBackend,
     ProofBundle,
     Prover,
-    PublicInputs,
     TransparentBackend,
     UnsatisfiedStatement,
     ZkProof,
     ZkStatement,
-    verify_proof,
 )
 from .relay import DeploymentPlan, RelayEnvironment, deployment_plan, end_to_end_relay
 from .scenario import Scenario, default_scenario, load_scenario
@@ -92,5 +91,4 @@ __all__ = [
     "load_scenario",
     "network_security",
     "new_chain",
-    "verify_proof",
 ]

@@ -5,6 +5,11 @@ reproducible. Verification goes through an LRU cache keyed on compressed
 encodings; the boolean outcome is pure, so caching repeated checks of the
 same header is sound. An encoding keeps only x and a sign bit, so points
 are checked on their curves before they are encoded.
+
+Aggregation adds public keys with no proof of possession, so a rogue key
+(one chosen as a function of the others' keys) could forge an aggregate.
+That is safe here only because every validator key comes from the
+configuration, never from a participant.
 """
 
 from __future__ import annotations

@@ -97,12 +97,6 @@ def fp2_mul_xi(a: Fp2) -> Fp2:
     return ((9 * a0 - a1) % P, (9 * a1 + a0) % P)
 
 
-def fp2_is_square(a: Fp2) -> bool:
-    # norm map to Fp: a is a square in Fp2 iff its norm is a square in Fp
-    norm = (a[0] * a[0] + a[1] * a[1]) % P
-    return norm == 0 or pow(norm, (P - 1) // 2, P) == 1
-
-
 def fp2_sqrt(a: Fp2) -> Optional[Fp2]:
     """Square root in Fp2 for p = 3 mod 4 (complex method); None if non-square."""
     if a == FP2_ZERO:

@@ -75,16 +75,3 @@ def pack_bits(bits: Iterable[bool]) -> bytes:
         out.append(acc << (8 - fill))
     return bytes(out)
 
-
-def unpack_bits(data: bytes) -> tuple[bool, ...]:
-    if len(data) < 8:
-        raise ValueError("bitmap too short")
-    count = int.from_bytes(data[:8], "big")
-    need = 8 + (count + 7) // 8
-    if len(data) != need:
-        raise ValueError("bitmap length mismatch")
-    bits = []
-    for i in range(count):
-        byte = data[8 + i // 8]
-        bits.append(bool((byte >> (7 - i % 8)) & 1))
-    return tuple(bits)

@@ -31,22 +31,18 @@ from .chain import (
 )
 from .costs import baseline_gates, hlc_setup_gas, lc_setup_gas, split_gates
 from .crypto import bls
-from .crypto.commitment import commitment_digest
-from .crypto.hash_to_curve import hash_to_base
 from .crypto.merkle import merkle_prove, merkle_root
 from .economics import DegradationReport, StakeLedger, degradation_report
-from .lightclient import hlc_setup, hlc_verify, lc_setup, lc_verify
+from .lightclient import hlc_setup, hlc_verify, lc_setup, lc_verify, public_inputs
 from .mos import MosService, compute_fee
 from .prover import (
     CountingBackend,
     ProofBundle,
     Prover,
-    PublicInputs,
     TransparentBackend,
     UnsatisfiedStatement,
-    Witness,
     ZkProof,
-    ZkStatement,
+    statement_for_header,
 )
 from .relay import ICTX_TAG, HopRecord, RelayEnvironment, decode_ctx
 from .scenario import ProverSpec, Scenario, parse_dataset, synthetic_workload
@@ -331,10 +327,13 @@ class ForgeryCorpus:
                 # honest proof kept: it binds the original header digest
                 return dc_replace(base, header=header)
             # consistent public inputs for the forged header, forged attestation
-            algo = self._hash_algo(base)
-            t = hash_to_base(header.signing_payload())
-            publics = dc_replace(
-                base.zk_proof.publics, t=(t.t0, t.t1), header_digest=header.digest(algo)
+            honest = base.zk_proof.publics
+            publics = public_inputs(
+                header,
+                honest.commitment,
+                honest.threshold,
+                self._hash_algo(base),
+                honest.claimed_weight,
             )
             forged = ZkProof(
                 backend=base.zk_proof.backend, attestation=rng.randbytes(32), publics=publics
@@ -505,18 +504,8 @@ def forge_relay_confirmation(
     ]
     header = dc_replace(draft, agg=AggregateSignature(point=bls.aggregate(sigs), bitmap=bitmap))
 
-    t = hash_to_base(signing_payload)
-    statement = ZkStatement(
-        publics=PublicInputs(
-            commitment=commitment_digest(vset, rc_chain.config.hash_algo),
-            t=(t.t0, t.t1),
-            header_digest=header.digest(rc_chain.config.hash_algo),
-            new_commitment=None,
-            threshold=rc_chain.config.vote_threshold,
-            claimed_weight=acc,
-        ),
-        witness=Witness(validator_set=vset, bitmap=bitmap, signature=header.agg.point),
-    )
+    # not a boundary header, so its signing set is this epoch's `vset`
+    statement = statement_for_header(rc_chain, header)
     try:
         zk = env.backend.prove(statement)
     except UnsatisfiedStatement:

@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
+from . import encoding
 from .chain import BlockHeader, ReceiptMessage, quorum_reached
 from .costs import GasCostTable, GasMeter, GasReceipt
 from .crypto import bls
@@ -75,6 +76,33 @@ class VerifyResult:
     ok: bool
     receipt: GasReceipt
     reason: Optional[RejectReason] = None
+
+
+@dataclass(frozen=True)
+class PublicInputs:
+    """What a hybrid client checks a proof against (wire format PI1)."""
+
+    commitment: bytes
+    t: Tuple[int, int]
+    header_digest: bytes
+    new_commitment: Optional[bytes]
+    threshold: Fraction
+    claimed_weight: int
+
+    def canonical_bytes(self) -> bytes:
+        return encoding.join(
+            [
+                b"PI1",
+                encoding.lp(self.commitment),
+                encoding.u256(self.t[0]),
+                encoding.u256(self.t[1]),
+                encoding.lp(self.header_digest),
+                encoding.lp(self.new_commitment if self.new_commitment is not None else b""),
+                encoding.u64(self.threshold.numerator),
+                encoding.u64(self.threshold.denominator),
+                encoding.u64(self.claimed_weight),
+            ]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -203,22 +231,42 @@ def hlc_setup(
     return SetupResult(state=state, receipt=meter.receipt())
 
 
-def _expected_publics(state: HybridLcState, header: BlockHeader, meter: GasMeter):
-    # the client derives every bindable public input itself, on-chain
-    from .prover import PublicInputs  # local import to keep module layering acyclic
+def public_inputs(
+    header: BlockHeader,
+    commitment: bytes,
+    threshold: Fraction,
+    hash_algo: str,
+    claimed_weight: int,
+) -> PublicInputs:
+    """The public inputs of the proof for `header`: the one derivation that
+    the client (on-chain), the prover and the attack harness all use. Only
+    the claimed weight is taken on trust; the proof's witness check binds it."""
+    t = hash_to_base(header.signing_payload())
+    return PublicInputs(
+        commitment=commitment,
+        t=(t.t0, t.t1),
+        header_digest=header.digest(hash_algo),
+        new_commitment=header.announced_commitment if header.is_boundary else None,
+        threshold=threshold,
+        claimed_weight=claimed_weight,
+    )
 
+
+def _check_proof(
+    state: HybridLcState, header: BlockHeader, zk_proof, meter: GasMeter, backend
+) -> Optional[RejectReason]:
+    # the client derives every bindable public input itself, on-chain
     meter.charge("sload_word", 3)
     meter.charge("hash_op", 3)  # hash-to-base of the signing payload
-    t = hash_to_base(header.signing_payload())
     meter.charge("hash_op", 1)  # header digest
-    return PublicInputs(
-        commitment=state.commitment,
-        t=(t.t0, t.t1),
-        header_digest=header.digest(state.hash_algo),
-        new_commitment=header.announced_commitment if header.is_boundary else None,
-        threshold=state.threshold,
-        claimed_weight=0,  # echoed from the proof, patched by callers
-    )
+    claimed = zk_proof.publics.claimed_weight
+    expected = public_inputs(header, state.commitment, state.threshold, state.hash_algo, claimed)
+    if zk_proof.publics != expected or claimed <= 0:
+        return RejectReason.PUBLIC_INPUT_MISMATCH
+    meter.charge("snark_verify")
+    if not backend.verify(zk_proof, expected):
+        return RejectReason.PROOF_INVALID
+    return None
 
 
 def hlc_update(
@@ -232,13 +280,9 @@ def hlc_update(
     meter.charge("call_overhead")
     if not header.is_boundary or header.epoch != state.epoch + 1:
         return UpdateResult(False, state, meter.receipt(), RejectReason.EPOCH_GAP)
-    expected = _expected_publics(state, header, meter)
-    expected = replace(expected, claimed_weight=zk_proof.publics.claimed_weight)
-    if zk_proof.publics != expected or expected.claimed_weight <= 0:
-        return UpdateResult(False, state, meter.receipt(), RejectReason.PUBLIC_INPUT_MISMATCH)
-    meter.charge("snark_verify")
-    if not backend.verify(zk_proof, expected):
-        return UpdateResult(False, state, meter.receipt(), RejectReason.PROOF_INVALID)
+    reason = _check_proof(state, header, zk_proof, meter, backend)
+    if reason is not None:
+        return UpdateResult(False, state, meter.receipt(), reason)
     meter.charge("sstore_word", 2)
     new_state = replace(state, epoch=state.epoch + 1, commitment=header.announced_commitment)
     return UpdateResult(True, new_state, meter.receipt(), None)
@@ -257,13 +301,9 @@ def hlc_verify(
     meter.charge("call_overhead")
     if header.chain_id != state.chain_id or not _header_matches_epoch(state.epoch, header):
         return VerifyResult(False, meter.receipt(), RejectReason.EPOCH_GAP)
-    expected = _expected_publics(state, header, meter)
-    expected = replace(expected, claimed_weight=zk_proof.publics.claimed_weight)
-    if zk_proof.publics != expected or expected.claimed_weight <= 0:
-        return VerifyResult(False, meter.receipt(), RejectReason.PUBLIC_INPUT_MISMATCH)
-    meter.charge("snark_verify")
-    if not backend.verify(zk_proof, expected):
-        return VerifyResult(False, meter.receipt(), RejectReason.PROOF_INVALID)
+    reason = _check_proof(state, header, zk_proof, meter, backend)
+    if reason is not None:
+        return VerifyResult(False, meter.receipt(), reason)
     meter.charge("merkle_level", len(merkle_proof.path))
     if merkle_proof.root != header.receipt_root or not merkle_verify(
         header.receipt_root, message.to_bytes(), merkle_proof, state.hash_algo

@@ -4,9 +4,12 @@ the monitoring/relaying runtime.
 No real SNARK is produced. Soundness at simulation scale comes from a
 witness check at prove time plus a keyed attestation over the public inputs,
 so attestation bytes cannot be minted for statements the backend never
-checked. Succinctness and zero knowledge are explicitly not modeled. The
-counting backend additionally prices the verification circuit (split
-pipeline by default: the base-field hashing stays outside the circuit).
+checked. Succinctness and zero knowledge are explicitly not modeled. Both
+backends share one witness check and differ only in how they decide the
+pairing equation; the counting backend also prices the verification circuit
+in the split pipeline, its only mode: the base-field hashing stays outside
+the circuit. The public inputs come from `lightclient.public_inputs`, the
+derivation the verifying client itself runs.
 """
 
 from __future__ import annotations
@@ -14,10 +17,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from . import encoding
 from .chain import BlockHeader, Chain, Confirmation, quorum_reached
 from .costs import GateCostTable, GateReport, gate_report
 from .crypto import bls
@@ -25,35 +26,11 @@ from .crypto.bn254 import G1Point
 from .crypto.commitment import ValidatorSet, commitment_digest
 from .crypto.hash_to_curve import base_to_g, BaseFieldPair
 from .crypto.merkle import MerkleProof
+from .lightclient import PublicInputs, public_inputs
 
 
 class UnsatisfiedStatement(Exception):
     """The witness does not satisfy the statement; an honest prover refuses."""
-
-
-@dataclass(frozen=True)
-class PublicInputs:
-    commitment: bytes
-    t: Tuple[int, int]
-    header_digest: bytes
-    new_commitment: Optional[bytes]
-    threshold: Fraction
-    claimed_weight: int
-
-    def canonical_bytes(self) -> bytes:
-        return encoding.join(
-            [
-                b"PI1",
-                encoding.lp(self.commitment),
-                encoding.u256(self.t[0]),
-                encoding.u256(self.t[1]),
-                encoding.lp(self.header_digest),
-                encoding.lp(self.new_commitment if self.new_commitment is not None else b""),
-                encoding.u64(self.threshold.numerator),
-                encoding.u64(self.threshold.denominator),
-                encoding.u64(self.claimed_weight),
-            ]
-        )
 
 
 @dataclass(frozen=True)
@@ -62,6 +39,7 @@ class Witness:
     bitmap: Tuple[bool, ...]
     signature: G1Point
     new_set: Optional[ValidatorSet] = None
+    hash_algo: str = "sha256"  # the algorithm the commitments were made under
 
 
 @dataclass(frozen=True)
@@ -78,101 +56,58 @@ class ZkProof:
     gate_report: Optional[GateReport] = None
 
 
-class TransparentBackend:
-    """Re-execution oracle: checks the witness, then binds the public inputs
-    under a private key. Verification recomputes the binding."""
+class _Backend:
+    """Shared by both backends: checks the witness, then binds the public
+    inputs under a private key; verification recomputes the binding. A
+    backend states only its pairing decision route and its gate report.
 
-    name = "transparent"
+    Subclasses bind `prove` and `verify` in their own class body:
+    perfbench/probes.py wraps each class's own methods.
+    """
+
+    name = ""
 
     def __init__(self, key: bytes):
         self._key = key
 
     def _attest(self, publics: PublicInputs) -> bytes:
-        return hmac.new(self._key, b"transparent|" + publics.canonical_bytes(), hashlib.sha256).digest()
+        message = self.name.encode() + b"|" + publics.canonical_bytes()
+        return hmac.new(self._key, message, hashlib.sha256).digest()
 
     def check_statement(self, statement: ZkStatement) -> bool:
         pub, wit = statement.publics, statement.witness
-        if commitment_digest(wit.validator_set) != pub.commitment:
+        vset = wit.validator_set
+        if commitment_digest(vset, wit.hash_algo) != pub.commitment:
             return False
-        if len(wit.bitmap) != len(wit.validator_set):
+        if len(wit.bitmap) != len(vset):
             return False
-        weight = wit.validator_set.bitmap_weight(wit.bitmap)
+        weight = vset.bitmap_weight(wit.bitmap)
         if weight != pub.claimed_weight or weight <= 0:
             return False
-        if not quorum_reached(weight, wit.validator_set.total_weight, pub.threshold):
-            return False
-        if pub.new_commitment is not None:
-            if wit.new_set is None or commitment_digest(wit.new_set) != pub.new_commitment:
-                return False
-        apk = bls.aggregate_pubkeys(wit.validator_set.pubkeys(), wit.bitmap)
-        point = base_to_g(BaseFieldPair(*pub.t))
-        return bls.verify_at_point(apk, point, wit.signature)
-
-    def prove(self, statement: ZkStatement) -> ZkProof:
-        if not self.check_statement(statement):
-            raise UnsatisfiedStatement("witness does not satisfy the statement")
-        return ZkProof(
-            backend=self.name, attestation=self._attest(statement.publics), publics=statement.publics
-        )
-
-    def verify(self, proof: ZkProof, publics: PublicInputs) -> bool:
-        if proof.publics != publics:
-            return False
-        return hmac.compare_digest(proof.attestation, self._attest(publics))
-
-
-class CountingBackend:
-    """Same acceptance semantics through an independent check path, plus a
-    circuit-size report priced from the gate table."""
-
-    name = "counting"
-
-    def __init__(self, key: bytes, gate_table: Optional[GateCostTable] = None, mode: str = "split"):
-        self._key = key
-        self.gate_table = gate_table if gate_table is not None else GateCostTable()
-        if mode not in ("split", "baseline"):
-            raise ValueError(f"unknown circuit mode {mode!r}")
-        self.mode = mode
-
-    def _attest(self, publics: PublicInputs) -> bytes:
-        return hmac.new(self._key, b"counting|" + publics.canonical_bytes(), hashlib.sha256).digest()
-
-    def check_statement(self, statement: ZkStatement) -> bool:
-        pub, wit = statement.publics, statement.witness
-        entries = wit.validator_set.entries
-        if len(wit.bitmap) != len(entries):
-            return False
-        # weight accumulation, written as the circuit would: one pass, then
-        # the threshold comparison by cross multiplication
-        weight = 0
-        for included, entry in zip(wit.bitmap, entries):
-            weight += entry.weight if included else 0
-        if weight <= 0 or weight != pub.claimed_weight:
-            return False
-        total = sum(e.weight for e in entries)
-        if weight * pub.threshold.denominator < pub.threshold.numerator * total:
-            return False
-        if commitment_digest(wit.validator_set) != pub.commitment:
+        if not quorum_reached(weight, vset.total_weight, pub.threshold):
             return False
         if (pub.new_commitment is None) != (wit.new_set is None):
             return False
-        if pub.new_commitment is not None and commitment_digest(wit.new_set) != pub.new_commitment:
-            return False
-        apk = bls.aggregate_pubkeys(wit.validator_set.pubkeys(), wit.bitmap)
-        point = base_to_g(BaseFieldPair(*pub.t))
-        # product form: e(-sig, g2) * e(point, apk) == 1
-        return bls.verify_product(apk, point, wit.signature)
+        if pub.new_commitment is not None:
+            if commitment_digest(wit.new_set, wit.hash_algo) != pub.new_commitment:
+                return False
+        apk = bls.aggregate_pubkeys(vset.pubkeys(), wit.bitmap)
+        return self._decide(apk, base_to_g(BaseFieldPair(*pub.t)), wit.signature)
+
+    def _decide(self, apk, point: G1Point, signature: G1Point) -> bool:
+        raise NotImplementedError
+
+    def _gate_report(self, witness: Witness) -> Optional[GateReport]:
+        return None
 
     def prove(self, statement: ZkStatement) -> ZkProof:
         if not self.check_statement(statement):
             raise UnsatisfiedStatement("witness does not satisfy the statement")
-        signers = sum(1 for b in statement.witness.bitmap if b)
-        report = gate_report(self.gate_table, signers, self.mode)
         return ZkProof(
             backend=self.name,
             attestation=self._attest(statement.publics),
             publics=statement.publics,
-            gate_report=report,
+            gate_report=self._gate_report(statement.witness),
         )
 
     def verify(self, proof: ZkProof, publics: PublicInputs) -> bool:
@@ -181,8 +116,34 @@ class CountingBackend:
         return hmac.compare_digest(proof.attestation, self._attest(publics))
 
 
-def verify_proof(proof: ZkProof, publics: PublicInputs, backend) -> bool:
-    return backend.verify(proof, publics)
+class TransparentBackend(_Backend):
+    """Re-execution oracle: decides the pairing by two-sided equality."""
+
+    name = "transparent"
+    prove = _Backend.prove
+    verify = _Backend.verify
+
+    def _decide(self, apk, point, signature):
+        return bls.verify_at_point(apk, point, signature)
+
+
+class CountingBackend(_Backend):
+    """Decides the pairing in product form, e(-sig, g2) * e(point, apk) == 1,
+    and prices the split verification circuit from the gate table."""
+
+    name = "counting"
+    prove = _Backend.prove
+    verify = _Backend.verify
+
+    def __init__(self, key: bytes, gate_table: Optional[GateCostTable] = None):
+        super().__init__(key)
+        self.gate_table = gate_table if gate_table is not None else GateCostTable()
+
+    def _decide(self, apk, point, signature):
+        return bls.verify_product(apk, point, signature)
+
+    def _gate_report(self, witness):
+        return gate_report(self.gate_table, sum(1 for b in witness.bitmap if b), "split")
 
 
 # ---------------------------------------------------------------------------
@@ -192,26 +153,24 @@ def verify_proof(proof: ZkProof, publics: PublicInputs, backend) -> bool:
 def statement_for_header(chain: Chain, header: BlockHeader) -> ZkStatement:
     """The aggregate-signature-validity statement for one header."""
     signing_set = chain.signing_set_for(header)
-    from .crypto.hash_to_curve import hash_to_base
-
-    t = hash_to_base(header.signing_payload())
+    algo = chain.config.hash_algo
     new_set = None
     if header.is_boundary:
         # commitment-only headers: open the announced set from chain state
         new_set = header.announced_set() or chain.validator_set(header.epoch)
-    publics = PublicInputs(
-        commitment=commitment_digest(signing_set),
-        t=(t.t0, t.t1),
-        header_digest=header.digest(chain.config.hash_algo),
-        new_commitment=header.announced_commitment if header.is_boundary else None,
-        threshold=chain.config.vote_threshold,
-        claimed_weight=signing_set.bitmap_weight(header.agg.bitmap),
+    publics = public_inputs(
+        header,
+        commitment_digest(signing_set, algo),
+        chain.config.vote_threshold,
+        algo,
+        signing_set.bitmap_weight(header.agg.bitmap),
     )
     witness = Witness(
         validator_set=signing_set,
         bitmap=header.agg.bitmap,
         signature=header.agg.point,
         new_set=new_set,
+        hash_algo=algo,
     )
     return ZkStatement(publics=publics, witness=witness)
 

@@ -16,7 +16,6 @@ from relaysim.prover import (
     UnsatisfiedStatement,
     Witness,
     ZkStatement,
-    verify_proof,
 )
 
 
@@ -158,7 +157,7 @@ def equivalence_suite(backend, counting_backend, keypairs):
         for b in (backend, counting_backend):
             try:
                 proof = b.prove(stmt)
-                verdicts.append(verify_proof(proof, stmt.publics, b))
+                verdicts.append(b.verify(proof, stmt.publics))
             except UnsatisfiedStatement:
                 verdicts.append(False)
         if verdicts[0] != verdicts[1]:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from relaysim import cli, harness
+from relaysim.crypto.hashes import SUPPORTED
 from relaysim.scenario import (
     DatasetError,
     ScenarioError,
@@ -294,6 +295,31 @@ def test_counting_backend_scenario_knob():
     result = harness.run(scenario_from_dict(raw))
     assert result.ok
     assert any(e["context"] == "gate_report" for e in result.env.receipts_log)
+
+
+@pytest.mark.parametrize("backend", ["transparent", "counting"])
+@pytest.mark.parametrize("algo", SUPPORTED)
+def test_every_hash_algorithm_confirms_on_both_backends(algo, backend):
+    """Commitments, header digests and receipt tries all follow each chain's
+    `hash_algo`; the prover's public inputs must match the client's under
+    every supported algorithm. With one block per epoch every header is a
+    boundary, so the proofs also carry the announced-set commitment."""
+    raw = {
+        "name": f"hash-{algo}",
+        "seed": 3,
+        "relay_chain": {"chain_id": 100, "validators": 4, "epoch_size": 1, "hash_algo": algo},
+        "chains": [
+            {"chain_id": 1, "validators": 3, "epoch_size": 1, "hash_algo": algo},
+            {"chain_id": 2, "validators": 3, "epoch_size": 1, "hash_algo": algo},
+        ],
+        "backend": backend,
+        "workload": {"kind": "synthetic", "count": 4},
+    }
+    result = harness.run(scenario_from_dict(raw))
+    assert result.confirmed == result.submitted == 4
+    assert result.ok
+    assert result.env.rejections == []
+    assert any(e.get("operation") == "hlc_update" for e in result.env.receipts_log)
 
 
 # ---------------------------------------------------------------------------

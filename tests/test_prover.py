@@ -11,6 +11,7 @@ import pytest
 
 from relaysim.chain import AssetPayload, ChainConfig, MessagePayload, new_chain
 from relaysim.costs import baseline_gates, gate_report, split_gates
+from relaysim.crypto.hashes import SUPPORTED
 from relaysim.prover import (
     CountingBackend,
     Prover,
@@ -18,7 +19,6 @@ from relaysim.prover import (
     TransparentBackend,
     UnsatisfiedStatement,
     statement_for_header,
-    verify_proof,
 )
 
 T23 = Fraction(2, 3)
@@ -136,7 +136,7 @@ def test_prove_accepts_true_statement(backend, counting_backend):
     stmt = _true_statement(chain)
     for b in (backend, counting_backend):
         proof = b.prove(stmt)
-        assert verify_proof(proof, stmt.publics, b)
+        assert b.verify(proof, stmt.publics)
 
 
 def test_prove_refuses_commitment_mismatch(backend, counting_backend):
@@ -173,8 +173,8 @@ def test_verify_rejects_each_perturbed_public_input(backend):
         dc_replace(p, claimed_weight=p.claimed_weight + 1),
     ]
     for variant in perturbed:
-        assert not verify_proof(proof, variant, backend)
-    assert verify_proof(proof, p, backend)
+        assert not backend.verify(proof, variant)
+    assert backend.verify(proof, p)
 
 
 def test_forged_attestations_rejected(backend):
@@ -185,7 +185,7 @@ def test_forged_attestations_rejected(backend):
     rng = random.Random(1000)
     for _ in range(1000):
         forged = dc_replace(proof, attestation=rng.randbytes(32))
-        assert not verify_proof(forged, stmt.publics, backend)
+        assert not backend.verify(forged, stmt.publics)
 
 
 def test_proof_binding_between_headers(backend):
@@ -197,8 +197,8 @@ def test_proof_binding_between_headers(backend):
     s1 = statement_for_header(chain, h1)
     s2 = statement_for_header(chain, h2)
     proof1 = backend.prove(s1)
-    assert verify_proof(proof1, s1.publics, backend)
-    assert not verify_proof(proof1, s2.publics, backend)
+    assert backend.verify(proof1, s1.publics)
+    assert not backend.verify(proof1, s2.publics)
 
 
 def test_attestation_is_hmac_over_name_and_pi1():
@@ -219,6 +219,44 @@ def test_attestation_is_hmac_over_name_and_pi1():
         expected = hmac.new(key, backend.name.encode() + b"|" + pi1, hashlib.sha256).digest()
         assert backend._attest(publics) == expected
     assert TransparentBackend(key)._attest(publics) != CountingBackend(key)._attest(publics)
+
+
+@pytest.mark.parametrize("algo", SUPPORTED)
+def test_check_statement_opens_commitments_under_witness_algorithm(algo, backend, counting_backend):
+    """A chain commits under its own `hash_algo`; the witness carries that
+    algorithm, and a witness naming any other one is refused."""
+    chain = new_chain(
+        ChainConfig(
+            chain_id=1, epoch_size=2, weights=(1, 1, 1), hash_algo=algo, key_namespace="algo"
+        )
+    )
+    chain.produce_block()
+    _, boundary = chain.produce_block()
+    stmt = statement_for_header(chain, boundary)
+    assert stmt.witness.hash_algo == algo
+    assert stmt.publics.new_commitment == boundary.announced_commitment
+    for b in (backend, counting_backend):
+        assert b.check_statement(stmt)
+        for other in SUPPORTED:
+            if other != algo:
+                wrong = dc_replace(stmt, witness=dc_replace(stmt.witness, hash_algo=other))
+                assert not b.check_statement(wrong)
+
+
+def test_check_statement_requires_new_set_iff_new_commitment(backend, counting_backend):
+    """Both backends refuse a witness that opens an announced set the public
+    inputs do not commit to, and one that omits a committed set."""
+    chain = _chain(ns="newset", epoch_size=2)
+    chain.produce_block()
+    _, boundary = chain.produce_block()
+    mid = statement_for_header(chain, chain.headers[1])
+    edge = statement_for_header(chain, boundary)
+    extra = dc_replace(mid, witness=dc_replace(mid.witness, new_set=chain.validator_set(1)))
+    missing = dc_replace(edge, witness=dc_replace(edge.witness, new_set=None))
+    for b in (backend, counting_backend):
+        assert b.check_statement(mid) and b.check_statement(edge)
+        assert not b.check_statement(extra)
+        assert not b.check_statement(missing)
 
 
 # ---------------------------------------------------------------------------
