@@ -205,3 +205,32 @@ def test_shared_clock_monotone_timestamps():
     stamps = [h.timestamp for h in a.headers] + [h.timestamp for h in b.headers]
     assert len(set(stamps)) == len(stamps)
     assert a.headers[1].timestamp > a.headers[0].timestamp
+
+
+@pytest.mark.parametrize("withhold", [None, 0.1, 0.5])
+def test_header_aggregate_equals_sum_of_signer_signatures(withhold):
+    """Across epochs with mixed weights, each header's aggregate is the sum
+    of its available signers' individual signatures over its payload; a
+    chain whose available weight is below the quorum withholds the block."""
+    cfg = ChainConfig(
+        chain_id=8, epoch_size=3, weights=(5, 3, 2, 1, 1), rotation="reweight", key_namespace="sum"
+    )
+    chain = new_chain(cfg)
+    if withhold is not None:
+        chain.withhold_fraction(withhold)
+    if withhold == 0.5:
+        with pytest.raises(BlockWithheld):
+            chain.produce_block()
+        assert chain.height == 0
+        return
+    for i in range(7):
+        chain.submit_tx(chain.make_tx(9, AssetPayload(token="T", amount=i)))
+        chain.produce_block()
+    for header in chain.headers:
+        vset = chain.signing_set_for(header)
+        secrets = chain.epoch_secrets(vset.epoch)
+        payload = header.signing_payload()
+        signers = [e.pubkey_bytes for e, bit in zip(vset.entries, header.agg.bitmap) if bit]
+        assert header.agg.point == bls.aggregate([bls.sign(secrets[pk], payload) for pk in signers])
+        if withhold is not None and header.height > 0:
+            assert len(signers) < len(vset)
