@@ -343,10 +343,6 @@ class Chain:
     def validator_set(self, epoch: int) -> ValidatorSet:
         return self._ensure_epoch(epoch).vset
 
-    def rotate_validators(self, epoch: int) -> ValidatorSet:
-        """Materialize (deterministically) the validator set for an epoch."""
-        return self.validator_set(epoch)
-
     def epoch_secrets(self, epoch: int) -> Dict[bytes, int]:
         """Simulation-control surface: signing keys for fault injection."""
         return dict(self._ensure_epoch(epoch).secrets)
@@ -417,20 +413,15 @@ class Chain:
         return self._blocks[height]
 
     def _sign_header_payload(self, payload: bytes, keys: _EpochKeys) -> AggregateSignature:
-        sigs = []
-        bitmap = []
-        for entry in keys.vset.entries:
-            if entry.pubkey_bytes in self._withheld:
-                bitmap.append(False)
-                continue
-            bitmap.append(True)
-            sigs.append(bls.sign(keys.secrets[entry.pubkey_bytes], payload))
-        available = keys.vset.bitmap_weight(bitmap)
-        if not quorum_reached(available, keys.vset.total_weight, self.config.vote_threshold):
+        vset = keys.vset
+        bitmap = tuple(e.pubkey_bytes not in self._withheld for e in vset.entries)
+        available = vset.bitmap_weight(bitmap)
+        if not quorum_reached(available, vset.total_weight, self.config.vote_threshold):
             raise BlockWithheld(
-                self.config.chain_id, available, keys.vset.total_weight, self.config.vote_threshold
+                self.config.chain_id, available, vset.total_weight, self.config.vote_threshold
             )
-        return AggregateSignature(point=bls.aggregate(sigs), bitmap=tuple(bitmap))
+        signers = [keys.secrets[e.pubkey_bytes] for e, bit in zip(vset.entries, bitmap) if bit]
+        return AggregateSignature(point=bls.sign_aggregate(signers, payload), bitmap=bitmap)
 
     def produce_block(self) -> Tuple[Block, BlockHeader]:
         height = len(self._blocks)

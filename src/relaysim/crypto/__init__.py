@@ -6,9 +6,9 @@ from .bls import (
     aggregate_pubkeys,
     keygen,
     sign,
+    sign_aggregate,
     verify_aggregate,
     verify_at_point,
-    verify_single,
 )
 from .commitment import (
     ValidatorEntry,
@@ -24,11 +24,11 @@ __all__ = [
     "KeyPair",
     "keygen",
     "sign",
+    "sign_aggregate",
     "aggregate",
     "aggregate_pubkeys",
     "verify_aggregate",
     "verify_at_point",
-    "verify_single",
     "BaseFieldPair",
     "hash_to_base",
     "base_to_g",

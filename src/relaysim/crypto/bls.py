@@ -6,6 +6,12 @@ encodings; the boolean outcome is pure, so caching repeated checks of the
 same header is sound. An encoding keeps only x and a sign bit, so points
 are checked on their curves before they are encoded.
 
+A block is signed once, with the summed secret of its available signers.
+Every signature on one message is a multiple of the same point H(m), which
+lies in G1, a group of prime order R; so the sum of the signers' signatures
+sk_i*H(m) equals (sum of sk_i mod R)*H(m), the very point `aggregate` would
+return, for one hash-to-curve and one scalar multiplication.
+
 Aggregation adds public keys with no proof of possession, so a rogue key
 (one chosen as a function of the others' keys) could forge an aggregate.
 That is safe here only because every validator key comes from the
@@ -50,6 +56,13 @@ def sign(secret: int, message: bytes) -> G1Point:
     if not message:
         raise ValueError("cannot sign an empty message")
     return bn254.g1_mul(hash_to_curve(message), secret)
+
+
+def sign_aggregate(secrets: Sequence[int], message: bytes) -> G1Point:
+    """The aggregate of every secret's signature on `message`, signed once."""
+    if not secrets:
+        raise ValueError("cannot aggregate zero signatures")
+    return sign(sum(secrets) % bn254.R, message)
 
 
 def aggregate(signatures: Sequence[G1Point]) -> G1Point:
@@ -119,7 +132,3 @@ def verify_aggregate(apk: G2Point, message: bytes, signature: G1Point) -> bool:
     if apk is None or signature is None:
         return False
     return verify_at_point(apk, hash_to_curve(message), signature)
-
-
-def verify_single(pubkey: G2Point, message: bytes, signature: G1Point) -> bool:
-    return verify_aggregate(pubkey, message, signature)

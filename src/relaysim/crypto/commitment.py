@@ -9,6 +9,7 @@ collision-resistant hash suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Tuple
 
 from .. import encoding
@@ -23,8 +24,10 @@ class ValidatorEntry:
     pubkey_bytes: bytes
     weight: int
 
-    @property
+    @cached_property
     def pubkey(self) -> G2Point:
+        """The decoded key, kept on the entry after the first decode (sets
+        that share entries share it); a failed decode is not kept."""
         return g2_from_bytes(self.pubkey_bytes)
 
 

@@ -495,14 +495,9 @@ def forge_relay_confirmation(
         validator_info=None,
         agg=AggregateSignature(point=None, bitmap=()),
     )
-    signing_payload = draft.signing_payload()
     bitmap = tuple(e.pubkey_bytes in colluders for e in vset.entries)
-    sigs = [
-        bls.sign(secrets[e.pubkey_bytes], signing_payload)
-        for e in vset.entries
-        if e.pubkey_bytes in colluders
-    ]
-    header = dc_replace(draft, agg=AggregateSignature(point=bls.aggregate(sigs), bitmap=bitmap))
+    point = bls.sign_aggregate([secrets[pk] for pk in colluders], draft.signing_payload())
+    header = dc_replace(draft, agg=AggregateSignature(point=point, bitmap=bitmap))
 
     # not a boundary header, so its signing set is this epoch's `vset`
     statement = statement_for_header(rc_chain, header)

@@ -1,13 +1,13 @@
 """BN254 pairing engine and G2 arithmetic: pinned pairing values,
 bilinearity, identity handling, the product route, the operation counts of
-the demo run, the Jacobian G2 ladder against an affine reference, and the
-G2 subgroup check."""
+the demo run (pairings, signatures, key decodes), the Jacobian G2 ladder
+against an affine reference, and the G2 subgroup check."""
 
 import hashlib
 from pathlib import Path
 
 from relaysim import harness
-from relaysim.crypto import bls, bn254
+from relaysim.crypto import bls, bn254, commitment
 from relaysim.crypto.bn254 import (
     FP12_ONE,
     G1_GEN,
@@ -77,23 +77,36 @@ def test_pairing_product_equals_product_of_pairings():
 
 
 def test_demo_run_operation_counts(monkeypatch):
-    """The demo scenario costs exactly 8 pairings; pairing and the product
-    route reach the Miller loop and final exponentiation through the module
-    namespace, so wrapping the attributes counts every call."""
+    """The demo scenario costs exactly 8 pairings, one signature per
+    produced header and one decode per validator key (15 keys on four
+    chains). The pairing routes reach the Miller loop and final
+    exponentiation, and chains reach `sign` and `g2_from_bytes`, through
+    module namespaces, so wrapping the attributes counts every call."""
     counts = {}
-    for name in ("pairing", "pairing_product", "miller_loop", "final_exponentiation"):
+    pairing_names = ("pairing", "pairing_product", "miller_loop", "final_exponentiation")
+    wrapped = [(bn254, name) for name in pairing_names] + [(bls, "sign"), (commitment, "g2_from_bytes")]
+    for module, name in wrapped:
         counts[name] = 0
 
-        def counted(*args, _name=name, _fn=getattr(bn254, name)):
+        def counted(*args, _name=name, _fn=getattr(module, name)):
             counts[_name] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(bn254, name, counted)
+        monkeypatch.setattr(module, name, counted)
     bls._pairing_equal_cached.cache_clear()
     bls._pairing_product_cached.cache_clear()
     result = harness.run(load_scenario(DEMO))
     assert result.ok
-    assert counts == {"pairing": 8, "pairing_product": 0, "miller_loop": 8, "final_exponentiation": 8}
+    chains = [result.env.rc.chain, *result.env.chains.values()]
+    headers = sum(len(chain.headers) for chain in chains)
+    assert counts.pop("sign") == headers == 11
+    assert counts == {
+        "pairing": 8,
+        "pairing_product": 0,
+        "miller_loop": 8,
+        "final_exponentiation": 8,
+        "g2_from_bytes": 15,
+    }
 
 
 def _twist_point_outside_subgroup():

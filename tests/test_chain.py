@@ -101,6 +101,14 @@ def test_weighted_threshold_arithmetic():
     assert vset.bitmap_weight(header.agg.bitmap) == 70
 
 
+def test_quorum_is_checked_before_signing(monkeypatch):
+    chain = new_chain(ChainConfig(chain_id=1, epoch_size=10, weights=(30, 30, 40)))
+    chain.withhold_fraction(0.6)
+    monkeypatch.setattr(bls, "sign", lambda *args: pytest.fail("signed a withheld block"))
+    with pytest.raises(BlockWithheld):
+        chain.produce_block()
+
+
 def test_boundary_header_announces_rotated_set():
     cfg = ChainConfig(chain_id=1, epoch_size=4, weights=(1, 1, 1), rotation="reweight")
     chain = new_chain(cfg)
@@ -143,7 +151,7 @@ def test_confirm_unknown_hash(small_chain):
 
 def test_rotation_identity_keeps_set():
     chain = new_chain(ChainConfig(chain_id=1, epoch_size=2, weights=(1, 2)))
-    s0, s1 = chain.validator_set(0), chain.rotate_validators(1)
+    s0, s1 = chain.validator_set(0), chain.validator_set(1)
     assert s1.epoch == 1
     assert [e.pubkey_bytes for e in s1.entries] == [e.pubkey_bytes for e in s0.entries]
     assert [e.weight for e in s1.entries] == [e.weight for e in s0.entries]
@@ -152,7 +160,7 @@ def test_rotation_identity_keeps_set():
 def test_rotation_deterministic_across_runs():
     cfg = ChainConfig(chain_id=5, epoch_size=2, weights=(1, 2, 3), rotation="reweight")
     a, b = new_chain(cfg), new_chain(cfg)
-    assert commitment_digest(a.rotate_validators(3)) == commitment_digest(b.rotate_validators(3))
+    assert commitment_digest(a.validator_set(3)) == commitment_digest(b.validator_set(3))
 
 
 def test_refresh_rotation_changes_keys():

@@ -1,10 +1,15 @@
-"""Validator-set commitments: determinism, binding, canonical ordering."""
+"""Validator-set commitments: determinism, binding, canonical ordering, and
+decoding each validator key once."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from relaysim.chain import ChainConfig, new_chain
+from relaysim.crypto import bn254, commitment
 from relaysim.crypto.commitment import (
+    ValidatorEntry,
     ValidatorSet,
     commit_validator_set,
     commitment_digest,
@@ -92,3 +97,36 @@ def test_commitment_algo_configurable():
         commitment_digest(vs, "sha256"),
         commitment_digest(vs, "sha3_256"),
     )
+
+
+def _count_decodes(monkeypatch) -> Counter:
+    decoded = Counter()
+    real = commitment.g2_from_bytes
+
+    def counted(data):
+        decoded[data] += 1
+        return real(data)
+
+    monkeypatch.setattr(commitment, "g2_from_bytes", counted)
+    return decoded
+
+
+def test_pubkeys_decode_each_key_once_across_identity_rotation(monkeypatch):
+    chain = new_chain(ChainConfig(chain_id=1, epoch_size=2, weights=(1, 2, 3)))
+    decoded = _count_decodes(monkeypatch)
+    s0, s1 = chain.validator_set(0), chain.validator_set(1)
+    assert s1.epoch == 1
+    first = s0.pubkeys()
+    assert s0.pubkeys() == first
+    assert s1.pubkeys() == first
+    assert decoded == Counter({e.pubkey_bytes: 1 for e in s0.entries})
+    assert first == tuple(bn254.g2_from_bytes(e.pubkey_bytes) for e in s0.entries)
+
+
+def test_bad_key_encoding_raises_on_every_access(monkeypatch):
+    decoded = _count_decodes(monkeypatch)
+    entry = ValidatorEntry(pubkey_bytes=b"\x02" + b"\xff" * 64, weight=1)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            entry.pubkey
+    assert sum(decoded.values()) == 2

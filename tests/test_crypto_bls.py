@@ -1,5 +1,6 @@
 """Signature-scheme correctness: keys, single and aggregate verification,
-and the exhaustive small-set completeness/soundness sweep."""
+signing once for a set of signers, and the exhaustive small-set
+completeness/soundness sweep."""
 
 import random
 
@@ -55,12 +56,12 @@ def test_sign_rejects_empty_message():
 def test_sign_verify_roundtrip(keypairs):
     kp = keypairs[0]
     sig = bls.sign(kp.secret, MSG)
-    assert bls.verify_single(kp.public, MSG, sig)
+    assert bls.verify_aggregate(kp.public, MSG, sig)
 
 
 def test_verify_rejects_wrong_pubkey(keypairs):
     sig = bls.sign(keypairs[0].secret, MSG)
-    assert not bls.verify_single(keypairs[1].public, MSG, sig)
+    assert not bls.verify_aggregate(keypairs[1].public, MSG, sig)
 
 
 def test_verify_rejects_bit_flipped_messages(keypairs):
@@ -73,7 +74,7 @@ def test_verify_rejects_bit_flipped_messages(keypairs):
         i = rng.randrange(len(MSG))
         bit = 1 << rng.randrange(8)
         tampered = MSG[:i] + bytes([MSG[i] ^ bit]) + MSG[i + 1 :]
-        if not bls.verify_single(kp.public, tampered, sig):
+        if not bls.verify_aggregate(kp.public, tampered, sig):
             rejected += 1
     assert rejected == 100
 
@@ -104,6 +105,28 @@ def test_aggregate_with_foreign_message_rejected(keypairs):
 def test_aggregate_empty_inputs_rejected():
     with pytest.raises(ValueError):
         bls.aggregate([])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(1, R - 1), min_size=1, max_size=5), st.binary(min_size=1, max_size=40))
+def test_sign_aggregate_equals_aggregate_of_signatures(secrets, message):
+    assert bls.sign_aggregate(secrets, message) == bls.aggregate(
+        [bls.sign(sk, message) for sk in secrets]
+    )
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(1, R - 1))
+def test_sign_aggregate_of_cancelling_secrets_is_identity(k):
+    assert bls.aggregate([bls.sign(k, MSG), bls.sign(R - k, MSG)]) is None
+    assert bls.sign_aggregate([k, R - k], MSG) is None
+
+
+def test_sign_aggregate_rejects_empty_inputs():
+    with pytest.raises(ValueError):
+        bls.sign_aggregate([], MSG)
+    with pytest.raises(ValueError):
+        bls.sign_aggregate([1], b"")
 
 
 def test_bitmap_length_mismatch_rejected(keypairs):
