@@ -363,3 +363,42 @@ def test_wire_record_rejects_malformed(case, data):
     for bad in malformed:
         with pytest.raises(ValueError):
             decode(bad)
+
+
+def test_demo_run_decode_and_hash_counts(monkeypatch):
+    """The demo relays 100 transactions, each delivered by two provers over
+    two hops: 400 `hlc_verify` calls on 8 pairings. Pins how often the run
+    derives a header's base-field hash and how often it parses a
+    cross-chain transaction record, at every module that binds the name."""
+    import sys
+    from pathlib import Path
+
+    from relaysim import chain, harness, lightclient, relay
+    from relaysim.crypto import bls, bn254
+    from relaysim.scenario import load_scenario
+
+    counts = {}
+
+    def count(name, fn, modules):
+        counts[name] = 0
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+
+    package = [m for n, m in sorted(sys.modules.items()) if n.split(".")[0] == "relaysim"]
+    count("decode_ctx", chain.decode_ctx, package)
+    count("hlc_verify", relay.hlc_verify, [relay])
+    count("hash_to_base", lightclient.hash_to_base, [lightclient])
+    count("pairing", bn254.pairing, [bn254])
+    bls._pairing_equal_cached.cache_clear()
+    bls._pairing_product_cached.cache_clear()
+    demo = Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml"
+    result = harness.run(load_scenario(demo))
+    assert result.ok and result.confirmed == 100
+    assert counts == {"decode_ctx": 1100, "hlc_verify": 400, "hash_to_base": 408, "pairing": 8}
