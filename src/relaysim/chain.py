@@ -52,7 +52,7 @@ class UnknownTransaction(KeyError):
 # Transactions and receipts.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssetPayload:
     token: str
     amount: int
@@ -68,7 +68,7 @@ class AssetPayload:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessagePayload:
     call_data: bytes
 
@@ -79,7 +79,7 @@ class MessagePayload:
 Payload = Union[AssetPayload, MessagePayload]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossChainTx:
     dest_chain: int
     payload: Payload
@@ -188,18 +188,31 @@ class BlockHeader:
 
 
 @dataclass(frozen=True)
-class Block:
-    header: BlockHeader
-    receipts: Tuple[ReceiptMessage, ...]
-    leaves: Tuple[bytes, ...]
-
-
-@dataclass(frozen=True)
 class Confirmation:
     header: BlockHeader
     receipt_root: bytes
     message: ReceiptMessage
     leaf_index: int
+    record: object  # what the receipt was built from: see `Block.records`
+
+
+@dataclass(frozen=True)
+class Block:
+    header: BlockHeader
+    receipts: Tuple[ReceiptMessage, ...]
+    # per receipt, the object it was encoded from: the submitted CrossChainTx
+    # or the queued event record, so readers of the chain's own blocks need
+    # not parse the receipt bytes again
+    records: Tuple[object, ...]
+
+    def confirmation(self, index: int) -> Confirmation:
+        return Confirmation(
+            header=self.header,
+            receipt_root=self.header.receipt_root,
+            message=self.receipts[index],
+            leaf_index=index,
+            record=self.records[index],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +305,10 @@ class Chain:
         self._epochs: List[_EpochKeys] = [self._genesis_keys()]
         self._blocks: List[Block] = []
         self._trees: Dict[int, MerkleTree] = {}
-        self._pending: Deque[Tuple[str, object]] = deque()
+        self._pending: Deque[Tuple[object, bytes, bytes]] = deque()  # (record, payload, hash)
         self._tx_index: Dict[bytes, Tuple[int, int]] = {}
         self._nonce = 0
-        self._withheld: frozenset[bytes] = frozenset()
+        self._withhold = 0.0  # share of each signing set's weight that does not sign
         self.produce_block()  # genesis
 
     # -- validator sets ----------------------------------------------------
@@ -322,9 +335,8 @@ class Chain:
             rng = random.Random(seed)
             weights = [e.weight for e in prev.vset.entries]
             rng.shuffle(weights)
-            pairs = [(e.pubkey_bytes, w) for e, w in zip(prev.vset.entries, weights)]
-            vset = ValidatorSet.from_pairs(epoch, pairs)
-            return _EpochKeys(vset=vset, secrets=dict(prev.secrets))
+            entries = tuple(e.reweighted(w) for e, w in zip(prev.vset.entries, weights))
+            return _EpochKeys(vset=ValidatorSet(epoch=epoch, entries=entries), secrets=dict(prev.secrets))
         # refresh: new keys, weights carried over in canonical order
         pairs = []
         secrets: Dict[bytes, int] = {}
@@ -350,23 +362,25 @@ class Chain:
     # -- fault injection ----------------------------------------------------
 
     def withhold_fraction(self, fraction: float) -> int:
-        """Mark validators (canonical order) unavailable until cumulative
-        weight first reaches `fraction` of the signing total; returns the
-        withheld weight."""
+        """From now on, in every signing set, mark validators (canonical
+        order) unavailable until their cumulative weight first reaches
+        `fraction` of the set's total; returns the weight withheld from the
+        current epoch's set."""
+        self._withhold = fraction
         vset = self._epochs[min(self.current_epoch, len(self._epochs) - 1)].vset
-        target = fraction * vset.total_weight
-        withheld = set()
-        acc = 0
-        for entry in vset.entries:
-            if acc >= target:
-                break
-            withheld.add(entry.pubkey_bytes)
-            acc += entry.weight
-        self._withheld = frozenset(withheld)
-        return acc
+        return vset.total_weight - vset.bitmap_weight(self._available(vset))
 
     def restore_all(self) -> None:
-        self._withheld = frozenset()
+        self._withhold = 0.0
+
+    def _available(self, vset: ValidatorSet) -> Tuple[bool, ...]:
+        target = self._withhold * vset.total_weight
+        bitmap, withheld = [], 0
+        for entry in vset.entries:
+            bitmap.append(withheld >= target)
+            if withheld < target:
+                withheld += entry.weight
+        return tuple(bitmap)
 
     # -- tx intake ----------------------------------------------------------
 
@@ -382,14 +396,19 @@ class Chain:
             raise ValueError("cross-chain destination equals the origin chain")
         if ctx.origin_chain != self.config.chain_id:
             raise ValueError("transaction origin does not match this chain")
-        self._pending.append(("ctx", ctx))
-        return ctx.tx_hash
+        payload = ctx.to_bytes()
+        return self._enqueue(ctx, payload, hashlib.sha256(payload).digest())
 
-    def append_event(self, payload: bytes) -> bytes:
-        """Queue a local confirmation event (relay / destination bookkeeping)."""
-        self._pending.append(("event", payload))
-        event_hash = hashlib.sha256(b"EVT" + payload).digest()
-        return event_hash
+    def append_event(self, record) -> bytes:
+        """Queue a local confirmation event (relay / destination bookkeeping):
+        a record that encodes itself with `to_bytes()`, kept as it is in
+        `Block.records`."""
+        payload = record.to_bytes()
+        return self._enqueue(record, payload, hashlib.sha256(b"EVT" + payload).digest())
+
+    def _enqueue(self, record, payload: bytes, receipt_hash: bytes) -> bytes:
+        self._pending.append((record, payload, receipt_hash))
+        return receipt_hash
 
     @property
     def pending_count(self) -> int:
@@ -414,7 +433,7 @@ class Chain:
 
     def _sign_header_payload(self, payload: bytes, keys: _EpochKeys) -> AggregateSignature:
         vset = keys.vset
-        bitmap = tuple(e.pubkey_bytes not in self._withheld for e in vset.entries)
+        bitmap = self._available(vset)
         available = vset.bitmap_weight(bitmap)
         if not quorum_reached(available, vset.total_weight, self.config.vote_threshold):
             raise BlockWithheld(
@@ -429,20 +448,12 @@ class Chain:
         boundary = height == 0 or height % self.config.epoch_size == 0
         signing_keys = self._ensure_epoch(epoch if height == 0 else (epoch - 1 if boundary else epoch))
 
-        items: List[Tuple[str, object]] = []
+        items = []
         while self._pending and len(items) < self.config.max_block_txs:
             items.append(self._pending.popleft())
 
-        receipts: List[ReceiptMessage] = []
-        for kind, item in items:
-            if kind == "ctx":
-                ctx: CrossChainTx = item  # type: ignore[assignment]
-                receipts.append(ReceiptMessage(tx_hash=ctx.tx_hash, payload=ctx.to_bytes(), height=height))
-            else:
-                payload: bytes = item  # type: ignore[assignment]
-                event_hash = hashlib.sha256(b"EVT" + payload).digest()
-                receipts.append(ReceiptMessage(tx_hash=event_hash, payload=payload, height=height))
-        leaves = tuple(r.to_bytes() for r in receipts)
+        receipts = tuple(ReceiptMessage(tx_hash=h, payload=p, height=height) for _, p, h in items)
+        leaves = [r.to_bytes() for r in receipts]
         tree = MerkleTree(leaves, self.config.hash_algo) if leaves else None
         root = tree.root if tree is not None else EMPTY_RECEIPT_ROOT
 
@@ -470,7 +481,7 @@ class Chain:
         )
         agg = self._sign_header_payload(draft.signing_payload(), signing_keys)
         header = BlockHeader(**{**draft.__dict__, "agg": agg})
-        block = Block(header=header, receipts=tuple(receipts), leaves=leaves)
+        block = Block(header=header, receipts=receipts, records=tuple(r for r, _, _ in items))
         self._blocks.append(block)
         if tree is not None:
             self._trees[height] = tree
@@ -484,13 +495,7 @@ class Chain:
         if tx_hash not in self._tx_index:
             raise UnknownTransaction(tx_hash.hex())
         height, index = self._tx_index[tx_hash]
-        block = self._blocks[height]
-        return Confirmation(
-            header=block.header,
-            receipt_root=block.header.receipt_root,
-            message=block.receipts[index],
-            leaf_index=index,
-        )
+        return self._blocks[height].confirmation(index)
 
     def receipt_proof(self, tx_hash: bytes) -> MerkleProof:
         if tx_hash not in self._tx_index:

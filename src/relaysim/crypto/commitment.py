@@ -8,9 +8,9 @@ collision-resistant hash suffices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .. import encoding
 from .bn254 import G2Point, g2_from_bytes
@@ -23,12 +23,20 @@ COMMITMENT_TAG = b"relaysim/validator-set-commitment/v1"
 class ValidatorEntry:
     pubkey_bytes: bytes
     weight: int
+    # the entry this one re-weights: the key is read through it, so it is
+    # decoded once however often its weight changes
+    source: Optional["ValidatorEntry"] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def pubkey(self) -> G2Point:
         """The decoded key, kept on the entry after the first decode (sets
         that share entries share it); a failed decode is not kept."""
+        if self.source is not None:
+            return self.source.pubkey
         return g2_from_bytes(self.pubkey_bytes)
+
+    def reweighted(self, weight: int) -> "ValidatorEntry":
+        return ValidatorEntry(self.pubkey_bytes, weight, source=self.source or self)
 
 
 @dataclass(frozen=True)

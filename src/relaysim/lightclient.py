@@ -14,6 +14,7 @@ epoch gap; missed epochs require sequential updates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .costs import GasCostTable, GasMeter, GasReceipt
 from .crypto import bls
 from .crypto.commitment import ValidatorSet, commitment_digest
 from .crypto.hash_to_curve import base_to_g, hash_to_base
+from .crypto.hashes import digest
 from .crypto.merkle import MerkleProof, merkle_verify
 
 
@@ -231,6 +233,15 @@ def hlc_setup(
     return SetupResult(state=state, receipt=meter.receipt())
 
 
+@functools.lru_cache(maxsize=32)
+def _header_terms(payload: bytes, hash_algo: str) -> Tuple[Tuple[int, int], bytes]:
+    """The header's terms of its public inputs: the base-field hash and the
+    digest of its signing payload. Both depend on nothing else, and the
+    transactions of one block share them, so the last few are kept."""
+    t = hash_to_base(payload)
+    return (t.t0, t.t1), digest(payload, hash_algo)
+
+
 def public_inputs(
     header: BlockHeader,
     commitment: bytes,
@@ -241,11 +252,11 @@ def public_inputs(
     """The public inputs of the proof for `header`: the one derivation that
     the client (on-chain), the prover and the attack harness all use. Only
     the claimed weight is taken on trust; the proof's witness check binds it."""
-    t = hash_to_base(header.signing_payload())
+    t, header_digest = _header_terms(header.signing_payload(), hash_algo)
     return PublicInputs(
         commitment=commitment,
-        t=(t.t0, t.t1),
-        header_digest=header.digest(hash_algo),
+        t=t,
+        header_digest=header_digest,
         new_commitment=header.announced_commitment if header.is_boundary else None,
         threshold=threshold,
         claimed_weight=claimed_weight,

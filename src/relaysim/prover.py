@@ -14,6 +14,7 @@ derivation the verifying client itself runs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 from dataclasses import dataclass
@@ -58,7 +59,8 @@ class ZkProof:
 
 class _Backend:
     """Shared by both backends: checks the witness, then binds the public
-    inputs under a private key; verification recomputes the binding. A
+    inputs under a private key; verification recomputes the binding, or
+    reads it back for the public inputs it bound last. A
     backend states only its pairing decision route and its gate report.
 
     Subclasses bind `prove` and `verify` in their own class body:
@@ -70,6 +72,7 @@ class _Backend:
     def __init__(self, key: bytes):
         self._key = key
 
+    @functools.lru_cache(maxsize=32)  # keyed on (backend, publics)
     def _attest(self, publics: PublicInputs) -> bytes:
         message = self.name.encode() + b"|" + publics.canonical_bytes()
         return hmac.new(self._key, message, hashlib.sha256).digest()
@@ -215,15 +218,7 @@ class Prover:
         out: List[Confirmation] = []
         for height in range(start, chain.height + 1):
             block = chain.block_at(height)
-            for i, receipt in enumerate(block.receipts):
-                out.append(
-                    Confirmation(
-                        header=block.header,
-                        receipt_root=block.header.receipt_root,
-                        message=receipt,
-                        leaf_index=i,
-                    )
-                )
+            out.extend(block.confirmation(i) for i in range(len(block.receipts)))
         self._receipt_cursors[chain.config.chain_id] = chain.height + 1
         return out
 

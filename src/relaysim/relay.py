@@ -45,7 +45,7 @@ ICTX_TAG = b"ICTX1"  # intermediate record, written on the relay chain
 FIN_TAG = b"FIN1"  # final record, written on a destination chain
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HopRecord:
     """The record a hosting chain writes for a transaction it accepted:
     `tag || u64(origin_chain) || lp(ctx)`."""
@@ -210,7 +210,7 @@ class LightClientHost:
         if ctx.key in self._accepted:
             return ctx, result, False  # idempotent duplicate
         self._accepted.add(ctx.key)
-        self.chain.append_event(HopRecord(self.writes, origin, ctx).to_bytes())
+        self.chain.append_event(HopRecord(self.writes, origin, ctx))
         return ctx, result, True
 
     def resolve_confirmations(self) -> list:
@@ -219,10 +219,8 @@ class LightClientHost:
         while self._resolved_height < self.chain.height:
             self._resolved_height += 1
             block = self.chain.block_at(self._resolved_height)
-            for receipt in block.receipts:
-                try:
-                    record = HopRecord.from_bytes(self.writes, receipt.payload)
-                except ValueError:
+            for receipt, record in zip(block.receipts, block.records):
+                if not _is_record(record, self.writes):
                     continue
                 confirmed = self._confirmed(record, block.header.height, receipt)
                 self.confirmations[record.ctx.key] = confirmed
@@ -275,6 +273,10 @@ class DestinationHost(LightClientHost):
             dest_chain=self.chain.config.chain_id,
             dc_height=height,
         )
+
+
+def _is_record(record, tag: bytes) -> bool:
+    return isinstance(record, HopRecord) and record.tag == tag
 
 
 def _empty_receipt(table: GasCostTable) -> GasReceipt:
@@ -455,12 +457,9 @@ class RelayEnvironment:
                 block, _ = chain.produce_block()
             except BlockWithheld:  # liveness fault: txs stay pending
                 continue
-            for receipt in block.receipts:
-                try:
-                    ctx = decode_ctx(receipt.payload)
-                except ValueError:
-                    continue
-                self._record(ctx.key, "confirm_sc", cid)
+            for record in block.records:
+                if isinstance(record, CrossChainTx):
+                    self._record(record.key, "confirm_sc", cid)
             # delivery events may ride in these blocks too (a destination is
             # usually also a source); sweep their final confirmations now
             if cid in self.hosts:
@@ -480,12 +479,9 @@ class RelayEnvironment:
             for header in prover.new_boundaries(chain):
                 self.transmit(prover.update_bundle(chain, header), self.rc_id)
             for conf in prover.monitor(chain):
-                try:
-                    ctx = decode_ctx(conf.message.payload)
-                except ValueError:
-                    continue  # local events are not relayed outward
-                self.transmit(prover.ctx_bundle(chain, conf), self.rc_id)
-                self._record(ctx.key, "prove_sc", cid)
+                if isinstance(conf.record, CrossChainTx):  # local events are not relayed outward
+                    self.transmit(prover.ctx_bundle(chain, conf), self.rc_id)
+                    self._record(conf.record.key, "prove_sc", cid)
 
     def _scan_relay(self, prover: Prover) -> None:
         for header in prover.new_boundaries(self.rc.chain):
@@ -493,10 +489,9 @@ class RelayEnvironment:
             for host_id in sorted(self.hosts):
                 self.transmit(bundle, host_id)
         for conf in prover.monitor(self.rc.chain):
-            try:
-                ctx = HopRecord.from_bytes(ICTX_TAG, conf.message.payload).ctx
-            except ValueError:
+            if not _is_record(conf.record, ICTX_TAG):
                 continue
+            ctx = conf.record.ctx
             if ctx.dest_chain in self.hosts:
                 self.transmit(prover.ctx_bundle(self.rc.chain, conf), ctx.dest_chain)
                 self._record(ctx.key, "prove_rc", self.rc_id)

@@ -242,3 +242,26 @@ def test_header_aggregate_equals_sum_of_signer_signatures(withhold):
         assert header.agg.point == bls.aggregate([bls.sign(secrets[pk], payload) for pk in signers])
         if withhold is not None and header.height > 0:
             assert len(signers) < len(vset)
+
+
+@pytest.mark.parametrize("rotation", ["identity", "reweight", "refresh"])
+def test_withhold_fault_outlives_epoch_boundaries(rotation):
+    """A withhold fault applies to every signing set, whichever keys and
+    weights rotation gives it: in each header the unavailable validators are
+    the leading ones (canonical order) whose cumulative weight first reaches
+    the withheld share of that header's signing set."""
+    cfg = ChainConfig(
+        chain_id=3, epoch_size=2, weights=(1, 1, 1, 1, 6, 6, 6, 6), rotation=rotation, key_namespace="wh"
+    )
+    chain = new_chain(cfg)
+    chain.withhold_fraction(0.1)
+    for _ in range(8):
+        chain.produce_block()
+    assert chain.current_epoch == 4
+    for header in chain.headers[1:]:
+        vset = chain.signing_set_for(header)
+        withheld = leading = 0
+        while withheld < 0.1 * vset.total_weight:
+            withheld += vset.entries[leading].weight
+            leading += 1
+        assert header.agg.bitmap == (False,) * leading + (True,) * (len(vset) - leading)

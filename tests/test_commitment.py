@@ -130,3 +130,14 @@ def test_bad_key_encoding_raises_on_every_access(monkeypatch):
         with pytest.raises(ValueError):
             entry.pubkey
     assert sum(decoded.values()) == 2
+
+
+def test_pubkeys_decode_each_key_once_across_reweight_rotation(monkeypatch):
+    chain = new_chain(ChainConfig(chain_id=1, epoch_size=2, weights=(1, 2, 3, 4), rotation="reweight"))
+    decoded = _count_decodes(monkeypatch)
+    sets = [chain.validator_set(epoch) for epoch in range(4)]
+    assert len({tuple(e.weight for e in s.entries) for s in sets}) > 1  # the weights moved
+    points = [s.pubkeys() for s in sets]
+    assert decoded == Counter({e.pubkey_bytes: 1 for e in sets[0].entries})
+    assert all(p == points[0] for p in points)
+    assert points[0] == tuple(bn254.g2_from_bytes(e.pubkey_bytes) for e in sets[0].entries)

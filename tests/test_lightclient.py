@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from relaysim import lightclient
 from relaysim.chain import AssetPayload, ChainConfig, MessagePayload, new_chain
 from relaysim.crypto.bn254 import P, g1_neg
 from relaysim.crypto.commitment import commitment_digest
@@ -18,6 +19,7 @@ from relaysim.lightclient import (
     lc_setup,
     lc_update,
     lc_verify,
+    public_inputs,
 )
 from relaysim.prover import Prover, UnsatisfiedStatement, statement_for_header
 
@@ -564,3 +566,40 @@ def test_off_curve_signature_rejected_by_both_client_families(gas_table, backend
         b.prove(statement_for_header(chain, boundary))
         with pytest.raises(UnsatisfiedStatement):
             b.prove(statement_for_header(chain, off_curve))
+
+
+# ---------------------------------------------------------------------------
+# the memo of header terms
+
+
+def test_header_digest_memo_keyed_on_hash_algo():
+    """The same header under two hash algorithms yields each algorithm's
+    digest, whichever was derived first; the base-field term is shared."""
+    chain = _chain(ns="memo-algo")
+    _, _, header = _confirmed(chain)
+    commitment = commitment_digest(chain.validator_set(0))
+    lightclient._header_terms.cache_clear()
+    first = public_inputs(header, commitment, T23, "sha256", 4)
+    other = public_inputs(header, commitment, T23, "sha3_256", 4)
+    again = public_inputs(header, commitment, T23, "sha256", 4)
+    assert first.header_digest == again.header_digest == header.digest("sha256")
+    assert other.header_digest == header.digest("sha3_256") != first.header_digest
+    assert other.t == first.t
+
+
+def test_warm_memo_still_rejects_header_with_other_receipt_root(gas_table, backend):
+    """After the honest header has warmed the memo, a header that differs
+    only in its receipt root fails the public-input comparison, and is
+    charged exactly what a cold rejection is charged."""
+    chain = _chain(ns="memo-root")
+    state = hlc_setup(1, chain.validator_set(0), 4, T23, gas_table).state
+    conf, proof, header = _confirmed(chain)
+    zk = Prover("p", backend).zk_proof_for(chain, header)
+    forged = dc_replace(header, receipt_root=b"\x11" * 32)
+    forged_proof = dc_replace(proof, root=forged.receipt_root)
+    lightclient._header_terms.cache_clear()
+    cold = hlc_verify(state, conf.message, forged, forged_proof, zk, gas_table, backend)
+    assert hlc_verify(state, conf.message, header, proof, zk, gas_table, backend).ok
+    warm = hlc_verify(state, conf.message, forged, forged_proof, zk, gas_table, backend)
+    assert warm.reason == cold.reason == RejectReason.PUBLIC_INPUT_MISMATCH
+    assert warm.receipt == cold.receipt

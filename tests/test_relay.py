@@ -367,13 +367,14 @@ def test_wire_record_rejects_malformed(case, data):
 
 def test_demo_run_decode_and_hash_counts(monkeypatch):
     """The demo relays 100 transactions, each delivered by two provers over
-    two hops: 400 `hlc_verify` calls on 8 pairings. Pins how often the run
-    derives a header's base-field hash and how often it parses a
-    cross-chain transaction record, at every module that binds the name."""
+    two hops: 400 `hlc_verify` calls on 8 pairings. The header terms of the
+    public inputs are derived once per distinct verified header (4), and a
+    cross-chain transaction record is parsed only where a host receives
+    delivered bytes (400), counted at every module that binds the name."""
     import sys
     from pathlib import Path
 
-    from relaysim import chain, harness, lightclient, relay
+    from relaysim import chain, harness, lightclient, prover, relay
     from relaysim.crypto import bls, bn254
     from relaysim.scenario import load_scenario
 
@@ -398,7 +399,26 @@ def test_demo_run_decode_and_hash_counts(monkeypatch):
     count("pairing", bn254.pairing, [bn254])
     bls._pairing_equal_cached.cache_clear()
     bls._pairing_product_cached.cache_clear()
+    lightclient._header_terms.cache_clear()
+    prover._Backend._attest.cache_clear()
     demo = Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml"
     result = harness.run(load_scenario(demo))
     assert result.ok and result.confirmed == 100
-    assert counts == {"decode_ctx": 1100, "hlc_verify": 400, "hash_to_base": 408, "pairing": 8}
+    assert counts == {"decode_ctx": 400, "hlc_verify": 400, "hash_to_base": 4, "pairing": 8}
+
+
+def test_sweep_confirms_only_the_hosts_own_records(backend):
+    """A destination's sweep of its own blocks confirms the `FIN1` records it
+    queued, not a transaction submitted on the same chain (`CTX1`) nor the
+    relay chain's kind of record (`ICTX1`)."""
+    env = _env(backend)
+    chain, host = env.chains[2], env.hosts[2]
+    ctx = chain.make_tx(1, AssetPayload(token="T", amount=3))
+    chain.submit_tx(ctx)
+    chain.append_event(HopRecord(ICTX_TAG, 2, ctx))
+    chain.produce_block()
+    assert host.resolve_confirmations() == []
+    chain.append_event(HopRecord(FIN_TAG, 2, ctx))
+    chain.produce_block()
+    assert [c.key for c in host.resolve_confirmations()] == [ctx.key]
+    assert list(host.confirmations) == [ctx.key]
