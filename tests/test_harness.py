@@ -103,6 +103,25 @@ def test_same_seed_byte_identical_artifacts(tmp_path):
         assert a == b, f"{name} differs between identical runs"
 
 
+DEMO_ARTIFACT_SHA256 = {
+    "trace.jsonl": "4b39487721f8742af7a2f742705a5695ec2c03bf92466470c529f38cbe738082",
+    "receipts.jsonl": "8e5e288bff6ff5da362bc9bc0085820d3fd10b2b2f9413b01453973c0a5e52ca",
+    "records.jsonl": "cef59d83ecbc372cf917f622c6402f3af8ddb5c031c5f026f86621a06c47b20c",
+    "summary.json": "526742c94762bd9bfc4d9baa71e798abb79644c7745cba0c4875610c134fd17d",
+}
+
+
+def test_demo_run_artifacts_match_pinned_digests(tmp_path, capsys):
+    """`relaysim --scenario scenarios/demo.yaml run` writes the same bytes as
+    the pinned run: a refactor that keeps behaviour keeps these digests."""
+    import hashlib
+
+    demo = Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml"
+    assert cli.main(["--scenario", str(demo), "run", "--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == DEMO_ARTIFACT_SHA256
+
+
 def test_different_seed_changes_trace(tmp_path):
     harness.run(_small_scenario(seed=1), outdir=tmp_path / "s1")
     harness.run(_small_scenario(seed=2), outdir=tmp_path / "s2")
