@@ -16,7 +16,6 @@ from .chain import (
     ChainConfig,
     CrossChainTx,
     MessagePayload,
-    new_chain,
 )
 from .costs import GasCostTable, GasReceipt, GateCostTable, GateReport
 from .economics import StakeLedger, check_tx_safety, degradation_report, network_security
@@ -90,5 +89,4 @@ __all__ = [
     "lc_verify",
     "load_scenario",
     "network_security",
-    "new_chain",
 ]

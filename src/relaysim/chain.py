@@ -370,9 +370,6 @@ class Chain:
         vset = self._epochs[min(self.current_epoch, len(self._epochs) - 1)].vset
         return vset.total_weight - vset.bitmap_weight(self._available(vset))
 
-    def restore_all(self) -> None:
-        self._withhold = 0.0
-
     def _available(self, vset: ValidatorSet) -> Tuple[bool, ...]:
         target = self._withhold * vset.total_weight
         bitmap, withheld = [], 0
@@ -510,7 +507,3 @@ class Chain:
         if header.is_boundary:
             return self.validator_set(header.epoch - 1)
         return self.validator_set(header.epoch)
-
-
-def new_chain(config: ChainConfig, clock: Optional[LogicalClock] = None) -> Chain:
-    return Chain(config, clock)

@@ -435,15 +435,6 @@ def g2_mul(pt: G2Point, k: int) -> G2Point:
     return _g2_mul_unreduced(pt, k % R)
 
 
-def g2_subgroup_check(pt: G2Point) -> bool:
-    """True iff pt is on the twist and [R]pt is the identity.
-
-    Computes [R]pt in full (about one g2_mul), so decoding does not call it:
-    g2_from_bytes and ValidatorSet.pubkeys only check that points are on
-    the twist."""
-    return g2_is_on_curve(pt) and _g2_mul_unreduced(pt, R) is None
-
-
 # Generators. G2 coordinates are the standard alt_bn128 values.
 G1_GEN: G1Point = (1, 2)
 G2_GEN: G2Point = (

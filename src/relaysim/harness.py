@@ -22,11 +22,11 @@ from .chain import (
     AggregateSignature,
     AssetPayload,
     BlockHeader,
+    Chain,
     ChainConfig,
     CrossChainTx,
     ReceiptMessage,
     ZERO32,
-    new_chain,
     quorum_reached,
 )
 from .costs import baseline_gates, hlc_setup_gas, lc_setup_gas, split_gates
@@ -622,7 +622,7 @@ def bench(scenario: Scenario, validators: int = 100) -> Dict:
         weights=(1,) * validators,
         key_namespace="bench",
     )
-    chain = new_chain(cfg)
+    chain = Chain(cfg)
     ctx = chain.make_tx(901, AssetPayload(token="USDC", amount=100))
     tx_hash = chain.submit_tx(ctx)
     _, header = chain.produce_block()

@@ -148,12 +148,7 @@ class MosService:
     # -- event ingestion -------------------------------------------------------
 
     def _on_event(self, event: TraceEvent) -> None:
-        try:
-            origin, nonce = event.key.split(":")
-            key = (int(origin), int(nonce))
-        except ValueError:
-            return
-        record = self.records.get(key)
+        record = self.records.get(event.key)
         if record is None:
             return
         if event.verdict != "ok":
@@ -189,11 +184,9 @@ class MosService:
             dest_chain=to_chain,
             fee=required,
             fee_token=fee_token,
+            # submit() traced commit_sc before this record existed
+            stage_times={"commit_sc": self.env.trace.stages_of(key)["commit_sc"].time},
         )
-        # submit() just traced commit_sc as the latest event; backfill its tick
-        last = self.env.trace.events[-1]
-        if last.key == ctx_key_str(key):
-            record.stage_times[last.stage] = last.time
         self.records[key] = record
         self._journal_write(record)
         return key

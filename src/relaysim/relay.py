@@ -26,7 +26,6 @@ from .chain import (
     LogicalClock,
     ReceiptMessage,
     decode_ctx,
-    new_chain,
 )
 from .costs import GasCostTable, GasReceipt, hlc_setup_gas, lc_setup_gas
 from .lightclient import (
@@ -39,7 +38,7 @@ from .lightclient import (
     hlc_verify,
 )
 from .prover import ProofBundle, Prover
-from .trace import TraceEvent, TraceLog, ctx_key_str
+from .trace import TraceEvent, TraceLog
 
 ICTX_TAG = b"ICTX1"  # intermediate record, written on the relay chain
 FIN_TAG = b"FIN1"  # final record, written on a destination chain
@@ -316,7 +315,7 @@ class RelayEnvironment:
         self.backend = backend
         self.clock = LogicalClock()
         self.rc_id = rc_config.chain_id
-        rc_chain = new_chain(replace(rc_config, committed_validator_info=True), self.clock)
+        rc_chain = Chain(replace(rc_config, committed_validator_info=True), self.clock)
         self.rc = RelayChain(rc_chain, self.table, backend)
         self.chains: Dict[int, Chain] = {}
         self.hosts: Dict[int, DestinationHost] = {}
@@ -336,7 +335,7 @@ class RelayEnvironment:
     def add_chain(self, config: ChainConfig, as_source: bool = True, as_dest: bool = True) -> Chain:
         if config.chain_id in self.chains or config.chain_id == self.rc_id:
             raise ValueError(f"chain id {config.chain_id} already in use")
-        chain = new_chain(config, self.clock)
+        chain = Chain(config, self.clock)
         self.chains[config.chain_id] = chain
         if as_source:
             self.register_source(config.chain_id)
@@ -390,18 +389,10 @@ class RelayEnvironment:
     def _record(
         self, key, stage: str, chain: int, gas: Optional[int] = None, verdict: str = "ok", once: bool = True
     ) -> None:
-        """Trace `stage` of `key` at the next tick; with `once`, only its first
-        occurrence reaches the log and the observers."""
-        event = TraceEvent(
-            key=ctx_key_str(key) if key else "?:?",
-            stage=stage,
-            time=self.clock.next(),
-            chain=chain,
-            verdict=verdict,
-            gas=gas,
-        )
-        recorded = self.trace.record_once(event) if once else (self.trace.record(event) or True)
-        if recorded:
+        """Trace `stage` of `key` at the next tick; with `once`, a stage `key`
+        already reached reaches neither the log nor the observers again."""
+        event = TraceEvent(key=key, stage=stage, time=self.clock.next(), chain=chain, verdict=verdict, gas=gas)
+        if self.trace.record(event, once):
             for observer in self.observers:
                 observer(event)
 
@@ -538,15 +529,12 @@ class RelayEnvironment:
     def run_until_complete(self, keys, horizon_rounds: int = 10) -> Tuple[bool, List[Tuple[int, int]]]:
         """Step until every key reaches final confirmation or the logical
         horizon is exhausted; returns (all confirmed, stalled keys)."""
-        want = {ctx_key_str(tuple(k)) for k in keys}
+        want = {tuple(k) for k in keys}
         for _ in range(horizon_rounds):
-            if want <= set(self.trace.completed_keys()):
+            if all("confirm_dc" in self.trace.stages_of(k) for k in want):
                 return True, []
             self.step()
-        done = set(self.trace.completed_keys())
-        stalled = sorted(
-            tuple(int(p) for p in k.split(":")) for k in (want - done)
-        )
+        stalled = sorted(k for k in want if "confirm_dc" not in self.trace.stages_of(k))
         return not stalled, stalled
 
     # -- invariant helpers ------------------------------------------------------------
@@ -573,4 +561,4 @@ def end_to_end_relay(env: RelayEnvironment, source_id: int, dest_id: int, payloa
     done, _ = env.run_until_complete([key], horizon_rounds)
     if not done:
         raise RuntimeError(f"relay of {key} did not complete within the horizon")
-    return env.trace.for_key(ctx_key_str(key))
+    return env.trace.for_key(key)

@@ -1,10 +1,15 @@
-"""Pipeline trace records: one JSON-lines row per relay event."""
+"""Pipeline trace records: one JSON-lines row per relay event.
+
+Events carry the transaction key as the `(origin chain id, origin nonce)`
+tuple, or `None` for an event that names no transaction; the `"o:n"` form
+exists only in serialized artifacts (`ctx_key_str`).
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 PIPELINE_STAGES = (
     "commit_sc",
@@ -16,14 +21,16 @@ PIPELINE_STAGES = (
     "confirm_dc",
 )
 
+Key = Optional[Tuple[int, int]]
 
-def ctx_key_str(key: Tuple[int, int]) -> str:
-    return f"{key[0]}:{key[1]}"
+
+def ctx_key_str(key: Key) -> str:
+    return "?:?" if key is None else f"{key[0]}:{key[1]}"
 
 
 @dataclass(frozen=True)
 class TraceEvent:
-    key: str
+    key: Key
     stage: str
     time: int
     chain: int
@@ -32,7 +39,7 @@ class TraceEvent:
 
     def to_dict(self) -> Dict:
         return {
-            "ctx": self.key,
+            "ctx": ctx_key_str(self.key),
             "stage": self.stage,
             "time": self.time,
             "chain": self.chain,
@@ -42,32 +49,33 @@ class TraceEvent:
 
 
 class TraceLog:
+    """The event log, with an index of each key's accepted (`"ok"`) events
+    by stage, filled as events are recorded."""
+
     def __init__(self):
         self.events: List[TraceEvent] = []
-        self._seen: set[Tuple[str, str]] = set()
+        self._accepted: Dict[Key, Dict[str, TraceEvent]] = {}
 
-    def record(self, event: TraceEvent) -> None:
-        self.events.append(event)
-
-    def record_once(self, event: TraceEvent) -> bool:
-        """Record unless an event for this (ctx, stage) already exists."""
-        tag = (event.key, event.stage)
-        if tag in self._seen:
+    def record(self, event: TraceEvent, once: bool = False) -> bool:
+        """Append `event` and return True. With `once`, drop it instead and
+        return False when an accepted event of its (key, stage) is logged."""
+        if once and event.stage in self.stages_of(event.key):
             return False
-        self._seen.add(tag)
         self.events.append(event)
+        if event.verdict == "ok":
+            self._accepted.setdefault(event.key, {})[event.stage] = event
         return True
 
-    def for_key(self, key: str) -> List[TraceEvent]:
+    def for_key(self, key: Key) -> List[TraceEvent]:
         return [e for e in self.events if e.key == key]
 
-    def stages_of(self, key: str) -> Dict[str, TraceEvent]:
-        return {e.stage: e for e in self.for_key(key) if e.verdict == "ok"}
+    def stages_of(self, key: Key) -> Mapping[str, TraceEvent]:
+        """The latest accepted event of each stage `key` reached."""
+        return self._accepted.get(key, {})
 
     def completed_keys(self) -> List[str]:
-        return sorted(
-            {e.key for e in self.events if e.stage == "confirm_dc" and e.verdict == "ok"}
-        )
+        """Keys with an accepted final confirmation, as sorted `"o:n"` strings."""
+        return sorted(ctx_key_str(k) for k, stages in self._accepted.items() if "confirm_dc" in stages)
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in self.events)

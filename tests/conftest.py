@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from relaysim.chain import AssetPayload, ChainConfig, new_chain
+from relaysim.chain import AssetPayload, Chain, ChainConfig
 from relaysim.costs import GasCostTable, GateCostTable
 from relaysim.crypto import bls
 from relaysim.crypto.commitment import ValidatorSet, commitment_digest
@@ -47,7 +47,7 @@ def keypairs():
 
 @pytest.fixture()
 def small_chain():
-    return new_chain(ChainConfig(chain_id=1, epoch_size=4, weights=(1, 1, 1, 1), key_namespace="t"))
+    return Chain(ChainConfig(chain_id=1, epoch_size=4, weights=(1, 1, 1, 1), key_namespace="t"))
 
 
 @pytest.fixture()

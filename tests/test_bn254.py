@@ -1,7 +1,7 @@
 """BN254 pairing engine and G2 arithmetic: pinned pairing values,
 bilinearity, identity handling, the product route, the operation counts of
-the demo run (pairings, signatures, key decodes), the Jacobian G2 ladder
-against an affine reference, and the G2 subgroup check."""
+the demo run (pairings, signatures, key decodes), and the Jacobian G2
+ladder against an affine reference."""
 
 import hashlib
 from pathlib import Path
@@ -138,14 +138,3 @@ def test_g2_jacobian_multiplication_matches_affine_ladder():
     assert g2_mul(q, 0) is None and g2_mul(q, R) is None and g2_mul(None, 5) is None
     assert bn254.g2_base_mul(R) is None
     assert g2_mul(q, R + 5) == g2_mul(q, 5)
-
-
-def test_g2_subgroup_check_computes_order():
-    stray = _twist_point_outside_subgroup()
-    assert bn254.g2_is_on_curve(stray)
-    assert not bn254.g2_subgroup_check(stray)
-    assert bn254.g2_subgroup_check(G2_GEN)
-    assert bn254.g2_subgroup_check(bls.keygen("subgroup").public)
-    assert bn254.g2_subgroup_check(None)
-    off = (G2_GEN[0], bn254.fp2_add(G2_GEN[1], bn254.FP2_ONE))
-    assert not bn254.g2_subgroup_check(off)

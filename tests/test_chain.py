@@ -7,11 +7,11 @@ import pytest
 from relaysim.chain import (
     AssetPayload,
     BlockWithheld,
+    Chain,
     ChainConfig,
     LogicalClock,
     MessagePayload,
     UnknownTransaction,
-    new_chain,
 )
 from relaysim.crypto import bls
 from relaysim.crypto.commitment import commitment_digest
@@ -19,7 +19,7 @@ from relaysim.crypto.merkle import merkle_verify
 
 
 def test_new_chain_genesis_state():
-    chain = new_chain(ChainConfig(chain_id=1, epoch_size=10, weights=(1, 2, 3, 4)))
+    chain = Chain(ChainConfig(chain_id=1, epoch_size=10, weights=(1, 2, 3, 4)))
     assert chain.height == 0
     assert chain.current_epoch == 0
     assert chain.validator_set(0).total_weight == 10
@@ -44,7 +44,7 @@ def test_threshold_range_enforced():
 
 def test_identical_configs_identical_genesis():
     cfg = ChainConfig(chain_id=7, epoch_size=5, weights=(3, 1), key_namespace="x")
-    assert new_chain(cfg).headers[0] == new_chain(cfg).headers[0]
+    assert Chain(cfg).headers[0] == Chain(cfg).headers[0]
 
 
 def test_submit_returns_hash_and_queues(small_chain):
@@ -64,7 +64,7 @@ def test_submit_to_self_rejected(small_chain):
 
 def test_submission_order_preserved_across_blocks():
     cfg = ChainConfig(chain_id=1, epoch_size=100, weights=(1, 1), max_block_txs=16)
-    chain = new_chain(cfg)
+    chain = Chain(cfg)
     hashes = []
     for i in range(100):
         ctx = chain.make_tx(2, MessagePayload(call_data=bytes([i])))
@@ -87,14 +87,13 @@ def test_full_quorum_bitmap_and_signature(small_chain):
 
 def test_weighted_threshold_arithmetic():
     cfg = ChainConfig(chain_id=1, epoch_size=10, weights=(30, 30, 40))
-    chain = new_chain(cfg)
+    chain = Chain(cfg)
     # withhold weight 60: available 40 < 2/3 of 100
     withheld = chain.withhold_fraction(0.6)
     assert withheld == 60
     with pytest.raises(BlockWithheld):
         chain.produce_block()
     # withhold weight 30: available 70 >= 2/3 of 100
-    chain.restore_all()
     assert chain.withhold_fraction(0.3) == 30
     _, header = chain.produce_block()
     vset = chain.signing_set_for(header)
@@ -102,7 +101,7 @@ def test_weighted_threshold_arithmetic():
 
 
 def test_quorum_is_checked_before_signing(monkeypatch):
-    chain = new_chain(ChainConfig(chain_id=1, epoch_size=10, weights=(30, 30, 40)))
+    chain = Chain(ChainConfig(chain_id=1, epoch_size=10, weights=(30, 30, 40)))
     chain.withhold_fraction(0.6)
     monkeypatch.setattr(bls, "sign", lambda *args: pytest.fail("signed a withheld block"))
     with pytest.raises(BlockWithheld):
@@ -111,7 +110,7 @@ def test_quorum_is_checked_before_signing(monkeypatch):
 
 def test_boundary_header_announces_rotated_set():
     cfg = ChainConfig(chain_id=1, epoch_size=4, weights=(1, 1, 1), rotation="reweight")
-    chain = new_chain(cfg)
+    chain = Chain(cfg)
     while chain.height < 4:
         chain.produce_block()
     boundary = chain.headers[4]
@@ -126,7 +125,7 @@ def test_boundary_header_announces_rotated_set():
 
 
 def test_epoch_is_height_over_epoch_size():
-    chain = new_chain(ChainConfig(chain_id=1, epoch_size=3, weights=(1,)))
+    chain = Chain(ChainConfig(chain_id=1, epoch_size=3, weights=(1,)))
     for _ in range(9):
         chain.produce_block()
     for header in chain.headers:
@@ -150,7 +149,7 @@ def test_confirm_unknown_hash(small_chain):
 
 
 def test_rotation_identity_keeps_set():
-    chain = new_chain(ChainConfig(chain_id=1, epoch_size=2, weights=(1, 2)))
+    chain = Chain(ChainConfig(chain_id=1, epoch_size=2, weights=(1, 2)))
     s0, s1 = chain.validator_set(0), chain.validator_set(1)
     assert s1.epoch == 1
     assert [e.pubkey_bytes for e in s1.entries] == [e.pubkey_bytes for e in s0.entries]
@@ -159,13 +158,13 @@ def test_rotation_identity_keeps_set():
 
 def test_rotation_deterministic_across_runs():
     cfg = ChainConfig(chain_id=5, epoch_size=2, weights=(1, 2, 3), rotation="reweight")
-    a, b = new_chain(cfg), new_chain(cfg)
+    a, b = Chain(cfg), Chain(cfg)
     assert commitment_digest(a.validator_set(3)) == commitment_digest(b.validator_set(3))
 
 
 def test_refresh_rotation_changes_keys():
     cfg = ChainConfig(chain_id=1, epoch_size=2, weights=(1, 1), rotation="refresh")
-    chain = new_chain(cfg)
+    chain = Chain(cfg)
     keys0 = {e.pubkey_bytes for e in chain.validator_set(0).entries}
     keys1 = {e.pubkey_bytes for e in chain.validator_set(1).entries}
     assert keys0.isdisjoint(keys1)
@@ -173,7 +172,7 @@ def test_refresh_rotation_changes_keys():
 
 def test_deterministic_header_sequences():
     cfg = ChainConfig(chain_id=1, epoch_size=3, weights=(1, 1), rotation="reweight", key_namespace="det")
-    a, b = new_chain(cfg), new_chain(cfg)
+    a, b = Chain(cfg), Chain(cfg)
     for chain in (a, b):
         for i in range(7):
             ctx = chain.make_tx(9, AssetPayload(token="T", amount=i))
@@ -191,7 +190,7 @@ def test_every_header_signature_verifies_over_epochs():
     cfg = ChainConfig(
         chain_id=6, epoch_size=3, weights=(2, 1, 1), rotation="reweight", key_namespace="all"
     )
-    chain = new_chain(cfg)
+    chain = Chain(cfg)
     for i in range(8):
         if i % 2:
             chain.submit_tx(chain.make_tx(7, AssetPayload(token="T", amount=i)))
@@ -206,8 +205,8 @@ def test_every_header_signature_verifies_over_epochs():
 
 def test_shared_clock_monotone_timestamps():
     clock = LogicalClock()
-    a = new_chain(ChainConfig(chain_id=1, epoch_size=5, weights=(1,)), clock)
-    b = new_chain(ChainConfig(chain_id=2, epoch_size=5, weights=(1,)), clock)
+    a = Chain(ChainConfig(chain_id=1, epoch_size=5, weights=(1,)), clock)
+    b = Chain(ChainConfig(chain_id=2, epoch_size=5, weights=(1,)), clock)
     a.produce_block()
     b.produce_block()
     stamps = [h.timestamp for h in a.headers] + [h.timestamp for h in b.headers]
@@ -223,7 +222,7 @@ def test_header_aggregate_equals_sum_of_signer_signatures(withhold):
     cfg = ChainConfig(
         chain_id=8, epoch_size=3, weights=(5, 3, 2, 1, 1), rotation="reweight", key_namespace="sum"
     )
-    chain = new_chain(cfg)
+    chain = Chain(cfg)
     if withhold is not None:
         chain.withhold_fraction(withhold)
     if withhold == 0.5:
@@ -253,7 +252,7 @@ def test_withhold_fault_outlives_epoch_boundaries(rotation):
     cfg = ChainConfig(
         chain_id=3, epoch_size=2, weights=(1, 1, 1, 1, 6, 6, 6, 6), rotation=rotation, key_namespace="wh"
     )
-    chain = new_chain(cfg)
+    chain = Chain(cfg)
     chain.withhold_fraction(0.1)
     for _ in range(8):
         chain.produce_block()

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from relaysim.chain import ChainConfig, new_chain
+from relaysim.chain import Chain, ChainConfig
 from relaysim.crypto import bn254, commitment
 from relaysim.crypto.commitment import (
     ValidatorEntry,
@@ -112,7 +112,7 @@ def _count_decodes(monkeypatch) -> Counter:
 
 
 def test_pubkeys_decode_each_key_once_across_identity_rotation(monkeypatch):
-    chain = new_chain(ChainConfig(chain_id=1, epoch_size=2, weights=(1, 2, 3)))
+    chain = Chain(ChainConfig(chain_id=1, epoch_size=2, weights=(1, 2, 3)))
     decoded = _count_decodes(monkeypatch)
     s0, s1 = chain.validator_set(0), chain.validator_set(1)
     assert s1.epoch == 1
@@ -133,7 +133,7 @@ def test_bad_key_encoding_raises_on_every_access(monkeypatch):
 
 
 def test_pubkeys_decode_each_key_once_across_reweight_rotation(monkeypatch):
-    chain = new_chain(ChainConfig(chain_id=1, epoch_size=2, weights=(1, 2, 3, 4), rotation="reweight"))
+    chain = Chain(ChainConfig(chain_id=1, epoch_size=2, weights=(1, 2, 3, 4), rotation="reweight"))
     decoded = _count_decodes(monkeypatch)
     sets = [chain.validator_set(epoch) for epoch in range(4)]
     assert len({tuple(e.weight for e in s.entries) for s in sets}) > 1  # the weights moved

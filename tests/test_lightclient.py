@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from relaysim import lightclient
-from relaysim.chain import AssetPayload, ChainConfig, MessagePayload, new_chain
+from relaysim.chain import AssetPayload, Chain, ChainConfig, MessagePayload
 from relaysim.crypto.bn254 import P, g1_neg
 from relaysim.crypto.commitment import commitment_digest
 from relaysim.lightclient import (
@@ -27,7 +27,7 @@ T23 = Fraction(2, 3)
 
 
 def _chain(n=4, epoch_size=4, rotation="identity", chain_id=1, ns="lc"):
-    return new_chain(
+    return Chain(
         ChainConfig(
             chain_id=chain_id,
             epoch_size=epoch_size,
@@ -166,7 +166,6 @@ def test_normal_update_rejects_insufficient_weight(gas_table):
     chain.withhold_fraction(0.5)  # 2 of 4 sign: below 2/3
     with pytest.raises(Exception):
         chain.produce_block()
-    chain.restore_all()
     chain.withhold_fraction(0.25)  # 3 of 4 sign: meets 2/3 exactly
     _, boundary = chain.produce_block()
     assert boundary.is_boundary
@@ -262,7 +261,7 @@ def test_hybrid_verify_perturbation_sweep(gas_table, backend):
 
 
 def _hundred_validator_workload(gas_table, backend):
-    chain = new_chain(
+    chain = Chain(
         ChainConfig(chain_id=9, epoch_size=10, weights=(1,) * 100, key_namespace="anchor")
     )
     conf, proof, header = _confirmed(chain, dest=10)
@@ -290,7 +289,7 @@ def test_update_gas_growth(gas_table, backend):
     normal_totals = {}
     hybrid_totals = {}
     for n in (4, 16, 64, 256):
-        chain = new_chain(
+        chain = Chain(
             ChainConfig(chain_id=3, epoch_size=2, weights=(1,) * n, key_namespace=f"mono{n}")
         )
         nstate = lc_setup(3, chain.validator_set(0), 2, T23, gas_table).state
@@ -498,7 +497,7 @@ def test_client_equivalence_randomized_suite(gas_table, backend):
     """Normal and hybrid clients agree on >= 500 honestly generated and
     tampered workloads, including across epoch rotations."""
     rng = random.Random(515)
-    chain = new_chain(
+    chain = Chain(
         ChainConfig(chain_id=4, epoch_size=3, weights=(1, 1, 2), rotation="reweight", key_namespace="eq")
     )
     nstate = lc_setup(4, chain.validator_set(0), 3, T23, gas_table).state

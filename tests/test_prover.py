@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from relaysim.chain import AssetPayload, ChainConfig, MessagePayload, new_chain
+from relaysim.chain import AssetPayload, Chain, ChainConfig, MessagePayload
 from relaysim.costs import baseline_gates, gate_report, split_gates
 from relaysim.crypto.hashes import SUPPORTED
 from relaysim.prover import (
@@ -26,7 +26,7 @@ PI1_SHA256 = "b31a336d45af3cb1e64b660cc024dc5dd0bfe13ccca0a0099f2d57be1f5bfb9a"
 
 
 def _chain(n=3, epoch_size=6, chain_id=1, ns="pv"):
-    return new_chain(
+    return Chain(
         ChainConfig(chain_id=chain_id, epoch_size=epoch_size, weights=(1,) * n, key_namespace=ns)
     )
 
@@ -225,7 +225,7 @@ def test_attestation_is_hmac_over_name_and_pi1():
 def test_check_statement_opens_commitments_under_witness_algorithm(algo, backend, counting_backend):
     """A chain commits under its own `hash_algo`; the witness carries that
     algorithm, and a witness naming any other one is refused."""
-    chain = new_chain(
+    chain = Chain(
         ChainConfig(
             chain_id=1, epoch_size=2, weights=(1, 1, 1), hash_algo=algo, key_namespace="algo"
         )

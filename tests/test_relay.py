@@ -20,7 +20,7 @@ from relaysim.relay import (
     end_to_end_relay,
 )
 from relaysim.lightclient import RejectReason
-from relaysim.trace import PIPELINE_STAGES, ctx_key_str
+from relaysim.trace import PIPELINE_STAGES
 
 
 def _env(backend, n_chains=3, epoch_size=10, rc_validators=4):
@@ -76,7 +76,7 @@ def test_payload_conservation_end_to_end(backend):
     finals = env.final_confirmations()
     for key in keys:
         assert finals[key].payload_bytes == env.submitted[key].payload.to_bytes()
-        stages = env.trace.stages_of(ctx_key_str(key))
+        stages = env.trace.stages_of(key)
         assert set(stages) == set(PIPELINE_STAGES), f"incomplete trace for {key}"
         times = [stages[s].time for s in PIPELINE_STAGES]
         assert times == sorted(times) and len(set(times)) == len(times)
@@ -136,10 +136,10 @@ def test_unknown_origin_rejected_without_aborting_round(backend):
     env.transmit(dc_replace(stray, kind="update"), env.rc_id)
     env.step()  # the environment's prover delivers the honest bundle
     assert env.rejections == [Rejection("confirm_rc", env.rc_id, key, RejectReason.EPOCH_GAP.value)]
-    assert "confirm_rc" in env.trace.stages_of(ctx_key_str(key))
+    assert "confirm_rc" in env.trace.stages_of(key)
     done, stalled = env.run_until_complete([key])
     assert done, stalled
-    assert "confirm_dc" in env.trace.stages_of(ctx_key_str(key))
+    assert "confirm_dc" in env.trace.stages_of(key)
 
 
 def test_relay_receive_idempotent_duplicate(backend):
@@ -220,7 +220,7 @@ def test_no_spontaneous_confirmation(backend):
     keys = [env.submit((i % 3) + 1, ((i + 1) % 3) + 1, MessagePayload(bytes([i]))) for i in range(20)]
     env.run_until_complete(keys)
     for key in keys:
-        stages = env.trace.stages_of(ctx_key_str(key))
+        stages = env.trace.stages_of(key)
         assert stages["confirm_sc"].time < stages["confirm_rc"].time
         assert stages["confirm_rc"].time < stages["confirm_dc"].time
 
