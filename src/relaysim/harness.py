@@ -29,7 +29,7 @@ from .chain import (
     ZERO32,
     quorum_reached,
 )
-from .costs import baseline_gates, hlc_setup_gas, lc_setup_gas, split_gates
+from .costs import baseline_gates, split_gates
 from .crypto import bls
 from .crypto.merkle import merkle_prove, merkle_root
 from .economics import DegradationReport, StakeLedger, degradation_report
@@ -44,7 +44,7 @@ from .prover import (
     ZkProof,
     statement_for_header,
 )
-from .relay import ICTX_TAG, HopRecord, RelayEnvironment, decode_ctx
+from .relay import ICTX_TAG, HopRecord, RelayEnvironment, decode_ctx, deployment_plan
 from .scenario import ProverSpec, Scenario, parse_dataset, synthetic_workload
 from .trace import ctx_key_str
 
@@ -654,13 +654,15 @@ def bench(scenario: Scenario, validators: int = 100) -> Dict:
     }
     deployment = []
     for n in range(2, 11):
+        pairwise = deployment_plan(n, "pairwise", table, validators)
+        relayed = deployment_plan(n, "relayed", table)
         deployment.append(
             {
                 "chains": n,
-                "pairwise_lcs": n * (n - 1),
-                "pairwise_gas": n * (n - 1) * lc_setup_gas(table, validators),
-                "relayed_lcs": 2 * n,
-                "relayed_gas": 2 * n * hlc_setup_gas(table),
+                "pairwise_lcs": pairwise.lc_instances,
+                "pairwise_gas": pairwise.deployment_gas,
+                "relayed_lcs": relayed.lc_instances,
+                "relayed_gas": relayed.deployment_gas,
             }
         )
     return {"gas": gas, "gates": gates, "deployment": deployment}

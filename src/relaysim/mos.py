@@ -2,22 +2,20 @@
 the pre-paid pricing model.
 
 Fees are charged once, at acceptance on the source chain, in integer minor
-units, and are not refunded on rejection. Message records advance
-monotonically along the pipeline; an optional JSON-lines journal makes runs
-auditable and replayable.
+units, and are not refunded on rejection. A message record keeps what
+`message_out` fixed and reads the message's progress from the trace.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, IO, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .chain import AssetPayload, Payload
 from .relay import ProofBundle, RelayEnvironment
-from .trace import TraceEvent, ctx_key_str
+from .trace import TraceLog, ctx_key_str
 
 
 class Status(Enum):
@@ -28,14 +26,7 @@ class Status(Enum):
     REJECTED = "rejected"
 
 
-_STATUS_RANK = {
-    Status.PENDING_SC: 0,
-    Status.CONFIRMED_SC: 1,
-    Status.CONFIRMED_RC: 2,
-    Status.CONFIRMED_DC: 3,
-    Status.REJECTED: 4,
-}
-
+# in pipeline order: the last stage reached names the status
 _STAGE_TO_STATUS = {
     "commit_sc": Status.PENDING_SC,
     "confirm_sc": Status.CONFIRMED_SC,
@@ -89,29 +80,41 @@ def compute_fee(amount: int, config: PricingConfig) -> int:
     return config.fee_cap
 
 
-@dataclass
+@dataclass(frozen=True)
 class MessageRecord:
+    """What `message_out` fixed about a message; its progress is read from
+    the trace."""
+
     key: Tuple[int, int]
     source_chain: int
     dest_chain: int
     fee: int
     fee_token: str
-    best: Status = Status.PENDING_SC
-    stage_times: Dict[str, int] = field(default_factory=dict)
-    reject_reason: Optional[str] = None
-    reject_time: Optional[int] = None
+    trace: TraceLog = field(repr=False, compare=False)
+
+    @property
+    def stage_times(self) -> Dict[str, int]:
+        return {stage: event.time for stage, event in self.trace.stages_of(self.key).items()}
+
+    @property
+    def reject_reason(self) -> Optional[str]:
+        rejection = self.trace.rejection_of(self.key)
+        return None if rejection is None else rejection.verdict.removeprefix("reject:")
 
     @property
     def status(self) -> Status:
-        """Rejected while a rejection is the latest word; pipeline progress by
-        an honest delivery supersedes it (at-least-once provers)."""
-        if (
-            self.reject_time is not None
-            and self.best is not Status.CONFIRMED_DC
-            and self.reject_time > max(self.stage_times.values(), default=-1)
-        ):
+        """The best stage reached, or rejected while a rejection is the
+        latest word; pipeline progress by an honest delivery supersedes it
+        (at-least-once provers)."""
+        stages = self.trace.stages_of(self.key)
+        rejection = self.trace.rejection_of(self.key)
+        if rejection is not None and rejection.time > max(e.time for e in stages.values()):
             return Status.REJECTED
-        return self.best
+        best = Status.PENDING_SC
+        for stage, status in _STAGE_TO_STATUS.items():
+            if stage in stages:
+                best = status
+        return best
 
     def to_dict(self) -> Dict:
         return {
@@ -133,39 +136,10 @@ class MosService:
     names `data_out`/`data_in`.
     """
 
-    def __init__(
-        self,
-        env: RelayEnvironment,
-        pricing: Optional[PricingConfig] = None,
-        journal: Optional[IO[str]] = None,
-    ):
+    def __init__(self, env: RelayEnvironment, pricing: Optional[PricingConfig] = None):
         self.env = env
         self.pricing = pricing if pricing is not None else PricingConfig()
         self.records: Dict[Tuple[int, int], MessageRecord] = {}
-        self._journal = journal
-        env.observers.append(self._on_event)
-
-    # -- event ingestion -------------------------------------------------------
-
-    def _on_event(self, event: TraceEvent) -> None:
-        record = self.records.get(event.key)
-        if record is None:
-            return
-        if event.verdict != "ok":
-            if record.best is not Status.CONFIRMED_DC:
-                record.reject_reason = event.verdict.removeprefix("reject:")
-                record.reject_time = event.time
-                self._journal_write(record)
-            return
-        record.stage_times[event.stage] = event.time
-        status = _STAGE_TO_STATUS.get(event.stage)
-        if status is not None and _STATUS_RANK[status] > _STATUS_RANK[record.best]:
-            record.best = status
-            self._journal_write(record)
-
-    def _journal_write(self, record: MessageRecord) -> None:
-        if self._journal is not None:
-            self._journal.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
 
     # -- service operations ------------------------------------------------------
 
@@ -178,33 +152,30 @@ class MosService:
         if fee_paid < required:
             raise InsufficientFee(f"fee {fee_paid} below required {required}")
         key = self.env.submit(source_chain, to_chain, payload)
-        record = MessageRecord(
+        self.records[key] = MessageRecord(
             key=key,
             source_chain=source_chain,
             dest_chain=to_chain,
             fee=required,
             fee_token=fee_token,
-            # submit() traced commit_sc before this record existed
-            stage_times={"commit_sc": self.env.trace.stages_of(key)["commit_sc"].time},
+            trace=self.env.trace,
         )
-        self.records[key] = record
-        self._journal_write(record)
         return key
 
     def message_in(self, chain_id: int, from_chain: int, bundle: ProofBundle) -> bytes:
-        """Deliver a receipt-proof bundle to the light client hosted on a chain.
+        """Deliver a receipt-proof bundle from `from_chain` to the light client
+        hosted on `chain_id`, through the scheduler's delivery step.
 
         Returns the hash of the converted cross-chain transaction; rejections
         surface in the message record status.
         """
-        ctx, result, _ = self.env.host(chain_id).receive(bundle)
+        if bundle.kind != "ctx":
+            raise ValueError(f"message_in takes a ctx bundle, not {bundle.kind!r}")
+        if bundle.origin_chain != from_chain:
+            raise ValueError(f"bundle comes from chain {bundle.origin_chain}, not {from_chain}")
+        ctx, _, _ = self.env.deliver(bundle, chain_id)
         if ctx is None:
             raise ValueError("bundle does not decode to a cross-chain transaction")
-        record = self.records.get(ctx.key)
-        if record is not None and not result.ok:
-            record.reject_reason = result.reason.value if result.reason else "rejected"
-            record.reject_time = self.env.clock.next()
-            self._journal_write(record)
         return ctx.tx_hash
 
     # contract-style aliases

@@ -15,7 +15,7 @@ depend on prover interleaving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import encoding
 from .chain import (
@@ -67,31 +67,14 @@ class HopRecord:
         record.end()
         return cls(tag, origin, decode_ctx(ctx_bytes))
 
-
-@dataclass(frozen=True)
-class IntermediateCtx:
-    ctx: CrossChainTx
-    origin_chain: int
-    rc_height: int
-    receipt: ReceiptMessage
-
     @property
     def key(self) -> Tuple[int, int]:
         return self.ctx.key
 
 
 @dataclass(frozen=True)
-class FinalConfirmation:
-    key: Tuple[int, int]
-    payload_bytes: bytes
-    dest_chain: int
-    dc_height: int
-
-
-@dataclass(frozen=True)
 class DeliveryReceipt:
     target: int
-    sequence: int
 
 
 @dataclass(frozen=True)
@@ -137,9 +120,9 @@ class LightClientHost:
     The relay chain hosts one client per source chain; each destination hosts
     one client of the relay chain. A host verifies a record delivered from a
     tracked chain against that chain's client, queues its own record of the
-    transaction for its next block, and sweeps its blocks for those records.
-    Subclasses state which record they read, which they write, and what a
-    swept record becomes.
+    transaction for its next block, and sweeps its blocks for those records,
+    keeping each swept record as the confirmation of its key. Subclasses
+    state which record they read and which they write.
 
     Subclasses bind `receive` and `resolve_confirmations` in their own class
     body: perfbench/probes.py wraps each class's own methods, which is how a
@@ -154,7 +137,7 @@ class LightClientHost:
         self.backend = backend
         self.clients: Dict[int, HybridLcState] = {}
         self.setup_receipts: Dict[int, GasReceipt] = {}
-        self.confirmations: Dict[Tuple[int, int], object] = {}
+        self.confirmations: Dict[Tuple[int, int], HopRecord] = {}
         self._accepted: set[Tuple[int, int]] = set()
         self._resolved_height = chain.height
 
@@ -212,18 +195,15 @@ class LightClientHost:
         self.chain.append_event(HopRecord(self.writes, origin, ctx))
         return ctx, result, True
 
-    def resolve_confirmations(self) -> list:
+    def resolve_confirmations(self) -> List[HopRecord]:
         """Collect this host's records confirmed by blocks not yet swept."""
         out = []
         while self._resolved_height < self.chain.height:
             self._resolved_height += 1
-            block = self.chain.block_at(self._resolved_height)
-            for receipt, record in zip(block.receipts, block.records):
-                if not _is_record(record, self.writes):
-                    continue
-                confirmed = self._confirmed(record, block.header.height, receipt)
-                self.confirmations[record.ctx.key] = confirmed
-                out.append(confirmed)
+            for record in self.chain.block_at(self._resolved_height).records:
+                if _is_record(record, self.writes):
+                    self.confirmations[record.key] = record
+                    out.append(record)
         return out
 
     def _misrouted(self, ctx: CrossChainTx) -> bool:
@@ -242,12 +222,6 @@ class RelayChain(LightClientHost):
     def _read(bundle: ProofBundle) -> Tuple[int, CrossChainTx]:
         return bundle.origin_chain, decode_ctx(bundle.receipt_payload or b"")
 
-    @staticmethod
-    def _confirmed(record: HopRecord, height: int, receipt: ReceiptMessage) -> IntermediateCtx:
-        return IntermediateCtx(
-            ctx=record.ctx, origin_chain=record.origin_chain, rc_height=height, receipt=receipt
-        )
-
 
 class DestinationHost(LightClientHost):
     """A destination chain hosting the relay chain's light client. It reads
@@ -264,14 +238,6 @@ class DestinationHost(LightClientHost):
 
     def _misrouted(self, ctx: CrossChainTx) -> bool:
         return ctx.dest_chain != self.chain.config.chain_id
-
-    def _confirmed(self, record: HopRecord, height: int, receipt: ReceiptMessage) -> FinalConfirmation:
-        return FinalConfirmation(
-            key=record.ctx.key,
-            payload_bytes=record.ctx.payload.to_bytes(),
-            dest_chain=self.chain.config.chain_id,
-            dc_height=height,
-        )
 
 
 def _is_record(record, tag: bytes) -> bool:
@@ -323,11 +289,9 @@ class RelayEnvironment:
         self.trace = TraceLog()
         self.receipts_log: List[dict] = []
         self.rejections: List[Rejection] = []
-        self.observers: List[Callable[[TraceEvent], None]] = []
         self.submitted: Dict[Tuple[int, int], CrossChainTx] = {}
         self._inbox: Dict[int, List[ProofBundle]] = {self.rc_id: []}
         self._pending_rc_gas: Dict[Tuple[int, int], int] = {}
-        self._seq = 0
         self.round = 0
 
     # -- wiring ---------------------------------------------------------------
@@ -381,8 +345,7 @@ class RelayEnvironment:
         if target not in self._inbox:
             raise ValueError(f"unknown transmit target {target}")
         self._inbox[target].append(bundle)
-        self._seq += 1
-        return DeliveryReceipt(target=target, sequence=self._seq)
+        return DeliveryReceipt(target=target)
 
     # -- bookkeeping --------------------------------------------------------------
 
@@ -390,11 +353,9 @@ class RelayEnvironment:
         self, key, stage: str, chain: int, gas: Optional[int] = None, verdict: str = "ok", once: bool = True
     ) -> None:
         """Trace `stage` of `key` at the next tick; with `once`, a stage `key`
-        already reached reaches neither the log nor the observers again."""
+        already reached is not logged again."""
         event = TraceEvent(key=key, stage=stage, time=self.clock.next(), chain=chain, verdict=verdict, gas=gas)
-        if self.trace.record(event, once):
-            for observer in self.observers:
-                observer(event)
+        self.trace.record(event, once)
 
     def _log_receipt(self, context: str, chain_id: int, receipt: GasReceipt) -> None:
         entry = {"context": context, "chain": chain_id}
@@ -487,32 +448,42 @@ class RelayEnvironment:
                 self.transmit(prover.ctx_bundle(self.rc.chain, conf), ctx.dest_chain)
                 self._record(ctx.key, "prove_rc", self.rc_id)
 
-    def _drain(self, host_id: int) -> None:
-        """Apply a host's inbox in bundle order, then produce its next block
-        and trace the records that block confirms."""
+    def deliver(self, bundle: ProofBundle, host_id: int) -> Optional[Delivery]:
+        """Apply one bundle at the host on `host_id` and log its outcome: an
+        accepted update's receipt, a fresh verification's receipt (its gas is
+        traced with `confirm_rc` at the relay, as `verify_dc` at a
+        destination), or a rejection. Returns the host's (ctx, verify result,
+        fresh) for a ctx bundle and None for an update."""
         host = self.host(host_id)
         at_relay = host_id == self.rc_id
+        if bundle.kind == "update":
+            update = host.receive_update(bundle)
+            if update.accepted:
+                self._log_receipt("hlc_update", host_id, update.receipt)
+            elif update.reason != RejectReason.EPOCH_GAP:
+                self._reject("update_rc" if at_relay else "update_dc", host_id, None, update.reason)
+            return None
+        ctx, result, fresh = delivery = host.receive(bundle)
+        key = ctx.key if ctx is not None else None
+        if not result.ok:
+            self._reject("confirm_rc" if at_relay else "verify_dc", host_id, key, result.reason)
+        elif fresh:
+            self._log_receipt("hlc_verify", host_id, result.receipt)
+            if at_relay:
+                self._pending_rc_gas[key] = result.receipt.total
+                self._log_gate_report(bundle)
+            else:
+                self._record(key, "verify_dc", host_id, gas=result.receipt.total)
+        return delivery
+
+    def _drain(self, host_id: int) -> None:
+        """Deliver a host's inbox in bundle order, then produce its next block
+        and trace the records that block confirms."""
         bundles = sorted(self._inbox[host_id], key=self._bundle_order)
         self._inbox[host_id].clear()
         for bundle in bundles:
-            if bundle.kind == "update":
-                result = host.receive_update(bundle)
-                if result.accepted:
-                    self._log_receipt("hlc_update", host_id, result.receipt)
-                elif result.reason != RejectReason.EPOCH_GAP:
-                    self._reject("update_rc" if at_relay else "update_dc", host_id, None, result.reason)
-                continue
-            ctx, result, fresh = host.receive(bundle)
-            key = ctx.key if ctx is not None else None
-            if not result.ok:
-                self._reject("confirm_rc" if at_relay else "verify_dc", host_id, key, result.reason)
-            elif fresh:
-                self._log_receipt("hlc_verify", host_id, result.receipt)
-                if at_relay:
-                    self._pending_rc_gas[key] = result.receipt.total
-                    self._log_gate_report(bundle)
-                else:
-                    self._record(key, "verify_dc", host_id, gas=result.receipt.total)
+            self.deliver(bundle, host_id)
+        host = self.host(host_id)
         if host.chain.pending_count:
             try:
                 host.chain.produce_block()
@@ -539,8 +510,8 @@ class RelayEnvironment:
 
     # -- invariant helpers ------------------------------------------------------------
 
-    def final_confirmations(self) -> Dict[Tuple[int, int], FinalConfirmation]:
-        out: Dict[Tuple[int, int], FinalConfirmation] = {}
+    def final_confirmations(self) -> Dict[Tuple[int, int], HopRecord]:
+        out: Dict[Tuple[int, int], HopRecord] = {}
         for host in self.hosts.values():
             out.update(host.confirmations)
         return out
@@ -550,7 +521,7 @@ class RelayEnvironment:
         bad = []
         for key, record in self.final_confirmations().items():
             submitted = self.submitted.get(key)
-            if submitted is None or submitted.payload.to_bytes() != record.payload_bytes:
+            if submitted is None or submitted.payload.to_bytes() != record.ctx.payload.to_bytes():
                 bad.append(key)
         return sorted(bad)
 

@@ -50,20 +50,25 @@ class TraceEvent:
 
 class TraceLog:
     """The event log, with an index of each key's accepted (`"ok"`) events
-    by stage, filled as events are recorded."""
+    by stage and of its latest rejection in flight, filled as events are
+    recorded."""
 
     def __init__(self):
         self.events: List[TraceEvent] = []
         self._accepted: Dict[Key, Dict[str, TraceEvent]] = {}
+        self._rejected: Dict[Key, TraceEvent] = {}
 
     def record(self, event: TraceEvent, once: bool = False) -> bool:
         """Append `event` and return True. With `once`, drop it instead and
         return False when an accepted event of its (key, stage) is logged."""
-        if once and event.stage in self.stages_of(event.key):
+        stages = self.stages_of(event.key)
+        if once and event.stage in stages:
             return False
         self.events.append(event)
         if event.verdict == "ok":
             self._accepted.setdefault(event.key, {})[event.stage] = event
+        elif stages and "confirm_dc" not in stages:  # the key is in flight
+            self._rejected[event.key] = event
         return True
 
     def for_key(self, key: Key) -> List[TraceEvent]:
@@ -72,6 +77,11 @@ class TraceLog:
     def stages_of(self, key: Key) -> Mapping[str, TraceEvent]:
         """The latest accepted event of each stage `key` reached."""
         return self._accepted.get(key, {})
+
+    def rejection_of(self, key: Key) -> Optional[TraceEvent]:
+        """The latest rejection of `key` logged after its first accepted
+        event and before its accepted `confirm_dc`, if any."""
+        return self._rejected.get(key)
 
     def completed_keys(self) -> List[str]:
         """Keys with an accepted final confirmation, as sorted `"o:n"` strings."""

@@ -210,8 +210,8 @@ def test_fault_isolation_tampering_prover_changes_nothing():
     for key in control_keys:
         c = control.env.final_confirmations()
         e = experiment.env.final_confirmations()
-        assert {k: v.payload_bytes for k, v in c.items()} == {
-            k: v.payload_bytes for k, v in e.items()
+        assert {k: v.ctx.payload.to_bytes() for k, v in c.items()} == {
+            k: v.ctx.payload.to_bytes() for k, v in e.items()
         }
 
 

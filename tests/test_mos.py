@@ -1,13 +1,13 @@
 """Omnichain service: the pre-paid fee model, message records, inquiry."""
 
-import io
-import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaysim import harness
 from relaysim.chain import AssetPayload, ChainConfig, MessagePayload
 from relaysim.mos import (
     InsufficientFee,
@@ -19,6 +19,7 @@ from relaysim.mos import (
 )
 from relaysim.prover import Prover
 from relaysim.relay import RelayEnvironment
+from relaysim.scenario import default_scenario, synthetic_workload
 
 CFG = PricingConfig(k=Fraction(1, 40), base_fee_rc=1, base_fee_dc=1, fee_cap=1000)
 
@@ -156,19 +157,39 @@ def test_inquire_unknown_key(backend):
         mos.inquire((9, 9))
 
 
+def _source_bundle(env, backend):
+    """An honest bundle for the first transaction confirmed on chain 1."""
+    env._produce_source_blocks()
+    observer = Prover("obs", backend)
+    conf = observer.monitor(env.chains[1])[0]
+    return observer.ctx_bundle(env.chains[1], conf)
+
+
 def test_message_in_honest_and_idempotent(backend):
     env = _env(backend)
     mos = MosService(env, CFG)
     key = mos.message_out(1, 2, AssetPayload(token="T", amount=5), "MAPO", fee_paid=2)
-    env._produce_source_blocks()
-    observer = Prover("obs", backend)
-    conf = observer.monitor(env.chains[1])[0]
-    bundle = observer.ctx_bundle(env.chains[1], conf)
+    bundle = _source_bundle(env, backend)
     tx_hash = mos.message_in(100, 1, bundle)
     assert tx_hash == env.submitted[key].tx_hash
     assert env.rc.chain.pending_count == 1
     mos.message_in(100, 1, bundle)  # replay: no extra relay inclusion
     assert env.rc.chain.pending_count == 1
+
+
+def test_message_in_takes_the_scheduler_delivery_step(backend):
+    """A bundle delivered through `message_in` is logged as a scheduled one
+    is: its `hlc_verify` receipt at the relay chain, whose gas the key's
+    `confirm_rc` event carries."""
+    env = _env(backend)
+    mos = MosService(env, CFG)
+    key = mos.message_out(1, 2, AssetPayload(token="T", amount=5), "MAPO", fee_paid=2)
+    mos.message_in(100, 1, _source_bundle(env, backend))
+    done, _ = env.run_until_complete([key])
+    assert done
+    verifies = [e for e in env.receipts_log if e["context"] == "hlc_verify" and e["chain"] == 100]
+    assert len(verifies) == 1
+    assert env.trace.stages_of(key)["confirm_rc"].gas == verifies[0]["total"]
 
 
 def test_message_in_forged_bundle_recorded(backend):
@@ -177,18 +198,137 @@ def test_message_in_forged_bundle_recorded(backend):
     env = _env(backend)
     mos = MosService(env, CFG)
     key = mos.message_out(1, 2, AssetPayload(token="T", amount=5), "MAPO", fee_paid=2)
-    env._produce_source_blocks()
-    observer = Prover("obs", backend)
-    conf = observer.monitor(env.chains[1])[0]
-    bundle = observer.ctx_bundle(env.chains[1], conf)
+    bundle = _source_bundle(env, backend)
     forged = dc_replace(bundle, merkle_proof=dc_replace(bundle.merkle_proof, root=bytes(32)))
     mos.message_in(100, 1, forged)
     record = mos.inquire(key)
     assert record.status == Status.REJECTED
     assert record.reject_reason == "merkle-fail"
+    # logged as the scheduler logs a rejection at the relay chain
+    assert [(r.stage, r.chain, r.key, r.reason) for r in env.rejections] == [
+        ("confirm_rc", 100, key, "merkle-fail")
+    ]
+    last = env.trace.events[-1]
+    assert (last.key, last.stage, last.verdict) == (key, "confirm_rc", "reject:merkle-fail")
     # an honest delivery afterwards still completes the pipeline
     env.run_until_complete([key])
     assert mos.inquire(key).status == Status.CONFIRMED_DC
+
+
+def test_message_in_refuses_a_bundle_from_another_chain(backend):
+    env = _env(backend)
+    mos = MosService(env, CFG)
+    mos.message_out(1, 2, AssetPayload(token="T", amount=5), "MAPO", fee_paid=2)
+    bundle = _source_bundle(env, backend)
+    events = len(env.trace.events)
+    with pytest.raises(ValueError):
+        mos.message_in(100, 2, bundle)
+    assert env.rc.chain.pending_count == 0
+    assert len(env.trace.events) == events and env.rejections == []
+
+
+def test_message_in_refuses_an_update_bundle(backend):
+    """An update bundle is refused before it reaches the light client."""
+    env = _env(backend)
+    mos = MosService(env, CFG)
+    chain = env.chains[1]
+    while chain.height < chain.config.epoch_size:
+        chain.produce_block()
+    header = Prover("obs", backend).new_boundaries(chain)[-1]
+    update = Prover("obs", backend).update_bundle(chain, header)
+    client = env.rc.clients[1]
+    with pytest.raises(ValueError):
+        mos.message_in(100, 1, update)
+    assert env.rc.clients[1] is client
+    assert all(e["context"] != "hlc_update" for e in env.receipts_log)
+
+
+# the service's former observer rule, kept as the reference for the records
+_RANK = {Status.PENDING_SC: 0, Status.CONFIRMED_SC: 1, Status.CONFIRMED_RC: 2, Status.CONFIRMED_DC: 3}
+_STAGE_STATUS = {
+    "commit_sc": Status.PENDING_SC,
+    "confirm_sc": Status.CONFIRMED_SC,
+    "confirm_rc": Status.CONFIRMED_RC,
+    "confirm_dc": Status.CONFIRMED_DC,
+}
+
+
+def _fold_observer_rule(mos):
+    """Each record's progress as the observer built it, event by event from
+    its `commit_sc` on."""
+    state = {}
+    for event in mos.env.trace.events:
+        if event.key not in mos.records:
+            continue
+        ref = state.get(event.key)
+        if ref is None:
+            if event.stage == "commit_sc" and event.verdict == "ok":
+                state[event.key] = {"best": Status.PENDING_SC, "times": {"commit_sc": event.time},
+                                    "reason": None, "reject_time": None}
+            continue
+        if event.verdict != "ok":
+            if ref["best"] is not Status.CONFIRMED_DC:
+                ref["reason"] = event.verdict.removeprefix("reject:")
+                ref["reject_time"] = event.time
+            continue
+        ref["times"][event.stage] = event.time
+        status = _STAGE_STATUS.get(event.stage)
+        if status is not None and _RANK[status] > _RANK[ref["best"]]:
+            ref["best"] = status
+    out = {}
+    for key, ref in state.items():
+        status = ref["best"]
+        if (
+            ref["reject_time"] is not None
+            and status is not Status.CONFIRMED_DC
+            and ref["reject_time"] > max(ref["times"].values())
+        ):
+            status = Status.REJECTED
+        out[key] = (status.value, dict(sorted(ref["times"].items())), ref["reason"])
+    return out
+
+
+def test_records_match_the_observer_rule_under_forgeries():
+    """Forged bundles reach the relay inbox in the same round as the honest
+    ones, so recorded keys see rejections before and after `confirm_dc`;
+    one round in three the relay chain withholds its block, so a rejection
+    can stay the latest word past the end of a round. After every round
+    each record equals the observer rule folded over the trace."""
+    scenario = default_scenario(seed=5, count=60)
+    env, mos = harness.build_environment(scenario)
+    corpus = harness.ForgeryCorpus(env, random.Random(5))
+    strategies = ("payload-mutation", "proof-reuse", "header-forgery")
+    produce_source_blocks = env._produce_source_blocks
+
+    def produce_then_forge():
+        produce_source_blocks()
+        corpus.harvest(corpus.live)
+        for i in range(20 if corpus.live else 0):
+            env.transmit(corpus.forge(strategies[i % len(strategies)]), env.rc_id)
+
+    env._produce_source_blocks = produce_then_forge
+    stream = synthetic_workload(scenario)
+    seen = set()
+    for round_ in range(12):
+        for src, dst, payload in stream[round_ * 6 : (round_ + 1) * 6]:
+            mos.message_out(src, dst, payload, "MAPO", fee_paid=10**6)
+        env.rc.chain.withhold_fraction(0.5 if round_ % 3 == 1 else 0.0)
+        env.step()
+        expected = _fold_observer_rule(mos)
+        assert set(expected) == set(mos.records)
+        for key, record in mos.records.items():
+            row = record.to_dict()
+            assert (row["status"], row["stage_times"], row["reject_reason"]) == expected[key]
+            seen.add(record.status)
+    assert Status.REJECTED in seen and Status.CONFIRMED_DC in seen
+
+    def before_final(event):
+        final = env.trace.stages_of(event.key).get("confirm_dc")
+        return final is None or event.time < final.time
+
+    rejections = [e for e in env.trace.events if e.key in mos.records and e.verdict != "ok"]
+    assert any(before_final(e) for e in rejections)
+    assert not all(before_final(e) for e in rejections)
 
 
 def test_status_never_regresses(backend):
@@ -210,19 +350,6 @@ def test_status_never_regresses(backend):
         pipeline = [s for s in seen if s is not Status.REJECTED]
         assert all(rank[a] <= rank[b] for a, b in zip(pipeline, pipeline[1:]))
         assert pipeline[-1] == Status.CONFIRMED_DC
-
-
-def test_journal_is_append_only_json(backend):
-    env = _env(backend)
-    journal = io.StringIO()
-    mos = MosService(env, CFG, journal=journal)
-    key = mos.message_out(1, 2, MessagePayload(b"log"), "MAPO", fee_paid=2)
-    env.run_until_complete([key])
-    lines = [json.loads(line) for line in journal.getvalue().splitlines()]
-    assert lines, "journal must record transitions"
-    assert lines[-1]["status"] == "confirmed-DC"
-    statuses = [l["status"] for l in lines]
-    assert statuses[0] == "pending-SC"
 
 
 def test_data_out_alias(backend):

@@ -75,7 +75,7 @@ def test_payload_conservation_end_to_end(backend):
     assert env.payload_conservation_violations() == []
     finals = env.final_confirmations()
     for key in keys:
-        assert finals[key].payload_bytes == env.submitted[key].payload.to_bytes()
+        assert finals[key].ctx.payload.to_bytes() == env.submitted[key].payload.to_bytes()
         stages = env.trace.stages_of(key)
         assert set(stages) == set(PIPELINE_STAGES), f"incomplete trace for {key}"
         times = [stages[s].time for s in PIPELINE_STAGES]

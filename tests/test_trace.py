@@ -1,5 +1,6 @@
-"""Trace log: the per-key index of accepted stages against a rescan of the
-event log, the `once` rule, and the `"o:n"` form keys take in artifacts."""
+"""Trace log: the per-key index of accepted stages and of the latest
+rejection in flight against a rescan of the event log, the `once` rule, and
+the `"o:n"` form keys take in artifacts."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +23,8 @@ _rows = st.lists(
 def test_index_matches_a_rescan_of_the_log(rows):
     """A `once` event is dropped exactly when an accepted event of the same
     (key, stage) is already logged; a rejection never blocks a later accepted
-    event. `stages_of` and `completed_keys` equal a rescan of `events`."""
+    event. `stages_of`, `rejection_of` and `completed_keys` equal a rescan
+    of `events`."""
     log = TraceLog()
     kept, dropped, expected_dropped = [], [], []
     for time, (key, stage, verdict, once) in enumerate(rows):
@@ -39,6 +41,13 @@ def test_index_matches_a_rescan_of_the_log(rows):
         rescan = {e.stage: e for e in log.events if e.key == key and e.verdict == "ok"}
         assert dict(log.stages_of(key)) == rescan
         assert log.for_key(key) == [e for e in kept if e.key == key]
+        in_flight = None  # latest rejection after a first acceptance, before confirm_dc
+        for i, e in enumerate(log.events):
+            earlier = [x for x in log.events[:i] if x.key == key and x.verdict == "ok"]
+            if e.key == key and e.verdict != "ok" and earlier:
+                if all(x.stage != "confirm_dc" for x in earlier):
+                    in_flight = e
+        assert log.rejection_of(key) == in_flight
     assert log.completed_keys() == sorted(
         {ctx_key_str(e.key) for e in log.events if e.stage == "confirm_dc" and e.verdict == "ok"}
     )
