@@ -1,10 +1,11 @@
 """BLS signatures over BN254: signatures in G1, public keys in G2.
 
 Keys are derived deterministically from seeds so simulation runs are
-reproducible. Verification goes through an LRU cache keyed on compressed
-encodings; the boolean outcome is pure, so caching repeated checks of the
-same header is sound. An encoding keeps only x and a sign bit, so points
-are checked on their curves before they are encoded.
+reproducible. Verification goes through an LRU cache keyed on the points
+themselves, their affine coordinates; the boolean outcome is a pure
+function of them, so caching repeated checks of the same header is sound.
+Points are checked on their curves before they reach the cache, so no
+pairing is ever computed on an off-curve point.
 
 A block is signed once, with the summed secret of its available signers.
 Every signature on one message is a multiple of the same point H(m), which
@@ -86,18 +87,12 @@ def aggregate_pubkeys(pubkeys: Sequence[G2Point], bitmap: Sequence[bool]) -> G2P
 
 
 @lru_cache(maxsize=16384)
-def _pairing_equal_cached(sig_bytes: bytes, point_bytes: bytes, apk_bytes: bytes) -> bool:
-    sig = bn254.g1_from_bytes(sig_bytes)
-    point = bn254.g1_from_bytes(point_bytes)
-    apk = bn254.g2_from_bytes(apk_bytes)
+def _pairing_equal_cached(sig: G1Point, point: G1Point, apk: G2Point) -> bool:
     return bn254.pairing(sig, bn254.G2_GEN) == bn254.pairing(point, apk)
 
 
 @lru_cache(maxsize=16384)
-def _pairing_product_cached(sig_bytes: bytes, point_bytes: bytes, apk_bytes: bytes) -> bool:
-    sig = bn254.g1_from_bytes(sig_bytes)
-    point = bn254.g1_from_bytes(point_bytes)
-    apk = bn254.g2_from_bytes(apk_bytes)
+def _pairing_product_cached(sig: G1Point, point: G1Point, apk: G2Point) -> bool:
     return bn254.pairing_check([(bn254.g1_neg(sig), bn254.G2_GEN), (point, apk)])
 
 
@@ -113,18 +108,14 @@ def verify_at_point(apk: G2Point, message_point: G1Point, signature: G1Point) ->
     """Check e(sig, g2) == e(point, apk) with a precomputed message point."""
     if not _points_valid(apk, message_point, signature):
         return False
-    return _pairing_equal_cached(
-        bn254.g1_to_bytes(signature), bn254.g1_to_bytes(message_point), bn254.g2_to_bytes(apk)
-    )
+    return _pairing_equal_cached(signature, message_point, apk)
 
 
 def verify_product(apk: G2Point, message_point: G1Point, signature: G1Point) -> bool:
     """Same predicate as verify_at_point via the product-of-pairings route."""
     if not _points_valid(apk, message_point, signature):
         return False
-    return _pairing_product_cached(
-        bn254.g1_to_bytes(signature), bn254.g1_to_bytes(message_point), bn254.g2_to_bytes(apk)
-    )
+    return _pairing_product_cached(signature, message_point, apk)
 
 
 def verify_aggregate(apk: G2Point, message: bytes, signature: G1Point) -> bool:

@@ -6,13 +6,19 @@ as the identity. G1 is the prime-order curve y^2 = x^3 + 3 over Fp (cofactor
 one), G2 the order-r subgroup of the sextic twist over Fp2. Signatures live
 in G1, public keys in G2.
 
-The pairing's Miller loop keeps its running point on the twist and
-multiplies by sparse line values (Beuchat et al. 2010); the final
-exponentiation squares in the cyclotomic subgroup (Granger-Scott 2010).
+The pairing's Miller loop is a line schedule for its G2 argument, built
+once per point with the running point on the twist and kept in a small LRU
+cache keyed on the point's affine coordinates (Costello-Stebila 2010), and
+the evaluation of that schedule at the G1 argument as sparse line values
+(Beuchat et al. 2010). Fp6 and Fp12 products and squarings work on the int
+coordinates and reduce once per output coordinate (Aranha et al. 2011). The
+final exponentiation squares in the cyclotomic subgroup (Granger-Scott 2010)
+and raises to U over U's signed (NAF) digits, inverting by conjugation.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 # Curve parameters. p and r are the base-field and group orders generated by
@@ -124,10 +130,6 @@ FP6_ZERO: Fp6 = (FP2_ZERO, FP2_ZERO, FP2_ZERO)
 FP6_ONE: Fp6 = (FP2_ONE, FP2_ZERO, FP2_ZERO)
 
 
-def fp6_add(a: Fp6, b: Fp6) -> Fp6:
-    return (fp2_add(a[0], b[0]), fp2_add(a[1], b[1]), fp2_add(a[2], b[2]))
-
-
 def fp6_sub(a: Fp6, b: Fp6) -> Fp6:
     return (fp2_sub(a[0], b[0]), fp2_sub(a[1], b[1]), fp2_sub(a[2], b[2]))
 
@@ -136,16 +138,43 @@ def fp6_neg(a: Fp6) -> Fp6:
     return (fp2_neg(a[0]), fp2_neg(a[1]), fp2_neg(a[2]))
 
 
+def _fp6_mul_raw(a, b):
+    """a * b for a = A0 + A1 v + A2 v^2 written as the six ints (A0.re, A0.im,
+    A1.re, A1.im, A2.re, A2.im), b likewise; Karatsuba over Fp6 and over Fp2,
+    18 int products. Inputs may be unreduced; so is the result, which the
+    caller reduces once per output coordinate."""
+    a0, a1, a2, a3, a4, a5 = a
+    b0, b1, b2, b3, b4, b5 = b
+    m, n = a0 * b0, a1 * b1
+    t0r, t0i = m - n, (a0 + a1) * (b0 + b1) - m - n
+    m, n = a2 * b2, a3 * b3
+    t1r, t1i = m - n, (a2 + a3) * (b2 + b3) - m - n
+    m, n = a4 * b4, a5 * b5
+    t2r, t2i = m - n, (a4 + a5) * (b4 + b5) - m - n
+    # T_i = A_i B_i; coefficient 0 is T0 + xi ((A1 + A2)(B1 + B2) - T1 - T2)
+    x0, x1, y0, y1 = a2 + a4, a3 + a5, b2 + b4, b3 + b5
+    m, n = x0 * y0, x1 * y1
+    sr = m - n - t1r - t2r
+    si = (x0 + x1) * (y0 + y1) - m - n - t1i - t2i
+    c0, c1 = t0r + 9 * sr - si, t0i + 9 * si + sr
+    # coefficient 1: (A0 + A1)(B0 + B1) - T0 - T1 + xi T2
+    x0, x1, y0, y1 = a0 + a2, a1 + a3, b0 + b2, b1 + b3
+    m, n = x0 * y0, x1 * y1
+    c2 = m - n - t0r - t1r + 9 * t2r - t2i
+    c3 = (x0 + x1) * (y0 + y1) - m - n - t0i - t1i + 9 * t2i + t2r
+    # coefficient 2: (A0 + A2)(B0 + B2) - T0 - T2 + T1
+    x0, x1, y0, y1 = a0 + a4, a1 + a5, b0 + b4, b1 + b5
+    m, n = x0 * y0, x1 * y1
+    c4 = m - n - t0r - t2r + t1r
+    c5 = (x0 + x1) * (y0 + y1) - m - n - t0i - t2i + t1i
+    return c0, c1, c2, c3, c4, c5
+
+
 def fp6_mul(a: Fp6, b: Fp6) -> Fp6:
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    t0 = fp2_mul(a0, b0)
-    t1 = fp2_mul(a1, b1)
-    t2 = fp2_mul(a2, b2)
-    c0 = fp2_add(t0, fp2_mul_xi(fp2_sub(fp2_mul(fp2_add(a1, a2), fp2_add(b1, b2)), fp2_add(t1, t2))))
-    c1 = fp2_add(fp2_sub(fp2_mul(fp2_add(a0, a1), fp2_add(b0, b1)), fp2_add(t0, t1)), fp2_mul_xi(t2))
-    c2 = fp2_add(fp2_sub(fp2_mul(fp2_add(a0, a2), fp2_add(b0, b2)), fp2_add(t0, t2)), t1)
-    return (c0, c1, c2)
+    (a0, a1), (a2, a3), (a4, a5) = a
+    (b0, b1), (b2, b3), (b4, b5) = b
+    c0, c1, c2, c3, c4, c5 = _fp6_mul_raw((a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5))
+    return ((c0 % P, c1 % P), (c2 % P, c3 % P), (c4 % P, c5 % P))
 
 
 def fp6_sqr(a: Fp6) -> Fp6:
@@ -177,21 +206,54 @@ def fp6_inv(a: Fp6) -> Fp6:
 FP12_ONE: Fp12 = (FP6_ONE, FP6_ZERO)
 
 
+def _fp12_karatsuba(t, u, s) -> Fp12:
+    """(t + v u) + (s - t - u) w, reduced, from the unreduced Fp6 products
+    t = a0 b0, u = a1 b1 and s = (a0 + a1)(b0 + b1) of a Karatsuba Fp12
+    product (w^2 = v); v (u0, u1, u2) = (xi u2, u0, u1)."""
+    t0, t1, t2, t3, t4, t5 = t
+    u0, u1, u2, u3, u4, u5 = u
+    s0, s1, s2, s3, s4, s5 = s
+    return (
+        ((t0 + 9 * u4 - u5) % P, (t1 + 9 * u5 + u4) % P),
+        ((t2 + u0) % P, (t3 + u1) % P),
+        ((t4 + u2) % P, (t5 + u3) % P),
+    ), (
+        ((s0 - t0 - u0) % P, (s1 - t1 - u1) % P),
+        ((s2 - t2 - u2) % P, (s3 - t3 - u3) % P),
+        ((s4 - t4 - u4) % P, (s5 - t5 - u5) % P),
+    )
+
+
 def fp12_mul(a: Fp12, b: Fp12) -> Fp12:
-    a0, a1 = a
-    b0, b1 = b
-    t0 = fp6_mul(a0, b0)
-    t1 = fp6_mul(a1, b1)
-    c1 = fp6_sub(fp6_mul(fp6_add(a0, a1), fp6_add(b0, b1)), fp6_add(t0, t1))
-    c0 = fp6_add(t0, fp6_mul_v(t1))
-    return (c0, c1)
+    ((a0, a1), (a2, a3), (a4, a5)), ((a6, a7), (a8, a9), (a10, a11)) = a
+    ((b0, b1), (b2, b3), (b4, b5)), ((b6, b7), (b8, b9), (b10, b11)) = b
+    return _fp12_karatsuba(
+        _fp6_mul_raw((a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5)),
+        _fp6_mul_raw((a6, a7, a8, a9, a10, a11), (b6, b7, b8, b9, b10, b11)),
+        _fp6_mul_raw(
+            (a0 + a6, a1 + a7, a2 + a8, a3 + a9, a4 + a10, a5 + a11),
+            (b0 + b6, b1 + b7, b2 + b8, b3 + b9, b4 + b10, b5 + b11),
+        ),
+    )
 
 
 def fp12_sqr(a: Fp12) -> Fp12:
-    a0, a1 = a
-    t = fp6_mul(a0, a1)
-    c0 = fp6_sub(fp6_mul(fp6_add(a0, a1), fp6_add(a0, fp6_mul_v(a1))), fp6_add(t, fp6_mul_v(t)))
-    return (c0, fp6_add(t, t))
+    # (a0 + a1 w)^2 = ((a0 + a1)(a0 + v a1) - t - v t) + 2t w, t = a0 a1
+    ((a0, a1), (a2, a3), (a4, a5)), ((a6, a7), (a8, a9), (a10, a11)) = a
+    t0, t1, t2, t3, t4, t5 = _fp6_mul_raw((a0, a1, a2, a3, a4, a5), (a6, a7, a8, a9, a10, a11))
+    s0, s1, s2, s3, s4, s5 = _fp6_mul_raw(
+        (a0 + a6, a1 + a7, a2 + a8, a3 + a9, a4 + a10, a5 + a11),
+        (a0 + 9 * a10 - a11, a1 + 9 * a11 + a10, a2 + a6, a3 + a7, a4 + a8, a5 + a9),
+    )
+    return (
+        ((s0 - t0 - 9 * t4 + t5) % P, (s1 - t1 - 9 * t5 - t4) % P),
+        ((s2 - t2 - t0) % P, (s3 - t3 - t1) % P),
+        ((s4 - t4 - t2) % P, (s5 - t5 - t3) % P),
+    ), (
+        (2 * t0 % P, 2 * t1 % P),
+        (2 * t2 % P, 2 * t3 % P),
+        (2 * t4 % P, 2 * t5 % P),
+    )
 
 
 def fp12_conj(a: Fp12) -> Fp12:
@@ -472,62 +534,98 @@ def g2_base_mul(k: int) -> G2Point:
 
 
 # ---------------------------------------------------------------------------
-# Optimal ate pairing. The Miller loop keeps T in affine coordinates on the
-# twist over Fp2. Under the untwisting (x, y) -> (x w^2, y w^3) the line
-# through T with slope lam, evaluated at P = (x_P, y_P) and negated, is the
-# sparse element y_P + (-lam x_P) w + (lam x_T - y_T) v w; the sign and
-# vertical lines lie in Fp6 and vanish in the final exponentiation.
-
-
-def _fp6_mul_by_01(a: Fp6, b0: Fp2, b1: Fp2) -> Fp6:
-    # a * (b0 + b1 v)
-    a0, a1, a2 = a
-    t0 = fp2_mul(a0, b0)
-    t1 = fp2_mul(a1, b1)
-    c0 = fp2_add(t0, fp2_mul_xi(fp2_mul(a2, b1)))
-    c1 = fp2_sub(fp2_mul(fp2_add(a0, a1), fp2_add(b0, b1)), fp2_add(t0, t1))
-    c2 = fp2_add(t1, fp2_mul(a2, b0))
-    return (c0, c1, c2)
-
-
-def _fp12_mul_by_line(f: Fp12, y_p: int, b0: Fp2, b1: Fp2) -> Fp12:
-    # f * (y_p + (b0 + b1 v) w), Karatsuba over Fp6
-    f0, f1 = f
-    t0 = tuple((c[0] * y_p % P, c[1] * y_p % P) for c in f0)
-    t1 = _fp6_mul_by_01(f1, b0, b1)
-    t2 = _fp6_mul_by_01(fp6_add(f0, f1), ((b0[0] + y_p) % P, b0[1]), b1)
-    return (fp6_add(t0, fp6_mul_v(t1)), fp6_sub(t2, fp6_add(t0, t1)))
-
-
-def _line_step(f: Fp12, t: G2Point, q: G2Point, x_p: int, y_p: int):
-    """f times the line through t and q (the tangent when t == q) at P, and t + q."""
-    s, lam = _g2_add_slope(t, q)
-    if lam is None:
-        return f, s
-    x, y = t
-    b0 = (-lam[0] * x_p % P, -lam[1] * x_p % P)
-    return _fp12_mul_by_line(f, y_p, b0, fp2_sub(fp2_mul(lam, x), y)), s
-
+# Optimal ate pairing, split into a line schedule for Q and its evaluation at
+# P. The schedule walks T over the Miller loop in affine coordinates on the
+# twist over Fp2 and records, per step, the slope lam of the line through T
+# and its addend, with c = lam x_T - y_T; or None when that line is vertical
+# or a summand is the identity. Under the untwisting (x, y) -> (x w^2, y w^3)
+# the line evaluated at P = (x_P, y_P) and negated is the sparse element
+# y_P + (-lam x_P) w + c v w; the sign and the vertical lines lie in Fp6 and
+# vanish in the final exponentiation. A schedule depends on Q alone
+# (Costello-Stebila, fixed-argument pairings), so it is cached on Q's affine
+# coordinates, never on an encoding: a cached schedule is a pure function of
+# its key.
 
 _ATE_BITS = bin(ATE_LOOP_COUNT)[3:]
+# per schedule entry, whether f is squared first: before each doubling step,
+# not before an addition step or the two closing steps
+_SQUARE_FIRST = (
+    tuple(square for bit in _ATE_BITS for square in ((True, False) if bit == "1" else (True,)))
+    + (False, False)
+)
 _G_VW = fp2_mul(_G_V, _G_W)
+Line = Optional[Tuple[Fp2, Fp2]]
+
+
+@lru_cache(maxsize=16)
+def _line_schedule(q: Tuple[Fp2, Fp2]) -> Tuple[Line, ...]:
+    """The lines of the Miller loop on q (affine, not the identity): one
+    (lam, lam x_T - y_T) or None per step, in loop order, then the steps
+    adding pi(q) and -pi^2(q)."""
+    lines: List[Line] = []
+    t: G2Point = q
+
+    def step(r: G2Point) -> None:
+        nonlocal t
+        s, lam = _g2_add_slope(t, r)
+        lines.append(None if lam is None else (lam, fp2_sub(fp2_mul(lam, t[0]), t[1])))
+        t = s
+
+    for bit in _ATE_BITS:
+        step(t)
+        if bit == "1":
+            step(q)
+    # Frobenius images of q on the twist: q1 = pi(q), nq2 = -pi^2(q)
+    x, y = q
+    q1 = (fp2_mul(fp2_conj(x), _G_V), fp2_mul(fp2_conj(y), _G_VW))
+    step(q1)
+    step(g2_neg((fp2_mul(fp2_conj(q1[0]), _G_V), fp2_mul(fp2_conj(q1[1]), _G_VW))))
+    return tuple(lines)
+
+
+def _fp6_mul_01_raw(a, b):
+    """a * (B0 + B1 v) for a as in _fp6_mul_raw and b = (B0.re, B0.im,
+    B1.re, B1.im), unreduced: five Fp2 products, 15 int products."""
+    a0, a1, a2, a3, a4, a5 = a
+    b0, b1, b2, b3 = b
+    # K0 = A0 B0, K1 = A1 B1, E = A2 B1; the result is
+    # (K0 + xi E, (A0 + A1)(B0 + B1) - K0 - K1, K1 + A2 B0)
+    m, n = a0 * b0, a1 * b1
+    k0r, k0i = m - n, (a0 + a1) * (b0 + b1) - m - n
+    m, n = a2 * b2, a3 * b3
+    k1r, k1i = m - n, (a2 + a3) * (b2 + b3) - m - n
+    m, n = a4 * b2, a5 * b3
+    er, ei = m - n, (a4 + a5) * (b2 + b3) - m - n
+    x0, x1, y0, y1 = a0 + a2, a1 + a3, b0 + b2, b1 + b3
+    m, n = x0 * y0, x1 * y1
+    c2, c3 = m - n - k0r - k1r, (x0 + x1) * (y0 + y1) - m - n - k0i - k1i
+    m, n = a4 * b0, a5 * b1
+    c4, c5 = m - n + k1r, (a4 + a5) * (b0 + b1) - m - n + k1i
+    return k0r + 9 * er - ei, k0i + 9 * ei + er, c2, c3, c4, c5
+
+
+def _fp12_mul_by_line(f: Fp12, b0: int, b1: int, c0: int, c1: int, y_p: int) -> Fp12:
+    """f * (y_P + b w + c v w) for b = (b0, b1), c = (c0, c1) in Fp2: Karatsuba
+    over Fp6 with f0 y_P, f1 (b + c v) and (f0 + f1)(b + y_P + c v)."""
+    ((a0, a1), (a2, a3), (a4, a5)), ((a6, a7), (a8, a9), (a10, a11)) = f
+    return _fp12_karatsuba(
+        (a0 * y_p, a1 * y_p, a2 * y_p, a3 * y_p, a4 * y_p, a5 * y_p),
+        _fp6_mul_01_raw((a6, a7, a8, a9, a10, a11), (b0, b1, c0, c1)),
+        _fp6_mul_01_raw((a0 + a6, a1 + a7, a2 + a8, a3 + a9, a4 + a10, a5 + a11), (b0 + y_p, b1, c0, c1)),
+    )
 
 
 def miller_loop(q: G2Point, p: G1Point) -> Fp12:
     if q is None or p is None:
         return FP12_ONE
     x_p, y_p = p
-    f, t = FP12_ONE, q
-    for bit in _ATE_BITS:
-        f, t = _line_step(fp12_sqr(f), t, t, x_p, y_p)
-        if bit == "1":
-            f, t = _line_step(f, t, q, x_p, y_p)
-    # Frobenius images of Q on the twist: Q1 = pi(Q), nq2 = -pi^2(Q)
-    x, y = q
-    q1 = (fp2_mul(fp2_conj(x), _G_V), fp2_mul(fp2_conj(y), _G_VW))
-    nq2 = g2_neg((fp2_mul(fp2_conj(q1[0]), _G_V), fp2_mul(fp2_conj(q1[1]), _G_VW)))
-    f, t = _line_step(f, t, q1, x_p, y_p)
-    f, _ = _line_step(f, t, nq2, x_p, y_p)
+    f = FP12_ONE
+    for square, line in zip(_SQUARE_FIRST, _line_schedule(q)):
+        if square:
+            f = fp12_sqr(f)
+        if line is not None:
+            (l0, l1), (c0, c1) = line
+            f = _fp12_mul_by_line(f, -l0 * x_p % P, -l1 * x_p % P, c0, c1, y_p)
     return f
 
 
@@ -535,45 +633,57 @@ def fp12_cyclotomic_sqr(a: Fp12) -> Fp12:
     """Granger-Scott squaring, valid for a in the cyclotomic subgroup (any
     value after the easy part of the final exponentiation). Over Fp4 =
     Fp2[s] / (s^2 - xi), s = w^3, the pairs (c0, c4), (c3, c2), (c1, c5) are
-    the three Fp4 coefficients of a."""
-    (c0, c1, c2), (c3, c4, c5) = a
-    t0, t1 = _fp4_sqr(c0, c4)
-    t2, t3 = _fp4_sqr(c3, c2)
-    t4, t5 = _fp4_sqr(c1, c5)
-    t5 = fp2_mul_xi(t5)
+    the three Fp4 coefficients of a. Each squares as (x + y s)^2 =
+    (x^2 + xi y^2) + ((x + y)^2 - x^2 - y^2) s, and each output coefficient
+    is 3 t - 2 c or 3 t + 2 c of the matching square t and input c."""
+    ((a0, a1), (a2, a3), (a4, a5)), ((a6, a7), (a8, a9), (a10, a11)) = a
+    sq = []
+    for x0, x1, y0, y1 in ((a0, a1, a8, a9), (a6, a7, a4, a5), (a2, a3, a10, a11)):
+        xx0, xx1 = (x0 + x1) * (x0 - x1), 2 * x0 * x1
+        yy0, yy1 = (y0 + y1) * (y0 - y1), 2 * y0 * y1
+        s0, s1 = x0 + y0, x1 + y1
+        sq += (
+            xx0 + 9 * yy0 - yy1,
+            xx1 + 9 * yy1 + yy0,
+            (s0 + s1) * (s0 - s1) - xx0 - yy0,
+            2 * s0 * s1 - xx1 - yy1,
+        )
+    t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, z0, z1 = sq
+    t10, t11 = 9 * z0 - z1, 9 * z1 + z0  # xi times the s part of (c1 + c5 s)^2
     return (
-        (_sub3(t0, c0), _sub3(t2, c1), _sub3(t4, c2)),
-        (_add3(t5, c3), _add3(t1, c4), _add3(t3, c5)),
+        ((3 * t0 - 2 * a0) % P, (3 * t1 - 2 * a1) % P),
+        ((3 * t4 - 2 * a2) % P, (3 * t5 - 2 * a3) % P),
+        ((3 * t8 - 2 * a4) % P, (3 * t9 - 2 * a5) % P),
+    ), (
+        ((3 * t10 + 2 * a6) % P, (3 * t11 + 2 * a7) % P),
+        ((3 * t2 + 2 * a8) % P, (3 * t3 + 2 * a9) % P),
+        ((3 * t6 + 2 * a10) % P, (3 * t7 + 2 * a11) % P),
     )
 
 
-def _fp4_sqr(a: Fp2, b: Fp2) -> Tuple[Fp2, Fp2]:
-    # (a + b s)^2 = (a^2 + xi b^2) + 2ab s
-    ab = fp2_mul(a, b)
-    c0 = fp2_sub(fp2_mul(fp2_add(a, b), fp2_add(a, fp2_mul_xi(b))), fp2_add(ab, fp2_mul_xi(ab)))
-    return c0, fp2_add(ab, ab)
+def _naf(k: int) -> Tuple[int, ...]:
+    # signed digits in {-1, 0, 1}, no two adjacent non-zero, most significant first
+    digits = []
+    while k:
+        d = 2 - k % 4 if k & 1 else 0
+        digits.append(d)
+        k = (k - d) >> 1
+    return tuple(reversed(digits))
 
 
-def _sub3(t: Fp2, c: Fp2) -> Fp2:
-    # 3t - 2c
-    return ((3 * t[0] - 2 * c[0]) % P, (3 * t[1] - 2 * c[1]) % P)
-
-
-def _add3(t: Fp2, c: Fp2) -> Fp2:
-    # 3t + 2c
-    return ((3 * t[0] + 2 * c[0]) % P, (3 * t[1] + 2 * c[1]) % P)
-
-
-_U_BITS = bin(U)[3:]
+_U_NAF = _naf(U)[1:]  # the leading digit is 1: start from a
 
 
 def _cyclotomic_pow_u(a: Fp12) -> Fp12:
-    # a^U by square-and-multiply with cyclotomic squarings
+    # a^U over the NAF digits of U; conjugation inverts in the cyclotomic subgroup
+    a_inv = fp12_conj(a)
     result = a
-    for bit in _U_BITS:
+    for d in _U_NAF:
         result = fp12_cyclotomic_sqr(result)
-        if bit == "1":
+        if d == 1:
             result = fp12_mul(result, a)
+        elif d == -1:
+            result = fp12_mul(result, a_inv)
     return result
 
 

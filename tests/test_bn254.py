@@ -1,10 +1,13 @@
 """BN254 pairing engine and G2 arithmetic: pinned pairing values,
 bilinearity, identity handling, the product route, the operation counts of
-the demo run (pairings, signatures, key decodes), and the Jacobian G2
-ladder against an affine reference."""
+the demo run (pairings, signatures, key decodes, line schedules built), the
+line-schedule cache, the flat Fp6/Fp12 arithmetic against a schoolbook
+reference, and the Jacobian G2 ladder against an affine reference."""
 
 import hashlib
 from pathlib import Path
+
+from hypothesis import example, given, settings, strategies as st
 
 from relaysim import harness
 from relaysim.crypto import bls, bn254, commitment
@@ -12,14 +15,22 @@ from relaysim.crypto.bn254 import (
     FP12_ONE,
     G1_GEN,
     G2_GEN,
+    P,
     R,
+    U,
+    fp12_conj,
+    fp12_cyclotomic_sqr,
+    fp12_frobenius2,
+    fp12_inv,
     fp12_mul,
     fp12_pow,
+    fp12_sqr,
     g1_add,
     g1_mul,
     g1_neg,
     g2_add,
     g2_mul,
+    g2_neg,
     miller_loop,
     pairing,
     pairing_product,
@@ -107,6 +118,107 @@ def test_demo_run_operation_counts(monkeypatch):
         "final_exponentiation": 8,
         "g2_from_bytes": 15,
     }
+
+
+def test_demo_run_builds_one_line_schedule_per_distinct_g2_argument(monkeypatch):
+    """From cleared caches the demo's 8 Miller loops run on 5 distinct G2
+    points (G2_GEN and four aggregate keys): 5 schedules are built, and the
+    other 3 loops read a cached one."""
+    arguments = []
+
+    def recording(q, p, _fn=bn254.miller_loop):
+        arguments.append(q)
+        return _fn(q, p)
+
+    monkeypatch.setattr(bn254, "miller_loop", recording)
+    bls._pairing_equal_cached.cache_clear()
+    bls._pairing_product_cached.cache_clear()
+    bn254._line_schedule.cache_clear()
+    assert harness.run(load_scenario(DEMO)).ok
+    info = bn254._line_schedule.cache_info()
+    assert len(arguments) == 8 and G2_GEN in arguments
+    assert info.misses == len(set(arguments)) == 5
+    assert info.hits == 3
+
+
+def test_line_schedule_cache_is_keyed_on_both_coordinates():
+    # -q has q's x, so a schedule cached for q must not serve -q
+    p, q = g1_mul(G1_GEN, 77), g2_mul(G2_GEN, 0xC0FFEE)
+    bn254._line_schedule.cache_clear()
+    e_neg_cold = pairing(p, g2_neg(q))
+    bn254._line_schedule.cache_clear()
+    e = pairing(p, q)
+    e_neg = pairing(p, g2_neg(q))
+    assert e_neg == e_neg_cold
+    assert fp12_mul(e, e_neg) == FP12_ONE and e != FP12_ONE
+    assert bn254._line_schedule.cache_info().misses == 2
+
+
+def test_miller_loop_equal_with_schedule_cache_warm_or_cleared():
+    p, q = g1_mul(G1_GEN, 5), g2_mul(G2_GEN, 11)
+    bn254._line_schedule.cache_clear()
+    cold = miller_loop(q, p)
+    warm = miller_loop(q, p)
+    assert bn254._line_schedule.cache_info().hits == 1
+    bn254._line_schedule.cache_clear()
+    assert miller_loop(q, p) == warm == cold
+    info = bn254._line_schedule.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 16
+
+
+# A schoolbook reference for the flat tower: Fp12 = Fp2[w] / (w^6 - xi),
+# xi = 9 + i. The tower element ((c0, c1, c2), (c3, c4, c5)) is
+# c0 + c1 v + c2 v^2 + (c3 + c4 v + c5 v^2) w with v = w^2, so its
+# coefficients stand at these powers of w:
+_W_POWERS = (0, 2, 4, 1, 3, 5)
+
+
+def _ref_fp12_mul(a, b):
+    xa, xb = [None] * 6, [None] * 6
+    for k, ca, cb in zip(_W_POWERS, (c for half in a for c in half), (c for half in b for c in half)):
+        xa[k], xb[k] = ca, cb
+    prod = [[0, 0] for _ in range(11)]
+    for i, (a0, a1) in enumerate(xa):
+        for j, (b0, b1) in enumerate(xb):
+            prod[i + j][0] += a0 * b0 - a1 * b1
+            prod[i + j][1] += a0 * b1 + a1 * b0
+    for k in range(10, 5, -1):  # w^k = xi w^(k - 6)
+        r0, r1 = prod[k]
+        prod[k - 6][0] += 9 * r0 - r1
+        prod[k - 6][1] += r0 + 9 * r1
+    out = [(c0 % P, c1 % P) for c0, c1 in prod[:6]]
+    return tuple(out[k] for k in (0, 2, 4)), tuple(out[k] for k in (1, 3, 5))
+
+
+coords = st.one_of(st.sampled_from([0, 1, P - 1]), st.integers(0, P - 1))
+fp6s = st.tuples(*[st.tuples(coords, coords)] * 3)
+fp12s = st.tuples(fp6s, fp6s)
+ZERO6 = ((0, 0),) * 3
+TOP12 = (((P - 1, P - 1),) * 3,) * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(fp12s, fp12s, coords)
+@example(TOP12, TOP12, P - 1)
+def test_flat_tower_matches_schoolbook_reference(a, b, y_p):
+    assert fp12_mul(a, b) == _ref_fp12_mul(a, b)
+    assert fp12_sqr(a) == _ref_fp12_mul(a, a)
+    assert (bn254.fp6_mul(a[0], b[0]), ZERO6) == _ref_fp12_mul((a[0], ZERO6), (b[0], ZERO6))
+    # the sparse line value y_P + b w + c v w
+    (b0, b1), (c0, c1), _ = b[1]
+    line = (((y_p, 0), (0, 0), (0, 0)), ((b0, b1), (c0, c1), (0, 0)))
+    assert bn254._fp12_mul_by_line(a, b0, b1, c0, c1, y_p) == _ref_fp12_mul(a, line)
+
+
+@settings(max_examples=15, deadline=None)
+@given(fp12s.filter(lambda a: any(c for half in a for fp2 in half for c in fp2)))
+@example(TOP12)
+def test_cyclotomic_squaring_and_naf_power_after_easy_part(a):
+    # f^((p^6 - 1)(p^2 + 1)) lies in the cyclotomic subgroup
+    t = fp12_mul(fp12_conj(a), fp12_inv(a))
+    m = fp12_mul(fp12_frobenius2(t), t)
+    assert fp12_cyclotomic_sqr(m) == fp12_sqr(m)
+    assert bn254._cyclotomic_pow_u(m) == fp12_pow(m, U)
 
 
 def _twist_point_outside_subgroup():

@@ -1,6 +1,6 @@
 """Signature-scheme correctness: keys, single and aggregate verification,
-signing once for a set of signers, and the exhaustive small-set
-completeness/soundness sweep."""
+signing once for a set of signers, the exhaustive small-set
+completeness/soundness sweep, and the point-keyed verify caches."""
 
 import random
 
@@ -17,12 +17,15 @@ from relaysim.crypto.bn254 import (
     fp12_pow,
     g1_from_bytes,
     g1_mul,
+    g1_neg,
     g1_to_bytes,
     g2_from_bytes,
     g2_mul,
+    g2_neg,
     g2_to_bytes,
     pairing,
 )
+from relaysim.crypto.hash_to_curve import hash_to_curve
 
 MSG = b"quorum signing payload"
 
@@ -250,3 +253,39 @@ def test_off_curve_points_rejected_on_both_routes(keypairs):
         for apk, msg_point, signature in cases:
             assert not verify(apk, msg_point, signature)
     assert not bls.verify_aggregate(kp.public, MSG, cases[0][2])
+
+
+def test_verify_decodes_no_point(keypairs, monkeypatch):
+    # the verify caches are keyed on the validated points, so a cache miss
+    # computes its pairings without decoding anything
+    decodes = []
+    for name in ("g1_from_bytes", "g2_from_bytes"):
+
+        def decode(data, _fn=getattr(bn254, name)):
+            decodes.append(data)
+            return _fn(data)
+
+        monkeypatch.setattr(bn254, name, decode)
+    bls._pairing_equal_cached.cache_clear()
+    bls._pairing_product_cached.cache_clear()
+    kp = keypairs[0]
+    sig = bls.sign(kp.secret, MSG)
+    assert bls.verify_at_point(kp.public, hash_to_curve(MSG), sig)
+    assert bls.verify_product(kp.public, hash_to_curve(MSG), sig)
+    assert bls.verify_aggregate(kp.public, MSG, sig)
+    assert bls._pairing_equal_cached.cache_info().misses == 1
+    assert bls._pairing_product_cached.cache_info().misses == 1
+    assert decodes == []
+
+
+def test_verify_cache_tells_a_point_from_its_negation(keypairs):
+    # a point and its negation share x (and differ only in y), so each needs
+    # an entry of its own; the valid triple's entry is filled first
+    kp = keypairs[0]
+    point = hash_to_curve(MSG)
+    sig = bls.sign(kp.secret, MSG)
+    for verify in (bls.verify_at_point, bls.verify_product):
+        assert verify(kp.public, point, sig)
+        assert not verify(kp.public, point, g1_neg(sig))
+        assert not verify(kp.public, g1_neg(point), sig)
+        assert not verify(g2_neg(kp.public), point, sig)
