@@ -14,6 +14,16 @@ the evaluation of that schedule at the G1 argument as sparse line values
 coordinates and reduce once per output coordinate (Aranha et al. 2011). The
 final exponentiation squares in the cyclotomic subgroup (Granger-Scott 2010)
 and raises to U over U's signed (NAF) digits, inverting by conjugation.
+
+G2 scalar multiplication runs on Jacobian points held as six ints, whose
+mixed addition and doubling inline each Fp2 product and reduce once per
+output coordinate. The fixed-base g2_base_mul, which makes every public key,
+recodes the scalar into signed 4-bit windows and sums precomputed bases
+[16^i]G2 by digit size (Brickell-Gordon-McCurley-Wilson, EUROCRYPT 1992):
+about 64 mixed additions and 8 Jacobian additions per key, no doublings. Key
+decompression takes its Fp2 square root by the norm method for p = 3 mod 4
+(Adj and Rodriguez-Henriquez, IEEE Trans. Computers 2014), which moves the
+exponentiations into Fp, where they are the builtin pow.
 """
 
 from __future__ import annotations
@@ -103,21 +113,33 @@ def fp2_mul_xi(a: Fp2) -> Fp2:
     return ((9 * a0 - a1) % P, (9 * a1 + a0) % P)
 
 
+_SQRT_EXP = (P + 1) // 4  # t^_SQRT_EXP squares to t or, for a non-square t, to -t
+_HALF = (P + 1) // 2
+
+
 def fp2_sqrt(a: Fp2) -> Optional[Fp2]:
-    """Square root in Fp2 for p = 3 mod 4 (complex method); None if non-square."""
-    if a == FP2_ZERO:
-        return FP2_ZERO
-    a1 = fp2_pow(a, (P - 3) // 4)
-    alpha = fp2_mul(fp2_sqr(a1), a)
-    x0 = fp2_mul(a1, a)
-    if alpha == (P - 1, 0):
-        cand = fp2_mul((0, 1), x0)
-    else:
-        b = fp2_pow(fp2_add(FP2_ONE, alpha), (P - 1) // 2)
-        cand = fp2_mul(b, x0)
-    if fp2_sqr(cand) == a:
-        return cand
-    return None
+    """Square root in Fp2 by the norm method for p = 3 mod 4; None if a is
+    not a square. Two exponentiations and one inversion in Fp, each the
+    builtin pow."""
+    a0, a1 = a
+    if a1 == 0:
+        # -1 is not a square mod p, so a0 or -a0 is: a0 = t^2 or a0 = (t i)^2
+        t = pow(a0, _SQRT_EXP, P)
+        return (t, 0) if t * t % P == a0 else (0, t)
+    # (x0 + x1 i)^2 = a iff x0^2 - x1^2 = a0 and 2 x0 x1 = a1; then x0^2 is
+    # one of (a0 +- g)/2, g^2 = a0^2 + a1^2 the norm, which must be a square
+    n = (a0 * a0 + a1 * a1) % P
+    g = pow(n, _SQRT_EXP, P)
+    if g * g % P != n:
+        return None
+    # The two candidates multiply to -a1^2/4, a non-square, so exactly one is
+    # a square. If d is not, t = d^_SQRT_EXP has t^2 = -d, and the other
+    # candidate (a1^2/4)/t^2 is the square of a1/(2t).
+    d = (a0 + g) * _HALF % P
+    t = pow(d, _SQRT_EXP, P)
+    if t * t % P == d:
+        return (t, a1 * pow(2 * t, -1, P) % P)
+    return (a1 * pow(2 * t, -1, P) % P, t)
 
 
 # Twist curve constant: y^2 = x^3 + 3/(9+i).
@@ -433,64 +455,106 @@ def g2_add(a: G2Point, b: G2Point) -> G2Point:
     return _g2_add_slope(a, b)[0]
 
 
-_G2_JAC_INF = (FP2_ONE, FP2_ONE, FP2_ZERO)
+# Jacobian G2 points are six reduced ints (X.re, X.im, Y.re, Y.im, Z.re, Z.im)
+# for (X/Z^2, Y/Z^3), Z = 0 the identity; an affine addend is the four ints
+# (x.re, x.im, y.re, y.im). Every Fp2 product is an inline Karatsuba on the
+# ints, three int products, reduced once per output coordinate.
+_G2_JAC_INF = (1, 0, 1, 0, 0, 0)
 
 
-def _g2_jac_double(X, Y, Z):
-    if Z == FP2_ZERO or Y == FP2_ZERO:
+def _g2_jac_double(a):
+    # dbl-2009-l, for the curve coefficient a = 0
+    X0, X1, Y0, Y1, Z0, Z1 = a
+    if not (Z0 or Z1) or not (Y0 or Y1):
         return _G2_JAC_INF
-    A = fp2_sqr(X)
-    B = fp2_sqr(Y)
-    C = fp2_sqr(B)
-    D = fp2_sub(fp2_sub(fp2_sqr(fp2_add(X, B)), A), C)
-    D = fp2_add(D, D)
-    E = fp2_scalar(A, 3)
-    X3 = fp2_sub(fp2_sqr(E), fp2_add(D, D))
-    Y3 = fp2_sub(fp2_mul(E, fp2_sub(D, X3)), fp2_scalar(C, 8))
-    Z3 = fp2_scalar(fp2_mul(Y, Z), 2)
-    return (X3, Y3, Z3)
+    A0, A1 = (X0 + X1) * (X0 - X1) % P, 2 * X0 * X1 % P  # A = X^2
+    B0, B1 = (Y0 + Y1) * (Y0 - Y1) % P, 2 * Y0 * Y1 % P  # B = Y^2
+    C0, C1 = (B0 + B1) * (B0 - B1) % P, 2 * B0 * B1 % P  # C = B^2
+    s0, s1 = X0 + B0, X1 + B1  # D = 2 ((X + B)^2 - A - C)
+    D0 = 2 * ((s0 + s1) * (s0 - s1) - A0 - C0) % P
+    D1 = 2 * (2 * s0 * s1 - A1 - C1) % P
+    E0, E1 = 3 * A0, 3 * A1  # X3 = E^2 - 2 D, E = 3 A
+    X30 = ((E0 + E1) * (E0 - E1) - 2 * D0) % P
+    X31 = (2 * E0 * E1 - 2 * D1) % P
+    s0, s1 = D0 - X30, D1 - X31  # Y3 = E (D - X3) - 8 C
+    m, n = E0 * s0, E1 * s1
+    Y30 = (m - n - 8 * C0) % P
+    Y31 = ((E0 + E1) * (s0 + s1) - m - n - 8 * C1) % P
+    m, n = Y0 * Z0, Y1 * Z1  # Z3 = 2 Y Z
+    return (X30, X31, Y30, Y31, 2 * (m - n) % P, 2 * ((Y0 + Y1) * (Z0 + Z1) - m - n) % P)
 
 
-def _g2_jac_add_affine(X1, Y1, Z1, x2, y2):
-    # mixed addition, (x2, y2) affine
-    if Z1 == FP2_ZERO:
-        return (x2, y2, FP2_ONE)
-    Z1Z1 = fp2_sqr(Z1)
-    U2 = fp2_mul(x2, Z1Z1)
-    S2 = fp2_mul(fp2_mul(y2, Z1), Z1Z1)
-    H = fp2_sub(U2, X1)
-    rr = fp2_sub(S2, Y1)
-    if H == FP2_ZERO:
-        return _g2_jac_double(X1, Y1, Z1) if rr == FP2_ZERO else _G2_JAC_INF
-    rr = fp2_add(rr, rr)
-    I = fp2_scalar(fp2_sqr(H), 4)
-    J = fp2_mul(H, I)
-    V = fp2_mul(X1, I)
-    X3 = fp2_sub(fp2_sub(fp2_sqr(rr), J), fp2_add(V, V))
-    Y3 = fp2_sub(fp2_mul(rr, fp2_sub(V, X3)), fp2_scalar(fp2_mul(Y1, J), 2))
-    Z3 = fp2_scalar(fp2_mul(Z1, H), 2)
-    return (X3, Y3, Z3)
+def _g2_jac_add_affine(a, q):
+    # mixed addition, madd-2007-bl with Z3 = 2 Z H
+    X0, X1, Y0, Y1, Z0, Z1 = a
+    x0, x1, y0, y1 = q
+    if not (Z0 or Z1):
+        return (x0, x1, y0, y1, 1, 0)
+    W0, W1 = (Z0 + Z1) * (Z0 - Z1) % P, 2 * Z0 * Z1 % P  # W = Z^2
+    m, n = x0 * W0, x1 * W1  # H = x W - X
+    H0 = (m - n - X0) % P
+    H1 = ((x0 + x1) * (W0 + W1) - m - n - X1) % P
+    m, n = Z0 * W0, Z1 * W1  # T = Z^3
+    T0, T1 = (m - n) % P, ((Z0 + Z1) * (W0 + W1) - m - n) % P
+    m, n = y0 * T0, y1 * T1  # r = y T - Y
+    r0 = (m - n - Y0) % P
+    r1 = ((y0 + y1) * (T0 + T1) - m - n - Y1) % P
+    if not (H0 or H1):
+        return _G2_JAC_INF if r0 or r1 else _g2_jac_double(a)
+    r0, r1 = 2 * r0, 2 * r1
+    I0, I1 = 4 * (H0 + H1) * (H0 - H1) % P, 8 * H0 * H1 % P  # I = 4 H^2
+    m, n = H0 * I0, H1 * I1  # J = H I
+    J0, J1 = (m - n) % P, ((H0 + H1) * (I0 + I1) - m - n) % P
+    m, n = X0 * I0, X1 * I1  # V = X I
+    V0, V1 = (m - n) % P, ((X0 + X1) * (I0 + I1) - m - n) % P
+    X30 = ((r0 + r1) * (r0 - r1) - J0 - 2 * V0) % P  # X3 = r^2 - J - 2 V
+    X31 = (2 * r0 * r1 - J1 - 2 * V1) % P
+    s0, s1 = V0 - X30, V1 - X31  # Y3 = r (V - X3) - 2 Y J
+    m, n, t, u = r0 * s0, r1 * s1, Y0 * J0, Y1 * J1
+    Y30 = (m - n - 2 * (t - u)) % P
+    Y31 = ((r0 + r1) * (s0 + s1) - m - n - 2 * ((Y0 + Y1) * (J0 + J1) - t - u)) % P
+    m, n = Z0 * H0, Z1 * H1  # Z3 = 2 Z H
+    return (X30, X31, Y30, Y31, 2 * (m - n) % P, 2 * ((Z0 + Z1) * (H0 + H1) - m - n) % P)
 
 
-def _g2_jac_to_affine(X, Y, Z) -> G2Point:
-    if Z == FP2_ZERO:
+def _g2_jac_add(a, b):
+    """a + b for Jacobian a and b. The map (x, y) -> (z^2 x, z^3 y), z = b's
+    Z, takes the twist onto y^2 = x^3 + z^6 B2, and b to the affine point
+    (b.X, b.Y) and a to (z^2 a.X, z^3 a.Y, a.Z). The mixed-addition and
+    doubling formulas never read the curve constant, so they add the images
+    there, and scaling Z3 by z maps the sum back."""
+    x0, x1, y0, y1, z0, z1 = b
+    if not (z0 or z1):
+        return a
+    X0, X1, Y0, Y1, Z0, Z1 = a
+    zz = fp2_sqr((z0, z1))
+    X = fp2_mul((X0, X1), zz)
+    Y = fp2_mul((Y0, Y1), fp2_mul(zz, (z0, z1)))
+    s0, s1, s2, s3, s4, s5 = _g2_jac_add_affine((*X, *Y, Z0, Z1), (x0, x1, y0, y1))
+    return (s0, s1, s2, s3, *fp2_mul((s4, s5), (z0, z1)))
+
+
+def _g2_jac_to_affine(a) -> G2Point:
+    X0, X1, Y0, Y1, Z0, Z1 = a
+    if not (Z0 or Z1):
         return None
-    zi = fp2_inv(Z)
+    zi = fp2_inv((Z0, Z1))
     zi2 = fp2_sqr(zi)
-    return (fp2_mul(X, zi2), fp2_mul(fp2_mul(Y, zi2), zi))
+    return (fp2_mul((X0, X1), zi2), fp2_mul(fp2_mul((Y0, Y1), zi2), zi))
 
 
 def _g2_mul_unreduced(pt: G2Point, k: int) -> G2Point:
     # [k]pt for k >= 0 by double-and-add on a Jacobian accumulator
     if pt is None or k == 0:
         return None
-    x, y = pt
+    (x0, x1), (y0, y1) = pt
+    q = (x0, x1, y0, y1)
     acc = _G2_JAC_INF
     for bit in bin(k)[2:]:
-        acc = _g2_jac_double(*acc)
+        acc = _g2_jac_double(acc)
         if bit == "1":
-            acc = _g2_jac_add_affine(*acc, x, y)
-    return _g2_jac_to_affine(*acc)
+            acc = _g2_jac_add_affine(acc, q)
+    return _g2_jac_to_affine(acc)
 
 
 def g2_mul(pt: G2Point, k: int) -> G2Point:
@@ -514,23 +578,43 @@ assert g1_is_on_curve(G1_GEN)
 assert g2_is_on_curve(G2_GEN)
 
 
-# Affine doublings [2^i]G2 for fixed-base multiplication.
-_G2_DOUBLINGS = [G2_GEN]
-for _ in range(R.bit_length()):
-    _G2_DOUBLINGS.append(g2_add(_G2_DOUBLINGS[-1], _G2_DOUBLINGS[-1]))
+# Fixed-base multiplication by signed 4-bit windows (Brickell-Gordon-
+# McCurley-Wilson): k = sum d_i 16^i with d_i in [-7, 8] has at most
+# bit_length // 4 + 1 digits, one affine base [16^i]G2 per digit position.
+_G2_WINDOW_BASES = []
+_q = G2_GEN
+for _ in range(R.bit_length() // 4 + 1):
+    (_x0, _x1), (_y0, _y1) = _q
+    _G2_WINDOW_BASES.append((_x0, _x1, _y0, _y1))
+    _q = g2_mul(_q, 16)
+del _q, _x0, _x1, _y0, _y1
 
 
 def g2_base_mul(k: int) -> G2Point:
-    # mixed additions of the doublings into a Jacobian accumulator
+    # [k]G2 = sum over j = 8..1 of j * B_j, B_j the signed sum of the bases
+    # whose digit is +-j: B accumulates the B_j from j = 8 down, and the
+    # running total adds B once per j, so B_j is added j times
     k %= R
-    acc = _G2_JAC_INF
+    by_digit = [[] for _ in range(9)]
     i = 0
     while k:
-        if k & 1:
-            acc = _g2_jac_add_affine(*acc, *_G2_DOUBLINGS[i])
-        k >>= 1
+        d = k & 15
+        k >>= 4
+        if d > 8:
+            d -= 16
+            k += 1
+        if d > 0:
+            by_digit[d].append(_G2_WINDOW_BASES[i])
+        elif d < 0:
+            x0, x1, y0, y1 = _G2_WINDOW_BASES[i]
+            by_digit[-d].append((x0, x1, -y0 % P, -y1 % P))
         i += 1
-    return _g2_jac_to_affine(*acc)
+    acc = b = _G2_JAC_INF
+    for j in range(8, 0, -1):
+        for q in by_digit[j]:
+            b = _g2_jac_add_affine(b, q)
+        acc = _g2_jac_add(acc, b)
+    return _g2_jac_to_affine(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -195,12 +195,12 @@ class Prover:
     """Monitors chains, extracts proofs, and transmits relay bundles.
 
     Profiles: honest provers relay faithfully; silent provers observe and
-    produce nothing; tampering behavior is built in the attack harness on
-    top of an honest prover's bundles.
+    produce nothing. A tampering prover is no profile: the attack harness
+    (`harness.attack_consistency`) forges bundles from an honest prover's.
     """
 
     def __init__(self, name: str, backend, profile: str = "honest"):
-        if profile not in ("honest", "silent", "tampering"):
+        if profile not in ("honest", "silent"):
             raise ValueError(f"unknown prover profile {profile!r}")
         self.name = name
         self.backend = backend

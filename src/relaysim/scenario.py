@@ -116,7 +116,7 @@ def scenario_from_dict(raw: Dict) -> Scenario:
     provers = []
     for i, p in enumerate(raw.get("provers", [{"name": "prover-0"}])):
         profile = p.get("profile", "honest")
-        if profile not in ("honest", "silent", "tampering"):
+        if profile not in ("honest", "silent"):
             problems.append(f"provers[{i}]: unknown profile {profile!r}")
         provers.append(ProverSpec(name=p.get("name", f"prover-{i}"), profile=profile))
 

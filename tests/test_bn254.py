@@ -2,7 +2,9 @@
 bilinearity, identity handling, the product route, the operation counts of
 the demo run (pairings, signatures, key decodes, line schedules built), the
 line-schedule cache, the flat Fp6/Fp12 arithmetic against a schoolbook
-reference, and the Jacobian G2 ladder against an affine reference."""
+reference, the Jacobian G2 ladder and the signed-window fixed-base
+multiplication against an affine reference, and the norm-method Fp2 square
+root against the pow-chain one."""
 
 import hashlib
 from pathlib import Path
@@ -29,8 +31,10 @@ from relaysim.crypto.bn254 import (
     g1_mul,
     g1_neg,
     g2_add,
+    g2_from_bytes,
     g2_mul,
     g2_neg,
+    g2_to_bytes,
     miller_loop,
     pairing,
     pairing_product,
@@ -250,3 +254,60 @@ def test_g2_jacobian_multiplication_matches_affine_ladder():
     assert g2_mul(q, 0) is None and g2_mul(q, R) is None and g2_mul(None, 5) is None
     assert bn254.g2_base_mul(R) is None
     assert g2_mul(q, R + 5) == g2_mul(q, 5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**256))
+@example(0)
+@example(1)
+@example(8)
+@example(9)
+@example(R - 1)
+@example(R)
+@example(R + 5)
+@example(sum(8 * 16**i for i in range(63)))  # every signed digit +8, no carry
+@example(16**63 - 1)  # digits -1, 0, ..., 0, 1: the carry opens the last window
+def test_g2_base_mul_signed_windows_match_affine_ladder(k):
+    assert bn254.g2_base_mul(k) == _affine_ladder(G2_GEN, k % R)
+
+
+def _fp2_sqrt_reference(a):
+    # reference: the complex method, by two Fp2 pow chains
+    if a == bn254.FP2_ZERO:
+        return bn254.FP2_ZERO
+    a1 = bn254.fp2_pow(a, (P - 3) // 4)
+    alpha = bn254.fp2_mul(bn254.fp2_sqr(a1), a)
+    x0 = bn254.fp2_mul(a1, a)
+    if alpha == (P - 1, 0):
+        cand = bn254.fp2_mul((0, 1), x0)
+    else:
+        b = bn254.fp2_pow(bn254.fp2_add(bn254.FP2_ONE, alpha), (P - 1) // 2)
+        cand = bn254.fp2_mul(b, x0)
+    return cand if bn254.fp2_sqr(cand) == a else None
+
+
+fp2s = st.tuples(coords, coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(fp2s, fp2s.map(bn254.fp2_sqr)))
+@example((0, 0))
+@example((4, 0))  # a1 = 0, a0 a square in Fp
+@example((P - 1, 0))  # a1 = 0, a0 = -1 a non-square: the root is i
+@example((3, 0))  # a1 = 0, 3 a non-square mod P
+@example((0, 1))
+def test_fp2_sqrt_matches_pow_chain_reference(a):
+    root, ref = bn254.fp2_sqrt(a), _fp2_sqrt_reference(a)
+    assert (root is None) == (ref is None)
+    if root is not None:
+        assert bn254.fp2_sqr(root) == a
+        assert root in (ref, bn254.fp2_neg(ref))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, R - 1))
+def test_g2_decode_restores_the_point_for_both_sign_bits(k):
+    q = bn254.g2_base_mul(k)
+    encodings = [g2_to_bytes(q), g2_to_bytes(g2_neg(q))]
+    assert {e[0] for e in encodings} == {0x02, 0x03}
+    assert [g2_from_bytes(e) for e in encodings] == [q, g2_neg(q)]

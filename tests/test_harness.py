@@ -8,6 +8,7 @@ import pytest
 
 from relaysim import cli, harness
 from relaysim.crypto.hashes import SUPPORTED
+from relaysim.prover import Prover
 from relaysim.scenario import (
     DatasetError,
     ScenarioError,
@@ -187,10 +188,10 @@ def test_attack_suite_covers_all_cases():
     assert all(v.ok for v in verdicts)
 
 
-def test_fault_isolation_tampering_prover_changes_nothing():
-    """Verdicts of honest traffic are identical with and without an injected
-    tampering prover (its bundles are all rejected)."""
-    control = harness.run(_small_scenario(seed=3, count=10))
+def test_scenario_rejects_tampering_prover_profile():
+    """`tampering` is no prover profile: forged bundles come from
+    `harness.attack_consistency`, so the parser refuses a scenario that asks
+    for a tampering prover instead of running it as an honest one."""
     raw = {
         "name": "small",
         "seed": 3,
@@ -202,17 +203,11 @@ def test_fault_isolation_tampering_prover_changes_nothing():
         "provers": [{"name": "p0"}, {"name": "evil", "profile": "tampering"}],
         "workload": {"kind": "synthetic", "count": 10},
     }
-    experiment = harness.run(scenario_from_dict(raw))
-    assert control.ok and experiment.ok
-    control_keys = control.env.trace.completed_keys()
-    experiment_keys = experiment.env.trace.completed_keys()
-    assert control_keys == experiment_keys
-    for key in control_keys:
-        c = control.env.final_confirmations()
-        e = experiment.env.final_confirmations()
-        assert {k: v.ctx.payload.to_bytes() for k, v in c.items()} == {
-            k: v.ctx.payload.to_bytes() for k, v in e.items()
-        }
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(raw)
+    assert err.value.problems == ["provers[1]: unknown profile 'tampering'"]
+    with pytest.raises(ValueError, match="unknown prover profile"):
+        Prover("evil", backend=None, profile="tampering")
 
 
 # ---------------------------------------------------------------------------
