@@ -107,19 +107,13 @@ def svdw_map(u: int) -> G1Point:
     tv3 = pow(prod, -1, P) if prod else 0
     tv4 = u * tv1 % P * tv3 % P * _C3 % P
     x1 = (_C2 - tv4) % P
-    gx1 = _g(x1)
-    if _is_square(gx1):
-        x, gx = x1, gx1
-    else:
-        x2 = (_C2 + tv4) % P
-        gx2 = _g(x2)
-        if _is_square(gx2):
-            x, gx = x2, gx2
-        else:
-            x3 = (tv2 * tv2 % P * tv3 % P) ** 2 % P * _C4 % P
-            x3 = (x3 + _Z) % P
-            x, gx = x3, _g(x3)
-    y = _sqrt(gx)
+    x2 = (_C2 + tv4) % P
+    x3 = ((tv2 * tv2 % P * tv3 % P) ** 2 % P * _C4 + _Z) % P
+    # the first candidate whose g(x) has a square root; g(x3) always has one
+    for x in (x1, x2, x3):
+        y = _sqrt(_g(x))
+        if y is not None:
+            break
     assert y is not None
     if (y & 1) != (u & 1):
         y = P - y

@@ -250,13 +250,14 @@ class Prover:
         return merkle_proof, zk
 
     def ctx_bundle(self, chain: Chain, confirmation: Confirmation) -> ProofBundle:
-        merkle_proof, zk = self.gen_proofs(chain, confirmation.header, confirmation.message.tx_hash)
+        """The bundle for a confirmation this prover read off `chain`: its
+        block is already known, so no second confirmation lookup."""
         return ProofBundle(
             kind="ctx",
             origin_chain=chain.config.chain_id,
             header=confirmation.header,
-            zk_proof=zk,
-            merkle_proof=merkle_proof,
+            zk_proof=self.zk_proof_for(chain, confirmation.header),
+            merkle_proof=chain.receipt_proof(confirmation.message.tx_hash),
             receipt_payload=confirmation.message.payload,
             receipt_hash=confirmation.message.tx_hash,
         )

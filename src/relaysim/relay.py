@@ -9,7 +9,9 @@ at-least-once prover delivery is harmless.
 
 Everything runs on one deterministic scheduler; within a round, bundles are
 applied in (origin, height, ctx-before-update, leaf) order so results do not
-depend on prover interleaving.
+depend on prover interleaving. That order puts the honest provers' equal
+copies of a bundle side by side, and a host verifies only the first of them:
+once it is accepted, an equal copy costs no second verification.
 """
 
 from __future__ import annotations
@@ -478,11 +480,21 @@ class RelayEnvironment:
 
     def _drain(self, host_id: int) -> None:
         """Deliver a host's inbox in bundle order, then produce its next block
-        and trace the records that block confirms."""
+        and trace the records that block confirms.
+
+        A bundle equal to the one delivered just before it is skipped when
+        that delivery was accepted: equal bundles share an order key, so the
+        honest provers' copies sort side by side; no update between them
+        changes the host's clients, and verifying the twin would return an
+        accepted idempotent duplicate, which logs nothing. A copy after a
+        rejected one is delivered and logs its own rejection."""
         bundles = sorted(self._inbox[host_id], key=self._bundle_order)
         self._inbox[host_id].clear()
+        previous = delivery = None
         for bundle in bundles:
-            self.deliver(bundle, host_id)
+            if delivery is not None and delivery[1].ok and bundle == previous:
+                continue
+            previous, delivery = bundle, self.deliver(bundle, host_id)
         host = self.host(host_id)
         if host.chain.pending_count:
             try:

@@ -83,3 +83,29 @@ def test_golden_vector_fixed_message():
     assert g1_to_bytes(hash_to_curve(GOLDEN_MSG)).hex() == GOLDEN_MSG_POINT
     t = hash_to_base(GOLDEN_MSG)
     assert (t.t0, t.t1) == GOLDEN_MSG_T
+
+
+def _svdw_reference(u):
+    """RFC 9380's selection, written out: take the first of x1, x2, x3 whose
+    g(x) is a square (Euler's criterion), then its square root."""
+    from relaysim.crypto.hash_to_curve import _C1, _C2, _C3, _C4, _Z, _g, _is_square
+
+    u %= P
+    tv1 = u * u % P * _C1 % P
+    tv2, tv1 = (1 + tv1) % P, (1 - tv1) % P
+    tv3 = pow(tv1 * tv2 % P, -1, P) if tv1 * tv2 % P else 0
+    tv4 = u * tv1 % P * tv3 % P * _C3 % P
+    x3 = ((tv2 * tv2 % P * tv3 % P) ** 2 % P * _C4 + _Z) % P
+    x = next(x for x in ((_C2 - tv4) % P, (_C2 + tv4) % P, x3) if _is_square(_g(x)))
+    y = pow(_g(x), (P + 1) // 4, P)
+    return x, (y if (y & 1) == (u & 1) else P - y)
+
+
+def test_svdw_matches_the_euler_criterion_selection():
+    """One square-root attempt per candidate picks the same x, and the same
+    y, as testing each candidate with Euler's criterion first; the inputs
+    reach all three candidates."""
+    rng = random.Random(161803)
+    inputs = [0, 1, 2, P - 2, P - 1] + [rng.randrange(P) for _ in range(300)]
+    for u in inputs:
+        assert svdw_map(u) == _svdw_reference(u), u

@@ -156,6 +156,58 @@ def test_relay_receive_idempotent_duplicate(backend):
     assert env.rc.chain.pending_count == 1
 
 
+def _flip_first_sibling(bundle):
+    """`bundle` with the first sibling digest of its Merkle path altered: the
+    same bundle order, a proof that no longer reaches the header's root."""
+    proof = bundle.merkle_proof
+    (sibling, side), *rest = proof.path
+    flipped = (bytes([sibling[0] ^ 1]) + sibling[1:], side)
+    return dc_replace(bundle, merkle_proof=dc_replace(proof, path=(flipped, *rest)))
+
+
+def _two_tx_source_block(env):
+    """Submit two transactions on chain 1, produce its block, and return an
+    observer's honest bundle for the first of them."""
+    key = env.submit(1, 2, AssetPayload(token="T", amount=1))
+    env.submit(1, 2, AssetPayload(token="T", amount=2))
+    env._produce_source_blocks()
+    observer = Prover("observer", env.backend)
+    return key, observer.ctx_bundle(env.chains[1], observer.monitor(env.chains[1])[0])
+
+
+def test_drain_verifies_a_tampered_copy_after_an_accepted_one(backend):
+    """A forged bundle that sorts beside an accepted honest copy (same origin,
+    height and receipt hash) is no equal twin: the relay still verifies it
+    and logs its own rejection."""
+    env = _env(backend)
+    key, honest = _two_tx_source_block(env)
+    tampered = _flip_first_sibling(honest)
+    assert env._bundle_order(tampered) == env._bundle_order(honest)
+    env.transmit(honest, env.rc_id)
+    env.transmit(tampered, env.rc_id)
+    env.step()  # the environment's prover adds its own honest copies
+    assert env.rejections == [Rejection("confirm_rc", env.rc_id, key, RejectReason.MERKLE_FAIL.value)]
+    assert "confirm_rc" in env.trace.stages_of(key)
+
+
+def test_drain_delivers_each_copy_of_a_rejected_bundle(backend):
+    """When the first of two equal copies is rejected, the second is
+    delivered too and logs a rejection of its own; the honest copy that
+    follows them is still accepted."""
+    env = _env(backend)
+    key, honest = _two_tx_source_block(env)
+    for _ in range(2):  # equal, distinct objects
+        env.transmit(_flip_first_sibling(honest), env.rc_id)
+    env.step()
+    rejection = Rejection("confirm_rc", env.rc_id, key, RejectReason.MERKLE_FAIL.value)
+    assert env.rejections == [rejection, rejection]
+    assert [e.verdict for e in env.trace.for_key(key) if e.stage == "confirm_rc"] == [
+        "reject:merkle-fail",
+        "reject:merkle-fail",
+        "ok",
+    ]
+
+
 def test_dest_receive_replay_single_effect(backend):
     env = _env(backend)
     key = env.submit(1, 2, AssetPayload(token="T", amount=4))
@@ -367,10 +419,11 @@ def test_wire_record_rejects_malformed(case, data):
 
 def test_demo_run_decode_and_hash_counts(monkeypatch):
     """The demo relays 100 transactions, each delivered by two provers over
-    two hops: 400 `hlc_verify` calls on 8 pairings. The header terms of the
-    public inputs are derived once per distinct verified header (4), and a
-    cross-chain transaction record is parsed only where a host receives
-    delivered bytes (400), counted at every module that binds the name."""
+    two hops, and a host verifies only the first of two equal copies: 200
+    `hlc_verify` calls on 8 pairings. The header terms of the public inputs
+    are derived once per distinct verified header (4), and a cross-chain
+    transaction record is parsed only where a host verifies delivered bytes
+    (200), counted at every module that binds the name."""
     import sys
     from pathlib import Path
 
@@ -404,7 +457,7 @@ def test_demo_run_decode_and_hash_counts(monkeypatch):
     demo = Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml"
     result = harness.run(load_scenario(demo))
     assert result.ok and result.confirmed == 100
-    assert counts == {"decode_ctx": 400, "hlc_verify": 400, "hash_to_base": 4, "pairing": 8}
+    assert counts == {"decode_ctx": 200, "hlc_verify": 200, "hash_to_base": 4, "pairing": 8}
 
 
 def test_sweep_confirms_only_the_hosts_own_records(backend):
