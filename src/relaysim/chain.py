@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
@@ -85,6 +85,11 @@ class CrossChainTx:
     payload: Payload
     origin_chain: int
     nonce: int
+    # global identity: (origin chain id, origin nonce), built once
+    key: Tuple[int, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", (self.origin_chain, self.nonce))
 
     def to_bytes(self) -> bytes:
         return encoding.join(
@@ -100,11 +105,6 @@ class CrossChainTx:
     @property
     def tx_hash(self) -> bytes:
         return hashlib.sha256(self.to_bytes()).digest()
-
-    @property
-    def key(self) -> Tuple[int, int]:
-        """Global identity: (origin chain id, origin nonce)."""
-        return (self.origin_chain, self.nonce)
 
 
 def decode_ctx(data: bytes) -> CrossChainTx:
@@ -127,7 +127,7 @@ def decode_ctx(data: bytes) -> CrossChainTx:
     return CrossChainTx(dest_chain=dest, payload=payload, origin_chain=origin, nonce=nonce)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReceiptMessage:
     tx_hash: bytes
     payload: bytes

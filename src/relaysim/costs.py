@@ -13,7 +13,7 @@ at 4/8/16/32 signers; max relative error of the fit is 3.3%.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,21 @@ class GasCostTable:
             raise KeyError(f"unknown gas primitive {label!r}") from None
 
 
+Items = Tuple[Tuple[str, int, int], ...]  # (label, count, unit cost)
+
+
+def item_dicts(items: Items) -> List[Dict]:
+    """The serialized form of receipt or gate-report items."""
+    return [
+        {"label": lbl, "count": count, "unit": unit, "subtotal": count * unit}
+        for lbl, count, unit in items
+    ]
+
+
 @dataclass(frozen=True)
 class GasReceipt:
     operation: str
-    items: Tuple[Tuple[str, int, int], ...]  # (label, count, unit cost)
+    items: Items
 
     @property
     def total(self) -> int:
@@ -62,14 +73,7 @@ class GasReceipt:
         return sum(count for lbl, count, _ in self.items if lbl == label)
 
     def to_dict(self) -> Dict:
-        return {
-            "operation": self.operation,
-            "items": [
-                {"label": lbl, "count": count, "unit": unit, "subtotal": count * unit}
-                for lbl, count, unit in self.items
-            ],
-            "total": self.total,
-        }
+        return {"operation": self.operation, "items": item_dicts(self.items), "total": self.total}
 
 
 class GasMeter:
@@ -135,7 +139,7 @@ class GateCostTable:
 class GateReport:
     mode: str  # "split" | "baseline"
     signers: int
-    items: Tuple[Tuple[str, int, int], ...]
+    items: Items
 
     @property
     def total(self) -> int:
@@ -145,10 +149,7 @@ class GateReport:
         return {
             "mode": self.mode,
             "signers": self.signers,
-            "items": [
-                {"label": lbl, "count": count, "unit": unit, "subtotal": count * unit}
-                for lbl, count, unit in self.items
-            ],
+            "items": item_dicts(self.items),
             "total": self.total,
         }
 

@@ -40,8 +40,10 @@ def expand_message_xmd(msg: bytes, dst: bytes, length: int) -> bytes:
     dst_prime = dst + bytes([len(dst)])
     b0 = hashlib.sha256(b"\x00" * r_in + msg + length.to_bytes(2, "big") + b"\x00" + dst_prime).digest()
     blocks = [hashlib.sha256(b0 + b"\x01" + dst_prime).digest()]
+    x0 = int.from_bytes(b0, "big")
     for i in range(2, ell + 1):
-        prev = bytes(x ^ y for x, y in zip(b0, blocks[-1]))
+        # strxor(b_0, b_(i-1)) on 256-bit integers
+        prev = (x0 ^ int.from_bytes(blocks[-1], "big")).to_bytes(32, "big")
         blocks.append(hashlib.sha256(prev + bytes([i]) + dst_prime).digest())
     return b"".join(blocks)[:length]
 

@@ -29,7 +29,7 @@ from .chain import (
     ZERO32,
     quorum_reached,
 )
-from .costs import baseline_gates, split_gates
+from .costs import baseline_gates, item_dicts, split_gates
 from .crypto import bls
 from .crypto.merkle import merkle_prove, merkle_root
 from .economics import DegradationReport, StakeLedger, degradation_report
@@ -46,7 +46,7 @@ from .prover import (
 )
 from .relay import ICTX_TAG, HopRecord, RelayEnvironment, decode_ctx, deployment_plan
 from .scenario import ProverSpec, Scenario, parse_dataset, synthetic_workload
-from .trace import ctx_key_str
+from .trace import ctx_key_str, write_jsonl
 
 LIVENESS_CASES = ("liveness-prover-fault", "liveness-stake-withholding")
 CONSISTENCY_CASES = ("consistency-tampering-prover", "consistency-stake-collusion")
@@ -161,13 +161,13 @@ def run(scenario: Scenario, outdir: Optional[Path] = None) -> RunResult:
 def write_artifacts(outdir: Path, result: RunResult, extra: Optional[Dict] = None) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "trace.jsonl").write_text(result.env.trace.to_jsonl())
-    with open(outdir / "receipts.jsonl", "w") as fh:
-        for entry in result.env.receipts_log:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    with open(outdir / "records.jsonl", "w") as fh:
-        for key in sorted(result.mos.records):
-            fh.write(json.dumps(result.mos.records[key].to_dict(), sort_keys=True) + "\n")
+    result.env.trace.write(outdir / "trace.jsonl")
+    write_jsonl(
+        outdir / "receipts.jsonl",
+        ({**entry, "items": item_dicts(entry["items"])} for entry in result.env.receipts_log),
+    )
+    records = result.mos.records
+    write_jsonl(outdir / "records.jsonl", (records[key].to_dict() for key in sorted(records)))
     summary = result.summary()
     if extra:
         summary.update(extra)
@@ -284,6 +284,7 @@ class ForgeryCorpus:
         self.observer = Prover("corpus-observer", env.backend, "honest")
         self.live: List[ProofBundle] = []
         self.stale: List[ProofBundle] = []
+        self._live_digests: List[bytes] = []  # header digests of `live`, in step
 
     def harvest(self, into: List[ProofBundle]) -> int:
         found = 0
@@ -303,6 +304,15 @@ class ForgeryCorpus:
     def _hash_algo(self, bundle: ProofBundle) -> str:
         return self.env.chains[bundle.origin_chain].config.hash_algo
 
+    def _header_digest(self, bundle: ProofBundle) -> bytes:
+        return bundle.header.digest(self._hash_algo(bundle))
+
+    def _digests_of_live(self) -> List[bytes]:
+        """The header digest of each live bundle; the pool is only appended to."""
+        digests = self._live_digests
+        digests.extend(self._header_digest(b) for b in self.live[len(digests) :])
+        return digests
+
     def forge(self, strategy: str) -> ProofBundle:
         rng = self.rng
         if strategy == "stale-epoch-replay":
@@ -311,11 +321,8 @@ class ForgeryCorpus:
         if strategy == "payload-mutation":
             return dc_replace(base, receipt_payload=_flip_byte(base.receipt_payload, rng))
         if strategy == "proof-reuse":
-            donors = [
-                b
-                for b in self.live
-                if b.header.digest(self._hash_algo(b)) != base.header.digest(self._hash_algo(base))
-            ]
+            own = self._header_digest(base)
+            donors = [b for b, d in zip(self.live, self._digests_of_live()) if d != own]
             donor = rng.choice(donors) if donors else rng.choice(self.stale)
             if rng.random() < 0.5:
                 return dc_replace(base, merkle_proof=donor.merkle_proof)
@@ -365,23 +372,21 @@ class ForgeryCorpus:
         raise ValueError(f"unknown forgery strategy {strategy!r}")
 
 
-def attack_consistency(
-    scenario: Scenario,
-    forgeries: int = 1000,
-    honest_count: int = 20,
-) -> AttackVerdict:
-    """Case 1: a tampering prover floods the relay chain with forged bundles.
-    Zero forgeries may confirm; honest traffic stays payload-conserved."""
+def harvested_corpus(
+    scenario: Scenario, honest_count: int = 20
+) -> Tuple[RelayEnvironment, ForgeryCorpus]:
+    """An environment whose honest waves confirmed in two epochs, and a
+    corpus holding the first wave's bundles as stale and the second's as
+    live forgery material."""
     env, mos = build_environment(scenario)
-    rng = random.Random(scenario.seed ^ 0xC0FFEE)
-    corpus = ForgeryCorpus(env, rng)
+    corpus = ForgeryCorpus(env, random.Random(scenario.seed ^ 0xC0FFEE))
 
     wave = dc_replace(scenario.workload, kind="synthetic", count=honest_count)
     stream = synthetic_workload(dc_replace(scenario, workload=wave))
     half = max(2, honest_count // 2)
 
     # wave 1 confirms in epoch 0; its bundles become the stale pool
-    keys1, _ = _submit_stream(env, mos, scenario, stream[:half])
+    _submit_stream(env, mos, scenario, stream[:half])
     env.step()
     corpus.harvest(corpus.stale)
     # advance every source one epoch so the relay clients move past epoch 0
@@ -393,14 +398,24 @@ def attack_consistency(
     env.run(2)
 
     # wave 2 confirms in epoch 1; its bundles are live forgery material
-    keys2, _ = _submit_stream(env, mos, scenario, stream[half:])
+    _submit_stream(env, mos, scenario, stream[half:])
     env.step()
     corpus.harvest(corpus.live)
     env.run(2)
 
     if not corpus.live or not corpus.stale:
         raise RuntimeError("forgery corpus failed to harvest honest material")
+    return env, corpus
 
+
+def attack_consistency(
+    scenario: Scenario,
+    forgeries: int = 1000,
+    honest_count: int = 20,
+) -> AttackVerdict:
+    """Case 1: a tampering prover floods the relay chain with forged bundles.
+    Zero forgeries may confirm; honest traffic stays payload-conserved."""
+    env, corpus = harvested_corpus(scenario, honest_count)
     accepted_at_relay = 0
     benign_duplicates = 0
     per_strategy: Dict[str, int] = {s: 0 for s in FORGERY_STRATEGIES}

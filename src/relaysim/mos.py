@@ -80,7 +80,7 @@ def compute_fee(amount: int, config: PricingConfig) -> int:
     return config.fee_cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageRecord:
     """What `message_out` fixed about a message; its progress is read from
     the trace."""

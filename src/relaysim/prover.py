@@ -70,12 +70,15 @@ class _Backend:
     name = ""
 
     def __init__(self, key: bytes):
-        self._key = key
+        # HMAC keyed and fed `name || "|"` once; each attestation copies it
+        # (RFC 2104 section 4: precomputed inner and outer key states)
+        self._mac = hmac.new(key, self.name.encode() + b"|", hashlib.sha256)
 
     @functools.lru_cache(maxsize=32)  # keyed on (backend, publics)
     def _attest(self, publics: PublicInputs) -> bytes:
-        message = self.name.encode() + b"|" + publics.canonical_bytes()
-        return hmac.new(self._key, message, hashlib.sha256).digest()
+        mac = self._mac.copy()
+        mac.update(publics.canonical_bytes())
+        return mac.digest()
 
     def check_statement(self, statement: ZkStatement) -> bool:
         pub, wit = statement.publics, statement.witness

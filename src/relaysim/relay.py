@@ -12,6 +12,12 @@ applied in (origin, height, ctx-before-update, leaf) order so results do not
 depend on prover interleaving. That order puts the honest provers' equal
 copies of a bundle side by side, and a host verifies only the first of them:
 once it is accepted, an equal copy costs no second verification.
+
+`RelayEnvironment.receipts_log` holds one entry per paid receipt,
+`{"context", "chain", "operation", "items", "total"}`, and one per gate
+report, `{"context", "chain", "mode", "signers", "items", "total"}`. `items`
+is the receipt's own `(label, count, unit)` tuple, one shared object per
+distinct value; `harness.write_artifacts` spells it out as item dicts.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .chain import (
     ReceiptMessage,
     decode_ctx,
 )
-from .costs import GasCostTable, GasReceipt, hlc_setup_gas, lc_setup_gas
+from .costs import GasCostTable, GasReceipt, Items, hlc_setup_gas, lc_setup_gas
 from .lightclient import (
     HybridLcState,
     RejectReason,
@@ -289,7 +295,8 @@ class RelayEnvironment:
         self.hosts: Dict[int, DestinationHost] = {}
         self.provers: List[Prover] = []
         self.trace = TraceLog()
-        self.receipts_log: List[dict] = []
+        self.receipts_log: List[dict] = []  # entry shapes: see the module docstring
+        self._items: Dict[Items, Items] = {}  # one shared tuple per distinct `items`
         self.rejections: List[Rejection] = []
         self.submitted: Dict[Tuple[int, int], CrossChainTx] = {}
         self._inbox: Dict[int, List[ProofBundle]] = {self.rc_id: []}
@@ -360,17 +367,30 @@ class RelayEnvironment:
         self.trace.record(event, once)
 
     def _log_receipt(self, context: str, chain_id: int, receipt: GasReceipt) -> None:
-        entry = {"context": context, "chain": chain_id}
-        entry.update(receipt.to_dict())
-        self.receipts_log.append(entry)
+        self.receipts_log.append(
+            {
+                "context": context,
+                "chain": chain_id,
+                "operation": receipt.operation,
+                "items": self._items.setdefault(receipt.items, receipt.items),
+                "total": receipt.total,
+            }
+        )
 
     def _log_gate_report(self, bundle: ProofBundle) -> None:
         report = bundle.zk_proof.gate_report
         if report is None:
             return
-        entry = {"context": "gate_report", "chain": bundle.origin_chain}
-        entry.update(report.to_dict())
-        self.receipts_log.append(entry)
+        self.receipts_log.append(
+            {
+                "context": "gate_report",
+                "chain": bundle.origin_chain,
+                "mode": report.mode,
+                "signers": report.signers,
+                "items": self._items.setdefault(report.items, report.items),
+                "total": report.total,
+            }
+        )
 
     def _reject(self, stage: str, chain: int, key, reason: RejectReason) -> None:
         key_t = key if key is None else tuple(key)

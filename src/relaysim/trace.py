@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 PIPELINE_STAGES = (
     "commit_sc",
@@ -28,7 +28,7 @@ def ctx_key_str(key: Key) -> str:
     return "?:?" if key is None else f"{key[0]}:{key[1]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     key: Key
     stage: str
@@ -87,9 +87,15 @@ class TraceLog:
         """Keys with an accepted final confirmation, as sorted `"o:n"` strings."""
         return sorted(ctx_key_str(k) for k, stages in self._accepted.items() if "confirm_dc" in stages)
 
-    def to_jsonl(self) -> str:
-        return "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in self.events)
-
     def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_jsonl())
+        """Write the log as JSON lines, one event at a time."""
+        write_jsonl(path, (e.to_dict() for e in self.events))
+
+
+def write_jsonl(path, rows: Iterable[Dict]) -> None:
+    """Write each row as one key-sorted JSON line as it is encoded, so no
+    whole file is built in memory."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    with open(path, "w") as fh:
+        for row in rows:
+            fh.write(encode(row) + "\n")

@@ -1,5 +1,6 @@
 """Chain production: quorum thresholds, receipts, epochs, determinism."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,12 @@ from relaysim.chain import (
     BlockWithheld,
     Chain,
     ChainConfig,
+    CrossChainTx,
     LogicalClock,
     MessagePayload,
+    ReceiptMessage,
     UnknownTransaction,
+    decode_ctx,
 )
 from relaysim.crypto import bls
 from relaysim.crypto.commitment import commitment_digest
@@ -264,3 +268,20 @@ def test_withhold_fault_outlives_epoch_boundaries(rotation):
             withheld += vset.entries[leading].weight
             leading += 1
         assert header.agg.bitmap == (False,) * leading + (True,) * (len(vset) - leading)
+
+
+def test_ctx_key_is_built_once():
+    """A transaction's key is one tuple, rebuilt by `replace` and left out of
+    equality, hashing and the wire encoding."""
+    ctx = CrossChainTx(dest_chain=2, payload=AssetPayload(token="T", amount=4), origin_chain=1, nonce=3)
+    assert ctx.key == (1, 3) and ctx.key is ctx.key
+    assert replace(ctx, nonce=9).key == (1, 9)
+    assert replace(ctx) == ctx and hash(replace(ctx)) == hash(ctx)
+    assert decode_ctx(ctx.to_bytes()) == ctx and decode_ctx(ctx.to_bytes()).key == (1, 3)
+    assert "key" not in repr(ctx)
+    with pytest.raises(TypeError):
+        CrossChainTx(dest_chain=2, payload=ctx.payload, origin_chain=1, nonce=3, key=(1, 3))
+
+
+def test_receipt_message_has_no_instance_dict():
+    assert not hasattr(ReceiptMessage(tx_hash=b"h", payload=b"p", height=1), "__dict__")

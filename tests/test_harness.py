@@ -1,12 +1,14 @@
 """Harness behavior: scenario validation, reproducibility, the four attack
 cases, dataset replay, benchmarks, and the CLI surface."""
 
+import hashlib
 import json
+from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import pytest
 
-from relaysim import cli, harness
+from relaysim import cli, encoding, harness
 from relaysim.crypto.hashes import SUPPORTED
 from relaysim.prover import Prover
 from relaysim.scenario import (
@@ -131,6 +133,40 @@ def test_different_seed_changes_trace(tmp_path):
     ).read_bytes()
 
 
+def _reference_artifacts(result) -> dict:
+    """The artifact lines as whole-object `json.dumps` calls build them, with
+    each receipt item spelled out as its own dict."""
+
+    def lines(rows):
+        return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode()
+
+    def expanded(entry):
+        items = [
+            {"label": label, "count": count, "unit": unit, "subtotal": count * unit}
+            for label, count, unit in entry["items"]
+        ]
+        return {**entry, "items": items}
+
+    records = result.mos.records
+    return {
+        "trace.jsonl": lines(e.to_dict() for e in result.env.trace.events),
+        "receipts.jsonl": lines(expanded(e) for e in result.env.receipts_log),
+        "records.jsonl": lines(records[k].to_dict() for k in sorted(records)),
+    }
+
+
+def test_streamed_artifacts_equal_the_reference_writer(tmp_path):
+    """`write_artifacts` streams each file line by line and expands the
+    receipts log's shared item tuples; a 200-transaction run with gate
+    reports writes the bytes of the whole-object reference writer."""
+    scenario = dc_replace(_small_scenario(seed=3, count=200), backend="counting")
+    result = harness.run(scenario, outdir=tmp_path)
+    assert result.ok and result.submitted == 200
+    assert any(e["context"] == "gate_report" for e in result.env.receipts_log)
+    for name, expected in _reference_artifacts(result).items():
+        assert (tmp_path / name).read_bytes() == expected, name
+
+
 # ---------------------------------------------------------------------------
 # attacks
 
@@ -170,6 +206,41 @@ def test_consistency_corpus_rejects_all():
     assert details["payload_violations"] == 0
     assert all(count > 0 for count in details["per_strategy"].values())
     assert details["rejection_reasons"].get("epoch-gap", 0) > 0
+
+
+def _bundle_bytes(bundle) -> bytes:
+    header, proof, merkle = bundle.header, bundle.zk_proof, bundle.merkle_proof
+    fields = [
+        bundle.kind.encode(),
+        encoding.u64(bundle.origin_chain),
+        header.signing_payload(),
+        header.agg.to_bytes(),
+        proof.backend.encode(),
+        proof.attestation,
+        proof.publics.canonical_bytes(),
+        merkle.leaf,
+        *(sibling + side.encode() for sibling, side in merkle.path),
+        merkle.root,
+        bundle.receipt_payload or b"",
+        bundle.receipt_hash or b"",
+    ]
+    return b"".join(encoding.lp(f) for f in fields)
+
+
+FORGERY_SEQUENCE_SHA256 = "4f0d9eaf5bf87c87fe3d3cf58643e46e344378945fba7c6ffa9e2330d94af531"
+
+
+def test_forgery_sequence_is_pinned():
+    """A seeded corpus forges the same 100 bundles, from the same rng draws
+    and donor order, whatever the corpus keeps to pick its donors."""
+    _, corpus = harness.harvested_corpus(_small_scenario(), honest_count=20)
+    assert (len(corpus.live), len(corpus.stale)) == (10, 10)
+    h = hashlib.sha256()
+    for i in range(100):
+        strategy = harness.FORGERY_STRATEGIES[i % len(harness.FORGERY_STRATEGIES)]
+        h.update(_bundle_bytes(corpus.forge(strategy)))
+    h.update(repr(corpus.rng.random()).encode())  # no draw added or dropped
+    assert h.hexdigest() == FORGERY_SEQUENCE_SHA256
 
 
 def test_collusion_bound_tightness():

@@ -1,12 +1,16 @@
 """The split hashing pipeline: field-element derivation, the curve map, and
 the composition identity against the monolithic path."""
 
+import hashlib
 import random
+
+from hypothesis import given, settings, strategies as st
 
 from relaysim.crypto.bn254 import P, g1_is_on_curve, g1_to_bytes
 from relaysim.crypto.hash_to_curve import (
     BaseFieldPair,
     base_to_g,
+    expand_message_xmd,
     hash_to_base,
     hash_to_curve,
     svdw_map,
@@ -109,3 +113,38 @@ def test_svdw_matches_the_euler_criterion_selection():
     inputs = [0, 1, 2, P - 2, P - 1] + [rng.randrange(P) for _ in range(300)]
     for u in inputs:
         assert svdw_map(u) == _svdw_reference(u), u
+
+
+def _expand_message_xmd_bytewise(msg: bytes, dst: bytes, length: int) -> bytes:
+    """RFC 9380 section 5.3.1 with strxor spelled out byte by byte: the
+    reference for the integer XOR in `expand_message_xmd`."""
+    ell = (length + 31) // 32
+    dst_prime = dst + bytes([len(dst)])
+    b0 = hashlib.sha256(b"\x00" * 64 + msg + length.to_bytes(2, "big") + b"\x00" + dst_prime).digest()
+    blocks = [hashlib.sha256(b0 + b"\x01" + dst_prime).digest()]
+    for i in range(2, ell + 1):
+        prev = bytes(x ^ y for x, y in zip(b0, blocks[-1]))
+        blocks.append(hashlib.sha256(prev + bytes([i]) + dst_prime).digest())
+    return b"".join(blocks)[:length]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.binary(max_size=300),
+    st.binary(min_size=1, max_size=255),
+    st.sampled_from((1, 32, 33, 48, 96, 8160)),
+)
+def test_expand_message_xmd_matches_the_bytewise_strxor(msg, dst, length):
+    assert expand_message_xmd(msg, dst, length) == _expand_message_xmd_bytewise(msg, dst, length)
+
+
+def test_expand_message_xmd_rfc9380_vector():
+    """RFC 9380 appendix K.1 (expand_message_xmd, SHA-256), msg = "",
+    len_in_bytes = 0x80: four blocks, three of them chained through strxor."""
+    dst = b"QUUX-V01-CS02-with-expander-SHA256-128"
+    assert expand_message_xmd(b"", dst, 0x80).hex() == (
+        "af84c27ccfd45d41914fdff5df25293e221afc53d8ad2ac06d5e3e29485dadbe"
+        "e0d121587713a3e0dd4d5e69e93eb7cd4f5df4cd103e188cf60cb02edc3edf18"
+        "eda8576c412b18ffb658e3dd6ec849469b979d444cf7b26911a08e63cf31f9dc"
+        "c541708d3491184472c2c29bb749d4286b004ceb5ee6b9a7fa5b646c993f0ced"
+    )

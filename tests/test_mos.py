@@ -358,3 +358,10 @@ def test_data_out_alias(backend):
     key = mos.data_out(1, 2, MessagePayload(b"alias"), "MAPO", 2)
     assert mos.inquire(key).status == Status.PENDING_SC
     assert MosService.data_in is MosService.message_in
+
+
+def test_message_record_has_no_instance_dict(backend):
+    env = _env(backend)
+    mos = MosService(env, CFG)
+    key = mos.message_out(1, 2, AssetPayload(token="T", amount=5), "MAPO", fee_paid=2)
+    assert not hasattr(mos.inquire(key), "__dict__")

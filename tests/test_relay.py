@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relaysim.chain import AssetPayload, ChainConfig, CrossChainTx, MessagePayload
+from relaysim.costs import GasReceipt, gate_report, item_dicts
 from relaysim.prover import Prover
 from relaysim.relay import (
     FIN_TAG,
@@ -303,6 +304,50 @@ def test_rc_epoch_rotation_end_to_end(backend):
     boundary = next(h for h in env.rc.chain.headers if h.height > 0 and h.is_boundary)
     assert boundary.validator_info[0] == "committed"
     assert boundary.announced_set() is None
+
+
+def test_receipts_log_entries_share_the_receipts_item_tuples(counting_backend):
+    """Each entry keeps its receipt's (label, count, unit) tuples, not
+    per-item dicts, and equal item tuples are one object across the log."""
+    env = _env(counting_backend)
+    keys = [env.submit(1 + i % 3, 1 + (i + 1) % 3, AssetPayload(token="T", amount=i)) for i in range(9)]
+    done, _ = env.run_until_complete(keys)
+    assert done
+    shared = {}
+    for entry in env.receipts_log:
+        items = entry["items"]
+        assert type(items) is tuple and all(type(item) is tuple and len(item) == 3 for item in items)
+        assert shared.setdefault(items, items) is items
+        assert entry["total"] == sum(count * unit for _, count, unit in items)
+    assert len(shared) < len(env.receipts_log)
+    assert {e["context"] for e in env.receipts_log} >= {"register_source", "hlc_verify", "gate_report"}
+
+
+def test_receipts_log_entries_expand_to_the_receipt_dicts(counting_backend):
+    """Expanded through `item_dicts`, as the artifact writer does, an entry
+    is its context and chain plus the receipt's or gate report's own dict."""
+    receipt = GasReceipt("x", (("hash_op", 3, 60), ("call_overhead", 1, 21_000)))
+    assert receipt.to_dict() == {
+        "operation": "x",
+        "items": [
+            {"label": "hash_op", "count": 3, "unit": 60, "subtotal": 180},
+            {"label": "call_overhead", "count": 1, "unit": 21_000, "subtotal": 21_000},
+        ],
+        "total": 21_180,
+    }
+    env = _env(counting_backend)
+    key = env.submit(1, 2, AssetPayload(token="T", amount=1))
+    assert env.run_until_complete([key])[0]
+    expanded = [{**e, "items": item_dicts(e["items"])} for e in env.receipts_log]
+    setup = [e for e in expanded if e["context"] == "register_source"]
+    assert setup == [
+        {"context": "register_source", "chain": 100, **r.to_dict()} for r in env.rc.setup_receipts.values()
+    ]
+    gates = [e for e in expanded if e["context"] == "gate_report"]
+    assert gates
+    for entry in gates:
+        report = gate_report(counting_backend.gate_table, entry["signers"], entry["mode"])
+        assert entry == {"context": "gate_report", "chain": entry["chain"], **report.to_dict()}
 
 
 def test_counting_backend_runs_and_exports_gate_reports(counting_backend):

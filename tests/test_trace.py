@@ -63,3 +63,7 @@ def test_completed_keys_are_sorted_artifact_strings():
     log.record(TraceEvent(key=(3, 3), stage="confirm_dc", time=9, chain=3, verdict="reject:merkle-fail"))
     assert log.completed_keys() == ["1:10", "1:2", "2:1", "?:?"]
     assert [e.to_dict()["ctx"] for e in log.events] == ["2:1", "1:10", "1:2", "?:?", "2:1", "3:3"]
+
+
+def test_trace_event_has_no_instance_dict():
+    assert not hasattr(TraceEvent(key=(1, 1), stage="commit_sc", time=1, chain=1), "__dict__")
