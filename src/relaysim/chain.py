@@ -17,7 +17,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import encoding
 from .crypto import bls
@@ -296,6 +296,18 @@ class _EpochKeys:
     secrets: Dict[bytes, int]  # pubkey bytes -> signing scalar
 
 
+def _epoch_keys(epoch: int, seed: str, weights: Sequence[int]) -> _EpochKeys:
+    """A validator set's keys, made in one batch: validator i's seed is
+    f"{seed}/{i}" and its weight weights[i]."""
+    pairs = []
+    secrets: Dict[bytes, int] = {}
+    for kp, weight in zip(bls.keygen_many([f"{seed}/{i}" for i in range(len(weights))]), weights):
+        pk = kp.public_bytes
+        pairs.append((pk, weight))
+        secrets[pk] = kp.secret
+    return _EpochKeys(vset=ValidatorSet.from_pairs(epoch, pairs), secrets=secrets)
+
+
 class Chain:
     """A single-threaded chain producing quorum-signed headers and receipts."""
 
@@ -314,14 +326,7 @@ class Chain:
     # -- validator sets ----------------------------------------------------
 
     def _genesis_keys(self) -> _EpochKeys:
-        ns = self.config.key_namespace
-        pairs = []
-        secrets: Dict[bytes, int] = {}
-        for i, weight in enumerate(self.config.weights):
-            kp = bls.keygen(f"{ns}/{self.config.chain_id}/0/{i}")
-            pairs.append((kp.public_bytes, weight))
-            secrets[kp.public_bytes] = kp.secret
-        return _EpochKeys(vset=ValidatorSet.from_pairs(0, pairs), secrets=secrets)
+        return _epoch_keys(0, f"{self.config.key_namespace}/{self.config.chain_id}/0", self.config.weights)
 
     def _rotated_keys(self, prev: _EpochKeys, epoch: int) -> _EpochKeys:
         import random
@@ -338,13 +343,7 @@ class Chain:
             entries = tuple(e.reweighted(w) for e, w in zip(prev.vset.entries, weights))
             return _EpochKeys(vset=ValidatorSet(epoch=epoch, entries=entries), secrets=dict(prev.secrets))
         # refresh: new keys, weights carried over in canonical order
-        pairs = []
-        secrets: Dict[bytes, int] = {}
-        for i, entry in enumerate(prev.vset.entries):
-            kp = bls.keygen(f"{seed}/{i}")
-            pairs.append((kp.public_bytes, entry.weight))
-            secrets[kp.public_bytes] = kp.secret
-        return _EpochKeys(vset=ValidatorSet.from_pairs(epoch, pairs), secrets=secrets)
+        return _epoch_keys(epoch, seed, [e.weight for e in prev.vset.entries])
 
     def _ensure_epoch(self, epoch: int) -> _EpochKeys:
         while len(self._epochs) <= epoch:

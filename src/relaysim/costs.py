@@ -82,19 +82,18 @@ class GasMeter:
     def __init__(self, table: GasCostTable, operation: str):
         self.table = table
         self.operation = operation
-        self._items: list[Tuple[str, int, int]] = []
+        self._counts: Dict[str, int] = {}  # label -> count, in first-charge order
 
     def charge(self, label: str, count: int = 1) -> None:
         if count < 0:
             raise ValueError("charge count must be non-negative")
         if count:
-            self._items.append((label, count, self.table.unit(label)))
+            self.table.unit(label)  # an unknown label raises KeyError
+            self._counts[label] = self._counts.get(label, 0) + count
 
     def receipt(self) -> GasReceipt:
-        merged: Dict[str, int] = {}
-        for label, count, _ in self._items:
-            merged[label] = merged.get(label, 0) + count
-        items = tuple((label, count, self.table.unit(label)) for label, count in merged.items())
+        unit = self.table.unit
+        items = tuple((label, count, unit(label)) for label, count in self._counts.items())
         return GasReceipt(operation=self.operation, items=items)
 
 

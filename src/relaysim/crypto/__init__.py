@@ -5,6 +5,7 @@ from .bls import (
     aggregate,
     aggregate_pubkeys,
     keygen,
+    keygen_many,
     sign,
     sign_aggregate,
     verify_aggregate,
@@ -23,6 +24,7 @@ from .merkle import MerkleProof, merkle_prove, merkle_root, merkle_verify
 __all__ = [
     "KeyPair",
     "keygen",
+    "keygen_many",
     "sign",
     "sign_aggregate",
     "aggregate",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import List, Sequence
 
 from . import bn254
 from .bn254 import G1Point, G2Point
@@ -42,15 +42,22 @@ class KeyPair:
         return bn254.g2_to_bytes(self.public)
 
 
+def keygen_many(seeds: Sequence[bytes | str]) -> List[KeyPair]:
+    """keygen for each seed, with the public keys made in one batch."""
+    secrets = []
+    for seed in seeds:
+        if isinstance(seed, str):
+            seed = seed.encode()
+        if not seed:
+            raise ValueError("keygen seed must be nonempty")
+        material = expand_message_xmd(seed, DST_KEYGEN, 48)
+        secrets.append(int.from_bytes(material, "big") % (bn254.R - 1) + 1)
+    return [KeyPair(sk, pk) for sk, pk in zip(secrets, bn254.g2_base_mul_many(secrets))]
+
+
 def keygen(seed: bytes | str) -> KeyPair:
     """Derive a keypair from a nonempty seed; same seed, same pair."""
-    if isinstance(seed, str):
-        seed = seed.encode()
-    if not seed:
-        raise ValueError("keygen seed must be nonempty")
-    material = expand_message_xmd(seed, DST_KEYGEN, 48)
-    secret = int.from_bytes(material, "big") % (bn254.R - 1) + 1
-    return KeyPair(secret=secret, public=bn254.g2_base_mul(secret))
+    return keygen_many((seed,))[0]
 
 
 def sign(secret: int, message: bytes) -> G1Point:
@@ -76,14 +83,10 @@ def aggregate(signatures: Sequence[G1Point]) -> G1Point:
 
 
 def aggregate_pubkeys(pubkeys: Sequence[G2Point], bitmap: Sequence[bool]) -> G2Point:
-    """Sum the public keys selected by the bitmap."""
+    """Sum the public keys selected by the bitmap, by pairwise halving."""
     if len(pubkeys) != len(bitmap):
         raise ValueError(f"bitmap length {len(bitmap)} != validator count {len(pubkeys)}")
-    acc: G2Point = None
-    for pk, included in zip(pubkeys, bitmap):
-        if included:
-            acc = bn254.g2_add(acc, pk)
-    return acc
+    return bn254.g2_sum([pk for pk, included in zip(pubkeys, bitmap) if included])
 
 
 @lru_cache(maxsize=16384)

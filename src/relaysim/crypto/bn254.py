@@ -17,19 +17,24 @@ and raises to U over U's signed (NAF) digits, inverting by conjugation.
 
 G2 scalar multiplication runs on Jacobian points held as six ints, whose
 mixed addition and doubling inline each Fp2 product and reduce once per
-output coordinate. The fixed-base g2_base_mul, which makes every public key,
-recodes the scalar into signed 4-bit windows and sums precomputed bases
-[16^i]G2 by digit size (Brickell-Gordon-McCurley-Wilson, EUROCRYPT 1992):
-about 64 mixed additions and 8 Jacobian additions per key, no doublings. Key
-decompression takes its Fp2 square root by the norm method for p = 3 mod 4
-(Adj and Rodriguez-Henriquez, IEEE Trans. Computers 2014), which moves the
-exponentiations into Fp, where they are the builtin pow.
+output coordinate. The fixed-base g2_base_mul_many, which makes every public
+key, recodes each scalar into signed 4-bit windows and sums precomputed
+bases [16^i]G2 by digit size (Brickell-Gordon-McCurley-Wilson, EUROCRYPT
+1992): about 68 additions per key, no doublings. It adds in affine
+coordinates, a batch at a time: every addition of one step, across the
+buckets of every scalar, shares one field inversion (Montgomery's
+simultaneous inversion, Math. Comp. 1987), which leaves an addition about
+half the int work of a Jacobian mixed one. Public-key aggregation sums
+through the same batch adder. Key decompression takes its Fp2 square root
+by the norm method for p = 3 mod 4 (Adj and Rodriguez-Henriquez, IEEE
+Trans. Computers 2014), which moves the exponentiations into Fp, where
+they are the builtin pow.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 # Curve parameters. p and r are the base-field and group orders generated by
 # the BN construction from the seed U.
@@ -517,23 +522,6 @@ def _g2_jac_add_affine(a, q):
     return (X30, X31, Y30, Y31, 2 * (m - n) % P, 2 * ((Z0 + Z1) * (H0 + H1) - m - n) % P)
 
 
-def _g2_jac_add(a, b):
-    """a + b for Jacobian a and b. The map (x, y) -> (z^2 x, z^3 y), z = b's
-    Z, takes the twist onto y^2 = x^3 + z^6 B2, and b to the affine point
-    (b.X, b.Y) and a to (z^2 a.X, z^3 a.Y, a.Z). The mixed-addition and
-    doubling formulas never read the curve constant, so they add the images
-    there, and scaling Z3 by z maps the sum back."""
-    x0, x1, y0, y1, z0, z1 = b
-    if not (z0 or z1):
-        return a
-    X0, X1, Y0, Y1, Z0, Z1 = a
-    zz = fp2_sqr((z0, z1))
-    X = fp2_mul((X0, X1), zz)
-    Y = fp2_mul((Y0, Y1), fp2_mul(zz, (z0, z1)))
-    s0, s1, s2, s3, s4, s5 = _g2_jac_add_affine((*X, *Y, Z0, Z1), (x0, x1, y0, y1))
-    return (s0, s1, s2, s3, *fp2_mul((s4, s5), (z0, z1)))
-
-
 def _g2_jac_to_affine(a) -> G2Point:
     X0, X1, Y0, Y1, Z0, Z1 = a
     if not (Z0 or Z1):
@@ -578,43 +566,110 @@ assert g1_is_on_curve(G1_GEN)
 assert g2_is_on_curve(G2_GEN)
 
 
+def _add_all(ps: Sequence[G2Point], qs: Sequence[G2Point]) -> List[G2Point]:
+    """[g2_add(p, q) for p, q in zip(ps, qs)]. The lanes whose x coordinates
+    differ share one inversion (Montgomery, Math. Comp. 1987): the prefix
+    products of their Fp norms N(d) = d0^2 + d1^2, d = x2 - x1, are inverted
+    once, and walking back from the last lane peels off each 1/N(d), so
+    1/d = conj(d)/N(d). Equal x coordinates, a doubling or a point plus its
+    negation, take g2_add."""
+    out = list(ps)
+    lanes = []  # the lanes that share the inversion
+    before = []  # per such lane, the product of the norms of the lanes before it
+    acc = 1
+    for i, (p, q) in enumerate(zip(ps, qs)):
+        if p is None:
+            out[i] = q
+        elif q is not None:
+            d0, d1 = q[0][0] - p[0][0], q[0][1] - p[0][1]
+            if d0 or d1:
+                lanes.append(i)
+                before.append(acc)
+                acc = acc * (d0 * d0 + d1 * d1) % P
+            else:
+                out[i] = g2_add(p, q)
+    inv = pow(acc, -1, P)
+    for k in range(len(lanes) - 1, -1, -1):
+        i = lanes[k]
+        (x10, x11), (y10, y11) = ps[i]
+        (x20, x21), (y20, y21) = qs[i]
+        d0, d1 = x20 - x10, x21 - x11
+        n_inv = inv * before[k] % P
+        inv = inv * (d0 * d0 + d1 * d1) % P
+        e0, e1 = y20 - y10, y21 - y11  # lam = e conj(d) / N(d)
+        l0 = (e0 * d0 + e1 * d1) * n_inv % P
+        l1 = (e1 * d0 - e0 * d1) * n_inv % P
+        x30 = ((l0 + l1) * (l0 - l1) - x10 - x20) % P
+        x31 = (2 * l0 * l1 - x11 - x21) % P
+        s0, s1 = x10 - x30, x11 - x31
+        out[i] = ((x30, x31), ((l0 * s0 - l1 * s1 - y10) % P, (l0 * s1 + l1 * s0 - y11) % P))
+    return out
+
+
+def g2_sum(points: Sequence[G2Point]) -> G2Point:
+    """The sum of the points (None for an empty list), by pairwise halving:
+    each round adds the first half to the second in one _add_all, so n
+    points take ceil(log2 n) inversions."""
+    pts = list(points)
+    while len(pts) > 1:
+        half = len(pts) // 2
+        pts = _add_all(pts[:half], pts[half:2 * half]) + pts[2 * half:]
+    return pts[0] if pts else None
+
+
 # Fixed-base multiplication by signed 4-bit windows (Brickell-Gordon-
 # McCurley-Wilson): k = sum d_i 16^i with d_i in [-7, 8] has at most
-# bit_length // 4 + 1 digits, one affine base [16^i]G2 per digit position.
-_G2_WINDOW_BASES = []
-_q = G2_GEN
-for _ in range(R.bit_length() // 4 + 1):
-    (_x0, _x1), (_y0, _y1) = _q
-    _G2_WINDOW_BASES.append((_x0, _x1, _y0, _y1))
-    _q = g2_mul(_q, 16)
-del _q, _x0, _x1, _y0, _y1
+# bit_length // 4 + 1 digits, one affine base [16^i]G2 per digit position,
+# kept with its negation for the negative digits.
+_G2_WINDOW_BASES: List[G2Point] = [G2_GEN]
+for _ in range(R.bit_length() // 4):
+    _G2_WINDOW_BASES.append(g2_mul(_G2_WINDOW_BASES[-1], 16))
+_G2_WINDOW_BASES_NEG = [g2_neg(q) for q in _G2_WINDOW_BASES]
+
+
+def g2_base_mul_many(ks: Sequence[int]) -> List[G2Point]:
+    """[[k]G2 for k in ks]. [k]G2 = sum over j = 8..1 of j * B_j, B_j the
+    signed sum of the bases whose digit is +-j. The buckets B_j of every
+    scalar are the lanes of one _add_all per step, which adds to each its
+    next base. Then S_j = B_8 + ... + B_j runs down from j = 8 and T sums
+    the S_j, so B_j is added j times: each step adds B_j to S and the
+    previous S to T, for every scalar at once. Stepping the buckets a base
+    at a time, not halving them as g2_sum does, keeps one partial sum per
+    bucket alive rather than one per pair of bases."""
+    buckets = []
+    for k in ks:
+        k %= R
+        by_digit = [[] for _ in range(8)]  # by_digit[j - 1] holds B_j's bases
+        i = 0
+        while k:
+            d = k & 15
+            k >>= 4
+            if d > 8:
+                d -= 16
+                k += 1
+            if d > 0:
+                by_digit[d - 1].append(_G2_WINDOW_BASES[i])
+            elif d < 0:
+                by_digit[-d - 1].append(_G2_WINDOW_BASES_NEG[i])
+            i += 1
+        buckets += by_digit
+    b = [bases[0] if bases else None for bases in buckets]
+    step = 1
+    while lanes := [k for k, bases in enumerate(buckets) if len(bases) > step]:
+        sums = _add_all([b[k] for k in lanes], [buckets[k][step] for k in lanes])
+        for k, q in zip(lanes, sums):
+            b[k] = q
+        step += 1
+    n = len(ks)
+    s, t = b[7::8], [None] * n
+    for j in range(6, -1, -1):
+        st = _add_all(s + t, b[j::8] + s)
+        s, t = st[:n], st[n:]
+    return _add_all(t, s)
 
 
 def g2_base_mul(k: int) -> G2Point:
-    # [k]G2 = sum over j = 8..1 of j * B_j, B_j the signed sum of the bases
-    # whose digit is +-j: B accumulates the B_j from j = 8 down, and the
-    # running total adds B once per j, so B_j is added j times
-    k %= R
-    by_digit = [[] for _ in range(9)]
-    i = 0
-    while k:
-        d = k & 15
-        k >>= 4
-        if d > 8:
-            d -= 16
-            k += 1
-        if d > 0:
-            by_digit[d].append(_G2_WINDOW_BASES[i])
-        elif d < 0:
-            x0, x1, y0, y1 = _G2_WINDOW_BASES[i]
-            by_digit[-d].append((x0, x1, -y0 % P, -y1 % P))
-        i += 1
-    acc = b = _G2_JAC_INF
-    for j in range(8, 0, -1):
-        for q in by_digit[j]:
-            b = _g2_jac_add_affine(b, q)
-        acc = _g2_jac_add(acc, b)
-    return _g2_jac_to_affine(acc)
+    return g2_base_mul_many((k,))[0]
 
 
 # ---------------------------------------------------------------------------

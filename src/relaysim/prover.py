@@ -243,15 +243,6 @@ class Prover:
             self._zk_cache[key] = self.backend.prove(statement_for_header(chain, header))
         return self._zk_cache[key]
 
-    def gen_proofs(self, chain: Chain, header: BlockHeader, tx_hash: bytes) -> Tuple[MerkleProof, ZkProof]:
-        """Merkle + signature-validity proofs for a confirmed transaction."""
-        confirmation = chain.confirm(tx_hash)
-        if confirmation.header.height != header.height:
-            raise ValueError("transaction is not confirmed in the given block")
-        merkle_proof = chain.receipt_proof(tx_hash)
-        zk = self.zk_proof_for(chain, header)
-        return merkle_proof, zk
-
     def ctx_bundle(self, chain: Chain, confirmation: Confirmation) -> ProofBundle:
         """The bundle for a confirmation this prover read off `chain`: its
         block is already known, so no second confirmation lookup."""

@@ -2,11 +2,13 @@
 bilinearity, identity handling, the product route, the operation counts of
 the demo run (pairings, signatures, key decodes, line schedules built), the
 line-schedule cache, the flat Fp6/Fp12 arithmetic against a schoolbook
-reference, the Jacobian G2 ladder and the signed-window fixed-base
+reference, the Jacobian G2 ladder and the batched signed-window fixed-base
 multiplication against an affine reference, and the norm-method Fp2 square
 root against the pow-chain one."""
 
 import hashlib
+import random
+from functools import lru_cache
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
@@ -256,6 +258,19 @@ def test_g2_jacobian_multiplication_matches_affine_ladder():
     assert g2_mul(q, R + 5) == g2_mul(q, 5)
 
 
+EDGE_SCALARS = (
+    0,
+    1,
+    8,
+    9,
+    R - 1,
+    R,
+    R + 5,
+    sum(8 * 16**i for i in range(63)),  # every signed digit +8, no carry
+    16**63 - 1,  # digits -1, 0, ..., 0, 1: the carry opens the last window
+)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**256))
 @example(0)
@@ -265,10 +280,41 @@ def test_g2_jacobian_multiplication_matches_affine_ladder():
 @example(R - 1)
 @example(R)
 @example(R + 5)
-@example(sum(8 * 16**i for i in range(63)))  # every signed digit +8, no carry
-@example(16**63 - 1)  # digits -1, 0, ..., 0, 1: the carry opens the last window
+@example(EDGE_SCALARS[7])
+@example(EDGE_SCALARS[8])
 def test_g2_base_mul_signed_windows_match_affine_ladder(k):
     assert bn254.g2_base_mul(k) == _affine_ladder(G2_GEN, k % R)
+
+
+@lru_cache(maxsize=None)
+def _base_ladder(k):
+    return _affine_ladder(G2_GEN, k % R)
+
+
+@st.composite
+def _scalar_batches(draw):
+    # 0-70 scalars drawn with repeats from a pool of fresh scalars k, their
+    # R - k, and the edge scalars, so one batch holds duplicates, opposite
+    # points and doublings in the running sums
+    fresh = draw(st.lists(st.integers(0, 2**256), max_size=4))
+    pool = [*fresh, *(R - k % R for k in fresh), *EDGE_SCALARS]
+    n = draw(st.integers(0, 70))
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_scalar_batches())
+@example(list(EDGE_SCALARS))
+@example([A, R - A % R, A, 8 * 16**5, 8 * 16**5])
+def test_g2_base_mul_many_matches_affine_ladder_per_scalar(ks):
+    assert bn254.g2_base_mul_many(ks) == [_base_ladder(k) for k in ks]
+
+
+def test_g2_base_mul_alone_equals_inside_a_batch_of_64():
+    rng = random.Random(64)
+    ks = [rng.randrange(R) for _ in range(64)]
+    assert bn254.g2_base_mul_many(ks) == [bn254.g2_base_mul(k) for k in ks]
+    assert bn254.g2_base_mul_many([]) == []
 
 
 def _fp2_sqrt_reference(a):

@@ -1,6 +1,8 @@
-"""Signature-scheme correctness: keys, single and aggregate verification,
-signing once for a set of signers, the exhaustive small-set
-completeness/soundness sweep, and the point-keyed verify caches."""
+"""Signature-scheme correctness: keys made one at a time and in a batch,
+single and aggregate verification, public-key aggregation against a
+sequential fold, signing once for a set of signers, the exhaustive
+small-set completeness/soundness sweep, and the point-keyed verify
+caches."""
 
 import random
 
@@ -19,6 +21,7 @@ from relaysim.crypto.bn254 import (
     g1_mul,
     g1_neg,
     g1_to_bytes,
+    g2_add,
     g2_from_bytes,
     g2_mul,
     g2_neg,
@@ -48,6 +51,14 @@ def test_keygen_public_matches_secret():
 def test_keygen_rejects_empty_seed():
     with pytest.raises(ValueError):
         bls.keygen("")
+
+
+def test_keygen_many_equals_keygen_per_seed():
+    seeds = ["v0", b"v1", "pool/3", "v0", "x" * 100]
+    assert bls.keygen_many(seeds) == [bls.keygen(s) for s in seeds]
+    assert bls.keygen_many([]) == []
+    with pytest.raises(ValueError):
+        bls.keygen_many(["v0", ""])
 
 
 def test_sign_rejects_empty_message():
@@ -142,6 +153,45 @@ def test_zero_bitmap_apk_rejected(keypairs):
     apk = bls.aggregate_pubkeys([kp.public for kp in keypairs[:3]], [False] * 3)
     assert apk is None
     assert not bls.verify_aggregate(apk, MSG, sig)
+
+
+def _fold_pubkeys(pubkeys, bitmap):
+    # reference: one affine addition per selected key, in bitmap order
+    acc = None
+    for pk, included in zip(pubkeys, bitmap):
+        if included:
+            acc = g2_add(acc, pk)
+    return acc
+
+
+# keys made by the Jacobian ladder, apart from the batched code under test
+KEY_POOL = [g2_mul(G2_GEN, 0x5EED + 7919 * i) for i in range(8)]
+KEY_POOL += [g2_neg(pk) for pk in KEY_POOL]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 15), st.booleans()), max_size=24))
+def test_aggregate_pubkeys_matches_sequential_fold(picks):
+    # 8 keys and their negations, picked with repeats
+    pubkeys = [KEY_POOL[i] for i, _ in picks]
+    bitmap = [included for _, included in picks]
+    assert bls.aggregate_pubkeys(pubkeys, bitmap) == _fold_pubkeys(pubkeys, bitmap)
+
+
+def test_aggregate_pubkeys_identity_and_doubling_mid_sum():
+    a, b = KEY_POOL[0], KEY_POOL[1]
+    cases = [
+        [a, g2_neg(a), b],  # a key beside its negation: the identity, then b
+        [a, a],  # a repeated key: a doubling
+        [a, b, a, b],  # (a + b) doubled in the second round
+        [a, b, g2_neg(b), g2_neg(a)],  # the whole sum is the identity
+    ]
+    for pubkeys in cases:
+        bitmap = [True] * len(pubkeys)
+        assert bls.aggregate_pubkeys(pubkeys, bitmap) == _fold_pubkeys(pubkeys, bitmap)
+    assert bls.aggregate_pubkeys([a, b], [True, True]) == g2_add(a, b)
+    assert bls.aggregate_pubkeys([a, a], [True, True]) == g2_mul(a, 2)
+    assert bls.aggregate_pubkeys([a, g2_neg(a)], [True, True]) is None
 
 
 def test_exhaustive_bitmaps_n5(bitmap_exhaustive):

@@ -80,30 +80,19 @@ def test_twin_provers_identical_streams(backend):
 # proof generation
 
 
-def test_gen_proofs_roundtrip(backend, gas_table):
+def test_ctx_bundle_roundtrip(backend, gas_table):
     from relaysim.lightclient import hlc_setup, hlc_verify
 
     chain = _chain(ns="gen")
     ctx = chain.make_tx(2, AssetPayload(token="T", amount=9))
     tx_hash = chain.submit_tx(ctx)
     _, header = chain.produce_block()
-    prover = Prover("p", backend)
-    merkle_proof, zk = prover.gen_proofs(chain, header, tx_hash)
-    state = hlc_setup(1, chain.validator_set(0), 6, T23, gas_table).state
     conf = chain.confirm(tx_hash)
-    result = hlc_verify(state, conf.message, header, merkle_proof, zk, gas_table, backend)
+    bundle = Prover("p", backend).ctx_bundle(chain, conf)
+    assert bundle.header == header
+    state = hlc_setup(1, chain.validator_set(0), 6, T23, gas_table).state
+    result = hlc_verify(state, conf.message, header, bundle.merkle_proof, bundle.zk_proof, gas_table, backend)
     assert result.ok
-
-
-def test_gen_proofs_wrong_block_rejected(backend):
-    chain = _chain(ns="wrong")
-    ctx = chain.make_tx(2, AssetPayload(token="T", amount=9))
-    tx_hash = chain.submit_tx(ctx)
-    chain.produce_block()
-    _, later = chain.produce_block()
-    prover = Prover("p", backend)
-    with pytest.raises(ValueError):
-        prover.gen_proofs(chain, later, tx_hash)
 
 
 def test_zk_proof_cached_per_header(backend):
@@ -112,12 +101,12 @@ def test_zk_proof_cached_per_header(backend):
     b = chain.make_tx(2, MessagePayload(b"b"))
     chain.submit_tx(a)
     chain.submit_tx(b)
-    _, header = chain.produce_block()
+    chain.produce_block()
     prover = Prover("p", backend)
-    mp_a, zk_a = prover.gen_proofs(chain, header, a.tx_hash)
-    mp_b, zk_b = prover.gen_proofs(chain, header, b.tx_hash)
-    assert zk_a is zk_b
-    assert mp_a != mp_b
+    bundle_a = prover.ctx_bundle(chain, chain.confirm(a.tx_hash))
+    bundle_b = prover.ctx_bundle(chain, chain.confirm(b.tx_hash))
+    assert bundle_a.zk_proof is bundle_b.zk_proof
+    assert bundle_a.merkle_proof != bundle_b.merkle_proof
 
 
 # ---------------------------------------------------------------------------
