@@ -125,6 +125,19 @@ def test_demo_run_artifacts_match_pinned_digests(tmp_path, capsys):
     assert digests == DEMO_ARTIFACT_SHA256
 
 
+DEMO_ATTACKS_SHA256 = "960b5f191a7d36c6c2aa89962772aa2e5cb5277b8e8659a86b6269b3d162f78c"
+
+
+def test_demo_attack_artifact_matches_pinned_digest(tmp_path, capsys):
+    """`relaysim --scenario scenarios/demo.yaml attack` writes the same
+    verdicts, tallies included, as the pinned run."""
+    demo = Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml"
+    assert cli.main(["--scenario", str(demo), "attack", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    data = (tmp_path / "attacks.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == DEMO_ATTACKS_SHA256
+
+
 def test_different_seed_changes_trace(tmp_path):
     harness.run(_small_scenario(seed=1), outdir=tmp_path / "s1")
     harness.run(_small_scenario(seed=2), outdir=tmp_path / "s2")
