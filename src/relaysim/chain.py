@@ -21,7 +21,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import encoding
 from .crypto import bls
-from .crypto.bn254 import G1Point, g1_to_bytes
+from .crypto.bn254 import G1Point
 from .crypto.commitment import ValidatorSet, commitment_digest
 from .crypto.hashes import digest
 from .crypto.merkle import MerkleProof, MerkleTree
@@ -144,9 +144,6 @@ class AggregateSignature:
     point: G1Point
     bitmap: Tuple[bool, ...]
 
-    def to_bytes(self) -> bytes:
-        return encoding.lp(g1_to_bytes(self.point)) + encoding.pack_bits(self.bitmap)
-
 
 @dataclass(frozen=True)
 class BlockHeader:
@@ -157,7 +154,9 @@ class BlockHeader:
     timestamp: int
     receipt_root: bytes
     announced_commitment: bytes  # ZERO32 on non-boundary headers
-    validator_info: Optional[Tuple[str, object]]  # ("full", ValidatorSet) | ("committed", bytes)
+    # the set a source chain's boundary header ships beside its commitment;
+    # None elsewhere, and on relay-chain headers, which carry only the commitment
+    announced_set: Optional[ValidatorSet]
     agg: AggregateSignature
 
     @property
@@ -181,16 +180,10 @@ class BlockHeader:
     def digest(self, algo: str = "sha256") -> bytes:
         return digest(self.signing_payload(), algo)
 
-    def announced_set(self) -> Optional[ValidatorSet]:
-        if self.validator_info and self.validator_info[0] == "full":
-            return self.validator_info[1]  # type: ignore[return-value]
-        return None
-
 
 @dataclass(frozen=True)
 class Confirmation:
     header: BlockHeader
-    receipt_root: bytes
     message: ReceiptMessage
     leaf_index: int
     record: object  # what the receipt was built from: see `Block.records`
@@ -208,7 +201,6 @@ class Block:
     def confirmation(self, index: int) -> Confirmation:
         return Confirmation(
             header=self.header,
-            receipt_root=self.header.receipt_root,
             message=self.receipts[index],
             leaf_index=index,
             record=self.records[index],
@@ -243,13 +235,12 @@ class ChainConfig:
     weights: Tuple[int, ...]
     vote_threshold: Fraction = Fraction(2, 3)
     rotation: str = "identity"  # identity | reweight | refresh
-    genesis_time: int = 0
     hash_algo: str = "sha256"
     key_namespace: str = ""
     max_block_txs: int = 4096
     # relay-chain style headers announce only the set commitment; source
     # chains ship the full set so provers and normal clients can open it
-    committed_validator_info: bool = False
+    announce_commitment_only: bool = False
 
     def __post_init__(self):
         if self.epoch_size < 1:
@@ -270,8 +261,8 @@ class ChainConfig:
 class LogicalClock:
     """Monotone tick counter shared by every chain in a scenario."""
 
-    def __init__(self, start: int = 0):
-        self._now = start
+    def __init__(self):
+        self._now = 0
 
     def next(self) -> int:
         self._now += 1
@@ -313,7 +304,7 @@ class Chain:
 
     def __init__(self, config: ChainConfig, clock: Optional[LogicalClock] = None):
         self.config = config
-        self.clock = clock if clock is not None else LogicalClock(config.genesis_time)
+        self.clock = clock if clock is not None else LogicalClock()
         self._epochs: List[_EpochKeys] = [self._genesis_keys()]
         self._blocks: List[Block] = []
         self._trees: Dict[int, MerkleTree] = {}
@@ -453,16 +444,12 @@ class Chain:
         tree = MerkleTree(leaves, self.config.hash_algo) if leaves else None
         root = tree.root if tree is not None else EMPTY_RECEIPT_ROOT
 
+        announced_commitment, announced_set = ZERO32, None
         if boundary:
             announced = self._ensure_epoch(epoch).vset
             announced_commitment = commitment_digest(announced, self.config.hash_algo)
-            if self.config.committed_validator_info:
-                validator_info = ("committed", announced_commitment)
-            else:
-                validator_info = ("full", announced)
-        else:
-            announced_commitment = ZERO32
-            validator_info = None
+            if not self.config.announce_commitment_only:
+                announced_set = announced
 
         draft = BlockHeader(
             chain_id=self.config.chain_id,
@@ -472,7 +459,7 @@ class Chain:
             timestamp=self.clock.next(),
             receipt_root=root,
             announced_commitment=announced_commitment,
-            validator_info=validator_info,
+            announced_set=announced_set,
             agg=AggregateSignature(point=None, bitmap=()),
         )
         agg = self._sign_header_payload(draft.signing_payload(), signing_keys)

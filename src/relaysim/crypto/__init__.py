@@ -11,13 +11,7 @@ from .bls import (
     verify_aggregate,
     verify_at_point,
 )
-from .commitment import (
-    ValidatorEntry,
-    ValidatorSet,
-    ValidatorSetCommitment,
-    commit_validator_set,
-    commitment_digest,
-)
+from .commitment import ValidatorEntry, ValidatorSet, commitment_digest
 from .hash_to_curve import BaseFieldPair, base_to_g, hash_to_base, hash_to_curve
 from .merkle import MerkleProof, merkle_prove, merkle_root, merkle_verify
 
@@ -41,7 +35,5 @@ __all__ = [
     "merkle_verify",
     "ValidatorEntry",
     "ValidatorSet",
-    "ValidatorSetCommitment",
-    "commit_validator_set",
     "commitment_digest",
 ]

@@ -86,18 +86,6 @@ class ValidatorSet:
         return encoding.join(body)
 
 
-@dataclass(frozen=True)
-class ValidatorSetCommitment:
-    digest: bytes
-    epoch: int
-
-
-def commit_validator_set(vs: ValidatorSet, algo: str = "sha256") -> ValidatorSetCommitment:
-    """Binding digest over the canonical (pubkey, weight) serialization."""
-    return ValidatorSetCommitment(
-        digest=digest(COMMITMENT_TAG + vs.serialize(), algo), epoch=vs.epoch
-    )
-
-
 def commitment_digest(vs: ValidatorSet, algo: str = "sha256") -> bytes:
-    return commit_validator_set(vs, algo).digest
+    """Binding digest over the canonical (pubkey, weight) serialization."""
+    return digest(COMMITMENT_TAG + vs.serialize(), algo)

@@ -56,22 +56,3 @@ class Reader:
     def end(self) -> None:
         if self.pos != len(self.data):
             raise ValueError("trailing bytes after record")
-
-
-def pack_bits(bits: Iterable[bool]) -> bytes:
-    """Bitmap encoding: u64 count followed by MSB-first packed bits."""
-    bit_list = list(bits)
-    out = bytearray(u64(len(bit_list)))
-    acc = 0
-    fill = 0
-    for b in bit_list:
-        acc = (acc << 1) | (1 if b else 0)
-        fill += 1
-        if fill == 8:
-            out.append(acc)
-            acc = 0
-            fill = 0
-    if fill:
-        out.append(acc << (8 - fill))
-    return bytes(out)
-

@@ -119,8 +119,6 @@ def lc_setup(
     table: GasCostTable,
     hash_algo: str = "sha256",
 ) -> SetupResult:
-    if len(genesis_set) == 0:
-        raise ValueError("cannot set up a light client with an empty validator set")
     meter = GasMeter(table, "lc_setup")
     meter.charge("sstore_word", len(genesis_set) * table.validator_words)
     state = NormalLcState(
@@ -170,7 +168,7 @@ def lc_update(state: NormalLcState, header: BlockHeader, table: GasCostTable) ->
     meter.charge("call_overhead")
     if not header.is_boundary or header.epoch != state.epoch + 1:
         return UpdateResult(False, state, meter.receipt(), RejectReason.EPOCH_GAP)
-    announced = header.announced_set()
+    announced = header.announced_set
     if announced is None:
         raise ValueError("normal light client requires full validator info on boundary headers")
     reason = _check_signature(state, header, meter)
@@ -218,8 +216,6 @@ def hlc_setup(
     table: GasCostTable,
     hash_algo: str = "sha256",
 ) -> SetupResult:
-    if len(genesis_set) == 0:
-        raise ValueError("cannot set up a light client with an empty validator set")
     meter = GasMeter(table, "hlc_setup")
     meter.charge("sstore_word", table.commitment_words)
     state = HybridLcState(

@@ -163,7 +163,7 @@ def statement_for_header(chain: Chain, header: BlockHeader) -> ZkStatement:
     new_set = None
     if header.is_boundary:
         # commitment-only headers: open the announced set from chain state
-        new_set = header.announced_set() or chain.validator_set(header.epoch)
+        new_set = header.announced_set or chain.validator_set(header.epoch)
     publics = public_inputs(
         header,
         commitment_digest(signing_set, algo),

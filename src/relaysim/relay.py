@@ -289,7 +289,7 @@ class RelayEnvironment:
         self.backend = backend
         self.clock = LogicalClock()
         self.rc_id = rc_config.chain_id
-        rc_chain = Chain(replace(rc_config, committed_validator_info=True), self.clock)
+        rc_chain = Chain(replace(rc_config, announce_commitment_only=True), self.clock)
         self.rc = RelayChain(rc_chain, self.table, backend)
         self.chains: Dict[int, Chain] = {}
         self.hosts: Dict[int, DestinationHost] = {}
@@ -305,23 +305,18 @@ class RelayEnvironment:
 
     # -- wiring ---------------------------------------------------------------
 
-    def add_chain(self, config: ChainConfig, as_source: bool = True, as_dest: bool = True) -> Chain:
+    def add_chain(self, config: ChainConfig) -> Chain:
+        """Add a chain that is both a source (the relay chain hosts a client
+        of it) and a destination (it hosts a client of the relay chain)."""
         if config.chain_id in self.chains or config.chain_id == self.rc_id:
             raise ValueError(f"chain id {config.chain_id} already in use")
         chain = Chain(config, self.clock)
         self.chains[config.chain_id] = chain
-        if as_source:
-            self.register_source(config.chain_id)
-        if as_dest:
-            host = self.hosts[config.chain_id] = DestinationHost(chain, self.table, self.backend)
-            self._inbox[config.chain_id] = []
-            self._log_receipt("register_rc_client", config.chain_id, host.register_source(self.rc.chain))
+        self._log_receipt("register_source", self.rc_id, self.rc.register_source(chain))
+        host = self.hosts[config.chain_id] = DestinationHost(chain, self.table, self.backend)
+        self._inbox[config.chain_id] = []
+        self._log_receipt("register_rc_client", config.chain_id, host.register_source(self.rc.chain))
         return chain
-
-    def register_source(self, chain_id: int) -> GasReceipt:
-        receipt = self.rc.register_source(self.chains[chain_id])
-        self._log_receipt("register_source", self.rc_id, receipt)
-        return receipt
 
     def host(self, chain_id: int) -> LightClientHost:
         """The light-client host on `chain_id`: the relay chain or a destination."""

@@ -120,7 +120,7 @@ def test_boundary_header_announces_rotated_set():
     boundary = chain.headers[4]
     assert boundary.is_boundary
     assert boundary.epoch == 1
-    announced = boundary.announced_set()
+    announced = boundary.announced_set
     assert announced is not None
     assert announced.epoch == 1
     assert boundary.announced_commitment == commitment_digest(announced)

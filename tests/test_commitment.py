@@ -8,12 +8,7 @@ import pytest
 
 from relaysim.chain import Chain, ChainConfig
 from relaysim.crypto import bn254, commitment
-from relaysim.crypto.commitment import (
-    ValidatorEntry,
-    ValidatorSet,
-    commit_validator_set,
-    commitment_digest,
-)
+from relaysim.crypto.commitment import ValidatorEntry, ValidatorSet, commitment_digest
 
 
 def _pool(n=16):
@@ -32,7 +27,7 @@ def _vset(indices_weights, epoch=0):
 def test_same_set_same_digest():
     a = _vset([(0, 10), (1, 20), (2, 30)])
     b = _vset([(0, 10), (1, 20), (2, 30)])
-    assert commit_validator_set(a) == commit_validator_set(b)
+    assert commitment_digest(a) == commitment_digest(b)
 
 
 def test_insertion_order_is_canonicalized():

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from relaysim import cli, encoding, harness
+from relaysim import cli, encoding, harness, lightclient
+from relaysim.crypto.bn254 import g1_to_bytes
 from relaysim.crypto.hashes import SUPPORTED
-from relaysim.prover import Prover
+from relaysim.prover import CountingBackend, Prover, TransparentBackend
 from relaysim.scenario import (
     DatasetError,
     ScenarioError,
@@ -125,7 +126,7 @@ def test_demo_run_artifacts_match_pinned_digests(tmp_path, capsys):
     assert digests == DEMO_ARTIFACT_SHA256
 
 
-DEMO_ATTACKS_SHA256 = "960b5f191a7d36c6c2aa89962772aa2e5cb5277b8e8659a86b6269b3d162f78c"
+DEMO_ATTACKS_SHA256 = "5501599331ffc48a7652106973c34deaf754797b7197598ad07db43d85c992d1"
 
 
 def test_demo_attack_artifact_matches_pinned_digest(tmp_path, capsys):
@@ -218,7 +219,35 @@ def test_consistency_corpus_rejects_all():
     assert details["forged_final_confirmations"] == 0
     assert details["payload_violations"] == 0
     assert all(count > 0 for count in details["per_strategy"].values())
+    assert sum(details["rejection_reasons"].values()) == details["attempted"]
     assert details["rejection_reasons"].get("epoch-gap", 0) > 0
+
+
+def _hmac_skipped(self, proof, publics):
+    return proof.publics == publics
+
+
+DEFENCES = {
+    "attestation-hmac": [
+        (TransparentBackend, "verify", _hmac_skipped),
+        (CountingBackend, "verify", _hmac_skipped),
+    ],
+    "epoch-gap": [(lightclient, "_header_matches_epoch", lambda state_epoch, header: True)],
+    "merkle": [(lightclient, "merkle_verify", lambda root, leaf, proof, algo="sha256": True)],
+}
+
+
+@pytest.mark.parametrize("backend", ["transparent", "counting"])
+@pytest.mark.parametrize("defence", sorted(DEFENCES))
+def test_removing_a_defence_is_a_breach(monkeypatch, defence, backend):
+    """With one of these relay-client checks taken out, some strategy's
+    forgeries get through, and the consistency case reports the breach."""
+    for owner, name, stub in DEFENCES[defence]:
+        monkeypatch.setattr(owner, name, stub)
+    scenario = dc_replace(_small_scenario(), backend=backend)
+    verdict = harness.attack_consistency(scenario, forgeries=150, honest_count=10)
+    assert verdict.observed_breach and not verdict.ok
+    assert verdict.details["accepted_at_relay"] > 0
 
 
 def _bundle_bytes(bundle) -> bytes:
@@ -227,7 +256,8 @@ def _bundle_bytes(bundle) -> bytes:
         bundle.kind.encode(),
         encoding.u64(bundle.origin_chain),
         header.signing_payload(),
-        header.agg.to_bytes(),
+        g1_to_bytes(header.agg.point),
+        bytes(header.agg.bitmap),
         proof.backend.encode(),
         proof.attestation,
         proof.publics.canonical_bytes(),
@@ -240,7 +270,7 @@ def _bundle_bytes(bundle) -> bytes:
     return b"".join(encoding.lp(f) for f in fields)
 
 
-FORGERY_SEQUENCE_SHA256 = "4f0d9eaf5bf87c87fe3d3cf58643e46e344378945fba7c6ffa9e2330d94af531"
+FORGERY_SEQUENCE_SHA256 = "9b72b4ec6915392e3129f108475d9370ef6d3d3e1e76d33d770b62ce8c600b57"
 
 
 def test_forgery_sequence_is_pinned():
@@ -469,6 +499,27 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert cli.main(["--scenario", str(scen), "run", "--out", str(tmp_path / "o")]) == 0
     assert (tmp_path / "o" / "trace.jsonl").exists()
     capsys.readouterr()
+
+
+def test_cli_run_dataset_with_unknown_chain_exit_2(tmp_path, capsys):
+    data = tmp_path / "chains.csv"
+    _write_dataset(data, [(1, 77, 1, 2, "USDC", 5)])
+    scen = tmp_path / "s.json"
+    scen.write_text(
+        json.dumps(
+            {
+                "name": "cli-dataset",
+                "relay_chain": {"chain_id": 100, "validators": 4, "epoch_size": 10},
+                "chains": [
+                    {"chain_id": 1, "validators": 3, "epoch_size": 10},
+                    {"chain_id": 2, "validators": 3, "epoch_size": 10},
+                ],
+                "workload": {"kind": "dataset", "path": str(data)},
+            }
+        )
+    )
+    assert cli.main(["--scenario", str(scen), "run"]) == 2
+    assert "row 2: unknown chain 77" in capsys.readouterr().err
 
 
 def test_cli_invalid_scenario_exit_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from relaysim.chain import AssetPayload, ChainConfig, CrossChainTx, MessagePayload
 from relaysim.costs import GasReceipt, gate_report, item_dicts
+from relaysim.crypto.commitment import commitment_digest
 from relaysim.prover import Prover
 from relaysim.relay import (
     FIN_TAG,
@@ -302,8 +303,10 @@ def test_rc_epoch_rotation_end_to_end(backend):
         assert host.clients[env.rc_id].epoch == env.rc.chain.current_epoch
     # relay-chain boundary headers announce only the commitment
     boundary = next(h for h in env.rc.chain.headers if h.height > 0 and h.is_boundary)
-    assert boundary.validator_info[0] == "committed"
-    assert boundary.announced_set() is None
+    assert boundary.announced_set is None
+    rc_chain = env.rc.chain
+    announced = rc_chain.validator_set(boundary.epoch)
+    assert boundary.announced_commitment == commitment_digest(announced, rc_chain.config.hash_algo)
 
 
 def test_receipts_log_entries_share_the_receipts_item_tuples(counting_backend):
