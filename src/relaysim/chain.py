@@ -14,6 +14,7 @@ Time is logical: every block consumes one tick from a monotone clock.
 from __future__ import annotations
 
 import hashlib
+import struct
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,6 +52,14 @@ class UnknownTransaction(KeyError):
 # ---------------------------------------------------------------------------
 # Transactions and receipts.
 
+# Fixed-width record heads (docs/wire_format.md): each ends with the length
+# of the variable field that follows it.
+_CTX_HEAD = struct.Struct(">4s4Q")  # "CTX1", dest, origin, nonce, len(payload)
+_PAYLOAD_HEAD = struct.Struct(">cQ")  # "A" or "M", len(token) or len(call_data)
+_ASSET_MID = struct.Struct(">2Q")  # amount, len(instruction)
+_RCPT_HEAD = struct.Struct(">4sQ")  # "RCPT", len(tx_hash)
+_BH_HEAD = struct.Struct(">3s6Q")  # "BH1", chain_id, height, epoch, epoch_size, timestamp, len(receipt_root)
+
 
 @dataclass(frozen=True, slots=True)
 class AssetPayload:
@@ -63,9 +72,9 @@ class AssetPayload:
             raise ValueError("asset amount must be non-negative")
 
     def to_bytes(self) -> bytes:
-        return b"A" + encoding.lp(self.token.encode()) + encoding.u64(self.amount) + encoding.lp(
-            self.instruction.encode()
-        )
+        token, instruction = self.token.encode(), self.instruction.encode()
+        mid = encoding.pack(_ASSET_MID, self.amount, len(instruction))
+        return b"".join((_PAYLOAD_HEAD.pack(b"A", len(token)), token, mid, instruction))
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,7 +82,7 @@ class MessagePayload:
     call_data: bytes
 
     def to_bytes(self) -> bytes:
-        return b"M" + encoding.lp(self.call_data)
+        return _PAYLOAD_HEAD.pack(b"M", len(self.call_data)) + self.call_data
 
 
 Payload = Union[AssetPayload, MessagePayload]
@@ -92,15 +101,9 @@ class CrossChainTx:
         object.__setattr__(self, "key", (self.origin_chain, self.nonce))
 
     def to_bytes(self) -> bytes:
-        return encoding.join(
-            [
-                b"CTX1",
-                encoding.u64(self.dest_chain),
-                encoding.u64(self.origin_chain),
-                encoding.u64(self.nonce),
-                encoding.lp(self.payload.to_bytes()),
-            ]
-        )
+        payload = self.payload.to_bytes()
+        head = encoding.pack(_CTX_HEAD, b"CTX1", self.dest_chain, self.origin_chain, self.nonce, len(payload))
+        return head + payload
 
     @property
     def tx_hash(self) -> bytes:
@@ -109,21 +112,33 @@ class CrossChainTx:
 
 def decode_ctx(data: bytes) -> CrossChainTx:
     """Parse `CrossChainTx.to_bytes` output; anything else raises ValueError."""
-    record = encoding.Reader(data)
-    if record.take(4) != b"CTX1":
+    try:
+        tag, dest, origin, nonce, size = _CTX_HEAD.unpack_from(data)
+        kind, first = _PAYLOAD_HEAD.unpack_from(data, _CTX_HEAD.size)
+    except struct.error:
+        raise ValueError("truncated record") from None
+    if tag != b"CTX1":
         raise ValueError("not a cross-chain transaction record")
-    dest, origin, nonce = record.u64(), record.u64(), record.u64()
-    body = encoding.Reader(record.lp())
-    record.end()
-    kind = body.take(1)
+    end = len(data)
+    if _CTX_HEAD.size + size != end:
+        raise ValueError("payload length does not match the record")
+    start = _CTX_HEAD.size + _PAYLOAD_HEAD.size
+    mid = start + first  # end of the first field: the token or the call data
     if kind == b"A":
-        token, amount, instruction = body.lp().decode(), body.u64(), body.lp().decode()
-        payload = AssetPayload(token=token, amount=amount, instruction=instruction)
+        if mid + _ASSET_MID.size > end:
+            raise ValueError("truncated record")
+        amount, rest = _ASSET_MID.unpack_from(data, mid)
+        if mid + _ASSET_MID.size + rest != end:
+            raise ValueError("instruction length does not match the record")
+        payload = AssetPayload(
+            token=data[start:mid].decode(), amount=amount, instruction=data[mid + _ASSET_MID.size :].decode()
+        )
     elif kind == b"M":
-        payload = MessagePayload(call_data=body.lp())
+        if mid != end:
+            raise ValueError("call data length does not match the record")
+        payload = MessagePayload(call_data=data[start:])
     else:
         raise ValueError("unknown payload kind")
-    body.end()
     return CrossChainTx(dest_chain=dest, payload=payload, origin_chain=origin, nonce=nonce)
 
 
@@ -134,8 +149,15 @@ class ReceiptMessage:
     height: int
 
     def to_bytes(self) -> bytes:
-        return encoding.join(
-            [b"RCPT", encoding.lp(self.tx_hash), encoding.lp(self.payload), encoding.u64(self.height)]
+        tx_hash, payload = self.tx_hash, self.payload
+        return b"".join(
+            (
+                _RCPT_HEAD.pack(b"RCPT", len(tx_hash)),
+                tx_hash,
+                encoding.U64.pack(len(payload)),
+                payload,
+                encoding.pack(encoding.U64, self.height),
+            )
         )
 
 
@@ -164,18 +186,11 @@ class BlockHeader:
         return self.announced_commitment != ZERO32
 
     def signing_payload(self) -> bytes:
-        return encoding.join(
-            [
-                b"BH1",
-                encoding.u64(self.chain_id),
-                encoding.u64(self.height),
-                encoding.u64(self.epoch),
-                encoding.u64(self.epoch_size),
-                encoding.u64(self.timestamp),
-                encoding.lp(self.receipt_root),
-                encoding.lp(self.announced_commitment),
-            ]
+        root, announced = self.receipt_root, self.announced_commitment
+        head = encoding.pack(
+            _BH_HEAD, b"BH1", self.chain_id, self.height, self.epoch, self.epoch_size, self.timestamp, len(root)
         )
+        return b"".join((head, root, encoding.U64.pack(len(announced)), announced))
 
     def digest(self, algo: str = "sha256") -> bytes:
         return digest(self.signing_payload(), algo)

@@ -83,7 +83,7 @@ class ValidatorSet:
         for entry in self.entries:
             body.append(encoding.lp(entry.pubkey_bytes))
             body.append(encoding.u64(entry.weight))
-        return encoding.join(body)
+        return b"".join(body)
 
 
 def commitment_digest(vs: ValidatorSet, algo: str = "sha256") -> bytes:

@@ -2,11 +2,16 @@
 
 Every digest, signing payload, and commitment in the protocol is built from
 these primitives so that golden vectors stay stable. See docs/wire_format.md.
+Records with a fixed-width head pack it with one precompiled `struct.Struct`
+through `pack`, which gives the same bytes as the `u64`/`lp` fields it
+replaces.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import struct
+
+U64 = struct.Struct(">Q")
 
 
 def u64(value: int) -> bytes:
@@ -27,32 +32,10 @@ def lp(data: bytes) -> bytes:
     return u64(len(data)) + data
 
 
-def join(fields: Iterable[bytes]) -> bytes:
-    return b"".join(fields)
-
-
-class Reader:
-    """Reads fields off the front of a record; a read past its end, or
-    bytes left over at `end()`, raise ValueError."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise ValueError("truncated record")
-        out = self.data[self.pos : end]
-        self.pos = end
-        return out
-
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
-
-    def lp(self) -> bytes:
-        return self.take(self.u64())
-
-    def end(self) -> None:
-        if self.pos != len(self.data):
-            raise ValueError("trailing bytes after record")
+def pack(layout: struct.Struct, *values) -> bytes:
+    """`layout.pack(*values)`; a field out of range raises ValueError, as
+    `u64` does."""
+    try:
+        return layout.pack(*values)
+    except struct.error as exc:
+        raise ValueError(f"field out of range for {layout.format!r}: {exc}") from None

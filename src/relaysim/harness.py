@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .chain import (
     AggregateSignature,
@@ -48,7 +48,7 @@ from .prover import (
 )
 from .relay import ICTX_TAG, HopRecord, RelayEnvironment, decode_ctx, deployment_plan
 from .scenario import DatasetError, ProverSpec, Scenario, parse_dataset, synthetic_workload
-from .trace import ctx_key_str, write_jsonl
+from .trace import ctx_key_str, event_lines
 
 LIVENESS_CASES = ("liveness-prover-fault", "liveness-stake-withholding")
 CONSISTENCY_CASES = ("consistency-tampering-prover", "consistency-stake-collusion")
@@ -138,8 +138,8 @@ def run(scenario: Scenario, outdir: Optional[Path] = None) -> RunResult:
         rows = parse_dataset(scenario.workload.path)
         known = {c.chain_id for c in scenario.chains}
         problems = [
-            f"row {i + 2}: unknown chain {cid}"
-            for i, row in enumerate(rows)
+            f"line {row.line}: unknown chain {cid}"
+            for row in rows
             for cid in (row.src_chain, row.dst_chain)
             if cid not in known
         ]
@@ -170,19 +170,36 @@ def run(scenario: Scenario, outdir: Optional[Path] = None) -> RunResult:
 
 
 def write_artifacts(outdir: Path, result: RunResult, extra: Optional[Dict] = None) -> None:
+    """Write the run's artifacts, each `.jsonl` file one line at a time."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    result.env.trace.write(outdir / "trace.jsonl")
-    write_jsonl(
-        outdir / "receipts.jsonl",
-        ({**entry, "items": item_dicts(entry["items"])} for entry in result.env.receipts_log),
-    )
+    encode = json.JSONEncoder(sort_keys=True).encode
+    _write_lines(outdir / "trace.jsonl", event_lines(result.env.trace.events))
+    _write_lines(outdir / "receipts.jsonl", _receipt_lines(result.env.receipts_log, encode))
     records = result.mos.records
-    write_jsonl(outdir / "records.jsonl", (records[key].to_dict() for key in sorted(records)))
+    _write_lines(outdir / "records.jsonl", (encode(records[key].to_dict()) + "\n" for key in sorted(records)))
     summary = result.summary()
     if extra:
         summary.update(extra)
     (outdir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
+def _receipt_lines(log: List[Dict], encode) -> Iterator[str]:
+    """Each receipts-log entry as its JSON line, with its items spelled out;
+    an entry equal to an earlier one, (key, value) pair for pair, repeats
+    that entry's line."""
+    lines: Dict[tuple, str] = {}
+    for entry in log:
+        pairs = tuple(entry.items())
+        line = lines.get(pairs)
+        if line is None:
+            line = lines[pairs] = encode({**entry, "items": item_dicts(entry["items"])}) + "\n"
+        yield line
 
 
 # ---------------------------------------------------------------------------

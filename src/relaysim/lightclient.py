@@ -92,7 +92,7 @@ class PublicInputs:
     claimed_weight: int
 
     def canonical_bytes(self) -> bytes:
-        return encoding.join(
+        return b"".join(
             [
                 b"PI1",
                 encoding.lp(self.commitment),

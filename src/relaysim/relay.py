@@ -22,6 +22,7 @@ distinct value; `harness.write_artifacts` spells it out as item dicts.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -50,6 +51,8 @@ from .trace import TraceEvent, TraceLog
 
 ICTX_TAG = b"ICTX1"  # intermediate record, written on the relay chain
 FIN_TAG = b"FIN1"  # final record, written on a destination chain
+# each tag's fixed-width head: tag, origin_chain, len(ctx)
+_HOP_HEADS = {tag: struct.Struct(f">{len(tag)}s2Q") for tag in (ICTX_TAG, FIN_TAG)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,18 +65,22 @@ class HopRecord:
     ctx: CrossChainTx
 
     def to_bytes(self) -> bytes:
-        return self.tag + encoding.u64(self.origin_chain) + encoding.lp(self.ctx.to_bytes())
+        ctx = self.ctx.to_bytes()
+        return encoding.pack(_HOP_HEADS[self.tag], self.tag, self.origin_chain, len(ctx)) + ctx
 
     @classmethod
     def from_bytes(cls, tag: bytes, data: bytes) -> "HopRecord":
         """Parse a `tag` record; anything else raises ValueError."""
-        record = encoding.Reader(data)
-        if record.take(len(tag)) != tag:
+        head = _HOP_HEADS[tag]
+        try:
+            got, origin, size = head.unpack_from(data)
+        except struct.error:
+            raise ValueError("truncated record") from None
+        if got != tag:
             raise ValueError(f"not a {tag.decode()} record")
-        origin = record.u64()
-        ctx_bytes = record.lp()
-        record.end()
-        return cls(tag, origin, decode_ctx(ctx_bytes))
+        if head.size + size != len(data):
+            raise ValueError("ctx length does not match the record")
+        return cls(tag, origin, decode_ctx(data[head.size :]))
 
     @property
     def key(self) -> Tuple[int, int]:

@@ -256,6 +256,7 @@ class DatasetRow:
     end_ts: int
     token: str
     amount: int
+    line: int  # the dataset file's line the row was read from
 
     def __post_init__(self):
         if self.end_ts < self.start_ts:
@@ -302,6 +303,7 @@ def parse_dataset(path) -> List[DatasetRow]:
                         end_ts=int(row[3]),
                         token=row[4].strip(),
                         amount=int(row[5]),
+                        line=lineno,
                     )
                 )
             except ValueError as exc:

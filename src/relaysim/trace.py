@@ -2,14 +2,14 @@
 
 Events carry the transaction key as the `(origin chain id, origin nonce)`
 tuple, or `None` for an event that names no transaction; the `"o:n"` form
-exists only in serialized artifacts (`ctx_key_str`).
+exists only in serialized artifacts (`ctx_key_str`, `event_lines`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 PIPELINE_STAGES = (
     "commit_sc",
@@ -36,16 +36,6 @@ class TraceEvent:
     chain: int
     verdict: str = "ok"
     gas: Optional[int] = None
-
-    def to_dict(self) -> Dict:
-        return {
-            "ctx": ctx_key_str(self.key),
-            "stage": self.stage,
-            "time": self.time,
-            "chain": self.chain,
-            "verdict": self.verdict,
-            "gas": self.gas,
-        }
 
 
 class TraceLog:
@@ -87,15 +77,31 @@ class TraceLog:
         """Keys with an accepted final confirmation, as sorted `"o:n"` strings."""
         return sorted(ctx_key_str(k) for k, stages in self._accepted.items() if "confirm_dc" in stages)
 
-    def write(self, path) -> None:
-        """Write the log as JSON lines, one event at a time."""
-        write_jsonl(path, (e.to_dict() for e in self.events))
+
+# The line `json.dumps(row, sort_keys=True)` writes for an event's row
+# {"ctx", "stage", "time", "chain", "verdict", "gas"}.
+_EVENT_LINE = '{"chain": %d, "ctx": "%s", "gas": %s, "stage": %s, "time": %d, "verdict": %s}\n'
 
 
-def write_jsonl(path, rows: Iterable[Dict]) -> None:
-    """Write each row as one key-sorted JSON line as it is encoded, so no
-    whole file is built in memory."""
-    encode = json.JSONEncoder(sort_keys=True).encode
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(encode(row) + "\n")
+class _Quoted(dict):
+    """Each string's JSON encoding, made on first use."""
+
+    def __missing__(self, text: str) -> str:
+        quoted = self[text] = json.dumps(text)
+        return quoted
+
+
+def event_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
+    """Each event as its `trace.jsonl` line, one at a time, so no whole file
+    is built in memory."""
+    quoted = _Quoted()
+    for e in events:
+        key, gas = e.key, e.gas
+        yield _EVENT_LINE % (
+            e.chain,
+            "?:?" if key is None else "%d:%d" % key,
+            "null" if gas is None else "%d" % gas,
+            quoted[e.stage],
+            e.time,
+            quoted[e.verdict],
+        )

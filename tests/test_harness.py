@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from relaysim import cli, encoding, harness, lightclient
+from relaysim.chain import AssetPayload
 from relaysim.crypto.bn254 import g1_to_bytes
 from relaysim.crypto.hashes import SUPPORTED
 from relaysim.prover import CountingBackend, Prover, TransparentBackend
@@ -19,6 +20,7 @@ from relaysim.scenario import (
     load_scenario,
     parse_dataset,
     scenario_from_dict,
+    synthetic_workload,
 )
 
 SCEN = default_scenario(seed=5, count=30)
@@ -161,24 +163,73 @@ def _reference_artifacts(result) -> dict:
         ]
         return {**entry, "items": items}
 
+    def event_row(e):
+        return {
+            "ctx": "?:?" if e.key is None else f"{e.key[0]}:{e.key[1]}",
+            "stage": e.stage,
+            "time": e.time,
+            "chain": e.chain,
+            "verdict": e.verdict,
+            "gas": e.gas,
+        }
+
     records = result.mos.records
     return {
-        "trace.jsonl": lines(e.to_dict() for e in result.env.trace.events),
+        "trace.jsonl": lines(event_row(e) for e in result.env.trace.events),
         "receipts.jsonl": lines(expanded(e) for e in result.env.receipts_log),
         "records.jsonl": lines(records[k].to_dict() for k in sorted(records)),
     }
 
 
+def _run_with_rejections() -> harness.RunResult:
+    """A completed counting-backend run, then one more transaction whose
+    relay delivery is forged (a zeroed Merkle root) and a bundle whose
+    receipt payload does not decode, so its rejection names no key."""
+    scenario = dc_replace(_small_scenario(seed=4, count=20), backend="counting")
+    env, mos = harness.build_environment(scenario)
+    keys, values = harness._submit_stream(env, mos, scenario, synthetic_workload(scenario))
+    env.run_until_complete(keys, scenario.horizon_rounds)
+    key = mos.message_out(1, 2, AssetPayload(token="T", amount=5), "MAPO", fee_paid=10)
+    env._produce_source_blocks()
+    observer = Prover("obs", env.backend)
+    conf = [c for c in observer.monitor(env.chains[1]) if c.record.key == key][0]
+    bundle = observer.ctx_bundle(env.chains[1], conf)
+    mos.message_in(env.rc_id, 1, dc_replace(bundle, merkle_proof=dc_replace(bundle.merkle_proof, root=bytes(32))))
+    with pytest.raises(ValueError):
+        mos.message_in(env.rc_id, 1, dc_replace(bundle, receipt_payload=b"garbage"))
+    return harness.RunResult(
+        scenario=scenario.name,
+        seed=scenario.seed,
+        submitted=len(keys) + 1,
+        confirmed=len(env.trace.completed_keys()),
+        stalled=[key],
+        payload_violations=env.payload_conservation_violations(),
+        values=values,
+        env=env,
+        mos=mos,
+    )
+
+
 def test_streamed_artifacts_equal_the_reference_writer(tmp_path):
     """`write_artifacts` streams each file line by line and expands the
     receipts log's shared item tuples; a 200-transaction run with gate
-    reports writes the bytes of the whole-object reference writer."""
+    reports, and a run with rejections (one of a key in flight, one that
+    names no key), write the bytes of the whole-object reference writer."""
     scenario = dc_replace(_small_scenario(seed=3, count=200), backend="counting")
-    result = harness.run(scenario, outdir=tmp_path)
+    result = harness.run(scenario, outdir=tmp_path / "clean")
     assert result.ok and result.submitted == 200
-    assert any(e["context"] == "gate_report" for e in result.env.receipts_log)
-    for name, expected in _reference_artifacts(result).items():
-        assert (tmp_path / name).read_bytes() == expected, name
+    rejected = _run_with_rejections()
+    harness.write_artifacts(tmp_path / "rejected", rejected)
+    events = rejected.env.trace.events
+    assert {e.verdict for e in events if e.key is None} == {"reject:merkle-fail"}
+    assert {"ok", "reject:merkle-fail"} <= {e.verdict for e in events if e.key is not None}
+    statuses = [(r.status.value, r.reject_reason) for r in rejected.mos.records.values()]
+    assert ("rejected", "merkle-fail") in statuses
+    for run in (result, rejected):
+        assert any(e["context"] == "gate_report" for e in run.env.receipts_log)
+    for outdir, run in ((tmp_path / "clean", result), (tmp_path / "rejected", rejected)):
+        for name, expected in _reference_artifacts(run).items():
+            assert (outdir / name).read_bytes() == expected, (outdir.name, name)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +420,25 @@ def test_replay_rejects_unknown_chains(tmp_path):
         harness.replay(data, _small_scenario())
 
 
+def test_unknown_chain_names_the_file_line(tmp_path):
+    """Blank lines count: a bad row on line 5, after two blank lines, is
+    reported as line 5, in `parse_dataset`'s wording."""
+    data = tmp_path / "gaps.csv"
+    data.write_text(
+        "src_chain,dst_chain,start_ts,end_ts,token,amount\n"
+        "1,2,1,2,USDC,5\n"
+        "\n"
+        "\n"
+        "1,77,1,2,USDC,5\n"
+    )
+    scenario = dc_replace(
+        _small_scenario(), workload=dc_replace(_small_scenario().workload, kind="dataset", path=str(data))
+    )
+    with pytest.raises(DatasetError) as err:
+        harness.run(scenario)
+    assert err.value.problems == ["line 5: unknown chain 77"]
+
+
 def test_replay_header_mismatch(tmp_path):
     data = tmp_path / "hdr.csv"
     data.write_text("a,b,c\n")
@@ -519,7 +589,7 @@ def test_cli_run_dataset_with_unknown_chain_exit_2(tmp_path, capsys):
         )
     )
     assert cli.main(["--scenario", str(scen), "run"]) == 2
-    assert "row 2: unknown chain 77" in capsys.readouterr().err
+    assert "line 2: unknown chain 77" in capsys.readouterr().err
 
 
 def test_cli_invalid_scenario_exit_2(tmp_path, capsys):

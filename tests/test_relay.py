@@ -7,7 +7,14 @@ from functools import partial
 import pytest
 from hypothesis import given, strategies as st
 
-from relaysim.chain import AssetPayload, ChainConfig, CrossChainTx, MessagePayload
+from relaysim.chain import (
+    AssetPayload,
+    BlockHeader,
+    ChainConfig,
+    CrossChainTx,
+    MessagePayload,
+    ReceiptMessage,
+)
 from relaysim.costs import GasReceipt, gate_report, item_dicts
 from relaysim.crypto.commitment import commitment_digest
 from relaysim.prover import Prover
@@ -463,6 +470,151 @@ def test_wire_record_rejects_malformed(case, data):
     for bad in malformed:
         with pytest.raises(ValueError):
             decode(bad)
+
+
+class _Reader:
+    """The field-by-field parser the struct-based decoders replaced, kept as
+    their reference: a read past the end, or bytes left at `end()`, raise
+    ValueError."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        end = self.pos + n
+        if end > len(self.data):
+            raise ValueError("truncated record")
+        out = self.data[self.pos : end]
+        self.pos = end
+        return out
+
+    def u64(self) -> int:
+        return int.from_bytes(self.take(8), "big")
+
+    def lp(self) -> bytes:
+        return self.take(self.u64())
+
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise ValueError("trailing bytes after record")
+
+
+def _reference_decode_ctx(data: bytes) -> CrossChainTx:
+    record = _Reader(data)
+    if record.take(4) != b"CTX1":
+        raise ValueError("not a cross-chain transaction record")
+    dest, origin, nonce = record.u64(), record.u64(), record.u64()
+    body = _Reader(record.lp())
+    record.end()
+    kind = body.take(1)
+    if kind == b"A":
+        token, amount, instruction = body.lp().decode(), body.u64(), body.lp().decode()
+        payload = AssetPayload(token=token, amount=amount, instruction=instruction)
+    elif kind == b"M":
+        payload = MessagePayload(call_data=body.lp())
+    else:
+        raise ValueError("unknown payload kind")
+    body.end()
+    return CrossChainTx(dest_chain=dest, payload=payload, origin_chain=origin, nonce=nonce)
+
+
+def _reference_hop_record(tag: bytes, data: bytes) -> HopRecord:
+    record = _Reader(data)
+    if record.take(len(tag)) != tag:
+        raise ValueError(f"not a {tag.decode()} record")
+    origin = record.u64()
+    ctx_bytes = record.lp()
+    record.end()
+    return HopRecord(tag, origin, _reference_decode_ctx(ctx_bytes))
+
+
+_DECODERS = {
+    b"CTX1": (decode_ctx, _reference_decode_ctx),
+    ICTX_TAG: (partial(HopRecord.from_bytes, ICTX_TAG), partial(_reference_hop_record, ICTX_TAG)),
+    FIN_TAG: (partial(HopRecord.from_bytes, FIN_TAG), partial(_reference_hop_record, FIN_TAG)),
+}
+
+
+def _length_offsets(value) -> list:
+    """Offsets of the u64 length fields in `value`'s encoding."""
+    ctx, at = (value, 0) if isinstance(value, CrossChainTx) else (value.ctx, len(value.tag) + 16)
+    offsets = [at + 28, at + 37]  # len(payload); len(token) or len(call_data)
+    if at:
+        offsets.append(at - 8)  # len(ctx)
+    if isinstance(ctx.payload, AssetPayload):
+        offsets.append(at + 53 + len(ctx.payload.token.encode()))  # len(instruction)
+    return offsets
+
+
+def _variants(value, raw: bytes):
+    """`raw`, every prefix of it, one byte appended, its first byte changed,
+    and each of its length fields one lower, one higher and at the u64 top."""
+    yield raw
+    yield from (raw[:n] for n in range(len(raw)))
+    yield raw + b"\x00"
+    yield bytes([raw[0] ^ 0x01]) + raw[1:]
+    for at in _length_offsets(value):
+        length = int.from_bytes(raw[at : at + 8], "big")
+        for other in {max(length - 1, 0), length + 1, 2**64 - 1} - {length}:
+            yield raw[:at] + other.to_bytes(8, "big") + raw[at + 8 :]
+
+
+def _outcome(decode, data):
+    try:
+        return decode(data)
+    except ValueError:
+        return ValueError
+
+
+@given(wire_records(), st.binary(max_size=80), st.integers(0, 255), st.data())
+def test_decoders_agree_with_the_field_by_field_parser(case, noise, byte, data):
+    """`decode_ctx` and `HopRecord.from_bytes` accept exactly the inputs the
+    `_Reader` parser accepts, return equal records, and raise only
+    ValueError on the rest: valid records, their prefixes, appended bytes,
+    changed tags, bytes and length fields, and random bytes, bare or behind
+    a tag, each decoded under every tag."""
+    value, raw, _, _ = case
+    at = data.draw(st.integers(0, len(raw) - 1))
+    inputs = [*_variants(value, raw), raw[:at] + bytes([byte]) + raw[at + 1 :], noise]
+    for tag, (decode, reference) in _DECODERS.items():
+        for blob in inputs + [tag + noise]:
+            assert _outcome(decode, blob) == _outcome(reference, blob)
+
+
+def _asset_ctx(dest_chain=2, origin_chain=1, nonce=3, amount=5):
+    return CrossChainTx(dest_chain, AssetPayload(token="T", amount=amount), origin_chain, nonce)
+
+
+def _header(chain_id=1, height=2, epoch=0, epoch_size=10, timestamp=3):
+    return BlockHeader(chain_id, height, epoch, epoch_size, timestamp, b"r" * 32, bytes(32), None, None)
+
+
+@pytest.mark.parametrize(
+    "encode",
+    [
+        lambda v: _asset_ctx(dest_chain=v).to_bytes(),
+        lambda v: _asset_ctx(origin_chain=v).to_bytes(),
+        lambda v: _asset_ctx(nonce=v).to_bytes(),
+        lambda v: _asset_ctx(amount=v).to_bytes(),
+        lambda v: HopRecord(ICTX_TAG, v, _asset_ctx()).to_bytes(),
+        lambda v: HopRecord(FIN_TAG, v, _asset_ctx()).to_bytes(),
+        lambda v: ReceiptMessage(tx_hash=b"h" * 32, payload=b"p", height=v).to_bytes(),
+        lambda v: _header(chain_id=v).signing_payload(),
+        lambda v: _header(height=v).signing_payload(),
+        lambda v: _header(epoch=v).signing_payload(),
+        lambda v: _header(epoch_size=v).signing_payload(),
+        lambda v: _header(timestamp=v).signing_payload(),
+    ],
+)
+@pytest.mark.parametrize("value", [-1, 2**64])
+def test_out_of_range_u64_field_raises_value_error(encode, value):
+    """A u64 field out of range raises ValueError, as `encoding.u64` does;
+    the largest u64 encodes."""
+    with pytest.raises(ValueError):
+        encode(value)
+    if value == 2**64:
+        assert len(encode(2**64 - 1)) > 8
 
 
 def test_demo_run_decode_and_hash_counts(monkeypatch):

@@ -2,9 +2,11 @@
 rejection in flight against a rescan of the event log, the `once` rule, and
 the `"o:n"` form keys take in artifacts."""
 
+import json
+
 from hypothesis import given, settings, strategies as st
 
-from relaysim.trace import PIPELINE_STAGES, TraceEvent, TraceLog, ctx_key_str
+from relaysim.trace import PIPELINE_STAGES, TraceEvent, TraceLog, ctx_key_str, event_lines
 
 _keys = st.none() | st.tuples(st.integers(0, 3), st.integers(0, 12))
 _rows = st.lists(
@@ -62,8 +64,41 @@ def test_completed_keys_are_sorted_artifact_strings():
         log.record(TraceEvent(key=key, stage="confirm_dc", time=time, chain=3))
     log.record(TraceEvent(key=(3, 3), stage="confirm_dc", time=9, chain=3, verdict="reject:merkle-fail"))
     assert log.completed_keys() == ["1:10", "1:2", "2:1", "?:?"]
-    assert [e.to_dict()["ctx"] for e in log.events] == ["2:1", "1:10", "1:2", "?:?", "2:1", "3:3"]
+    assert [json.loads(line)["ctx"] for line in event_lines(log.events)] == ["2:1", "1:10", "1:2", "?:?", "2:1", "3:3"]
 
 
 def test_trace_event_has_no_instance_dict():
     assert not hasattr(TraceEvent(key=(1, 1), stage="commit_sc", time=1, chain=1), "__dict__")
+
+
+# stage and verdict text with quotes, backslashes, control characters and
+# non-ASCII characters, each of which JSON escapes
+_texts = st.text(alphabet=st.sampled_from('"\\\x00\x1f\x7f\n\té€😀ok:-_') | st.characters(), max_size=12)
+_wide_keys = st.none() | st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+_events = st.builds(
+    TraceEvent,
+    key=_wide_keys,
+    stage=_texts,
+    time=st.integers(0, 2**64),
+    chain=st.integers(0, 2**64),
+    verdict=_texts,
+    gas=st.none() | st.integers(-(2**70), 2**70),
+)
+
+
+@given(st.lists(_events, max_size=4))
+def test_event_lines_equal_sorted_json_dumps(events):
+    """Each `trace.jsonl` line is the key-sorted `json.dumps` of its event's
+    row, whatever text the stage and verdict hold."""
+    rows = [
+        {
+            "ctx": "?:?" if e.key is None else f"{e.key[0]}:{e.key[1]}",
+            "stage": e.stage,
+            "time": e.time,
+            "chain": e.chain,
+            "verdict": e.verdict,
+            "gas": e.gas,
+        }
+        for e in events
+    ]
+    assert list(event_lines(events)) == [json.dumps(row, sort_keys=True) + "\n" for row in rows]
