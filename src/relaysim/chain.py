@@ -14,6 +14,7 @@ Time is logical: every block consumes one tick from a monotone clock.
 from __future__ import annotations
 
 import hashlib
+import random
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -43,10 +44,6 @@ class BlockWithheld(Exception):
             f"chain {chain_id}: available weight {available} < "
             f"{threshold} of total {total}; block withheld"
         )
-
-
-class UnknownTransaction(KeyError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +321,6 @@ class Chain:
         self._blocks: List[Block] = []
         self._trees: Dict[int, MerkleTree] = {}
         self._pending: Deque[Tuple[object, bytes, bytes]] = deque()  # (record, payload, hash)
-        self._tx_index: Dict[bytes, Tuple[int, int]] = {}
         self._nonce = 0
         self._withhold = 0.0  # share of each signing set's weight that does not sign
         self.produce_block()  # genesis
@@ -335,8 +331,6 @@ class Chain:
         return _epoch_keys(0, f"{self.config.key_namespace}/{self.config.chain_id}/0", self.config.weights)
 
     def _rotated_keys(self, prev: _EpochKeys, epoch: int) -> _EpochKeys:
-        import random
-
         policy = self.config.rotation
         if policy == "identity":
             vset = ValidatorSet(epoch=epoch, entries=prev.vset.entries)
@@ -483,22 +477,12 @@ class Chain:
         self._blocks.append(block)
         if tree is not None:
             self._trees[height] = tree
-        for i, receipt in enumerate(receipts):
-            self._tx_index.setdefault(receipt.tx_hash, (height, i))
         return block, header
 
     # -- confirmation queries ------------------------------------------------
 
-    def confirm(self, tx_hash: bytes) -> Confirmation:
-        if tx_hash not in self._tx_index:
-            raise UnknownTransaction(tx_hash.hex())
-        height, index = self._tx_index[tx_hash]
-        return self._blocks[height].confirmation(index)
-
-    def receipt_proof(self, tx_hash: bytes) -> MerkleProof:
-        if tx_hash not in self._tx_index:
-            raise UnknownTransaction(tx_hash.hex())
-        height, index = self._tx_index[tx_hash]
+    def receipt_proof(self, height: int, index: int) -> MerkleProof:
+        """The audit path of receipt `index` of the block at `height`."""
         return self._trees[height].prove(index)
 
     def signing_set_for(self, header: BlockHeader) -> ValidatorSet:

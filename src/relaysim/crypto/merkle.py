@@ -18,9 +18,9 @@ NODE_PREFIX = b"\x01"
 
 @dataclass(frozen=True)
 class MerkleProof:
-    leaf: bytes
-    path: Tuple[Tuple[bytes, str], ...]  # (sibling digest, "L" | "R")
-    root: bytes
+    """The audit path alone: the verifier holds the leaf and the root."""
+
+    path: Tuple[Tuple[bytes, str], ...]  # (sibling digest, "L" | "R"), leaf level first
 
 
 def leaf_hash(leaf: bytes, algo: str = "sha256") -> bytes:
@@ -38,7 +38,6 @@ class MerkleTree:
         if not leaves:
             raise ValueError("merkle tree needs at least one leaf")
         self.algo = algo
-        self.leaves = [bytes(leaf) for leaf in leaves]
         self.levels: List[List[bytes]] = [[leaf_hash(leaf, algo) for leaf in leaves]]
         while len(self.levels[-1]) > 1:
             level = self.levels[-1]
@@ -55,8 +54,9 @@ class MerkleTree:
         return self.levels[-1][0]
 
     def prove(self, index: int) -> MerkleProof:
-        if not 0 <= index < len(self.leaves):
-            raise IndexError(f"leaf index {index} out of range for {len(self.leaves)} leaves")
+        count = len(self.levels[0])
+        if not 0 <= index < count:
+            raise IndexError(f"leaf index {index} out of range for {count} leaves")
         pos = index
         path: List[Tuple[bytes, str]] = []
         for level in self.levels[:-1]:
@@ -65,7 +65,7 @@ class MerkleTree:
                 side = "L" if sibling < pos else "R"
                 path.append((level[sibling], side))
             pos //= 2
-        return MerkleProof(leaf=self.leaves[index], path=tuple(path), root=self.root)
+        return MerkleProof(tuple(path))
 
 
 def merkle_root(leaves: Sequence[bytes], algo: str = "sha256") -> bytes:
@@ -77,8 +77,6 @@ def merkle_prove(leaves: Sequence[bytes], index: int, algo: str = "sha256") -> M
 
 
 def merkle_verify(root: bytes, leaf: bytes, proof: MerkleProof, algo: str = "sha256") -> bool:
-    if proof.leaf != leaf:
-        return False
     acc = leaf_hash(leaf, algo)
     for sibling, side in proof.path:
         if side == "L":

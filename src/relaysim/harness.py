@@ -352,7 +352,9 @@ class ForgeryCorpus:
             own = self._header_digest(base)
             donors = [b for b, d in zip(self.live, self._digests_of_live()) if d != own]
             donor = rng.choice(donors) if donors else rng.choice(self.stale)
-            if rng.random() < 0.5:
+            # a donor path equal to the base's own (two one-receipt blocks
+            # both have the empty path) would be the honest proof
+            if rng.random() < 0.5 and donor.merkle_proof != base.merkle_proof:
                 return dc_replace(base, merkle_proof=donor.merkle_proof)
             return dc_replace(base, zk_proof=donor.zk_proof)
         if strategy == "header-forgery":
@@ -636,11 +638,10 @@ def bench(scenario: Scenario, validators: int = 100) -> Dict:
         key_namespace="bench",
     )
     chain = Chain(cfg)
-    ctx = chain.make_tx(901, AssetPayload(token="USDC", amount=100))
-    tx_hash = chain.submit_tx(ctx)
-    _, header = chain.produce_block()
-    conf = chain.confirm(tx_hash)
-    merkle_proof = chain.receipt_proof(tx_hash)
+    chain.submit_tx(chain.make_tx(901, AssetPayload(token="USDC", amount=100)))
+    block, header = chain.produce_block()
+    conf = block.confirmation(0)
+    merkle_proof = chain.receipt_proof(header.height, conf.leaf_index)
     prover = Prover("bench-prover", backend)
     zk = prover.zk_proof_for(chain, header)
 

@@ -163,6 +163,16 @@ def _check_signature(
     return None
 
 
+def _check_inclusion(
+    message: ReceiptMessage, header: BlockHeader, proof: MerkleProof, hash_algo: str, meter: GasMeter
+) -> Optional[RejectReason]:
+    """The receipt's audit path leads to the root its header signs."""
+    meter.charge("merkle_level", len(proof.path))
+    if not merkle_verify(header.receipt_root, message.to_bytes(), proof, hash_algo):
+        return RejectReason.MERKLE_FAIL
+    return None
+
+
 def lc_update(state: NormalLcState, header: BlockHeader, table: GasCostTable) -> UpdateResult:
     meter = GasMeter(table, "lc_update")
     meter.charge("call_overhead")
@@ -193,15 +203,10 @@ def lc_verify(
     meter.charge("call_overhead")
     if header.chain_id != state.chain_id or not _header_matches_epoch(state.epoch, header):
         return VerifyResult(False, meter.receipt(), RejectReason.EPOCH_GAP)
-    reason = _check_signature(state, header, meter)
-    if reason is not None:
-        return VerifyResult(False, meter.receipt(), reason)
-    meter.charge("merkle_level", len(proof.path))
-    if proof.root != header.receipt_root or not merkle_verify(
-        header.receipt_root, message.to_bytes(), proof, state.hash_algo
-    ):
-        return VerifyResult(False, meter.receipt(), RejectReason.MERKLE_FAIL)
-    return VerifyResult(True, meter.receipt(), None)
+    reason = _check_signature(state, header, meter) or _check_inclusion(
+        message, header, proof, state.hash_algo, meter
+    )
+    return VerifyResult(reason is None, meter.receipt(), reason)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +313,7 @@ def hlc_verify(
     meter.charge("call_overhead")
     if header.chain_id != state.chain_id or not _header_matches_epoch(state.epoch, header):
         return VerifyResult(False, meter.receipt(), RejectReason.EPOCH_GAP)
-    reason = _check_proof(state, header, zk_proof, meter, backend)
-    if reason is not None:
-        return VerifyResult(False, meter.receipt(), reason)
-    meter.charge("merkle_level", len(merkle_proof.path))
-    if merkle_proof.root != header.receipt_root or not merkle_verify(
-        header.receipt_root, message.to_bytes(), merkle_proof, state.hash_algo
-    ):
-        return VerifyResult(False, meter.receipt(), RejectReason.MERKLE_FAIL)
-    return VerifyResult(True, meter.receipt(), None)
+    reason = _check_proof(state, header, zk_proof, meter, backend) or _check_inclusion(
+        message, header, merkle_proof, state.hash_algo, meter
+    )
+    return VerifyResult(reason is None, meter.receipt(), reason)

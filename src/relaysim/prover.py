@@ -244,14 +244,14 @@ class Prover:
         return self._zk_cache[key]
 
     def ctx_bundle(self, chain: Chain, confirmation: Confirmation) -> ProofBundle:
-        """The bundle for a confirmation this prover read off `chain`: its
-        block is already known, so no second confirmation lookup."""
+        """The bundle for a confirmation this prover read off `chain`: the
+        receipt is proven by its position in its block."""
         return ProofBundle(
             kind="ctx",
             origin_chain=chain.config.chain_id,
             header=confirmation.header,
             zk_proof=self.zk_proof_for(chain, confirmation.header),
-            merkle_proof=chain.receipt_proof(confirmation.message.tx_hash),
+            merkle_proof=chain.receipt_proof(confirmation.header.height, confirmation.leaf_index),
             receipt_payload=confirmation.message.payload,
             receipt_hash=confirmation.message.tx_hash,
         )

@@ -23,7 +23,7 @@ distinct value; `harness.write_artifacts` spells it out as item dicts.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import encoding
@@ -290,8 +290,6 @@ class RelayEnvironment:
         backend,
         table: Optional[GasCostTable] = None,
     ):
-        from dataclasses import replace
-
         self.table = table if table is not None else GasCostTable()
         self.backend = backend
         self.clock = LogicalClock()

@@ -288,7 +288,11 @@ def parse_dataset(path) -> List[DatasetRow]:
             raise DatasetError(
                 [f"line 1: expected header {','.join(DATASET_COLUMNS)}, got {','.join(header)}"]
             )
-        for lineno, row in enumerate(reader, start=2):
+        end = reader.line_num  # the last file line read so far
+        for row in reader:
+            # a record starts on the line after the last one's end: quoted
+            # fields may span lines, so records and lines need not agree
+            lineno, end = end + 1, reader.line_num
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(DATASET_COLUMNS):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from relaysim.chain import AssetPayload, Chain, ChainConfig
+from relaysim.chain import Chain, ChainConfig
 from relaysim.costs import GasCostTable, GateCostTable
 from relaysim.crypto import bls
 from relaysim.crypto.commitment import ValidatorSet, commitment_digest
@@ -48,15 +48,6 @@ def keypairs():
 @pytest.fixture()
 def small_chain():
     return Chain(ChainConfig(chain_id=1, epoch_size=4, weights=(1, 1, 1, 1), key_namespace="t"))
-
-
-@pytest.fixture()
-def confirmed_ctx(small_chain):
-    """A chain with one confirmed cross-chain transaction."""
-    ctx = small_chain.make_tx(2, AssetPayload(token="USDC", amount=100))
-    tx_hash = small_chain.submit_tx(ctx)
-    _, header = small_chain.produce_block()
-    return small_chain, ctx, tx_hash, header
 
 
 def _statement_family(rng, keypool):

@@ -199,7 +199,7 @@ def test_criterion_7_crypto_identities(bitmap_exhaustive):
             bad[0] ^= 1
             path = list(proof.path)
             path[level] = (bytes(bad), side)
-            if merkle_verify(root, leaves[i], MerkleProof(proof.leaf, tuple(path), proof.root)):
+            if merkle_verify(root, leaves[i], MerkleProof(tuple(path))):
                 merkle_failures += 1
 
     ok = (

@@ -14,7 +14,6 @@ from relaysim.chain import (
     LogicalClock,
     MessagePayload,
     ReceiptMessage,
-    UnknownTransaction,
     decode_ctx,
 )
 from relaysim.crypto import bls
@@ -56,8 +55,7 @@ def test_submit_returns_hash_and_queues(small_chain):
     tx_hash = small_chain.submit_tx(ctx)
     assert tx_hash == ctx.tx_hash
     assert small_chain.pending_count == 1
-    with pytest.raises(UnknownTransaction):
-        small_chain.confirm(tx_hash)  # not yet produced
+    assert small_chain.block_at(small_chain.height).receipts == ()  # not yet produced
 
 
 def test_submit_to_self_rejected(small_chain):
@@ -137,19 +135,26 @@ def test_epoch_is_height_over_epoch_size():
         assert header.is_boundary == (header.height % 3 == 0)
 
 
-def test_confirm_roundtrip_and_idempotence(confirmed_ctx):
-    chain, ctx, tx_hash, header = confirmed_ctx
-    conf1 = chain.confirm(tx_hash)
-    conf2 = chain.confirm(tx_hash)
-    assert conf1 == conf2
-    assert conf1.message.payload == ctx.to_bytes()
-    proof = chain.receipt_proof(tx_hash)
-    assert merkle_verify(header.receipt_root, conf1.message.to_bytes(), proof)
+def test_block_confirmation_and_receipt_proof_verify(small_chain):
+    """Each receipt's confirmation comes from its block, and its audit path
+    from its position there; the two verify against the header's root."""
+    ctxs = [small_chain.make_tx(2, AssetPayload(token="USDC", amount=100 + i)) for i in range(3)]
+    for ctx in ctxs:
+        small_chain.submit_tx(ctx)
+    block, header = small_chain.produce_block()
+    for i, ctx in enumerate(ctxs):
+        conf = block.confirmation(i)
+        assert (conf.header, conf.leaf_index, conf.record) == (header, i, ctx)
+        assert conf.message.payload == ctx.to_bytes()
+        proof = small_chain.receipt_proof(header.height, conf.leaf_index)
+        assert merkle_verify(header.receipt_root, conf.message.to_bytes(), proof)
 
 
-def test_confirm_unknown_hash(small_chain):
-    with pytest.raises(UnknownTransaction):
-        small_chain.confirm(b"\x00" * 32)
+def test_receipt_proof_index_out_of_range(small_chain):
+    small_chain.submit_tx(small_chain.make_tx(2, AssetPayload(token="USDC", amount=1)))
+    _, header = small_chain.produce_block()
+    with pytest.raises(IndexError):
+        small_chain.receipt_proof(header.height, 1)
 
 
 def test_rotation_identity_keeps_set():

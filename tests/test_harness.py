@@ -183,7 +183,7 @@ def _reference_artifacts(result) -> dict:
 
 def _run_with_rejections() -> harness.RunResult:
     """A completed counting-backend run, then one more transaction whose
-    relay delivery is forged (a zeroed Merkle root) and a bundle whose
+    relay delivery is forged (a zero sibling prepended to its Merkle path) and a bundle whose
     receipt payload does not decode, so its rejection names no key."""
     scenario = dc_replace(_small_scenario(seed=4, count=20), backend="counting")
     env, mos = harness.build_environment(scenario)
@@ -194,7 +194,8 @@ def _run_with_rejections() -> harness.RunResult:
     observer = Prover("obs", env.backend)
     conf = [c for c in observer.monitor(env.chains[1]) if c.record.key == key][0]
     bundle = observer.ctx_bundle(env.chains[1], conf)
-    mos.message_in(env.rc_id, 1, dc_replace(bundle, merkle_proof=dc_replace(bundle.merkle_proof, root=bytes(32))))
+    longer = dc_replace(bundle.merkle_proof, path=((bytes(32), "L"),) + bundle.merkle_proof.path)
+    mos.message_in(env.rc_id, 1, dc_replace(bundle, merkle_proof=longer))
     with pytest.raises(ValueError):
         mos.message_in(env.rc_id, 1, dc_replace(bundle, receipt_payload=b"garbage"))
     return harness.RunResult(
@@ -274,6 +275,20 @@ def test_consistency_corpus_rejects_all():
     assert details["rejection_reasons"].get("epoch-gap", 0) > 0
 
 
+def test_consistency_with_one_receipt_per_block_rejects_all():
+    """Two honest transactions per wave over the demo's three sources put one
+    receipt in each block, so every Merkle path is empty: a reused path is
+    then the honest one, and the corpus reuses the donor's proof of validity
+    instead."""
+    demo = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml")
+    _, corpus = harness.harvested_corpus(demo, honest_count=4)
+    assert {b.merkle_proof.path for b in corpus.live} == {()}
+    verdict = harness.attack_consistency(demo, forgeries=100, honest_count=4)
+    assert verdict.ok and not verdict.observed_breach
+    assert verdict.details["accepted_at_relay"] == 0
+    assert sum(verdict.details["rejection_reasons"].values()) == verdict.details["attempted"]
+
+
 def _hmac_skipped(self, proof, publics):
     return proof.publics == publics
 
@@ -312,16 +327,14 @@ def _bundle_bytes(bundle) -> bytes:
         proof.backend.encode(),
         proof.attestation,
         proof.publics.canonical_bytes(),
-        merkle.leaf,
         *(sibling + side.encode() for sibling, side in merkle.path),
-        merkle.root,
         bundle.receipt_payload or b"",
         bundle.receipt_hash or b"",
     ]
     return b"".join(encoding.lp(f) for f in fields)
 
 
-FORGERY_SEQUENCE_SHA256 = "9b72b4ec6915392e3129f108475d9370ef6d3d3e1e76d33d770b62ce8c600b57"
+FORGERY_SEQUENCE_SHA256 = "d916abf08916e73f19576434a7d8ee33617c76a57ba17e08c866426fb59ee276"
 
 
 def test_forgery_sequence_is_pinned():
@@ -437,6 +450,20 @@ def test_unknown_chain_names_the_file_line(tmp_path):
     with pytest.raises(DatasetError) as err:
         harness.run(scenario)
     assert err.value.problems == ["line 5: unknown chain 77"]
+
+
+def test_bad_row_after_a_multiline_token_names_its_file_line(tmp_path):
+    """A quoted token may span lines: the bad row after a two-line token
+    starts on file line 4, the fourth line, not the third record."""
+    data = tmp_path / "quoted.csv"
+    data.write_text(
+        "src_chain,dst_chain,start_ts,end_ts,token,amount\n"
+        '1,2,1,2,"US\nDC",5\n'
+        "1,2,1,2,USDC,-5\n"
+    )
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(data)
+    assert [p.split(":")[0] for p in err.value.problems] == ["line 4"]
 
 
 def test_replay_header_mismatch(tmp_path):

@@ -39,10 +39,9 @@ def _chain(n=4, epoch_size=4, rotation="identity", chain_id=1, ns="lc"):
 
 
 def _confirmed(chain, dest=2, amount=5):
-    ctx = chain.make_tx(dest, AssetPayload(token="T", amount=amount))
-    tx_hash = chain.submit_tx(ctx)
-    _, header = chain.produce_block()
-    return chain.confirm(tx_hash), chain.receipt_proof(tx_hash), header
+    chain.submit_tx(chain.make_tx(dest, AssetPayload(token="T", amount=amount)))
+    block, header = chain.produce_block()
+    return block.confirmation(0), chain.receipt_proof(header.height, 0), header
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +115,9 @@ def test_normal_verify_wrong_leaf_proof(gas_table):
     ctx_b = chain.make_tx(2, AssetPayload(token="B", amount=2))
     chain.submit_tx(ctx_a)
     chain.submit_tx(ctx_b)
-    _, header = chain.produce_block()
-    conf_a = chain.confirm(ctx_a.tx_hash)
-    proof_b = chain.receipt_proof(ctx_b.tx_hash)
+    block, header = chain.produce_block()
+    conf_a = block.confirmation(0)
+    proof_b = chain.receipt_proof(header.height, 1)
     result = lc_verify(state, conf_a.message, header, proof_b, gas_table)
     assert not result.ok and result.reason == RejectReason.MERKLE_FAIL
 
@@ -246,7 +245,7 @@ def test_hybrid_verify_perturbation_sweep(gas_table, backend):
     tampered_root = dc_replace(header, receipt_root=b"\x11" * 32)
     assert not hlc_verify(state, conf.message, tampered_root, proof, zk, gas_table, backend).ok
 
-    tampered_proof = dc_replace(proof, root=b"\x22" * 32)
+    tampered_proof = dc_replace(proof, path=((b"\x22" * 32, "L"),) + proof.path)
     assert not hlc_verify(state, conf.message, header, tampered_proof, zk, gas_table, backend).ok
 
     tampered_state = dc_replace(state, commitment=b"\x33" * 32)
@@ -322,9 +321,9 @@ def test_metering_soundness(gas_table, backend):
     ctxs = [chain.make_tx(2, MessagePayload(bytes([i]))) for i in range(4)]
     for c in ctxs:
         chain.submit_tx(c)
-    _, header = chain.produce_block()
-    conf = chain.confirm(ctxs[0].tx_hash)
-    proof = chain.receipt_proof(ctxs[0].tx_hash)
+    block, header = chain.produce_block()
+    conf = block.confirmation(0)
+    proof = chain.receipt_proof(header.height, 0)
     result = lc_verify(state, conf.message, header, proof, gas_table)
     assert result.ok
     receipt = result.receipt
@@ -345,8 +344,8 @@ def test_hybrid_receipt_items_pinned(gas_table, backend):
     ctxs = [chain.make_tx(2, AssetPayload(token="T", amount=5 + i)) for i in range(3)]
     for ctx in ctxs:
         chain.submit_tx(ctx)
-    _, header = chain.produce_block()
-    conf, proof = chain.confirm(ctxs[0].tx_hash), chain.receipt_proof(ctxs[0].tx_hash)
+    block, header = chain.produce_block()
+    conf, proof = block.confirmation(0), chain.receipt_proof(header.height, 0)
     state = hlc_setup(1, chain.validator_set(0), 4, T23, gas_table).state
     prover = Prover("p", backend)
     zk = prover.zk_proof_for(chain, header)
@@ -418,9 +417,9 @@ def test_stale_quorum_rejected_after_key_rotation(gas_table):
     )
     ctx = chain.make_tx(2, AssetPayload(token="S", amount=1))
     chain.submit_tx(ctx)
-    _, _ = chain.produce_block()
-    conf = chain.confirm(ctx.tx_hash)
-    proof = chain.receipt_proof(ctx.tx_hash)
+    block, _ = chain.produce_block()
+    conf = block.confirmation(0)
+    proof = chain.receipt_proof(block.header.height, 0)
     result = lc_verify(advanced.state, conf.message, forged, proof, gas_table)
     assert not result.ok and result.reason == RejectReason.BAD_SIGNATURE
 
@@ -509,9 +508,9 @@ def test_client_equivalence_randomized_suite(gas_table, backend):
         for _ in range(2):
             ctx = chain.make_tx(9, AssetPayload(token="E", amount=rng.randrange(100)))
             chain.submit_tx(ctx)
-            _, header = chain.produce_block()
-            conf = chain.confirm(ctx.tx_hash)
-            proof = chain.receipt_proof(ctx.tx_hash)
+            block, header = chain.produce_block()
+            conf = block.confirmation(0)
+            proof = chain.receipt_proof(header.height, 0)
             cases.append((conf.message, header, proof))
         if chain.height % 3 == 0 or chain.headers[-1].is_boundary:
             pass
@@ -533,7 +532,7 @@ def test_client_equivalence_randomized_suite(gas_table, backend):
         elif variant == 2:
             header = dc_replace(header, receipt_root=rng.randbytes(32))
         elif variant == 3:
-            proof = dc_replace(proof, root=rng.randbytes(32))
+            proof = dc_replace(proof, path=((rng.randbytes(32), "L"),) + proof.path)
         zk = prover.zk_proof_for(chain, header) if variant != 2 else dc_replace(
             prover.zk_proof_for(chain, chain.block_at(header.height).header),
             attestation=rng.randbytes(32),
@@ -595,10 +594,9 @@ def test_warm_memo_still_rejects_header_with_other_receipt_root(gas_table, backe
     conf, proof, header = _confirmed(chain)
     zk = Prover("p", backend).zk_proof_for(chain, header)
     forged = dc_replace(header, receipt_root=b"\x11" * 32)
-    forged_proof = dc_replace(proof, root=forged.receipt_root)
     lightclient._header_terms.cache_clear()
-    cold = hlc_verify(state, conf.message, forged, forged_proof, zk, gas_table, backend)
+    cold = hlc_verify(state, conf.message, forged, proof, zk, gas_table, backend)
     assert hlc_verify(state, conf.message, header, proof, zk, gas_table, backend).ok
-    warm = hlc_verify(state, conf.message, forged, forged_proof, zk, gas_table, backend)
+    warm = hlc_verify(state, conf.message, forged, proof, zk, gas_table, backend)
     assert warm.reason == cold.reason == RejectReason.PUBLIC_INPUT_MISMATCH
     assert warm.receipt == cold.receipt

@@ -43,7 +43,8 @@ def test_all_indices_verify_at_8_leaves():
 
 def test_exhaustive_sibling_perturbation_rejected():
     """Every node of every proof, perturbed in any byte position's low bit,
-    must break verification."""
+    must break verification, and so must the path with a level added or
+    with a level dropped."""
     root = merkle_root(LEAVES8)
     for i in range(8):
         proof = merkle_prove(LEAVES8, i)
@@ -53,8 +54,9 @@ def test_exhaustive_sibling_perturbation_rejected():
                 bad[byte_index] ^= 1
                 tampered_path = list(proof.path)
                 tampered_path[level] = (bytes(bad), side)
-                tampered = MerkleProof(leaf=proof.leaf, path=tuple(tampered_path), root=proof.root)
-                assert not merkle_verify(root, LEAVES8[i], tampered)
+                assert not merkle_verify(root, LEAVES8[i], MerkleProof(tuple(tampered_path)))
+        for tampered_path in (((bytes(32), "L"),) + proof.path, proof.path[:-1]):
+            assert not merkle_verify(root, LEAVES8[i], MerkleProof(tampered_path))
 
 
 def test_proof_does_not_transfer_between_leaves():
@@ -70,7 +72,7 @@ def test_flipped_side_rejected():
     root = merkle_root(LEAVES8)
     proof = merkle_prove(LEAVES8, 3)
     flipped = tuple((h, "L" if s == "R" else "R") for h, s in proof.path)
-    assert not merkle_verify(root, LEAVES8[3], MerkleProof(proof.leaf, flipped, proof.root))
+    assert not merkle_verify(root, LEAVES8[3], MerkleProof(flipped))
 
 
 def test_odd_leaf_counts():

@@ -199,7 +199,8 @@ def test_message_in_forged_bundle_recorded(backend):
     mos = MosService(env, CFG)
     key = mos.message_out(1, 2, AssetPayload(token="T", amount=5), "MAPO", fee_paid=2)
     bundle = _source_bundle(env, backend)
-    forged = dc_replace(bundle, merkle_proof=dc_replace(bundle.merkle_proof, root=bytes(32)))
+    longer = dc_replace(bundle.merkle_proof, path=((bytes(32), "L"),) + bundle.merkle_proof.path)
+    forged = dc_replace(bundle, merkle_proof=longer)
     mos.message_in(100, 1, forged)
     record = mos.inquire(key)
     assert record.status == Status.REJECTED

@@ -84,15 +84,39 @@ def test_ctx_bundle_roundtrip(backend, gas_table):
     from relaysim.lightclient import hlc_setup, hlc_verify
 
     chain = _chain(ns="gen")
-    ctx = chain.make_tx(2, AssetPayload(token="T", amount=9))
-    tx_hash = chain.submit_tx(ctx)
-    _, header = chain.produce_block()
-    conf = chain.confirm(tx_hash)
+    chain.submit_tx(chain.make_tx(2, AssetPayload(token="T", amount=9)))
+    block, header = chain.produce_block()
+    conf = block.confirmation(0)
     bundle = Prover("p", backend).ctx_bundle(chain, conf)
     assert bundle.header == header
     state = hlc_setup(1, chain.validator_set(0), 6, T23, gas_table).state
     result = hlc_verify(state, conf.message, header, bundle.merkle_proof, bundle.zk_proof, gas_table, backend)
     assert result.ok
+
+
+def test_resubmitted_ctx_is_proven_in_each_block(backend, gas_table):
+    """The same transaction submitted again lands in a later block with the
+    same receipt hash; every receipt the monitor yields, the later copy too,
+    is proven in its own block and passes the hybrid client."""
+    from relaysim.lightclient import hlc_setup, hlc_verify
+
+    chain = _chain(ns="twice")
+    ctx = chain.make_tx(2, AssetPayload(token="T", amount=3))
+    for _ in range(2):
+        chain.submit_tx(chain.make_tx(2, MessagePayload(b"pad")))
+        chain.submit_tx(ctx)
+        chain.produce_block()
+    prover = Prover("p", backend)
+    confirmations = prover.monitor(chain)
+    copies = [c for c in confirmations if c.message.payload == ctx.to_bytes()]
+    assert [(c.header.height, c.leaf_index) for c in copies] == [(1, 1), (2, 1)]
+    state = hlc_setup(1, chain.validator_set(0), 6, T23, gas_table).state
+    for conf in confirmations:
+        bundle = prover.ctx_bundle(chain, conf)
+        result = hlc_verify(
+            state, conf.message, conf.header, bundle.merkle_proof, bundle.zk_proof, gas_table, backend
+        )
+        assert result.ok, (conf.header.height, conf.leaf_index, result.reason)
 
 
 def test_zk_proof_cached_per_header(backend):
@@ -101,10 +125,10 @@ def test_zk_proof_cached_per_header(backend):
     b = chain.make_tx(2, MessagePayload(b"b"))
     chain.submit_tx(a)
     chain.submit_tx(b)
-    chain.produce_block()
+    block, _ = chain.produce_block()
     prover = Prover("p", backend)
-    bundle_a = prover.ctx_bundle(chain, chain.confirm(a.tx_hash))
-    bundle_b = prover.ctx_bundle(chain, chain.confirm(b.tx_hash))
+    bundle_a = prover.ctx_bundle(chain, block.confirmation(0))
+    bundle_b = prover.ctx_bundle(chain, block.confirmation(1))
     assert bundle_a.zk_proof is bundle_b.zk_proof
     assert bundle_a.merkle_proof != bundle_b.merkle_proof
 
