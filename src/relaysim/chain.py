@@ -193,7 +193,7 @@ class BlockHeader:
         return digest(self.signing_payload(), algo)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Confirmation:
     header: BlockHeader
     message: ReceiptMessage
@@ -211,12 +211,7 @@ class Block:
     records: Tuple[object, ...]
 
     def confirmation(self, index: int) -> Confirmation:
-        return Confirmation(
-            header=self.header,
-            message=self.receipts[index],
-            leaf_index=index,
-            record=self.records[index],
-        )
+        return Confirmation(self.header, self.receipts[index], index, self.records[index])
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +443,7 @@ class Chain:
         while self._pending and len(items) < self.config.max_block_txs:
             items.append(self._pending.popleft())
 
-        receipts = tuple(ReceiptMessage(tx_hash=h, payload=p, height=height) for _, p, h in items)
+        receipts = tuple(ReceiptMessage(h, p, height) for _, p, h in items)
         leaves = [r.to_bytes() for r in receipts]
         tree = MerkleTree(leaves, self.config.hash_algo) if leaves else None
         root = tree.root if tree is not None else EMPTY_RECEIPT_ROOT
@@ -482,8 +477,12 @@ class Chain:
     # -- confirmation queries ------------------------------------------------
 
     def receipt_proof(self, height: int, index: int) -> MerkleProof:
-        """The audit path of receipt `index` of the block at `height`."""
-        return self._trees[height].prove(index)
+        """The audit path of receipt `index` of the block at `height`; an
+        IndexError when that block has no such receipt or does not exist."""
+        try:
+            return self._trees[height].prove(index)
+        except (KeyError, IndexError):  # no tree is kept for a block without receipts
+            raise IndexError(f"block {height} of chain {self.config.chain_id} has no receipt {index}") from None
 
     def signing_set_for(self, header: BlockHeader) -> ValidatorSet:
         """The validator set whose quorum signed this header."""

@@ -60,7 +60,7 @@ def item_dicts(items: Items) -> List[Dict]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GasReceipt:
     operation: str
     items: Items
@@ -94,7 +94,7 @@ class GasMeter:
     def receipt(self) -> GasReceipt:
         unit = self.table.unit
         items = tuple((label, count, unit(label)) for label, count in self._counts.items())
-        return GasReceipt(operation=self.operation, items=items)
+        return GasReceipt(self.operation, items)
 
 
 def lc_setup_gas(table: GasCostTable, n_validators: int) -> int:

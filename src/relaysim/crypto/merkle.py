@@ -16,7 +16,7 @@ LEAF_PREFIX = b"\x00"
 NODE_PREFIX = b"\x01"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MerkleProof:
     """The audit path alone: the verifier holds the leaf and the root."""
 
@@ -27,10 +27,6 @@ def leaf_hash(leaf: bytes, algo: str = "sha256") -> bytes:
     return hash_fn(algo)(LEAF_PREFIX + leaf).digest()
 
 
-def _node_hash(left: bytes, right: bytes, algo: str) -> bytes:
-    return hash_fn(algo)(NODE_PREFIX + left + right).digest()
-
-
 class MerkleTree:
     """Precomputed tree levels; proofs come out in O(log n) once built."""
 
@@ -38,16 +34,15 @@ class MerkleTree:
         if not leaves:
             raise ValueError("merkle tree needs at least one leaf")
         self.algo = algo
-        self.levels: List[List[bytes]] = [[leaf_hash(leaf, algo) for leaf in leaves]]
-        while len(self.levels[-1]) > 1:
-            level = self.levels[-1]
-            nxt = [
-                _node_hash(level[i], level[i + 1], algo)
-                for i in range(0, len(level) - 1, 2)
-            ]
+        new = hash_fn(algo)
+        level = [new(LEAF_PREFIX + leaf).digest() for leaf in leaves]
+        self.levels: List[List[bytes]] = [level]
+        while len(level) > 1:
+            nxt = [new(NODE_PREFIX + level[i] + level[i + 1]).digest() for i in range(0, len(level) - 1, 2)]
             if len(level) % 2:
                 nxt.append(level[-1])
             self.levels.append(nxt)
+            level = nxt
 
     @property
     def root(self) -> bytes:
@@ -57,14 +52,12 @@ class MerkleTree:
         count = len(self.levels[0])
         if not 0 <= index < count:
             raise IndexError(f"leaf index {index} out of range for {count} leaves")
-        pos = index
         path: List[Tuple[bytes, str]] = []
-        for level in self.levels[:-1]:
-            sibling = pos ^ 1
+        for level in self.levels:  # the root level has no sibling to add
+            sibling = index ^ 1
             if sibling < len(level):
-                side = "L" if sibling < pos else "R"
-                path.append((level[sibling], side))
-            pos //= 2
+                path.append((level[sibling], "L" if index & 1 else "R"))
+            index >>= 1
         return MerkleProof(tuple(path))
 
 
@@ -77,12 +70,13 @@ def merkle_prove(leaves: Sequence[bytes], index: int, algo: str = "sha256") -> M
 
 
 def merkle_verify(root: bytes, leaf: bytes, proof: MerkleProof, algo: str = "sha256") -> bool:
-    acc = leaf_hash(leaf, algo)
+    new = hash_fn(algo)
+    acc = new(LEAF_PREFIX + leaf).digest()
     for sibling, side in proof.path:
         if side == "L":
-            acc = _node_hash(sibling, acc, algo)
+            acc = new(NODE_PREFIX + sibling + acc).digest()
         elif side == "R":
-            acc = _node_hash(acc, sibling, algo)
+            acc = new(NODE_PREFIX + acc + sibling).digest()
         else:
             return False
     return acc == root

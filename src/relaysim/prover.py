@@ -181,7 +181,7 @@ def statement_for_header(chain: Chain, header: BlockHeader) -> ZkStatement:
     return ZkStatement(publics=publics, witness=witness)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofBundle:
     """Everything one hop delivers to a hosted light client."""
 
@@ -214,14 +214,15 @@ class Prover:
 
     # -- observation ---------------------------------------------------------
 
-    def monitor(self, chain: Chain) -> List[Confirmation]:
-        """Yield confirmations (receipt granularity) in chain order, each
-        exactly once per prover."""
+    def monitor(self, chain: Chain, kind: type = object) -> List[Confirmation]:
+        """Yield the confirmations (receipt granularity) of records of type
+        `kind` in chain order, each exactly once per prover; the cursor
+        passes the other receipts too."""
         start = self._receipt_cursors.get(chain.config.chain_id, 0)
         out: List[Confirmation] = []
         for height in range(start, chain.height + 1):
             block = chain.block_at(height)
-            out.extend(block.confirmation(i) for i in range(len(block.receipts)))
+            out.extend(block.confirmation(i) for i, record in enumerate(block.records) if isinstance(record, kind))
         self._receipt_cursors[chain.config.chain_id] = chain.height + 1
         return out
 
@@ -246,14 +247,15 @@ class Prover:
     def ctx_bundle(self, chain: Chain, confirmation: Confirmation) -> ProofBundle:
         """The bundle for a confirmation this prover read off `chain`: the
         receipt is proven by its position in its block."""
+        header, message = confirmation.header, confirmation.message
         return ProofBundle(
-            kind="ctx",
-            origin_chain=chain.config.chain_id,
-            header=confirmation.header,
-            zk_proof=self.zk_proof_for(chain, confirmation.header),
-            merkle_proof=chain.receipt_proof(confirmation.header.height, confirmation.leaf_index),
-            receipt_payload=confirmation.message.payload,
-            receipt_hash=confirmation.message.tx_hash,
+            "ctx",
+            chain.config.chain_id,
+            header,
+            self.zk_proof_for(chain, header),
+            chain.receipt_proof(header.height, confirmation.leaf_index),
+            message.payload,
+            message.tx_hash,
         )
 
     def update_bundle(self, chain: Chain, header: BlockHeader) -> ProofBundle:

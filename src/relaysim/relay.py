@@ -87,7 +87,7 @@ class HopRecord:
         return self.ctx.key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryReceipt:
     target: int
 
@@ -192,11 +192,7 @@ class LightClientHost:
         state = self.clients.get(bundle.origin_chain)
         if state is None:  # a header of a chain this host does not track
             return ctx, VerifyResult(False, _empty_receipt(self.table), RejectReason.EPOCH_GAP), False
-        message = ReceiptMessage(
-            tx_hash=bundle.receipt_hash or ctx.tx_hash,
-            payload=bundle.receipt_payload,
-            height=bundle.header.height,
-        )
+        message = ReceiptMessage(bundle.receipt_hash or ctx.tx_hash, bundle.receipt_payload, bundle.header.height)
         result = hlc_verify(
             state, message, bundle.header, bundle.merkle_proof, bundle.zk_proof, self.table, self.backend
         )
@@ -354,7 +350,7 @@ class RelayEnvironment:
         if target not in self._inbox:
             raise ValueError(f"unknown transmit target {target}")
         self._inbox[target].append(bundle)
-        return DeliveryReceipt(target=target)
+        return DeliveryReceipt(target)
 
     # -- bookkeeping --------------------------------------------------------------
 
@@ -363,8 +359,7 @@ class RelayEnvironment:
     ) -> None:
         """Trace `stage` of `key` at the next tick; with `once`, a stage `key`
         already reached is not logged again."""
-        event = TraceEvent(key=key, stage=stage, time=self.clock.next(), chain=chain, verdict=verdict, gas=gas)
-        self.trace.record(event, once)
+        self.trace.record(TraceEvent(key, stage, self.clock.next(), chain, verdict, gas), once)
 
     def _log_receipt(self, context: str, chain_id: int, receipt: GasReceipt) -> None:
         self.receipts_log.append(
@@ -452,18 +447,17 @@ class RelayEnvironment:
             chain = self.chains[cid]
             for header in prover.new_boundaries(chain):
                 self.transmit(prover.update_bundle(chain, header), self.rc_id)
-            for conf in prover.monitor(chain):
-                if isinstance(conf.record, CrossChainTx):  # local events are not relayed outward
-                    self.transmit(prover.ctx_bundle(chain, conf), self.rc_id)
-                    self._record(conf.record.key, "prove_sc", cid)
+            for conf in prover.monitor(chain, CrossChainTx):  # local events are not relayed outward
+                self.transmit(prover.ctx_bundle(chain, conf), self.rc_id)
+                self._record(conf.record.key, "prove_sc", cid)
 
     def _scan_relay(self, prover: Prover) -> None:
         for header in prover.new_boundaries(self.rc.chain):
             bundle = prover.update_bundle(self.rc.chain, header)
             for host_id in sorted(self.hosts):
                 self.transmit(bundle, host_id)
-        for conf in prover.monitor(self.rc.chain):
-            if not _is_record(conf.record, ICTX_TAG):
+        for conf in prover.monitor(self.rc.chain, HopRecord):
+            if conf.record.tag != ICTX_TAG:
                 continue
             ctx = conf.record.ctx
             if ctx.dest_chain in self.hosts:

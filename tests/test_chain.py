@@ -157,6 +157,25 @@ def test_receipt_proof_index_out_of_range(small_chain):
         small_chain.receipt_proof(header.height, 1)
 
 
+@pytest.mark.parametrize(
+    "case", ["block without receipts", "height not yet produced", "index past the receipts"]
+)
+def test_receipt_proof_of_a_missing_receipt_raises_index_error(small_chain, case):
+    """Whatever makes the receipt missing, the error is an IndexError that
+    names the height and the index asked for."""
+    if case == "block without receipts":
+        _, header = small_chain.produce_block()
+        height, index = header.height, 0
+    elif case == "height not yet produced":
+        height, index = small_chain.height + 1, 0
+    else:
+        small_chain.submit_tx(small_chain.make_tx(2, AssetPayload(token="USDC", amount=1)))
+        _, header = small_chain.produce_block()
+        height, index = header.height, 1
+    with pytest.raises(IndexError, match=f"block {height} of chain 1 has no receipt {index}"):
+        small_chain.receipt_proof(height, index)
+
+
 def test_rotation_identity_keeps_set():
     chain = Chain(ChainConfig(chain_id=1, epoch_size=2, weights=(1, 2)))
     s0, s1 = chain.validator_set(0), chain.validator_set(1)

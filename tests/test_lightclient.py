@@ -600,3 +600,79 @@ def test_warm_memo_still_rejects_header_with_other_receipt_root(gas_table, backe
     warm = hlc_verify(state, conf.message, forged, proof, zk, gas_table, backend)
     assert warm.reason == cold.reason == RejectReason.PUBLIC_INPUT_MISMATCH
     assert warm.receipt == cold.receipt
+
+
+# ---------------------------------------------------------------------------
+# the memo of the last proof check that passed
+
+
+def _counted_verify(monkeypatch, backend):
+    """Record each proof `backend.verify` is called with."""
+    calls = []
+    verify = backend.verify
+
+    def counted(proof, publics):
+        calls.append(proof)
+        return verify(proof, publics)
+
+    monkeypatch.setattr(backend, "verify", counted)
+    return calls
+
+
+def test_passed_proof_memo_rejects_tampered_proof_for_same_header(gas_table, backend):
+    """After the honest bundle passes, a tampered proof object for the same
+    header is rejected as a cold client rejects it: same reason, same gas."""
+    chain = _chain(ns="memo-proof")
+    state = hlc_setup(1, chain.validator_set(0), 4, T23, gas_table).state
+    conf, proof, header = _confirmed(chain)
+    zk = Prover("p", backend).zk_proof_for(chain, header)
+    other_publics = dc_replace(zk.publics, commitment=b"\x33" * 32)
+    forged = [
+        (dc_replace(zk, attestation=bytes(32)), RejectReason.PROOF_INVALID),
+        (dc_replace(zk, publics=other_publics), RejectReason.PUBLIC_INPUT_MISMATCH),
+    ]
+    cold = [hlc_verify(state, conf.message, header, proof, z, gas_table, backend) for z, _ in forged]
+    assert hlc_verify(state, conf.message, header, proof, zk, gas_table, backend).ok
+    for (z, reason), before in zip(forged, cold):
+        warm = hlc_verify(state, conf.message, header, proof, z, gas_table, backend)
+        assert warm.reason == before.reason == reason
+        assert warm.receipt == before.receipt
+
+
+def test_passed_proof_memo_rechecks_under_another_client_state(monkeypatch, gas_table, backend):
+    """After a boundary update, the first bundle of the new epoch is checked
+    under the updated client; under a client that reached the same epoch but
+    kept the old commitment, the same bundle is checked again and refused."""
+    chain = _chain(epoch_size=2, rotation="refresh", ns="memo-state")
+    state0 = hlc_setup(1, chain.validator_set(0), 2, T23, gas_table).state
+    while chain.height < 2:
+        chain.produce_block()
+    prover = Prover("p", backend)
+    boundary = chain.headers[2]
+    update = hlc_update(state0, boundary, prover.zk_proof_for(chain, boundary), gas_table, backend)
+    assert update.accepted
+    conf, proof, header = _confirmed(chain)  # mid-epoch 1, signed by the rotated set
+    zk = prover.zk_proof_for(chain, header)
+    calls = _counted_verify(monkeypatch, backend)
+    assert hlc_verify(update.state, conf.message, header, proof, zk, gas_table, backend).ok
+    assert calls == [zk]
+    stale = dc_replace(update.state, commitment=state0.commitment)
+    result = hlc_verify(stale, conf.message, header, proof, zk, gas_table, backend)
+    assert result.reason == RejectReason.PUBLIC_INPUT_MISMATCH
+
+
+def test_equal_copy_of_passed_proof_is_verified_again(monkeypatch, gas_table, backend):
+    """The memo matches by identity: the proof object that passed is not
+    verified again, at the same gas, but an equal copy of it is."""
+    chain = _chain(ns="memo-copy")
+    state = hlc_setup(1, chain.validator_set(0), 4, T23, gas_table).state
+    conf, proof, header = _confirmed(chain)
+    zk = Prover("p", backend).zk_proof_for(chain, header)
+    calls = _counted_verify(monkeypatch, backend)
+    first, again = (hlc_verify(state, conf.message, header, proof, zk, gas_table, backend) for _ in range(2))
+    assert first.ok and again.ok and again.receipt == first.receipt
+    assert calls == [zk]
+    copy = dc_replace(zk)
+    assert copy == zk and copy is not zk
+    assert hlc_verify(state, conf.message, header, proof, copy, gas_table, backend).ok
+    assert len(calls) == 2 and calls[1] is copy

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from relaysim.chain import AssetPayload, Chain, ChainConfig, MessagePayload
+from relaysim.chain import AssetPayload, Chain, ChainConfig, CrossChainTx, MessagePayload
 from relaysim.costs import baseline_gates, gate_report, split_gates
 from relaysim.crypto.hashes import SUPPORTED
 from relaysim.prover import (
@@ -74,6 +74,29 @@ def test_twin_provers_identical_streams(backend):
     s1 = [(c.header.height, c.leaf_index, c.message.tx_hash) for c in p1.monitor(chain)]
     s2 = [(c.header.height, c.leaf_index, c.message.tx_hash) for c in p2.monitor(chain)]
     assert s1 == s2
+
+
+def test_monitor_yields_only_the_records_of_its_kind(backend):
+    """Given a record type, the monitor yields the confirmations of that
+    type alone, and its cursor still passes the other receipts."""
+
+    class Event:
+        def to_bytes(self):
+            return b"event"
+
+    chain = _chain(ns="kind")
+    chain.submit_tx(chain.make_tx(2, MessagePayload(b"a")))
+    chain.append_event(Event())
+    chain.submit_tx(chain.make_tx(2, MessagePayload(b"b")))
+    chain.produce_block()
+    prover = Prover("m", backend)
+    assert [c.leaf_index for c in prover.monitor(chain, CrossChainTx)] == [0, 2]
+    chain.append_event(Event())
+    chain.produce_block()
+    assert prover.monitor(chain, CrossChainTx) == []
+    assert prover.monitor(chain) == []
+    everything = [type(c.record) for c in Prover("n", backend).monitor(chain)]
+    assert everything == [CrossChainTx, Event, CrossChainTx, Event]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Relay pipeline: registration, two-hop verification, idempotence, trace
 ordering, payload conservation, and deployment complexity."""
 
+from dataclasses import FrozenInstanceError, fields
 from dataclasses import replace as dc_replace
 from functools import partial
 
@@ -11,15 +12,18 @@ from relaysim.chain import (
     AssetPayload,
     BlockHeader,
     ChainConfig,
+    Confirmation,
     CrossChainTx,
     MessagePayload,
     ReceiptMessage,
 )
 from relaysim.costs import GasReceipt, gate_report, item_dicts
 from relaysim.crypto.commitment import commitment_digest
-from relaysim.prover import Prover
+from relaysim.crypto.merkle import MerkleProof
+from relaysim.prover import ProofBundle, Prover
 from relaysim.relay import (
     FIN_TAG,
+    DeliveryReceipt,
     ICTX_TAG,
     HopRecord,
     Rejection,
@@ -28,7 +32,7 @@ from relaysim.relay import (
     deployment_plan,
     end_to_end_relay,
 )
-from relaysim.lightclient import RejectReason
+from relaysim.lightclient import RejectReason, VerifyResult
 from relaysim.trace import PIPELINE_STAGES
 
 
@@ -675,3 +679,26 @@ def test_sweep_confirms_only_the_hosts_own_records(backend):
     chain.produce_block()
     assert [c.key for c in host.resolve_confirmations()] == [ctx.key]
     assert list(host.confirmations) == [ctx.key]
+
+
+def _slotted_records():
+    receipt = GasReceipt("hlc_verify", (("call_overhead", 1, 21_000),))
+    message = ReceiptMessage(b"h", b"p", 1)
+    return [
+        Confirmation(None, message, 0, None),
+        ProofBundle("ctx", 1, None, None, MerkleProof(()), b"p", b"h"),
+        MerkleProof(((b"\x00" * 32, "L"),)),
+        DeliveryReceipt(1),
+        VerifyResult(True, receipt),
+        receipt,
+    ]
+
+
+@pytest.mark.parametrize("record", _slotted_records(), ids=lambda r: type(r).__name__)
+def test_per_bundle_records_are_slotted_and_frozen(record):
+    """The records made for every relayed bundle keep no instance dict, and
+    their fields cannot be assigned."""
+    assert not hasattr(record, "__dict__")
+    for field in fields(record):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, field.name, getattr(record, field.name))
