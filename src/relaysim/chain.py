@@ -211,7 +211,12 @@ class Block:
     records: Tuple[object, ...]
 
     def confirmation(self, index: int) -> Confirmation:
-        return Confirmation(self.header, self.receipts[index], index, self.records[index])
+        return Confirmation(
+            header=self.header,
+            message=self.receipts[index],
+            leaf_index=index,
+            record=self.records[index],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +448,7 @@ class Chain:
         while self._pending and len(items) < self.config.max_block_txs:
             items.append(self._pending.popleft())
 
-        receipts = tuple(ReceiptMessage(h, p, height) for _, p, h in items)
+        receipts = tuple(ReceiptMessage(tx_hash=h, payload=p, height=height) for _, p, h in items)
         leaves = [r.to_bytes() for r in receipts]
         tree = MerkleTree(leaves, self.config.hash_algo) if leaves else None
         root = tree.root if tree is not None else EMPTY_RECEIPT_ROOT

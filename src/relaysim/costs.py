@@ -94,7 +94,7 @@ class GasMeter:
     def receipt(self) -> GasReceipt:
         unit = self.table.unit
         items = tuple((label, count, unit(label)) for label, count in self._counts.items())
-        return GasReceipt(self.operation, items)
+        return GasReceipt(operation=self.operation, items=items)
 
 
 def lc_setup_gas(table: GasCostTable, n_validators: int) -> int:

@@ -247,15 +247,14 @@ class Prover:
     def ctx_bundle(self, chain: Chain, confirmation: Confirmation) -> ProofBundle:
         """The bundle for a confirmation this prover read off `chain`: the
         receipt is proven by its position in its block."""
-        header, message = confirmation.header, confirmation.message
         return ProofBundle(
-            "ctx",
-            chain.config.chain_id,
-            header,
-            self.zk_proof_for(chain, header),
-            chain.receipt_proof(header.height, confirmation.leaf_index),
-            message.payload,
-            message.tx_hash,
+            kind="ctx",
+            origin_chain=chain.config.chain_id,
+            header=confirmation.header,
+            zk_proof=self.zk_proof_for(chain, confirmation.header),
+            merkle_proof=chain.receipt_proof(confirmation.header.height, confirmation.leaf_index),
+            receipt_payload=confirmation.message.payload,
+            receipt_hash=confirmation.message.tx_hash,
         )
 
     def update_bundle(self, chain: Chain, header: BlockHeader) -> ProofBundle:

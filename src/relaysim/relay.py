@@ -192,7 +192,11 @@ class LightClientHost:
         state = self.clients.get(bundle.origin_chain)
         if state is None:  # a header of a chain this host does not track
             return ctx, VerifyResult(False, _empty_receipt(self.table), RejectReason.EPOCH_GAP), False
-        message = ReceiptMessage(bundle.receipt_hash or ctx.tx_hash, bundle.receipt_payload, bundle.header.height)
+        message = ReceiptMessage(
+            tx_hash=bundle.receipt_hash or ctx.tx_hash,
+            payload=bundle.receipt_payload,
+            height=bundle.header.height,
+        )
         result = hlc_verify(
             state, message, bundle.header, bundle.merkle_proof, bundle.zk_proof, self.table, self.backend
         )
@@ -350,7 +354,7 @@ class RelayEnvironment:
         if target not in self._inbox:
             raise ValueError(f"unknown transmit target {target}")
         self._inbox[target].append(bundle)
-        return DeliveryReceipt(target)
+        return DeliveryReceipt(target=target)
 
     # -- bookkeeping --------------------------------------------------------------
 
@@ -359,7 +363,8 @@ class RelayEnvironment:
     ) -> None:
         """Trace `stage` of `key` at the next tick; with `once`, a stage `key`
         already reached is not logged again."""
-        self.trace.record(TraceEvent(key, stage, self.clock.next(), chain, verdict, gas), once)
+        event = TraceEvent(key=key, stage=stage, time=self.clock.next(), chain=chain, verdict=verdict, gas=gas)
+        self.trace.record(event, once)
 
     def _log_receipt(self, context: str, chain_id: int, receipt: GasReceipt) -> None:
         self.receipts_log.append(
