@@ -25,7 +25,7 @@ from . import encoding
 from .crypto import bls
 from .crypto.bn254 import G1Point
 from .crypto.commitment import ValidatorSet, commitment_digest
-from .crypto.hashes import digest
+from .crypto.hashes import SUPPORTED, digest
 from .crypto.merkle import MerkleProof, MerkleTree
 
 ZERO32 = b"\x00" * 32
@@ -268,6 +268,8 @@ class ChainConfig:
             raise ValueError("vote threshold must lie in [1/2, 1]")
         if self.rotation not in ("identity", "reweight", "refresh"):
             raise ValueError(f"unknown rotation policy {self.rotation!r}")
+        if self.hash_algo not in SUPPORTED:
+            raise ValueError(f"unknown hash algorithm {self.hash_algo!r}; pick one of {SUPPORTED}")
 
 
 class LogicalClock:
@@ -449,8 +451,7 @@ class Chain:
             items.append(self._pending.popleft())
 
         receipts = tuple(ReceiptMessage(tx_hash=h, payload=p, height=height) for _, p, h in items)
-        leaves = [r.to_bytes() for r in receipts]
-        tree = MerkleTree(leaves, self.config.hash_algo) if leaves else None
+        tree = self._receipt_tree(receipts) if receipts else None
         root = tree.root if tree is not None else EMPTY_RECEIPT_ROOT
 
         announced_commitment, announced_set = ZERO32, None
@@ -481,13 +482,31 @@ class Chain:
 
     # -- confirmation queries ------------------------------------------------
 
+    def _receipt_tree(self, receipts: Sequence[ReceiptMessage]) -> MerkleTree:
+        return MerkleTree([r.to_bytes() for r in receipts], self.config.hash_algo)
+
     def receipt_proof(self, height: int, index: int) -> MerkleProof:
         """The audit path of receipt `index` of the block at `height`; an
-        IndexError when that block has no such receipt or does not exist."""
-        try:
-            return self._trees[height].prove(index)
-        except (KeyError, IndexError):  # no tree is kept for a block without receipts
-            raise IndexError(f"block {height} of chain {self.config.chain_id} has no receipt {index}") from None
+        IndexError when that block has no such receipt or does not exist.
+        A released tree is rebuilt from the block's receipts, gives the same
+        proofs, and is kept until the next `release_trees` that covers it."""
+        tree = self._trees.get(height)
+        if tree is None and 0 <= height < len(self._blocks) and self._blocks[height].receipts:
+            tree = self._trees[height] = self._receipt_tree(self._blocks[height].receipts)
+        if tree is not None:  # None: a block without receipts, or not yet produced
+            try:
+                return tree.prove(index)
+            except IndexError:
+                pass
+        raise IndexError(f"block {height} of chain {self.config.chain_id} has no receipt {index}")
+
+    def release_trees(self, below_height: int) -> None:
+        """Drop the Merkle trees, and the proofs they serve, of the blocks
+        below `below_height`: call it once every reader of those blocks has
+        passed them."""
+        trees = self._trees
+        for height in [h for h in trees if h < below_height]:
+            del trees[height]
 
     def signing_set_for(self, header: BlockHeader) -> ValidatorSet:
         """The validator set whose quorum signed this header."""

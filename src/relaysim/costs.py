@@ -12,7 +12,7 @@ at 4/8/16/32 signers; max relative error of the fit is 3.3%.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Tuple
 
 
@@ -35,17 +35,19 @@ class GasCostTable:
     commitment_words: int = 5
 
     def __post_init__(self):
-        for name, value in self.__dict__.items():
+        units = dict(self.__dict__)
+        for name, value in units.items():
             if value < 0:
                 raise ValueError(f"gas constant {name} must be non-negative")
+        object.__setattr__(self, "_units", units)  # label -> unit cost, built once
 
     def with_overrides(self, overrides: Mapping[str, int]) -> "GasCostTable":
         return replace(self, **dict(overrides))
 
     def unit(self, label: str) -> int:
         try:
-            return getattr(self, label)
-        except AttributeError:
+            return self._units[label]
+        except KeyError:
             raise KeyError(f"unknown gas primitive {label!r}") from None
 
 
@@ -64,10 +66,14 @@ def item_dicts(items: Items) -> List[Dict]:
 class GasReceipt:
     operation: str
     items: Items
+    # the sum of count * unit over `items`, made once
+    total: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def total(self) -> int:
-        return sum(count * unit for _, count, unit in self.items)
+    def __post_init__(self):
+        total = 0
+        for _, count, unit in self.items:  # a loop: cheaper than sum() over so few items
+            total += count * unit
+        object.__setattr__(self, "total", total)
 
     def count(self, label: str) -> int:
         return sum(count for lbl, count, _ in self.items if lbl == label)
@@ -82,18 +88,20 @@ class GasMeter:
     def __init__(self, table: GasCostTable, operation: str):
         self.table = table
         self.operation = operation
+        self._units = table._units
         self._counts: Dict[str, int] = {}  # label -> count, in first-charge order
 
     def charge(self, label: str, count: int = 1) -> None:
         if count < 0:
             raise ValueError("charge count must be non-negative")
         if count:
-            self.table.unit(label)  # an unknown label raises KeyError
+            if label not in self._units:
+                raise KeyError(f"unknown gas primitive {label!r}")
             self._counts[label] = self._counts.get(label, 0) + count
 
     def receipt(self) -> GasReceipt:
-        unit = self.table.unit
-        items = tuple((label, count, unit(label)) for label, count in self._counts.items())
+        units = self._units
+        items = tuple((label, count, units[label]) for label, count in self._counts.items())
         return GasReceipt(operation=self.operation, items=items)
 
 

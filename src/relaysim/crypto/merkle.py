@@ -8,7 +8,7 @@ index) triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .hashes import hash_fn
 
@@ -28,7 +28,16 @@ def leaf_hash(leaf: bytes, algo: str = "sha256") -> bytes:
 
 
 class MerkleTree:
-    """Precomputed tree levels; proofs come out in O(log n) once built."""
+    """Precomputed tree levels of node hashes (the leaves themselves are not
+    kept).
+
+    The first `prove` builds the audit paths of every leaf in one pass, top
+    down: each node's (sibling, side) entry is one tuple, shared by the paths
+    of all leaves below it, and each leaf's path is a tuple of references to
+    those entries. Every `prove(i)` returns the same `MerkleProof` object, so
+    the provers of one receipt hold one proof between them. A tree nobody
+    proves from builds no paths.
+    """
 
     def __init__(self, leaves: Sequence[bytes], algo: str = "sha256"):
         if not leaves:
@@ -43,6 +52,7 @@ class MerkleTree:
                 nxt.append(level[-1])
             self.levels.append(nxt)
             level = nxt
+        self._proofs: Optional[List[MerkleProof]] = None
 
     @property
     def root(self) -> bytes:
@@ -52,13 +62,24 @@ class MerkleTree:
         count = len(self.levels[0])
         if not 0 <= index < count:
             raise IndexError(f"leaf index {index} out of range for {count} leaves")
-        path: List[Tuple[bytes, str]] = []
-        for level in self.levels:  # the root level has no sibling to add
-            sibling = index ^ 1
-            if sibling < len(level):
-                path.append((level[sibling], "L" if index & 1 else "R"))
-            index >>= 1
-        return MerkleProof(tuple(path))
+        if self._proofs is None:
+            self._proofs = [MerkleProof(path) for path in self._paths()]
+        return self._proofs[index]
+
+    def _paths(self) -> List[Tuple[Tuple[bytes, str], ...]]:
+        """Every leaf's audit path, leaf level first: a node's path is its
+        own entry, if it has a sibling, then its parent's path."""
+        paths: List[Tuple[Tuple[bytes, str], ...]] = [()]  # the root's
+        for level in reversed(self.levels[:-1]):
+            width, below = len(level), []
+            for i in range(width):
+                up = paths[i >> 1]
+                if i ^ 1 < width:
+                    below.append(((level[i ^ 1], "L" if i & 1 else "R"),) + up)
+                else:  # an odd node promotes: no entry at this level
+                    below.append(up)
+            paths = below
+        return paths
 
 
 def merkle_root(leaves: Sequence[bytes], algo: str = "sha256") -> bytes:

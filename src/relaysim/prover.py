@@ -218,13 +218,18 @@ class Prover:
         """Yield the confirmations (receipt granularity) of records of type
         `kind` in chain order, each exactly once per prover; the cursor
         passes the other receipts too."""
-        start = self._receipt_cursors.get(chain.config.chain_id, 0)
+        start = self.receipt_cursor(chain.config.chain_id)
         out: List[Confirmation] = []
         for height in range(start, chain.height + 1):
             block = chain.block_at(height)
             out.extend(block.confirmation(i) for i, record in enumerate(block.records) if isinstance(record, kind))
         self._receipt_cursors[chain.config.chain_id] = chain.height + 1
         return out
+
+    def receipt_cursor(self, chain_id: int) -> int:
+        """The height `monitor` reads next on chain `chain_id`: every block
+        below it has been read."""
+        return self._receipt_cursors.get(chain_id, 0)
 
     def new_boundaries(self, chain: Chain) -> List[BlockHeader]:
         start = max(1, self._update_cursors.get(chain.config.chain_id, 1))

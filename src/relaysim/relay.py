@@ -362,9 +362,11 @@ class RelayEnvironment:
         self, key, stage: str, chain: int, gas: Optional[int] = None, verdict: str = "ok", once: bool = True
     ) -> None:
         """Trace `stage` of `key` at the next tick; with `once`, a stage `key`
-        already reached is not logged again."""
-        event = TraceEvent(key=key, stage=stage, time=self.clock.next(), chain=chain, verdict=verdict, gas=gas)
-        self.trace.record(event, once)
+        already reached takes its tick but is not logged again."""
+        time = self.clock.next()
+        if once and stage in self.trace.stages_of(key):
+            return
+        self.trace.record(TraceEvent(key=key, stage=stage, time=time, chain=chain, verdict=verdict, gas=gas))
 
     def _log_receipt(self, context: str, chain_id: int, receipt: GasReceipt) -> None:
         self.receipts_log.append(
@@ -416,11 +418,23 @@ class RelayEnvironment:
         provers = [p for p in self.provers if p.profile != "silent"]
         for prover in provers:
             self._scan_sources(prover)
+        self._release_trees(self.chains.values(), provers)
         self._drain(self.rc_id)
         for prover in provers:
             self._scan_relay(prover)
+        self._release_trees([self.rc.chain], provers)
         for host_id in sorted(self.hosts):
             self._drain(host_id)
+
+    @staticmethod
+    def _release_trees(chains, provers: List[Prover]) -> None:
+        """Free each chain's Merkle trees below the lowest receipt cursor of
+        the provers that scan it; a silent prover reads nothing and holds
+        none back. `Chain.receipt_proof` rebuilds a freed tree for a later
+        reader."""
+        for chain in chains:
+            cid = chain.config.chain_id
+            chain.release_trees(min((p.receipt_cursor(cid) for p in provers), default=chain.height + 1))
 
     def _produce_source_blocks(self) -> None:
         for cid in sorted(self.chains):

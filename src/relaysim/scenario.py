@@ -138,6 +138,8 @@ def scenario_from_dict(raw: Dict) -> Scenario:
         problems.append(f"workload: unknown pattern {workload.pattern!r}")
     if workload.amount_min > workload.amount_max:
         problems.append("workload: amount_min exceeds amount_max")
+    if workload.count < 0:
+        problems.append(f"workload: count {workload.count} is negative")
 
     try:
         gas_table = GasCostTable().with_overrides(raw.get("gas_table", {}))
@@ -163,10 +165,18 @@ def scenario_from_dict(raw: Dict) -> Scenario:
         pricing = PricingConfig()
 
     stakes = tuple(sorted((int(k), int(v)) for k, v in raw.get("stakes", {}).items()))
+    for cid, _ in stakes:
+        if cid not in ids:
+            problems.append(f"stakes: unknown chain {cid}")
     faults_raw = raw.get("faults", {})
     faults = FaultSpec(
         withhold=tuple(sorted((int(k), float(v)) for k, v in faults_raw.get("withhold", {}).items()))
     )
+    for cid, fraction in faults.withhold:
+        if cid not in ids:
+            problems.append(f"faults.withhold: unknown chain {cid}")
+        if not 0 <= fraction <= 1:
+            problems.append(f"faults.withhold: fraction {fraction} for chain {cid} is outside [0, 1]")
 
     horizon = int(raw.get("horizon_rounds", 10))
     if horizon < 1:

@@ -309,3 +309,27 @@ def test_ctx_key_is_built_once():
 
 def test_receipt_message_has_no_instance_dict():
     assert not hasattr(ReceiptMessage(tx_hash=b"h", payload=b"p", height=1), "__dict__")
+
+
+def test_a_released_tree_is_rebuilt_with_equal_proofs(small_chain):
+    """`release_trees` frees the trees of the blocks below the height it is
+    given; `receipt_proof` then rebuilds a freed block's tree from its
+    receipts, with equal proofs, and still refuses what the block lacks."""
+    blocks = []
+    for n in (3, 5):
+        for i in range(n):
+            small_chain.submit_tx(small_chain.make_tx(2, AssetPayload(token="USDC", amount=i)))
+        blocks.append(small_chain.produce_block()[0])
+    proofs = {(b.header.height, i): small_chain.receipt_proof(b.header.height, i) for b in blocks for i in range(len(b.receipts))}
+    first, second = (b.header.height for b in blocks)
+    small_chain.release_trees(second)
+    assert sorted(small_chain._trees) == [second]
+    small_chain.release_trees(second + 1)
+    assert small_chain._trees == {}
+    for (height, i), proof in proofs.items():
+        again = small_chain.receipt_proof(height, i)
+        assert again == proof and again is not proof
+        assert small_chain.receipt_proof(height, i) is again  # rebuilt once, kept until released
+    for height, index in ((first, 3), (-1, 0), (small_chain.height + 1, 0)):
+        with pytest.raises(IndexError, match=f"block {height} of chain 1 has no receipt {index}"):
+            small_chain.receipt_proof(height, index)

@@ -70,3 +70,28 @@ def test_charge_refuses_negative_counts_and_unknown_labels():
     meter.charge("sload_word", 0)
     meter.charge("hash_op", 3)
     assert meter.receipt().items == (("hash_op", 5, TABLE.hash_op),)
+
+
+@pytest.mark.parametrize("label", ["with_overrides", "unit", "_units", "__class__"])
+def test_only_gas_constants_are_labels(label):
+    """A label is checked against the table's map of gas constants: other
+    attributes of the table are unknown primitives, to `unit` and to a
+    charge alike."""
+    with pytest.raises(KeyError, match="unknown gas primitive"):
+        TABLE.unit(label)
+    with pytest.raises(KeyError, match="unknown gas primitive"):
+        GasMeter(TABLE, "op").charge(label)
+
+
+def test_receipt_total_is_made_once_from_its_items():
+    """`total` is stored when a receipt is made, from its items, and made
+    again for a copy with other items; it takes no part in equality."""
+    from dataclasses import replace
+
+    from relaysim.costs import GasReceipt
+
+    receipt = GasReceipt("op", (("hash_op", 3, 60), ("call_overhead", 1, 21_000)))
+    assert receipt.total == 21_180 and "total" in GasReceipt.__slots__
+    assert replace(receipt, items=(("hash_op", 2, 60),)).total == 120
+    with pytest.raises(TypeError):
+        GasReceipt("op", (), total=5)

@@ -388,6 +388,71 @@ def test_scenario_rejects_tampering_prover_profile():
         Prover("evil", backend=None, profile="tampering")
 
 
+def _valid_raw():
+    return {
+        "name": "checks",
+        "relay_chain": {"chain_id": 100, "validators": 4, "epoch_size": 10},
+        "chains": [
+            {"chain_id": 1, "validators": 3, "epoch_size": 6},
+            {"chain_id": 2, "validators": 3, "epoch_size": 6},
+        ],
+        "workload": {"kind": "synthetic", "count": 4},
+        "stakes": {"1": 10, "100": 10},
+        "faults": {"withhold": {"100": 0.25}},
+    }
+
+
+_BAD_KNOBS = {
+    "withhold-unknown-chain": (
+        lambda raw: raw["faults"]["withhold"].update({"999": 0.5}),
+        ["faults.withhold: unknown chain 999"],
+    ),
+    "unknown-hash-algo": (
+        lambda raw: raw["chains"][1].update(hash_algo="md5"),
+        ["chains[1]: unknown hash algorithm 'md5'; pick one of ('sha256', 'sha3_256', 'blake2b_256')"],
+    ),
+    "withhold-fraction-above-one": (
+        lambda raw: raw["faults"]["withhold"].update({"1": 1.7}),
+        ["faults.withhold: fraction 1.7 for chain 1 is outside [0, 1]"],
+    ),
+    "withhold-fraction-below-zero": (
+        lambda raw: raw["faults"]["withhold"].update({"100": -0.5}),
+        ["faults.withhold: fraction -0.5 for chain 100 is outside [0, 1]"],
+    ),
+    "stakes-unknown-chain": (
+        lambda raw: raw["stakes"].update({"7": 10}),
+        ["stakes: unknown chain 7"],
+    ),
+    "negative-count": (
+        lambda raw: raw["workload"].update(count=-5),
+        ["workload: count -5 is negative"],
+    ),
+}
+
+
+@pytest.mark.parametrize("knob", sorted(_BAD_KNOBS))
+def test_scenario_checks_ranges_and_chain_references(knob):
+    """Each out-of-range knob or reference to a chain the scenario does not
+    define is a problem of the `ScenarioError`, not a later failure or a
+    silently clamped run; the valid scenario itself parses."""
+    scenario_from_dict(_valid_raw())
+    raw = _valid_raw()
+    change, expected = _BAD_KNOBS[knob]
+    change(raw)
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(raw)
+    assert err.value.problems == expected
+
+
+def test_scenario_reports_every_bad_knob_at_once():
+    raw = _valid_raw()
+    for change, _ in _BAD_KNOBS.values():
+        change(raw)
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(raw)
+    assert sorted(err.value.problems) == sorted(p for _, expected in _BAD_KNOBS.values() for p in expected)
+
+
 # ---------------------------------------------------------------------------
 # replay
 

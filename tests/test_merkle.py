@@ -196,3 +196,18 @@ def test_verdicts_match_reference_on_tampered_paths(leaves, algo, data):
     verdict = merkle_verify(root, leaves[index], MerkleProof(path), algo)
     assert verdict == _ref_verify(root, leaves[index], path, algo)
     assert verdict == (path == _ref_prove(levels, index))
+
+
+def test_repeated_prove_returns_the_same_object():
+    """A tree builds every leaf's path once: `prove(i)` returns one object
+    per leaf however often it is asked, and the (sibling, side) entry of a
+    node is one tuple shared by the paths of all leaves below it."""
+    leaves = [bytes([k]) for k in range(11)]
+    tree = MerkleTree(leaves)
+    proofs = [tree.prove(i) for i in range(11)]
+    assert all(tree.prove(i) is proofs[i] for i in range(11))
+    assert all(p == merkle_prove(leaves, i) for i, p in enumerate(proofs))
+    # leaves 0-3 sit below one level-2 node, whose entry (its sibling, the
+    # node over leaves 4-7) all four paths hold
+    assert len({id(proofs[i].path[2]) for i in range(4)}) == 1
+    assert len({id(proofs[i].path[1]) for i in range(4)}) == 2  # one per level-1 node

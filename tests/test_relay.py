@@ -4,10 +4,12 @@ ordering, payload conservation, and deployment complexity."""
 from dataclasses import FrozenInstanceError, fields
 from dataclasses import replace as dc_replace
 from functools import partial
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from relaysim import relay
 from relaysim.chain import (
     AssetPayload,
     BlockHeader,
@@ -20,6 +22,7 @@ from relaysim.chain import (
 from relaysim.costs import GasReceipt, gate_report, item_dicts
 from relaysim.crypto.commitment import commitment_digest
 from relaysim.crypto.merkle import MerkleProof
+from relaysim.harness import ForgeryCorpus
 from relaysim.prover import ProofBundle, Prover
 from relaysim.relay import (
     FIN_TAG,
@@ -33,7 +36,7 @@ from relaysim.relay import (
     end_to_end_relay,
 )
 from relaysim.lightclient import RejectReason, VerifyResult
-from relaysim.trace import PIPELINE_STAGES
+from relaysim.trace import PIPELINE_STAGES, TraceEvent
 
 
 def _env(backend, n_chains=3, epoch_size=10, rc_validators=4):
@@ -702,3 +705,124 @@ def test_per_bundle_records_are_slotted_and_frozen(record):
     for field in fields(record):
         with pytest.raises(FrozenInstanceError):
             setattr(record, field.name, getattr(record, field.name))
+
+
+def _captured_inboxes(env):
+    """Run `env` with each host's inbox, as the drain finds it, appended to
+    the returned list as (host id, bundles)."""
+    seen, drain = [], env._drain
+
+    def capturing(host_id):
+        seen.append((host_id, list(env._inbox[host_id])))
+        drain(host_id)
+
+    env._drain = capturing
+    return seen
+
+
+def _all_chains(env):
+    return [*env.chains.values(), env.rc.chain]
+
+
+def _wave(env, r, size=4):
+    """Submit wave `r`, `size` transactions spread over the sources, and
+    step once."""
+    ids = sorted(env.chains)
+    for i in range(size):
+        src = ids[(r + i) % len(ids)]
+        env.submit(src, ids[(r + i + 1) % len(ids)], AssetPayload(token="T", amount=r * size + i))
+    env.step()
+
+
+def test_both_provers_bundles_hold_one_merkle_proof(backend):
+    """The honest provers' copies of a ctx bundle hold the identical
+    `MerkleProof` object, at the relay chain and at the destinations: the
+    tree that proves a receipt for the first prover is still there for the
+    second."""
+    env = _env(backend)
+    env.add_prover("p1")
+    seen = _captured_inboxes(env)
+    for r in range(3):
+        _wave(env, r)
+    copies = {}
+    for host_id, bundles in seen:
+        for b in bundles:
+            if b.kind == "ctx":
+                copies.setdefault((host_id, b.origin_chain, b.header.height, b.receipt_hash), []).append(b)
+    assert {host_id for host_id, _, _, _ in copies} == {env.rc_id, 1, 2, 3}
+    for pair in copies.values():
+        assert len(pair) == 2 and pair[0] is not pair[1]
+        assert pair[0].merkle_proof is pair[1].merkle_proof
+
+
+@pytest.mark.parametrize("profiles", [("honest", "honest"), ("honest", "silent")])
+def test_no_tree_is_kept_below_the_lowest_honest_cursor(backend, profiles):
+    """Over a run that crosses epochs, after every step no chain keeps the
+    Merkle tree of a block that every honest prover has read; a silent
+    prover, which reads nothing, holds no tree back."""
+    env = _env(backend, epoch_size=4)
+    env.provers.clear()
+    for i, profile in enumerate(profiles):
+        env.add_prover(f"p{i}", profile)
+    honest = [p for p in env.provers if p.profile == "honest"]
+    read = 0  # blocks with receipts below the lowest cursor, summed over steps
+    for r in range(4):
+        _wave(env, r)
+        for chain in _all_chains(env):
+            lowest = min(p.receipt_cursor(chain.config.chain_id) for p in honest)
+            assert all(height >= lowest for height in chain._trees)
+            read += sum(1 for height in range(lowest) if chain.block_at(height).receipts)
+    assert env.rc.chain.current_epoch >= 1 and read > 0
+    assert all("confirm_dc" in env.trace.stages_of(k) for k in env.submitted)
+
+
+def _proof_key(bundle):
+    return bundle.origin_chain, bundle.header.height, bundle.receipt_hash
+
+
+def test_a_freed_tree_serves_equal_proofs_to_later_readers(backend):
+    """Readers that come after the release get proofs equal to the ones the
+    freed trees gave: a forgery-corpus observer harvesting after a step,
+    and a prover added after some rounds, whose bundles for every old
+    receipt are all accepted."""
+    env = _env(backend)
+    seen = _captured_inboxes(env)
+    for r in range(3):
+        _wave(env, r)
+    given = {_proof_key(b): b.merkle_proof for _, bundles in seen for b in bundles if b.kind == "ctx"}
+    assert len(given) == 2 * 12  # 12 source receipts, 12 relay-chain receipts
+    for origin, height, _ in given:  # every tree they came from is freed
+        assert height not in (env.rc.chain if origin == env.rc_id else env.chains[origin])._trees
+
+    corpus = ForgeryCorpus(env, Random(1))
+    assert corpus.harvest(corpus.live) == 12
+    for bundle in corpus.live:
+        assert bundle.merkle_proof == given[_proof_key(bundle)]
+        assert bundle.merkle_proof is not given[_proof_key(bundle)]
+        assert env.rc.relay_receive(bundle)[1].ok
+
+    seen.clear()
+    env.add_prover("late")
+    env.step()
+    old = [b for _, bundles in seen for b in bundles if b.kind == "ctx"]
+    assert sorted(_proof_key(b) for b in old) == sorted(given)
+    assert all(b.merkle_proof == given[_proof_key(b)] for b in old)
+    assert env.rejections == []
+
+
+def test_a_stage_already_reached_builds_no_trace_event(backend, monkeypatch):
+    """The second prover's `prove_sc` and `prove_rc` take their ticks but
+    build no `TraceEvent` for the log to drop."""
+    built = []
+
+    def counting(**fields):
+        built.append(fields["stage"])
+        return TraceEvent(**fields)
+
+    monkeypatch.setattr(relay, "TraceEvent", counting)
+    env = _env(backend)
+    env.add_prover("p1")
+    for r in range(2):
+        _wave(env, r)
+    assert len(built) == len(env.trace.events)
+    assert built.count("prove_sc") == built.count("prove_rc") == len(env.submitted) == 8
