@@ -15,16 +15,16 @@ coordinates and reduce once per output coordinate (Aranha et al. 2011). The
 final exponentiation squares in the cyclotomic subgroup (Granger-Scott 2010)
 and raises to U over U's signed (NAF) digits, inverting by conjugation.
 
-G2 scalar multiplication runs on Jacobian points held as six ints, whose
-mixed addition and doubling inline each Fp2 product and reduce once per
-output coordinate. The fixed-base g2_base_mul_many, which makes every public
-key, recodes each scalar into signed 4-bit windows and sums precomputed
-bases [16^i]G2 by digit size (Brickell-Gordon-McCurley-Wilson, EUROCRYPT
-1992): about 68 additions per key, no doublings. It adds in affine
-coordinates, a batch at a time: every addition of one step, across the
-buckets of every scalar, shares one field inversion (Montgomery's
+The general G2 scalar multiplication g2_mul is affine double-and-add, with
+no reduction of the scalar mod R. The fixed-base g2_base_mul_many, which
+makes every public key, recodes each scalar into signed 4-bit windows and
+sums bases [16^i]G2 by digit size (Brickell-Gordon-McCurley-Wilson,
+EUROCRYPT 1992): about 68 additions per key, no doublings. It adds in
+affine coordinates, a batch at a time: every addition of one step, across
+the buckets of every scalar, shares one field inversion (Montgomery's
 simultaneous inversion, Math. Comp. 1987), which leaves an addition about
-half the int work of a Jacobian mixed one. Public-key aggregation sums
+half the int work of a Jacobian mixed one. The bases themselves are built
+once, at import, by Jacobian doublings on six ints. Public-key aggregation sums
 through the same batch adder. Key decompression takes its Fp2 square root
 by the norm method for p = 3 mod 4 (Adj and Rodriguez-Henriquez, IEEE
 Trans. Computers 2014), which moves the exponentiations into Fp, where
@@ -461,9 +461,9 @@ def g2_add(a: G2Point, b: G2Point) -> G2Point:
 
 
 # Jacobian G2 points are six reduced ints (X.re, X.im, Y.re, Y.im, Z.re, Z.im)
-# for (X/Z^2, Y/Z^3), Z = 0 the identity; an affine addend is the four ints
-# (x.re, x.im, y.re, y.im). Every Fp2 product is an inline Karatsuba on the
-# ints, three int products, reduced once per output coordinate.
+# for (X/Z^2, Y/Z^3), Z = 0 the identity. Their doubling builds the window
+# bases below, at import; every Fp2 product in it is an inline Karatsuba on
+# the ints, three int products, reduced once per output coordinate.
 _G2_JAC_INF = (1, 0, 1, 0, 0, 0)
 
 
@@ -489,39 +489,6 @@ def _g2_jac_double(a):
     return (X30, X31, Y30, Y31, 2 * (m - n) % P, 2 * ((Y0 + Y1) * (Z0 + Z1) - m - n) % P)
 
 
-def _g2_jac_add_affine(a, q):
-    # mixed addition, madd-2007-bl with Z3 = 2 Z H
-    X0, X1, Y0, Y1, Z0, Z1 = a
-    x0, x1, y0, y1 = q
-    if not (Z0 or Z1):
-        return (x0, x1, y0, y1, 1, 0)
-    W0, W1 = (Z0 + Z1) * (Z0 - Z1) % P, 2 * Z0 * Z1 % P  # W = Z^2
-    m, n = x0 * W0, x1 * W1  # H = x W - X
-    H0 = (m - n - X0) % P
-    H1 = ((x0 + x1) * (W0 + W1) - m - n - X1) % P
-    m, n = Z0 * W0, Z1 * W1  # T = Z^3
-    T0, T1 = (m - n) % P, ((Z0 + Z1) * (W0 + W1) - m - n) % P
-    m, n = y0 * T0, y1 * T1  # r = y T - Y
-    r0 = (m - n - Y0) % P
-    r1 = ((y0 + y1) * (T0 + T1) - m - n - Y1) % P
-    if not (H0 or H1):
-        return _G2_JAC_INF if r0 or r1 else _g2_jac_double(a)
-    r0, r1 = 2 * r0, 2 * r1
-    I0, I1 = 4 * (H0 + H1) * (H0 - H1) % P, 8 * H0 * H1 % P  # I = 4 H^2
-    m, n = H0 * I0, H1 * I1  # J = H I
-    J0, J1 = (m - n) % P, ((H0 + H1) * (I0 + I1) - m - n) % P
-    m, n = X0 * I0, X1 * I1  # V = X I
-    V0, V1 = (m - n) % P, ((X0 + X1) * (I0 + I1) - m - n) % P
-    X30 = ((r0 + r1) * (r0 - r1) - J0 - 2 * V0) % P  # X3 = r^2 - J - 2 V
-    X31 = (2 * r0 * r1 - J1 - 2 * V1) % P
-    s0, s1 = V0 - X30, V1 - X31  # Y3 = r (V - X3) - 2 Y J
-    m, n, t, u = r0 * s0, r1 * s1, Y0 * J0, Y1 * J1
-    Y30 = (m - n - 2 * (t - u)) % P
-    Y31 = ((r0 + r1) * (s0 + s1) - m - n - 2 * ((Y0 + Y1) * (J0 + J1) - t - u)) % P
-    m, n = Z0 * H0, Z1 * H1  # Z3 = 2 Z H
-    return (X30, X31, Y30, Y31, 2 * (m - n) % P, 2 * ((Z0 + Z1) * (H0 + H1) - m - n) % P)
-
-
 def _g2_jac_to_affine(a) -> G2Point:
     X0, X1, Y0, Y1, Z0, Z1 = a
     if not (Z0 or Z1):
@@ -531,22 +498,17 @@ def _g2_jac_to_affine(a) -> G2Point:
     return (fp2_mul((X0, X1), zi2), fp2_mul(fp2_mul((Y0, Y1), zi2), zi))
 
 
-def _g2_mul_unreduced(pt: G2Point, k: int) -> G2Point:
-    # [k]pt for k >= 0 by double-and-add on a Jacobian accumulator
-    if pt is None or k == 0:
-        return None
-    (x0, x1), (y0, y1) = pt
-    q = (x0, x1, y0, y1)
-    acc = _G2_JAC_INF
-    for bit in bin(k)[2:]:
-        acc = _g2_jac_double(acc)
-        if bit == "1":
-            acc = _g2_jac_add_affine(acc, q)
-    return _g2_jac_to_affine(acc)
-
-
 def g2_mul(pt: G2Point, k: int) -> G2Point:
-    return _g2_mul_unreduced(pt, k % R)
+    """[k]pt for k >= 0 by affine double-and-add. k is not reduced mod R,
+    so [R]pt is the identity only for pt in the order-R subgroup."""
+    if k < 0:
+        raise ValueError(f"negative scalar {k}")
+    acc = None
+    for bit in bin(k)[2:]:
+        acc = g2_add(acc, acc)
+        if bit == "1":
+            acc = g2_add(acc, pt)
+    return acc
 
 
 # Generators. G2 coordinates are the standard alt_bn128 values.
@@ -623,7 +585,11 @@ def g2_sum(points: Sequence[G2Point]) -> G2Point:
 # kept with its negation for the negative digits.
 _G2_WINDOW_BASES: List[G2Point] = [G2_GEN]
 for _ in range(R.bit_length() // 4):
-    _G2_WINDOW_BASES.append(g2_mul(_G2_WINDOW_BASES[-1], 16))
+    (_x0, _x1), (_y0, _y1) = _G2_WINDOW_BASES[-1]
+    _acc = (_x0, _x1, _y0, _y1, 1, 0)
+    for _ in range(4):
+        _acc = _g2_jac_double(_acc)
+    _G2_WINDOW_BASES.append(_g2_jac_to_affine(_acc))
 _G2_WINDOW_BASES_NEG = [g2_neg(q) for q in _G2_WINDOW_BASES]
 
 

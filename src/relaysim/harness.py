@@ -317,8 +317,6 @@ class ForgeryCorpus:
     def harvest(self, into: List[ProofBundle]) -> int:
         found = 0
         for cid in sorted(self.env.chains):
-            if cid not in self.env.rc.clients:
-                continue
             chain = self.env.chains[cid]
             for conf in self.observer.monitor(chain):
                 try:

@@ -448,10 +448,9 @@ class RelayEnvironment:
             for record in block.records:
                 if isinstance(record, CrossChainTx):
                     self._record(record.key, "confirm_sc", cid)
-            # delivery events may ride in these blocks too (a destination is
-            # usually also a source); sweep their final confirmations now
-            if cid in self.hosts:
-                self._record_confirmations(cid)
+            # delivery events ride in these blocks too (every chain is also
+            # a destination); sweep their final confirmations now
+            self._record_confirmations(cid)
 
     def _record_confirmations(self, host_id: int) -> None:
         at_relay = host_id == self.rc_id
@@ -461,8 +460,6 @@ class RelayEnvironment:
 
     def _scan_sources(self, prover: Prover) -> None:
         for cid in sorted(self.chains):
-            if cid not in self.rc.clients:
-                continue
             chain = self.chains[cid]
             for header in prover.new_boundaries(chain):
                 self.transmit(prover.update_bundle(chain, header), self.rc_id)
@@ -475,9 +472,7 @@ class RelayEnvironment:
             bundle = prover.update_bundle(self.rc.chain, header)
             for host_id in sorted(self.hosts):
                 self.transmit(bundle, host_id)
-        for conf in prover.monitor(self.rc.chain, HopRecord):
-            if conf.record.tag != ICTX_TAG:
-                continue
+        for conf in prover.monitor(self.rc.chain, HopRecord):  # the relay chain's own ICTX1 records
             ctx = conf.record.ctx
             if ctx.dest_chain in self.hosts:
                 self.transmit(prover.ctx_bundle(self.rc.chain, conf), ctx.dest_chain)

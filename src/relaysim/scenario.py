@@ -2,7 +2,8 @@
 cost-table overrides, and dataset replay rows.
 
 Scenario files are JSON or YAML (by extension). Validation collects every
-problem instead of stopping at the first.
+problem instead of stopping at the first; a value that is no number and a
+section of the wrong shape are problems at their path too.
 """
 
 from __future__ import annotations
@@ -69,7 +70,43 @@ class Scenario:
         return [StakeLedger.from_total(cid, total) for cid, total in self.stakes]
 
 
-def _chain_config(raw: Dict, problems: List[str], context: str, default_ns: str) -> Optional[ChainConfig]:
+def _shaped(value, kind: type, default, path: str, problems: List[str]):
+    """`value` when it is a `kind`, else `default` and a problem at `path`."""
+    if isinstance(value, kind):
+        return value
+    problems.append(f"{path}: expected {'a mapping' if kind is dict else 'a list'}, got {value!r}")
+    return default
+
+
+def _number(convert, value, path: str, problems: List[str]):
+    """convert(value), or None and a problem at `path` when it is no number."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        problems.append(f"{path}: expected {'an integer' if convert is int else 'a number'}, got {value!r}")
+        return None
+
+
+def _field(section: Dict, key: str, default: int, path: str, problems: List[str]) -> int:
+    """section[key] as an int; `default` when it is absent or malformed."""
+    value = _number(int, section.get(key, default), path, problems)
+    return default if value is None else value
+
+
+def _by_chain(raw, path: str, convert, problems: List[str]) -> Tuple[Tuple[int, object], ...]:
+    """The sorted (chain id, value) entries of a mapping keyed by chain id;
+    an entry whose id or value is malformed is a problem and is left out."""
+    entries = []
+    for k, v in _shaped(raw, dict, {}, path, problems).items():
+        cid, value = _number(int, k, path, problems), _number(convert, v, f"{path}.{k}", problems)
+        if cid is not None and value is not None:
+            entries.append((cid, value))
+    return tuple(sorted(entries))
+
+
+def _chain_config(raw, problems: List[str], context: str, default_ns: str) -> Optional[ChainConfig]:
+    if _shaped(raw, dict, None, context, problems) is None:
+        return None
     try:
         if "weights" in raw:
             weights = tuple(int(w) for w in raw["weights"])
@@ -90,9 +127,11 @@ def _chain_config(raw: Dict, problems: List[str], context: str, default_ns: str)
 
 
 def scenario_from_dict(raw: Dict) -> Scenario:
+    if not isinstance(raw, dict):
+        raise ScenarioError([f"scenario: expected a mapping, got {raw!r}"])
     problems: List[str] = []
     name = raw.get("name", "scenario")
-    seed = int(raw.get("seed", 0))
+    seed = _field(raw, "seed", 0, "seed", problems)
 
     rc_raw = raw.get("relay_chain")
     rc = None
@@ -102,10 +141,10 @@ def scenario_from_dict(raw: Dict) -> Scenario:
         rc = _chain_config(rc_raw, problems, "relay_chain", "rc")
 
     chains: List[ChainConfig] = []
-    raw_chains = raw.get("chains", [])
-    if len(raw_chains) < 2:
+    raw_chains = _shaped(raw.get("chains", []), list, None, "chains", problems)
+    if raw_chains is not None and len(raw_chains) < 2:
         problems.append("chains: need at least one source/destination pair")
-    for i, c in enumerate(raw_chains):
+    for i, c in enumerate(raw_chains or []):
         cfg = _chain_config(c, problems, f"chains[{i}]", "chain")
         if cfg is not None:
             chains.append(cfg)
@@ -114,19 +153,21 @@ def scenario_from_dict(raw: Dict) -> Scenario:
         problems.append("chains: duplicate chain ids")
 
     provers = []
-    for i, p in enumerate(raw.get("provers", [{"name": "prover-0"}])):
+    raw_provers = _shaped(raw.get("provers", [{"name": "prover-0"}]), list, [], "provers", problems)
+    for i, p in enumerate(raw_provers):
+        p = _shaped(p, dict, {}, f"provers[{i}]", problems)
         profile = p.get("profile", "honest")
         if profile not in ("honest", "silent"):
             problems.append(f"provers[{i}]: unknown profile {profile!r}")
         provers.append(ProverSpec(name=p.get("name", f"prover-{i}"), profile=profile))
 
-    w = raw.get("workload", {})
+    w = _shaped(raw.get("workload", {}), dict, {}, "workload", problems)
     workload = WorkloadSpec(
         kind=w.get("kind", "synthetic"),
-        count=int(w.get("count", 100)),
+        count=_field(w, "count", 100, "workload.count", problems),
         pattern=w.get("pattern", "mixed"),
-        amount_min=int(w.get("amount_min", 1)),
-        amount_max=int(w.get("amount_max", 1000)),
+        amount_min=_field(w, "amount_min", 1, "workload.amount_min", problems),
+        amount_max=_field(w, "amount_max", 1000, "workload.amount_max", problems),
         token=w.get("token", "USDC"),
         path=w.get("path"),
     )
@@ -152,7 +193,7 @@ def scenario_from_dict(raw: Dict) -> Scenario:
         problems.append(f"gate_table: {exc}")
         gate_table = GateCostTable()
 
-    pricing_raw = raw.get("pricing", {})
+    pricing_raw = _shaped(raw.get("pricing", {}), dict, {}, "pricing", problems)
     try:
         pricing = PricingConfig(
             k=parse_threshold(pricing_raw["k"]) if "k" in pricing_raw else Fraction(1, 40),
@@ -164,21 +205,19 @@ def scenario_from_dict(raw: Dict) -> Scenario:
         problems.append(f"pricing: {exc}")
         pricing = PricingConfig()
 
-    stakes = tuple(sorted((int(k), int(v)) for k, v in raw.get("stakes", {}).items()))
+    stakes = _by_chain(raw.get("stakes", {}), "stakes", int, problems)
     for cid, _ in stakes:
         if cid not in ids:
             problems.append(f"stakes: unknown chain {cid}")
-    faults_raw = raw.get("faults", {})
-    faults = FaultSpec(
-        withhold=tuple(sorted((int(k), float(v)) for k, v in faults_raw.get("withhold", {}).items()))
-    )
+    faults_raw = _shaped(raw.get("faults", {}), dict, {}, "faults", problems)
+    faults = FaultSpec(withhold=_by_chain(faults_raw.get("withhold", {}), "faults.withhold", float, problems))
     for cid, fraction in faults.withhold:
         if cid not in ids:
             problems.append(f"faults.withhold: unknown chain {cid}")
         if not 0 <= fraction <= 1:
             problems.append(f"faults.withhold: fraction {fraction} for chain {cid} is outside [0, 1]")
 
-    horizon = int(raw.get("horizon_rounds", 10))
+    horizon = _field(raw, "horizon_rounds", 10, "horizon_rounds", problems)
     if horizon < 1:
         problems.append("horizon_rounds: must be positive")
 

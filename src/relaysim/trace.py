@@ -48,18 +48,13 @@ class TraceLog:
         self._accepted: Dict[Key, Dict[str, TraceEvent]] = {}
         self._rejected: Dict[Key, TraceEvent] = {}
 
-    def record(self, event: TraceEvent, once: bool = False) -> bool:
-        """Append `event` and return True. With `once`, drop it instead and
-        return False when an accepted event of its (key, stage) is logged."""
+    def record(self, event: TraceEvent) -> None:
         stages = self.stages_of(event.key)
-        if once and event.stage in stages:
-            return False
         self.events.append(event)
         if event.verdict == "ok":
             self._accepted.setdefault(event.key, {})[event.stage] = event
         elif stages and "confirm_dc" not in stages:  # the key is in flight
             self._rejected[event.key] = event
-        return True
 
     def for_key(self, key: Key) -> List[TraceEvent]:
         return [e for e in self.events if e.key == key]

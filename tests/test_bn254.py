@@ -2,8 +2,9 @@
 bilinearity, identity handling, the product route, the operation counts of
 the demo run (pairings, signatures, key decodes, line schedules built), the
 line-schedule cache, the flat Fp6/Fp12 arithmetic against a schoolbook
-reference, the Jacobian G2 ladder and the batched signed-window fixed-base
-multiplication against an affine reference, and the norm-method Fp2 square
+reference, the affine G2 ladder `g2_mul` (unreduced, so [R]Q = O tells the
+subgroup apart) as the reference for the window bases and the batched
+signed-window fixed-base multiplication, and the norm-method Fp2 square
 root against the pow-chain one."""
 
 import hashlib
@@ -11,6 +12,7 @@ import random
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relaysim import harness
@@ -236,26 +238,30 @@ def _twist_point_outside_subgroup():
     raise AssertionError("no twist point found")
 
 
-def _affine_ladder(pt, k):
-    # reference for the Jacobian ladder: affine double-and-add
-    acc = None
-    for bit in bin(k)[2:]:
-        acc = g2_add(acc, acc)
-        if bit == "1":
-            acc = g2_add(acc, pt)
-    return acc
-
-
-def test_g2_jacobian_multiplication_matches_affine_ladder():
+def test_g2_base_mul_matches_g2_mul():
     q = g2_mul(G2_GEN, 0xC0FFEE)
-    stray = _twist_point_outside_subgroup()
     for k in (1, 2, 3, 0xDEADBEEF, R - 1, A % R):
-        assert g2_mul(q, k) == _affine_ladder(q, k)
-        assert bn254.g2_base_mul(k) == _affine_ladder(G2_GEN, k)
-        assert g2_mul(stray, k) == _affine_ladder(stray, k)
+        assert bn254.g2_base_mul(k) == g2_mul(G2_GEN, k)
     assert g2_mul(q, 0) is None and g2_mul(q, R) is None and g2_mul(None, 5) is None
     assert bn254.g2_base_mul(R) is None
     assert g2_mul(q, R + 5) == g2_mul(q, 5)
+
+
+def test_g2_mul_by_r_is_the_identity_only_inside_the_subgroup():
+    stray = _twist_point_outside_subgroup()
+    assert bn254.g2_is_on_curve(stray) and g2_mul(stray, R) is not None
+    for q in (G2_GEN, g2_mul(G2_GEN, 0xC0FFEE), bn254.g2_base_mul(A)):
+        assert g2_mul(q, R) is None
+
+
+def test_g2_mul_rejects_a_negative_scalar():
+    with pytest.raises(ValueError):
+        g2_mul(G2_GEN, -1)
+
+
+def test_window_bases_are_powers_of_sixteen_times_g2():
+    assert bn254._G2_WINDOW_BASES == [g2_mul(G2_GEN, 16**i) for i in range(len(bn254._G2_WINDOW_BASES))]
+    assert bn254._G2_WINDOW_BASES_NEG == [g2_neg(q) for q in bn254._G2_WINDOW_BASES]
 
 
 EDGE_SCALARS = (
@@ -283,12 +289,12 @@ EDGE_SCALARS = (
 @example(EDGE_SCALARS[7])
 @example(EDGE_SCALARS[8])
 def test_g2_base_mul_signed_windows_match_affine_ladder(k):
-    assert bn254.g2_base_mul(k) == _affine_ladder(G2_GEN, k % R)
+    assert bn254.g2_base_mul(k) == g2_mul(G2_GEN, k % R)
 
 
 @lru_cache(maxsize=None)
 def _base_ladder(k):
-    return _affine_ladder(G2_GEN, k % R)
+    return g2_mul(G2_GEN, k % R)
 
 
 @st.composite

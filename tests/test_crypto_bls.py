@@ -164,7 +164,7 @@ def _fold_pubkeys(pubkeys, bitmap):
     return acc
 
 
-# keys made by the Jacobian ladder, apart from the batched code under test
+# keys made by the affine ladder g2_mul, apart from the batched code under test
 KEY_POOL = [g2_mul(G2_GEN, 0x5EED + 7919 * i) for i in range(8)]
 KEY_POOL += [g2_neg(pk) for pk in KEY_POOL]
 

@@ -453,6 +453,66 @@ def test_scenario_reports_every_bad_knob_at_once():
     assert sorted(err.value.problems) == sorted(p for _, expected in _BAD_KNOBS.values() for p in expected)
 
 
+def _set(*path, value):
+    """A change that sets raw[path[0]]...[path[-1]] to `value`."""
+
+    def change(raw):
+        section = raw
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        return raw
+
+    return change
+
+
+# A value that is no number, or a section of the wrong shape, is a problem at
+# its path. A relay chain or chain list that cannot be read also leaves the
+# stakes and withhold entries that name its chains unknown.
+_MALFORMED = {
+    "seed": (_set("seed", value="abc"), ["seed: expected an integer, got 'abc'"]),
+    "horizon": (_set("horizon_rounds", value="h"), ["horizon_rounds: expected an integer, got 'h'"]),
+    "count": (_set("workload", "count", value="ten"), ["workload.count: expected an integer, got 'ten'"]),
+    "stakes-chain": (_set("stakes", "x", value=5), ["stakes: expected an integer, got 'x'"]),
+    "stakes-amount": (_set("stakes", "1", value="many"), ["stakes.1: expected an integer, got 'many'"]),
+    "withhold-fraction": (
+        _set("faults", "withhold", "1", value="lots"),
+        ["faults.withhold.1: expected a number, got 'lots'"],
+    ),
+    "withhold-section": (_set("faults", "withhold", value=[1]), ["faults.withhold: expected a mapping, got [1]"]),
+    "workload": (_set("workload", value=5), ["workload: expected a mapping, got 5"]),
+    "pricing": (_set("pricing", value=[1]), ["pricing: expected a mapping, got [1]"]),
+    "faults": (_set("faults", value=[1]), ["faults: expected a mapping, got [1]"]),
+    "stakes": (_set("stakes", value=[1]), ["stakes: expected a mapping, got [1]"]),
+    "provers": (_set("provers", value="p0"), ["provers: expected a list, got 'p0'"]),
+    "prover": (_set("provers", value=["p0"]), ["provers[0]: expected a mapping, got 'p0'"]),
+    "chain": (_set("chains", 1, value=7), ["chains[1]: expected a mapping, got 7"]),
+    "chains": (
+        _set("chains", value={"a": 1, "b": 2}),
+        ["chains: expected a list, got {'a': 1, 'b': 2}", "stakes: unknown chain 1"],
+    ),
+    "relay-chain": (
+        _set("relay_chain", value="x"),
+        [
+            "relay_chain: expected a mapping, got 'x'",
+            "stakes: unknown chain 100",
+            "faults.withhold: unknown chain 100",
+        ],
+    ),
+    "top-level-list": (lambda raw: [1], ["scenario: expected a mapping, got [1]"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_scenario_reports_malformed_values_and_sections(case):
+    """Each malformed value or section is a problem of the `ScenarioError`
+    at its path, not a bare `ValueError` or `AttributeError`."""
+    change, expected = _MALFORMED[case]
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(change(_valid_raw()))
+    assert err.value.problems == expected
+
+
 # ---------------------------------------------------------------------------
 # replay
 
@@ -689,6 +749,14 @@ def test_cli_invalid_scenario_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps({"name": "bad"}))
     assert cli.main(["--scenario", str(bad), "run"]) == 2
     assert "invalid scenario" in capsys.readouterr().err
+
+
+def test_cli_malformed_scenario_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**_valid_raw(), "seed": "abc", "workload": 5}))
+    assert cli.main(["--scenario", str(bad), "run"]) == 2
+    err = capsys.readouterr().err
+    assert "seed: expected an integer" in err and "workload: expected a mapping" in err
 
 
 def test_cli_bench(capsys):

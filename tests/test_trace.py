@@ -1,6 +1,6 @@
 """Trace log: the per-key index of accepted stages and of the latest
-rejection in flight against a rescan of the event log, the `once` rule, and
-the `"o:n"` form keys take in artifacts."""
+rejection in flight against a rescan of the event log, and the `"o:n"` form
+keys take in artifacts."""
 
 import json
 
@@ -14,7 +14,6 @@ _rows = st.lists(
         _keys,
         st.sampled_from(PIPELINE_STAGES),
         st.sampled_from(("ok", "reject:merkle-fail", "reject:epoch-gap")),
-        st.booleans(),
     ),
     max_size=80,
 )
@@ -23,22 +22,15 @@ _rows = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(_rows)
 def test_index_matches_a_rescan_of_the_log(rows):
-    """A `once` event is dropped exactly when an accepted event of the same
-    (key, stage) is already logged; a rejection never blocks a later accepted
-    event. `stages_of`, `rejection_of` and `completed_keys` equal a rescan
-    of `events`."""
+    """Every event is logged; `stages_of`, `rejection_of` and
+    `completed_keys` equal a rescan of `events`."""
     log = TraceLog()
-    kept, dropped, expected_dropped = [], [], []
-    for time, (key, stage, verdict, once) in enumerate(rows):
+    kept = []
+    for time, (key, stage, verdict) in enumerate(rows):
         event = TraceEvent(key=key, stage=stage, time=time, chain=0, verdict=verdict)
-        if once and any(e.key == key and e.stage == stage and e.verdict == "ok" for e in kept):
-            expected_dropped.append(event)
-        else:
-            kept.append(event)
-        if not log.record(event, once=once):
-            dropped.append(event)
+        kept.append(event)
+        log.record(event)
     assert log.events == kept
-    assert dropped == expected_dropped
     for key in {row[0] for row in rows}:
         rescan = {e.stage: e for e in log.events if e.key == key and e.verdict == "ok"}
         assert dict(log.stages_of(key)) == rescan
