@@ -6,14 +6,16 @@ as the identity. G1 is the prime-order curve y^2 = x^3 + 3 over Fp (cofactor
 one), G2 the order-r subgroup of the sextic twist over Fp2. Signatures live
 in G1, public keys in G2.
 
-The pairing's Miller loop is a line schedule for its G2 argument, built
-once per point with the running point on the twist and kept in a small LRU
-cache keyed on the point's affine coordinates (Costello-Stebila 2010), and
-the evaluation of that schedule at the G1 argument as sparse line values
-(Beuchat et al. 2010). Fp6 and Fp12 products and squarings work on the int
-coordinates and reduce once per output coordinate (Aranha et al. 2011). The
-final exponentiation squares in the cyclotomic subgroup (Granger-Scott 2010)
-and raises to U over U's signed (NAF) digits, inverting by conjugation.
+The Miller loop runs over a list of (G2, G1) pairs and squares once per
+step for all of them, so a product of pairings shares its squarings as well
+as its final exponentiation. Each G2 argument's line schedule is built once
+per point with the running point on the twist and kept in a small LRU cache
+keyed on the point's affine coordinates (Costello-Stebila 2010), and is
+evaluated at its G1 argument as sparse line values (Beuchat et al. 2010).
+Fp6 and Fp12 products and squarings work on the int coordinates and reduce
+once per output coordinate (Aranha et al. 2011). The final exponentiation
+squares in the cyclotomic subgroup (Granger-Scott 2010) and raises to U
+over U's signed (NAF) digits, inverting by conjugation.
 
 The general G2 scalar multiplication g2_mul is affine double-and-add, with
 no reduction of the scalar mod R. The fixed-base g2_base_mul_many, which
@@ -720,17 +722,20 @@ def _fp12_mul_by_line(f: Fp12, b0: int, b1: int, c0: int, c1: int, y_p: int) -> 
     )
 
 
-def miller_loop(q: G2Point, p: G1Point) -> Fp12:
-    if q is None or p is None:
+def miller_loop(pairs: Sequence[Tuple[G2Point, G1Point]]) -> Fp12:
+    """The product of the Miller loops on the (q, p) pairs, squaring once per step."""
+    loops = [(_line_schedule(q), p) for q, p in pairs if q is not None and p is not None]
+    if not loops:
         return FP12_ONE
-    x_p, y_p = p
     f = FP12_ONE
-    for square, line in zip(_SQUARE_FIRST, _line_schedule(q)):
+    for i, square in enumerate(_SQUARE_FIRST):
         if square:
             f = fp12_sqr(f)
-        if line is not None:
-            (l0, l1), (c0, c1) = line
-            f = _fp12_mul_by_line(f, -l0 * x_p % P, -l1 * x_p % P, c0, c1, y_p)
+        for lines, (x_p, y_p) in loops:
+            line = lines[i]
+            if line is not None:
+                (l0, l1), (c0, c1) = line
+                f = _fp12_mul_by_line(f, -l0 * x_p % P, -l1 * x_p % P, c0, c1, y_p)
     return f
 
 
@@ -822,17 +827,12 @@ def final_exponentiation(f: Fp12) -> Fp12:
 
 def pairing(p: G1Point, q: G2Point) -> Fp12:
     """e(p, q) for p in G1, q in G2."""
-    return final_exponentiation(miller_loop(q, p))
+    return final_exponentiation(miller_loop([(q, p)]))
 
 
 def pairing_product(pairs: List[Tuple[G1Point, G2Point]]) -> Fp12:
-    """Product of pairings, sharing one final exponentiation."""
-    f = FP12_ONE
-    for p, q in pairs:
-        if p is None or q is None:
-            continue
-        f = fp12_mul(f, miller_loop(q, p))
-    return final_exponentiation(f)
+    """Product of pairings: one shared Miller loop, one final exponentiation."""
+    return final_exponentiation(miller_loop([(q, p) for p, q in pairs]))
 
 
 def pairing_check(pairs: List[Tuple[G1Point, G2Point]]) -> bool:

@@ -18,7 +18,7 @@ import functools
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .chain import BlockHeader, Chain, Confirmation, quorum_reached
 from .costs import GateCostTable, GateReport, gate_report
@@ -47,6 +47,29 @@ class Witness:
 class ZkStatement:
     publics: PublicInputs
     witness: Witness
+
+    @functools.cached_property
+    def pairing_args(self) -> Optional[bls.Triple]:
+        """(apk, message point, signature) of the pairing check, or None if
+        the witness fails a check before it; read once per statement."""
+        pub, wit = self.publics, self.witness
+        vset = wit.validator_set
+        if commitment_digest(vset, wit.hash_algo) != pub.commitment:
+            return None
+        if len(wit.bitmap) != len(vset):
+            return None
+        weight = vset.bitmap_weight(wit.bitmap)
+        if weight != pub.claimed_weight or weight <= 0:
+            return None
+        if not quorum_reached(weight, vset.total_weight, pub.threshold):
+            return None
+        if (pub.new_commitment is None) != (wit.new_set is None):
+            return None
+        if pub.new_commitment is not None:
+            if commitment_digest(wit.new_set, wit.hash_algo) != pub.new_commitment:
+                return None
+        apk = bls.aggregate_pubkeys(vset.pubkeys(), wit.bitmap)
+        return apk, base_to_g(BaseFieldPair(*pub.t)), wit.signature
 
 
 @dataclass(frozen=True)
@@ -81,26 +104,20 @@ class _Backend:
         return mac.digest()
 
     def check_statement(self, statement: ZkStatement) -> bool:
-        pub, wit = statement.publics, statement.witness
-        vset = wit.validator_set
-        if commitment_digest(vset, wit.hash_algo) != pub.commitment:
-            return False
-        if len(wit.bitmap) != len(vset):
-            return False
-        weight = vset.bitmap_weight(wit.bitmap)
-        if weight != pub.claimed_weight or weight <= 0:
-            return False
-        if not quorum_reached(weight, vset.total_weight, pub.threshold):
-            return False
-        if (pub.new_commitment is None) != (wit.new_set is None):
-            return False
-        if pub.new_commitment is not None:
-            if commitment_digest(wit.new_set, wit.hash_algo) != pub.new_commitment:
-                return False
-        apk = bls.aggregate_pubkeys(vset.pubkeys(), wit.bitmap)
-        return self._decide(apk, base_to_g(BaseFieldPair(*pub.t)), wit.signature)
+        args = statement.pairing_args
+        return args is not None and self._decide(*args)
+
+    def check_many(self, statements: Sequence[ZkStatement]) -> List[bool]:
+        """check_statement on each statement, their pairings decided as one
+        batch; each verdict lands in the memo `check_statement` reads."""
+        args = [s.pairing_args for s in statements]
+        verdicts = iter(self._decide_many([a for a in args if a is not None]))
+        return [a is not None and next(verdicts) for a in args]
 
     def _decide(self, apk, point: G1Point, signature: G1Point) -> bool:
+        raise NotImplementedError
+
+    def _decide_many(self, batch: List[bls.Triple]) -> List[bool]:
         raise NotImplementedError
 
     def _gate_report(self, witness: Witness) -> Optional[GateReport]:
@@ -132,6 +149,9 @@ class TransparentBackend(_Backend):
     def _decide(self, apk, point, signature):
         return bls.verify_at_point(apk, point, signature)
 
+    def _decide_many(self, batch):
+        return bls.verify_batch_at_point(batch)
+
 
 class CountingBackend(_Backend):
     """Decides the pairing in product form, e(-sig, g2) * e(point, apk) == 1,
@@ -147,6 +167,9 @@ class CountingBackend(_Backend):
 
     def _decide(self, apk, point, signature):
         return bls.verify_product(apk, point, signature)
+
+    def _decide_many(self, batch):
+        return bls.verify_batch_product(batch)
 
     def _gate_report(self, witness):
         return gate_report(self.gate_table, sum(1 for b in witness.bitmap if b), "split")
@@ -242,6 +265,20 @@ class Prover:
         return out
 
     # -- proof generation ------------------------------------------------------
+
+    def prove_many(self, headers: Iterable[Tuple[Chain, BlockHeader]]) -> None:
+        """Prove each (chain, header) not proven yet, their pairings decided
+        as one batch first. A header whose statement fails stays unproven:
+        `zk_proof_for` refuses it where its bundle is built."""
+        statements: Dict[Tuple[int, int], ZkStatement] = {}
+        for chain, header in headers:
+            key = (chain.config.chain_id, header.height)
+            if key not in self._zk_cache and key not in statements:
+                statements[key] = statement_for_header(chain, header)
+        verdicts = self.backend.check_many(list(statements.values()))
+        for (key, statement), ok in zip(statements.items(), verdicts):
+            if ok:
+                self._zk_cache[key] = self.backend.prove(statement)
 
     def zk_proof_for(self, chain: Chain, header: BlockHeader) -> ZkProof:
         key = (chain.config.chain_id, header.height)

@@ -459,13 +459,21 @@ class RelayEnvironment:
             self._record(record.key, "confirm_rc" if at_relay else "confirm_dc", host_id, gas=gas)
 
     def _scan_sources(self, prover: Prover) -> None:
+        scans, headers = [], []
         for cid in sorted(self.chains):
             chain = self.chains[cid]
-            for header in prover.new_boundaries(chain):
+            boundaries = prover.new_boundaries(chain)
+            confs = prover.monitor(chain, CrossChainTx)  # local events are not relayed outward
+            scans.append((chain, boundaries, confs))
+            headers += [(chain, h) for h in boundaries] + [(chain, c.header) for c in confs]
+        # every new header of the scan is proven, as one batch, before its bundles are built
+        prover.prove_many(headers)
+        for chain, boundaries, confs in scans:
+            for header in boundaries:
                 self.transmit(prover.update_bundle(chain, header), self.rc_id)
-            for conf in prover.monitor(chain, CrossChainTx):  # local events are not relayed outward
+            for conf in confs:
                 self.transmit(prover.ctx_bundle(chain, conf), self.rc_id)
-                self._record(conf.record.key, "prove_sc", cid)
+                self._record(conf.record.key, "prove_sc", chain.config.chain_id)
 
     def _scan_relay(self, prover: Prover) -> None:
         for header in prover.new_boundaries(self.rc.chain):

@@ -79,8 +79,11 @@ def _shaped(value, kind: type, default, path: str, problems: List[str]):
 
 
 def _number(convert, value, path: str, problems: List[str]):
-    """convert(value), or None and a problem at `path` when it is no number."""
+    """convert(value), or None and a problem at `path` when it is no number,
+    or, for `int`, a number with a fraction that `int` would cut."""
     try:
+        if convert is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         return convert(value)
     except (TypeError, ValueError):
         problems.append(f"{path}: expected {'an integer' if convert is int else 'a number'}, got {value!r}")
@@ -107,14 +110,20 @@ def _by_chain(raw, path: str, convert, problems: List[str]) -> Tuple[Tuple[int, 
 def _chain_config(raw, problems: List[str], context: str, default_ns: str) -> Optional[ChainConfig]:
     if _shaped(raw, dict, None, context, problems) is None:
         return None
+    found = len(problems)
     try:
+        chain_id = _number(int, raw["chain_id"], f"{context}.chain_id", problems)
         if "weights" in raw:
-            weights = tuple(int(w) for w in raw["weights"])
+            listed = _shaped(raw["weights"], list, [], f"{context}.weights", problems)
+            weights = tuple(_number(int, w, f"{context}.weights[{i}]", problems) for i, w in enumerate(listed))
         else:
-            weights = (1,) * int(raw.get("validators", 4))
+            weights = (1,) * _field(raw, "validators", 4, f"{context}.validators", problems)
+        epoch_size = _field(raw, "epoch_size", 10, f"{context}.epoch_size", problems)
+        if len(problems) > found:
+            return None
         return ChainConfig(
-            chain_id=int(raw["chain_id"]),
-            epoch_size=int(raw.get("epoch_size", 10)),
+            chain_id=chain_id,
+            epoch_size=epoch_size,
             weights=weights,
             vote_threshold=parse_threshold(raw.get("vote_threshold", Fraction(2, 3))),
             rotation=raw.get("rotation", "identity"),
@@ -197,9 +206,9 @@ def scenario_from_dict(raw: Dict) -> Scenario:
     try:
         pricing = PricingConfig(
             k=parse_threshold(pricing_raw["k"]) if "k" in pricing_raw else Fraction(1, 40),
-            base_fee_rc=int(pricing_raw.get("base_fee_rc", 1)),
-            base_fee_dc=int(pricing_raw.get("base_fee_dc", 1)),
-            fee_cap=int(pricing_raw.get("fee_cap", 1000)),
+            base_fee_rc=_field(pricing_raw, "base_fee_rc", 1, "pricing.base_fee_rc", problems),
+            base_fee_dc=_field(pricing_raw, "base_fee_dc", 1, "pricing.base_fee_dc", problems),
+            fee_cap=_field(pricing_raw, "fee_cap", 1000, "pricing.fee_cap", problems),
         )
     except (TypeError, ValueError) as exc:
         problems.append(f"pricing: {exc}")

@@ -6,7 +6,7 @@ import pytest
 
 from relaysim.chain import Chain, ChainConfig
 from relaysim.costs import GasCostTable, GateCostTable
-from relaysim.crypto import bls
+from relaysim.crypto import bls, bn254
 from relaysim.crypto.commitment import ValidatorSet, commitment_digest
 from relaysim.crypto.hash_to_curve import hash_to_base
 from relaysim.prover import (
@@ -43,6 +43,17 @@ def counting_backend():
 def keypairs():
     """A reusable pool of keypairs (keygen is the expensive step)."""
     return [bls.keygen(f"pool/{i}") for i in range(8)]
+
+
+@pytest.fixture(scope="session")
+def stray_twist_point():
+    """A point on the sextic twist outside the order-R subgroup G2."""
+    for k in range(1, 100):
+        x = (k, 1)
+        y = bn254.fp2_sqrt(bn254.fp2_add(bn254.fp2_mul(bn254.fp2_sqr(x), x), bn254.B2))
+        if y is not None:
+            return (x, y)
+    raise AssertionError("no twist point found")
 
 
 @pytest.fixture()

@@ -339,3 +339,134 @@ def test_verify_cache_tells_a_point_from_its_negation(keypairs):
         assert not verify(kp.public, point, g1_neg(sig))
         assert not verify(kp.public, g1_neg(point), sig)
         assert not verify(g2_neg(kp.public), point, sig)
+
+
+# ---------------------------------------------------------------------------
+# batch verification
+
+ROUTES = (
+    (bls.verify_batch_at_point, bls.verify_at_point),
+    (bls.verify_batch_product, bls.verify_product),
+)
+
+
+def _clear_verify_memos():
+    bls._pairing_equal_cached.cache_clear()
+    bls._pairing_product_cached.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def honest_triples(keypairs):
+    """(apk, message point, signature) of four keys on four messages."""
+    out = []
+    for i, kp in enumerate(keypairs[:4]):
+        msg = b"batch member %d" % i
+        out.append((kp.public, hash_to_curve(msg), bls.sign(kp.secret, msg)))
+    return out
+
+
+TAMPERS = ("none", "sig", "point", "swap-apk", "identity", "off-curve", "stray-apk")
+
+
+def _tampered_batch(honest, stray, members):
+    """The batch `members` asks for: per member an honest triple and a
+    tamper; "swap-apk" trades apks with the next member of the batch."""
+    batch = [list(honest[j]) for j, _ in members]
+    for i, (j, tamper) in enumerate(members):
+        if tamper == "sig":
+            batch[i][2] = bn254.g1_add(batch[i][2], G1_GEN)
+        elif tamper == "point":
+            batch[i][1] = honest[(j + 1) % len(honest)][1]
+        elif tamper == "swap-apk":
+            k = (i + 1) % len(batch)
+            batch[i][0], batch[k][0] = batch[k][0], batch[i][0]
+        elif tamper == "identity":
+            batch[i][j % 3] = None
+        elif tamper == "off-curve":
+            batch[i][j % 3] = ((1, 1), (1, 1)) if j % 3 == 0 else (1, 1)
+        elif tamper == "stray-apk":
+            batch[i][0] = stray
+    return [tuple(t) for t in batch]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(TAMPERS)), min_size=1, max_size=5))
+def test_batch_verdicts_equal_the_verdicts_alone(honest_triples, stray_twist_point, members):
+    """On both routes, a batch of 1-5 checks, honest or tampered, gives
+    each member the verdict it gets alone from an empty memo, which is True
+    exactly for the honest triples; and the two routes agree."""
+    batch = _tampered_batch(honest_triples, stray_twist_point, members)
+    expected = [t in honest_triples for t in batch]
+    together = []
+    for verify_batch, verify in ROUTES:
+        _clear_verify_memos()
+        together.append(verify_batch(batch))
+        _clear_verify_memos()
+        assert together[-1] == [verify(*t) for t in batch] == expected
+    assert together[0] == together[1]
+
+
+def _count_pairing_work(monkeypatch):
+    """Counters of the (q, p) pairs the Miller loop runs over, the final
+    exponentiations and the G1 scalar multiplications."""
+    counts = {"miller_pairs": 0, "final_exponentiation": 0, "g1_mul": 0}
+
+    def miller_loop(pairs, _fn=bn254.miller_loop):
+        counts["miller_pairs"] += len(pairs)
+        return _fn(pairs)
+
+    def counted(name):
+        def call(*args, _fn=getattr(bn254, name)):
+            counts[name] += 1
+            return _fn(*args)
+
+        return call
+
+    monkeypatch.setattr(bn254, "miller_loop", miller_loop)
+    monkeypatch.setattr(bn254, "final_exponentiation", counted("final_exponentiation"))
+    monkeypatch.setattr(bn254, "g1_mul", counted("g1_mul"))
+    return counts
+
+
+def test_a_check_alone_is_the_single_equation(honest_triples, monkeypatch):
+    """A check alone takes no coefficient: 2 Miller pairs and 0 g1_mul on
+    either route, with 2 final exponentiations on the two-sided one and 1 on
+    the product one. A batch of 4 takes 5 Miller pairs, 6 g1_mul (r_1 = 1)
+    and the same final exponentiations; its members then hit the memo."""
+    counts = _count_pairing_work(monkeypatch)
+    for (verify_batch, verify), fe in zip(ROUTES, (2, 1)):
+        _clear_verify_memos()
+        assert verify(*honest_triples[0])
+        assert counts == {"miller_pairs": 2, "final_exponentiation": fe, "g1_mul": 0}
+        counts.update(dict.fromkeys(counts, 0))
+        _clear_verify_memos()
+        assert verify_batch(honest_triples) == [True] * 4
+        assert counts == {"miller_pairs": 5, "final_exponentiation": fe, "g1_mul": 6}
+        counts.update(dict.fromkeys(counts, 0))
+        assert all(verify(*t) for t in honest_triples)
+        assert counts == dict.fromkeys(counts, 0)
+
+
+def test_failed_batch_is_decided_member_by_member(honest_triples, monkeypatch):
+    """One forged member fails the batch; each member is then decided
+    alone, so the honest ones still pass and every verdict is memoised."""
+    forged = (honest_triples[1][0], honest_triples[1][1], honest_triples[0][2])
+    batch = [honest_triples[0], forged, honest_triples[2]]
+    counts = _count_pairing_work(monkeypatch)
+    _clear_verify_memos()
+    assert bls.verify_batch_at_point(batch) == [True, False, True]
+    assert counts["final_exponentiation"] == 2 + 3 * 2
+    info = bls._pairing_equal_cached.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
+    assert bls.verify_batch_at_point(batch[::-1]) == [True, False, True]
+    assert bls._pairing_equal_cached.cache_info().hits == 3
+
+
+def test_forgeries_that_cancel_in_a_plain_sum_fail_the_batch(honest_triples):
+    """sig_0 + D and sig_1 - D sum to the honest sum, so a batch with every
+    coefficient 1 would pass them; the hashed coefficients do not."""
+    (a0, h0, s0), (a1, h1, s1) = honest_triples[:2]
+    batch = [(a0, h0, bn254.g1_add(s0, G1_GEN)), (a1, h1, bn254.g1_add(s1, g1_neg(G1_GEN))), honest_triples[2]]
+    for verify_batch, _ in ROUTES:
+        _clear_verify_memos()
+        assert verify_batch(batch) == [False, False, True]

@@ -500,6 +500,47 @@ _MALFORMED = {
         ],
     ),
     "top-level-list": (lambda raw: [1], ["scenario: expected a mapping, got [1]"]),
+    "weights-string": (
+        _set("chains", 1, "weights", value="123"),
+        ["chains[1].weights: expected a list, got '123'"],
+    ),
+    "weights-elements": (
+        _set("chains", 1, "weights", value=[1, "x", 2.5]),
+        ["chains[1].weights[1]: expected an integer, got 'x'", "chains[1].weights[2]: expected an integer, got 2.5"],
+    ),
+    # int() would cut each of these fractions without a word
+    "seed-fraction": (_set("seed", value=1.9), ["seed: expected an integer, got 1.9"]),
+    "horizon-fraction": (_set("horizon_rounds", value=2.5), ["horizon_rounds: expected an integer, got 2.5"]),
+    "count-fraction": (_set("workload", "count", value=5.7), ["workload.count: expected an integer, got 5.7"]),
+    "stakes-fraction": (_set("stakes", "1", value=10.5), ["stakes.1: expected an integer, got 10.5"]),
+    "chain-id-fraction": (
+        _set("chains", 1, "chain_id", value=2.5),
+        ["chains[1].chain_id: expected an integer, got 2.5"],
+    ),
+    "epoch-size-fraction": (
+        _set("chains", 1, "epoch_size", value=6.5),
+        ["chains[1].epoch_size: expected an integer, got 6.5"],
+    ),
+    "validators-fraction": (
+        _set("relay_chain", "validators", value=3.5),
+        [
+            "relay_chain.validators: expected an integer, got 3.5",
+            "stakes: unknown chain 100",
+            "faults.withhold: unknown chain 100",
+        ],
+    ),
+    "base-fee-rc-fraction": (
+        _set("pricing", value={"base_fee_rc": 1.5}),
+        ["pricing.base_fee_rc: expected an integer, got 1.5"],
+    ),
+    "base-fee-dc-fraction": (
+        _set("pricing", value={"base_fee_dc": 0.5}),
+        ["pricing.base_fee_dc: expected an integer, got 0.5"],
+    ),
+    "fee-cap-fraction": (
+        _set("pricing", value={"fee_cap": 99.9}),
+        ["pricing.fee_cap: expected an integer, got 99.9"],
+    ),
 }
 
 

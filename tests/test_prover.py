@@ -351,3 +351,23 @@ def test_backend_equivalence_500_statements(equivalence_suite):
     assert equivalence_suite["checked"] >= 500
     assert equivalence_suite["disagreements"] == 0
     assert equivalence_suite["valid_accepted"] == equivalence_suite["checked"] // 2
+
+
+def test_prove_many_leaves_an_unprovable_header_to_its_bundle(backend, counting_backend):
+    """prove_many proves the good headers of its batch and skips a forged
+    one, which `zk_proof_for` then refuses on its own."""
+    from relaysim.crypto.bn254 import G1_GEN, g1_mul
+
+    chain = _chain(ns="many")
+    for i in range(2):
+        chain.submit_tx(chain.make_tx(2, MessagePayload(bytes([i]))))
+        chain.produce_block()
+    good = [chain.headers[1], chain.headers[2]]
+    forged = dc_replace(good[1], height=3, agg=dc_replace(good[1].agg, point=g1_mul(G1_GEN, 5)))
+    for b in (backend, counting_backend):
+        prover = Prover("p", b)
+        prover.prove_many([(chain, h) for h in (*good, forged, good[0])])
+        assert sorted(prover._zk_cache) == [(1, 1), (1, 2)]
+        assert prover.zk_proof_for(chain, good[0]) is prover._zk_cache[(1, 1)]
+        with pytest.raises(UnsatisfiedStatement):
+            prover.zk_proof_for(chain, forged)

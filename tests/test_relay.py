@@ -627,7 +627,8 @@ def test_out_of_range_u64_field_raises_value_error(encode, value):
 def test_demo_run_decode_and_hash_counts(monkeypatch):
     """The demo relays 100 transactions, each delivered by two provers over
     two hops, and a host verifies only the first of two equal copies: 200
-    `hlc_verify` calls on 8 pairings. The header terms of the public inputs
+    `hlc_verify` calls, while the provers' 4 statements take 2 two-sided
+    checks, one `pairing` each. The header terms of the public inputs
     are derived once per distinct verified header (4), and a cross-chain
     transaction record is parsed only where a host verifies delivered bytes
     (200), counted at every module that binds the name."""
@@ -664,7 +665,7 @@ def test_demo_run_decode_and_hash_counts(monkeypatch):
     demo = Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml"
     result = harness.run(load_scenario(demo))
     assert result.ok and result.confirmed == 100
-    assert counts == {"decode_ctx": 200, "hlc_verify": 200, "hash_to_base": 4, "pairing": 8}
+    assert counts == {"decode_ctx": 200, "hlc_verify": 200, "hash_to_base": 4, "pairing": 2}
 
 
 def test_sweep_confirms_only_the_hosts_own_records(backend):
@@ -826,3 +827,67 @@ def test_a_stage_already_reached_builds_no_trace_event(backend, monkeypatch):
         _wave(env, r)
     assert len(built) == len(env.trace.events)
     assert built.count("prove_sc") == built.count("prove_rc") == len(env.submitted) == 8
+
+
+@pytest.mark.parametrize("route", ["transparent", "counting"])
+def test_source_scan_pairing_costs_on_a_stream_shaped_run(route, backend, counting_backend, monkeypatch):
+    """Two source chains of 4 validators, epoch 4, a 3-transaction wave a
+    round and two honest provers. The first prover's source scan decides
+    its k new headers in one check: for k >= 2 that is k + 1 Miller pairs,
+    2(k - 1) g1_mul for the coefficients (r_1 = 1), and 2 final
+    exponentiations on the two-sided route or 1 on the product route; k = 1
+    is the single check, with no g1_mul. The second prover's scans find each
+    verdict in the memo and pay no Miller loop and no final exponentiation."""
+    from relaysim.crypto import bls, bn254
+
+    counts = {"miller_pairs": 0, "final_exponentiation": 0, "g1_mul": 0}
+
+    def miller_loop(pairs, _fn=bn254.miller_loop):
+        counts["miller_pairs"] += len(pairs)
+        return _fn(pairs)
+
+    def counted(name):
+        def call(*args, _fn=getattr(bn254, name)):
+            counts[name] += 1
+            return _fn(*args)
+
+        return call
+
+    scans = []
+
+    def scan_sources(env, prover, _fn=RelayEnvironment._scan_sources):
+        before, proven = dict(counts), len(prover._zk_cache)
+        _fn(env, prover)
+        scans.append((prover.name, len(prover._zk_cache) - proven, {k: counts[k] - before[k] for k in counts}))
+
+    monkeypatch.setattr(bn254, "miller_loop", miller_loop)
+    monkeypatch.setattr(bn254, "final_exponentiation", counted("final_exponentiation"))
+    monkeypatch.setattr(bn254, "g1_mul", counted("g1_mul"))
+    monkeypatch.setattr(RelayEnvironment, "_scan_sources", scan_sources)
+    bls._pairing_equal_cached.cache_clear()
+    bls._pairing_product_cached.cache_clear()
+
+    be, fe = (backend, 2) if route == "transparent" else (counting_backend, 1)
+    env = RelayEnvironment(ChainConfig(chain_id=100, epoch_size=4, weights=(1,) * 4, key_namespace="st/rc"), be)
+    for cid in (1, 2):
+        env.add_chain(ChainConfig(chain_id=cid, epoch_size=4, weights=(1,) * 4, key_namespace=f"st/{cid}"))
+    env.add_prover("p0")
+    env.add_prover("p1")
+    keys = []
+    for wave in range(6):
+        for i in range(3 if wave < 5 else 1):
+            src = 1 + (3 * wave + i) % 2
+            keys.append(env.submit(src, 3 - src, MessagePayload(bytes([wave, i]))))
+        env.step()
+    assert env.run_until_complete(keys)[0]
+
+    first = [(k, cost) for name, k, cost in scans if name == "p0"]
+    assert {k for k, _ in first} >= {1, 2, 4}
+    for k, cost in first:
+        if k:
+            assert cost == {"miller_pairs": k + 1, "final_exponentiation": fe, "g1_mul": 2 * (k - 1)}
+        else:
+            assert cost == dict.fromkeys(counts, 0)
+    second = [(k, cost) for name, k, cost in scans if name == "p1"]
+    assert [k for k, _ in second] == [k for k, _ in first]
+    assert all(cost == dict.fromkeys(counts, 0) for _, cost in second)
