@@ -46,6 +46,19 @@ class BlockWithheld(Exception):
         )
 
 
+class BlockReleased(LookupError):
+    """Raised for a read of a block whose receipts, records and Merkle tree
+    were released once every registered reader had passed it; its header
+    is kept."""
+
+    def __init__(self, chain_id: int, height: int):
+        self.chain_id = chain_id
+        self.height = height
+        super().__init__(
+            f"block {height} of chain {chain_id} was released: every registered reader had passed it"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Transactions and receipts.
 
@@ -320,7 +333,9 @@ class Chain:
         self.config = config
         self.clock = clock if clock is not None else LogicalClock()
         self._epochs: List[_EpochKeys] = [self._genesis_keys()]
-        self._blocks: List[Block] = []
+        self._headers: List[BlockHeader] = []
+        self._blocks: List[Optional[Block]] = []  # None: released
+        self._released = 0  # every block below this height is released
         self._trees: Dict[int, MerkleTree] = {}
         self._pending: Deque[Tuple[object, bytes, bytes]] = deque()  # (record, payload, hash)
         self._nonce = 0
@@ -416,7 +431,7 @@ class Chain:
 
     @property
     def height(self) -> int:
-        return len(self._blocks) - 1
+        return len(self._headers) - 1
 
     @property
     def current_epoch(self) -> int:
@@ -424,10 +439,18 @@ class Chain:
 
     @property
     def headers(self) -> List[BlockHeader]:
-        return [b.header for b in self._blocks]
+        return list(self._headers)
+
+    def header_at(self, height: int) -> BlockHeader:
+        """The header at `height`, kept when its block is released."""
+        return self._headers[height]
 
     def block_at(self, height: int) -> Block:
-        return self._blocks[height]
+        """The block at `height`; `BlockReleased` once it is released."""
+        block = self._blocks[height]
+        if block is None:
+            raise BlockReleased(self.config.chain_id, height)
+        return block
 
     def _sign_header_payload(self, payload: bytes, keys: _EpochKeys) -> AggregateSignature:
         vset = keys.vset
@@ -441,7 +464,7 @@ class Chain:
         return AggregateSignature(point=bls.sign_aggregate(signers, payload), bitmap=bitmap)
 
     def produce_block(self) -> Tuple[Block, BlockHeader]:
-        height = len(self._blocks)
+        height = len(self._headers)
         epoch = height // self.config.epoch_size
         boundary = height == 0 or height % self.config.epoch_size == 0
         signing_keys = self._ensure_epoch(epoch if height == 0 else (epoch - 1 if boundary else epoch))
@@ -475,6 +498,7 @@ class Chain:
         agg = self._sign_header_payload(draft.signing_payload(), signing_keys)
         header = BlockHeader(**{**draft.__dict__, "agg": agg})
         block = Block(header=header, receipts=receipts, records=tuple(r for r, _, _ in items))
+        self._headers.append(header)
         self._blocks.append(block)
         if tree is not None:
             self._trees[height] = tree
@@ -487,26 +511,28 @@ class Chain:
 
     def receipt_proof(self, height: int, index: int) -> MerkleProof:
         """The audit path of receipt `index` of the block at `height`; an
-        IndexError when that block has no such receipt or does not exist.
-        A released tree is rebuilt from the block's receipts, gives the same
-        proofs, and is kept until the next `release_trees` that covers it."""
+        IndexError when that block has no such receipt or does not exist,
+        `BlockReleased` once the block is released."""
         tree = self._trees.get(height)
-        if tree is None and 0 <= height < len(self._blocks) and self._blocks[height].receipts:
-            tree = self._trees[height] = self._receipt_tree(self._blocks[height].receipts)
-        if tree is not None:  # None: a block without receipts, or not yet produced
+        if tree is not None:
             try:
                 return tree.prove(index)
             except IndexError:
                 pass
+        elif 0 <= height < self._released:
+            raise BlockReleased(self.config.chain_id, height)
         raise IndexError(f"block {height} of chain {self.config.chain_id} has no receipt {index}")
 
-    def release_trees(self, below_height: int) -> None:
-        """Drop the Merkle trees, and the proofs they serve, of the blocks
-        below `below_height`: call it once every reader of those blocks has
-        passed them."""
-        trees = self._trees
-        for height in [h for h in trees if h < below_height]:
-            del trees[height]
+    def release_blocks(self, below_height: int) -> None:
+        """Drop the receipts, records and Merkle tree of every block below
+        `below_height`, keeping their headers: call it once every reader of
+        those blocks has passed them. A later read of a released block
+        raises `BlockReleased`."""
+        below_height = min(below_height, len(self._blocks))
+        for height in range(self._released, below_height):
+            self._blocks[height] = None
+            self._trees.pop(height, None)
+        self._released = max(self._released, below_height)
 
     def signing_set_for(self, header: BlockHeader) -> ValidatorSet:
         """The validator set whose quorum signed this header."""

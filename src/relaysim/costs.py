@@ -40,6 +40,8 @@ class GasCostTable:
             if value < 0:
                 raise ValueError(f"gas constant {name} must be non-negative")
         object.__setattr__(self, "_units", units)  # label -> unit cost, built once
+        # (operation, items) -> the one GasReceipt `GasMeter.receipt` gives for it
+        object.__setattr__(self, "_receipts", {})
 
     def with_overrides(self, overrides: Mapping[str, int]) -> "GasCostTable":
         return replace(self, **dict(overrides))
@@ -100,9 +102,15 @@ class GasMeter:
             self._counts[label] = self._counts.get(label, 0) + count
 
     def receipt(self) -> GasReceipt:
+        """The receipt of the charges so far: one shared object per distinct
+        (operation, items) of this meter's table."""
         units = self._units
         items = tuple((label, count, units[label]) for label, count in self._counts.items())
-        return GasReceipt(operation=self.operation, items=items)
+        receipts = self.table._receipts
+        receipt = receipts.get((self.operation, items))
+        if receipt is None:
+            receipt = receipts[self.operation, items] = GasReceipt(operation=self.operation, items=items)
+        return receipt
 
 
 def lc_setup_gas(table: GasCostTable, n_validators: int) -> int:

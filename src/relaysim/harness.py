@@ -310,6 +310,7 @@ class ForgeryCorpus:
         self.env = env
         self.rng = rng
         self.observer = Prover("corpus-observer", env.backend, "honest")
+        env.add_observer(self.observer)  # it harvests source blocks after rounds release others
         self.live: List[ProofBundle] = []
         self.stale: List[ProofBundle] = []
         self._live_digests: List[bytes] = []  # header digests of `live`, in step

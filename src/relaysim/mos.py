@@ -94,7 +94,7 @@ class MessageRecord:
 
     @property
     def stage_times(self) -> Dict[str, int]:
-        return {stage: event.time for stage, event in self.trace.stages_of(self.key).items()}
+        return self.trace.stage_ticks(self.key)
 
     @property
     def reject_reason(self) -> Optional[str]:
@@ -106,25 +106,28 @@ class MessageRecord:
         """The best stage reached, or rejected while a rejection is the
         latest word; pipeline progress by an honest delivery supersedes it
         (at-least-once provers)."""
-        stages = self.trace.stages_of(self.key)
+        return self._status(self.trace.stage_ticks(self.key))
+
+    def _status(self, ticks: Dict[str, int]) -> Status:
         rejection = self.trace.rejection_of(self.key)
-        if rejection is not None and rejection.time > max(e.time for e in stages.values()):
+        if rejection is not None and rejection.time > max(ticks.values()):
             return Status.REJECTED
         best = Status.PENDING_SC
         for stage, status in _STAGE_TO_STATUS.items():
-            if stage in stages:
+            if stage in ticks:
                 best = status
         return best
 
     def to_dict(self) -> Dict:
+        ticks = self.trace.stage_ticks(self.key)
         return {
             "key": ctx_key_str(self.key),
             "source": self.source_chain,
             "dest": self.dest_chain,
-            "status": self.status.value,
+            "status": self._status(ticks).value,
             "fee": self.fee,
             "fee_token": self.fee_token,
-            "stage_times": dict(sorted(self.stage_times.items())),
+            "stage_times": dict(sorted(ticks.items())),
             "reject_reason": self.reject_reason,
         }
 

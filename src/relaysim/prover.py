@@ -258,7 +258,7 @@ class Prover:
         start = max(1, self._update_cursors.get(chain.config.chain_id, 1))
         out = []
         for height in range(start, chain.height + 1):
-            header = chain.block_at(height).header
+            header = chain.header_at(height)
             if header.is_boundary:
                 out.append(header)
         self._update_cursors[chain.config.chain_id] = chain.height + 1

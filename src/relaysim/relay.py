@@ -18,6 +18,12 @@ once it is accepted, an equal copy costs no second verification.
 report, `{"context", "chain", "mode", "signers", "items", "total"}`. `items`
 is the receipt's own `(label, count, unit)` tuple, one shared object per
 distinct value; `harness.write_artifacts` spells it out as item dicts.
+Equal entries are one shared dict, so the log is read-only.
+
+A chain's blocks are released (`Chain.release_blocks`) below the lowest
+cursor of their registered readers: the environment's non-silent provers,
+the chain's own host sweep and, on the source chains, the observers
+registered with `RelayEnvironment.add_observer`.
 """
 
 from __future__ import annotations
@@ -135,9 +141,8 @@ class LightClientHost:
     The relay chain hosts one client per source chain; each destination hosts
     one client of the relay chain. A host verifies a record delivered from a
     tracked chain against that chain's client, queues its own record of the
-    transaction for its next block, and sweeps its blocks for those records,
-    keeping each swept record as the confirmation of its key. Subclasses
-    state which record they read and which they write.
+    transaction for its next block, and sweeps its blocks for those records.
+    Subclasses state which record they read and which they write.
 
     Subclasses bind `receive` and `resolve_confirmations` in their own class
     body: perfbench/probes.py wraps each class's own methods, which is how a
@@ -152,7 +157,6 @@ class LightClientHost:
         self.backend = backend
         self.clients: Dict[int, HybridLcState] = {}
         self.setup_receipts: Dict[int, GasReceipt] = {}
-        self.confirmations: Dict[Tuple[int, int], HopRecord] = {}
         self._accepted: set[Tuple[int, int]] = set()
         self._resolved_height = chain.height
 
@@ -217,9 +221,13 @@ class LightClientHost:
             self._resolved_height += 1
             for record in self.chain.block_at(self._resolved_height).records:
                 if _is_record(record, self.writes):
-                    self.confirmations[record.key] = record
                     out.append(record)
         return out
+
+    @property
+    def sweep_cursor(self) -> int:
+        """The height the sweep reads next on this host's chain."""
+        return self._resolved_height + 1
 
     def _misrouted(self, ctx: CrossChainTx) -> bool:
         return False
@@ -240,11 +248,21 @@ class RelayChain(LightClientHost):
 
 class DestinationHost(LightClientHost):
     """A destination chain hosting the relay chain's light client. It reads
-    `ICTX1` records addressed to it and writes `FIN1` records."""
+    `ICTX1` records addressed to it, writes `FIN1` records, and keeps each
+    swept record as the final confirmation of its key."""
 
     writes = FIN_TAG
     dest_receive = receive = LightClientHost.receive
-    resolve_confirmations = LightClientHost.resolve_confirmations
+
+    def __init__(self, chain: Chain, table: GasCostTable, backend):
+        super().__init__(chain, table, backend)
+        self.confirmations: Dict[Tuple[int, int], HopRecord] = {}
+
+    def resolve_confirmations(self) -> List[HopRecord]:
+        records = LightClientHost.resolve_confirmations(self)
+        for record in records:
+            self.confirmations[record.key] = record
+        return records
 
     @staticmethod
     def _read(bundle: ProofBundle) -> Tuple[int, CrossChainTx]:
@@ -299,9 +317,11 @@ class RelayEnvironment:
         self.chains: Dict[int, Chain] = {}
         self.hosts: Dict[int, DestinationHost] = {}
         self.provers: List[Prover] = []
+        self._observers: List[Prover] = []
         self.trace = TraceLog()
         self.receipts_log: List[dict] = []  # entry shapes: see the module docstring
         self._items: Dict[Items, Items] = {}  # one shared tuple per distinct `items`
+        self._entries: Dict[tuple, dict] = {}  # one shared dict per distinct log entry
         self.rejections: List[Rejection] = []
         self.submitted: Dict[Tuple[int, int], CrossChainTx] = {}
         self._inbox: Dict[int, List[ProofBundle]] = {self.rc_id: []}
@@ -336,6 +356,12 @@ class RelayEnvironment:
         self.provers.append(prover)
         return prover
 
+    def add_observer(self, prover: Prover) -> None:
+        """Register a prover that reads the source chains outside the
+        rounds, such as a forgery corpus's observer: no source block it has
+        not read is released."""
+        self._observers.append(prover)
+
     # -- intake -----------------------------------------------------------------
 
     def submit(self, source_id: int, dest_id: int, payload) -> Tuple[int, int]:
@@ -364,27 +390,31 @@ class RelayEnvironment:
         """Trace `stage` of `key` at the next tick; with `once`, a stage `key`
         already reached takes its tick but is not logged again."""
         time = self.clock.next()
-        if once and stage in self.trace.stages_of(key):
+        if once and self.trace.has_stage(key, stage):
             return
         self.trace.record(TraceEvent(key=key, stage=stage, time=time, chain=chain, verdict=verdict, gas=gas))
 
     def _log_receipt(self, context: str, chain_id: int, receipt: GasReceipt) -> None:
-        self.receipts_log.append(
-            {
+        key = (context, chain_id, receipt.operation, receipt.items)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = {
                 "context": context,
                 "chain": chain_id,
                 "operation": receipt.operation,
                 "items": self._items.setdefault(receipt.items, receipt.items),
                 "total": receipt.total,
             }
-        )
+        self.receipts_log.append(entry)
 
     def _log_gate_report(self, bundle: ProofBundle) -> None:
         report = bundle.zk_proof.gate_report
         if report is None:
             return
-        self.receipts_log.append(
-            {
+        key = ("gate_report", bundle.origin_chain, report.mode, report.signers, report.items)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = {
                 "context": "gate_report",
                 "chain": bundle.origin_chain,
                 "mode": report.mode,
@@ -392,7 +422,7 @@ class RelayEnvironment:
                 "items": self._items.setdefault(report.items, report.items),
                 "total": report.total,
             }
-        )
+        self.receipts_log.append(entry)
 
     def _reject(self, stage: str, chain: int, key, reason: RejectReason) -> None:
         key_t = key if key is None else tuple(key)
@@ -418,23 +448,21 @@ class RelayEnvironment:
         provers = [p for p in self.provers if p.profile != "silent"]
         for prover in provers:
             self._scan_sources(prover)
-        self._release_trees(self.chains.values(), provers)
+        self._release_blocks(self.chains.values(), provers + self._observers)
         self._drain(self.rc_id)
         for prover in provers:
             self._scan_relay(prover)
-        self._release_trees([self.rc.chain], provers)
+        self._release_blocks([self.rc.chain], provers)
         for host_id in sorted(self.hosts):
             self._drain(host_id)
 
-    @staticmethod
-    def _release_trees(chains, provers: List[Prover]) -> None:
-        """Free each chain's Merkle trees below the lowest receipt cursor of
-        the provers that scan it; a silent prover reads nothing and holds
-        none back. `Chain.receipt_proof` rebuilds a freed tree for a later
-        reader."""
+    def _release_blocks(self, chains, readers: List[Prover]) -> None:
+        """Release each chain's blocks below the lowest cursor of its
+        readers: the given provers and the chain's own host sweep. A silent
+        prover reads nothing and holds nothing back."""
         for chain in chains:
             cid = chain.config.chain_id
-            chain.release_trees(min((p.receipt_cursor(cid) for p in provers), default=chain.height + 1))
+            chain.release_blocks(min([self.host(cid).sweep_cursor] + [r.receipt_cursor(cid) for r in readers]))
 
     def _produce_source_blocks(self) -> None:
         for cid in sorted(self.chains):
@@ -550,10 +578,10 @@ class RelayEnvironment:
         horizon is exhausted; returns (all confirmed, stalled keys)."""
         want = {tuple(k) for k in keys}
         for _ in range(horizon_rounds):
-            if all("confirm_dc" in self.trace.stages_of(k) for k in want):
+            if all(self.trace.has_stage(k, "confirm_dc") for k in want):
                 return True, []
             self.step()
-        stalled = sorted(k for k in want if "confirm_dc" not in self.trace.stages_of(k))
+        stalled = sorted(k for k in want if not self.trace.has_stage(k, "confirm_dc"))
         return not stalled, stalled
 
     # -- invariant helpers ------------------------------------------------------------

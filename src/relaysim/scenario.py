@@ -283,6 +283,19 @@ def default_scenario(seed: int = 0, count: int = 100) -> Scenario:
     )
 
 
+def completing_horizon(scenario: Scenario, count: int) -> int:
+    """The `horizon_rounds` a run of `count` transactions submitted up front
+    needs to confirm them all: the relay chain makes one block a round, a
+    block holds at most `max_block_txs` records, and a transaction reaches
+    its final confirmation in the round its relay block is made; one more
+    round is the pipeline depth. When the relay chain's blocks are the only
+    bound, a shorter horizon stalls with horizon × `max_block_txs` keys
+    confirmed; small source blocks only delay keys that still confirm by
+    the relay chain's last round."""
+    per_block = min(c.max_block_txs for c in (scenario.relay_chain, *scenario.chains))
+    return -(-count // per_block) + 1
+
+
 # ---------------------------------------------------------------------------
 # Workload generation and dataset replay rows.
 

@@ -7,6 +7,7 @@ import pytest
 
 from relaysim.chain import (
     AssetPayload,
+    BlockReleased,
     BlockWithheld,
     Chain,
     ChainConfig,
@@ -311,10 +312,12 @@ def test_receipt_message_has_no_instance_dict():
     assert not hasattr(ReceiptMessage(tx_hash=b"h", payload=b"p", height=1), "__dict__")
 
 
-def test_a_released_tree_is_rebuilt_with_equal_proofs(small_chain):
-    """`release_trees` frees the trees of the blocks below the height it is
-    given; `receipt_proof` then rebuilds a freed block's tree from its
-    receipts, with equal proofs, and still refuses what the block lacks."""
+def test_a_released_block_keeps_its_header_and_refuses_reads(small_chain):
+    """`release_blocks` drops the receipts, records and tree of the blocks
+    below the height it is given and keeps their headers; a read of a
+    released block raises `BlockReleased` naming the chain and the height,
+    a block above it still serves its proofs, and a release is never
+    undone."""
     blocks = []
     for n in (3, 5):
         for i in range(n):
@@ -322,14 +325,26 @@ def test_a_released_tree_is_rebuilt_with_equal_proofs(small_chain):
         blocks.append(small_chain.produce_block()[0])
     proofs = {(b.header.height, i): small_chain.receipt_proof(b.header.height, i) for b in blocks for i in range(len(b.receipts))}
     first, second = (b.header.height for b in blocks)
-    small_chain.release_trees(second)
+    small_chain.release_blocks(second)
     assert sorted(small_chain._trees) == [second]
-    small_chain.release_trees(second + 1)
-    assert small_chain._trees == {}
-    for (height, i), proof in proofs.items():
-        again = small_chain.receipt_proof(height, i)
-        assert again == proof and again is not proof
-        assert small_chain.receipt_proof(height, i) is again  # rebuilt once, kept until released
-    for height, index in ((first, 3), (-1, 0), (small_chain.height + 1, 0)):
+    for read in (lambda: small_chain.block_at(first), lambda: small_chain.receipt_proof(first, 0)):
+        with pytest.raises(BlockReleased, match=f"^block {first} of chain 1 was released") as caught:
+            read()
+        assert (caught.value.chain_id, caught.value.height) == (1, first)
+    assert small_chain.header_at(first) is blocks[0].header and small_chain.headers[first] is blocks[0].header
+    assert small_chain.block_at(second) is blocks[1]
+    for i in range(5):
+        assert small_chain.receipt_proof(second, i) is proofs[(second, i)]
+    small_chain.release_blocks(first)  # a lower height releases nothing more and restores nothing
+    assert small_chain.block_at(second) is blocks[1]
+    with pytest.raises(BlockReleased):
+        small_chain.block_at(first)
+    small_chain.release_blocks(small_chain.height + 5)
+    assert small_chain._trees == {} and small_chain.height == second
+    with pytest.raises(BlockReleased, match=f"^block {second} of chain 1 was released"):
+        small_chain.receipt_proof(second, 0)
+    for height, index in ((-1, 0), (small_chain.height + 1, 0)):
         with pytest.raises(IndexError, match=f"block {height} of chain 1 has no receipt {index}"):
             small_chain.receipt_proof(height, index)
+    small_chain.produce_block()  # blocks made after a release are kept
+    assert small_chain.block_at(small_chain.height).receipts == ()

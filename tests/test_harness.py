@@ -3,19 +3,22 @@ cases, dataset replay, benchmarks, and the CLI surface."""
 
 import hashlib
 import json
+import subprocess
+import sys
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import pytest
 
 from relaysim import cli, encoding, harness, lightclient
-from relaysim.chain import AssetPayload
+from relaysim.chain import AssetPayload, BlockReleased
 from relaysim.crypto.bn254 import g1_to_bytes
 from relaysim.crypto.hashes import SUPPORTED
 from relaysim.prover import CountingBackend, Prover, TransparentBackend
 from relaysim.scenario import (
     DatasetError,
     ScenarioError,
+    completing_horizon,
     default_scenario,
     load_scenario,
     parse_dataset,
@@ -187,11 +190,12 @@ def _run_with_rejections() -> harness.RunResult:
     receipt payload does not decode, so its rejection names no key."""
     scenario = dc_replace(_small_scenario(seed=4, count=20), backend="counting")
     env, mos = harness.build_environment(scenario)
+    observer = Prover("obs", env.backend)
+    env.add_observer(observer)  # registered before the rounds release the blocks it reads
     keys, values = harness._submit_stream(env, mos, scenario, synthetic_workload(scenario))
     env.run_until_complete(keys, scenario.horizon_rounds)
     key = mos.message_out(1, 2, AssetPayload(token="T", amount=5), "MAPO", fee_paid=10)
     env._produce_source_blocks()
-    observer = Prover("obs", env.backend)
     conf = [c for c in observer.monitor(env.chains[1]) if c.record.key == key][0]
     bundle = observer.ctx_bundle(env.chains[1], conf)
     longer = dc_replace(bundle.merkle_proof, path=((bytes(32), "L"),) + bundle.merkle_proof.path)
@@ -348,6 +352,64 @@ def test_forgery_sequence_is_pinned():
         h.update(_bundle_bytes(corpus.forge(strategy)))
     h.update(repr(corpus.rng.random()).encode())  # no draw added or dropped
     assert h.hexdigest() == FORGERY_SEQUENCE_SHA256
+
+
+def test_the_corpus_observer_harvests_both_pools_while_rounds_release_blocks():
+    """The forgery corpus's observer is a registered reader: rounds between
+    and after its harvests release every source block it has read, and
+    none it has not, so `harvest` after `env.step()` finds both pools."""
+    env, corpus = harness.harvested_corpus(_small_scenario(), honest_count=20)
+    assert (len(corpus.live), len(corpus.stale)) == (10, 10)
+    for cid, chain in env.chains.items():
+        cursor = corpus.observer.receipt_cursor(cid)
+        assert cursor > 1
+        with pytest.raises(BlockReleased, match=f"^block {cursor - 1} of chain {cid} was released"):
+            chain.block_at(cursor - 1)
+        for height in range(cursor, chain.height + 1):
+            assert chain.block_at(height).header is chain.header_at(height)
+
+
+def _block_bound(scenario, relay_txs, source_txs):
+    return dc_replace(
+        scenario,
+        relay_chain=dc_replace(scenario.relay_chain, max_block_txs=relay_txs),
+        chains=tuple(dc_replace(c, max_block_txs=source_txs) for c in scenario.chains),
+    )
+
+
+def test_a_short_horizon_stalls_at_one_relay_block_a_round_and_the_computed_one_completes():
+    """With relay-chain blocks of at most 4 records, each round confirms
+    one relay block: a horizon of h rounds stalls with exactly 4h keys
+    confirmed, and `completing_horizon` confirms all 22, also when every
+    source block holds 4 too. `default_scenario` keeps its horizon."""
+    base = default_scenario(seed=3, count=22)
+    relay_bound = _block_bound(base, 4, 4096)
+    horizon = completing_horizon(relay_bound, 22)
+    assert horizon == 7  # ceil(22 / 4) + 1
+    for short in (1, 3, 5):
+        result = harness.run(dc_replace(relay_bound, horizon_rounds=short))
+        assert (result.confirmed, len(result.stalled)) == (4 * short, 22 - 4 * short)
+    for scenario in (relay_bound, _block_bound(base, 4, 4)):
+        assert completing_horizon(scenario, 22) == horizon
+        result = harness.run(dc_replace(scenario, horizon_rounds=horizon))
+        assert result.ok and result.confirmed == 22
+    assert base.horizon_rounds == 10 and completing_horizon(base, 50_000) == 14
+
+
+def test_scale_run_reports_the_run_it_measured(tmp_path):
+    """`tools/scale_run.py` runs `default_scenario` at the completing
+    horizon in a child interpreter and reports that run's artifact digests,
+    equal to an in-process run's, with the child's CPU time and peak RSS."""
+    tool = Path(__file__).resolve().parent.parent / "tools" / "scale_run.py"
+    proc = subprocess.run([sys.executable, str(tool), "--count", "30", "--seed", "4"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    scenario = default_scenario(seed=4, count=30)
+    assert report["horizon_rounds"] == completing_horizon(scenario, 30) == 2
+    result = harness.run(dc_replace(scenario, horizon_rounds=2), tmp_path)
+    assert report["ok"] and report["confirmed"] == result.confirmed == 30
+    assert report["digests"] == {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert report["cpu_s"] >= report["run_cpu_s"] > 0 and report["ru_maxrss_mb"] > 0
 
 
 def test_collusion_bound_tightness():

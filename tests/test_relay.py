@@ -1,6 +1,7 @@
 """Relay pipeline: registration, two-hop verification, idempotence, trace
 ordering, payload conservation, and deployment complexity."""
 
+import gc
 from dataclasses import FrozenInstanceError, fields
 from dataclasses import replace as dc_replace
 from functools import partial
@@ -11,8 +12,10 @@ from hypothesis import given, strategies as st
 
 from relaysim import relay
 from relaysim.chain import (
+    EMPTY_RECEIPT_ROOT,
     AssetPayload,
     BlockHeader,
+    BlockReleased,
     ChainConfig,
     Confirmation,
     CrossChainTx,
@@ -224,19 +227,21 @@ def test_drain_delivers_each_copy_of_a_rejected_bundle(backend):
     ]
 
 
+def _delivered_ctx_bundle(seen, host_id):
+    """The first ctx bundle a captured run delivered to `host_id`."""
+    return next(b for target, bundles in seen if target == host_id for b in bundles if b.kind == "ctx")
+
+
 def test_dest_receive_replay_single_effect(backend):
     env = _env(backend)
+    seen = _captured_inboxes(env)
     key = env.submit(1, 2, AssetPayload(token="T", amount=4))
     env.run(2)
     host = env.hosts[2]
     assert key in host.confirmations
     # replay the full bundle at the destination
-    prover = Prover("observer", backend)
-    records = [
-        c for c in prover.monitor(env.rc.chain) if c.message.payload.startswith(b"ICTX1")
-    ]
-    assert records
-    bundle = prover.ctx_bundle(env.rc.chain, records[0])
+    bundle = _delivered_ctx_bundle(seen, 2)
+    assert bundle.receipt_payload.startswith(ICTX_TAG)
     ctx, result, fresh = host.dest_receive(bundle)
     assert result.ok and not fresh
     assert list(host.confirmations) == [key]
@@ -258,14 +263,12 @@ def test_dest_rejects_unconfirmed_on_relay(backend):
 def test_misrouted_ctx_rejected_at_wrong_destination(backend):
     env = _env(backend)
     key = env.submit(1, 2, AssetPayload(token="T", amount=4))
+    seen = _captured_inboxes(env)
     env.run(1)
-    prover = Prover("observer", backend)
-    records = [
-        c for c in prover.monitor(env.rc.chain) if c.message.payload.startswith(b"ICTX1")
-    ]
-    bundle = prover.ctx_bundle(env.rc.chain, records[0])
+    bundle = _delivered_ctx_bundle(seen, 2)
+    assert env.hosts[2].dest_receive(bundle)[1].ok  # the right destination accepts it
     ctx, result, fresh = env.hosts[3].dest_receive(bundle)  # wrong destination
-    assert not result.ok
+    assert ctx.key == key and not result.ok
 
 
 def test_duplicate_transmit_at_least_once(backend):
@@ -294,12 +297,24 @@ def test_no_spontaneous_confirmation(backend):
 
 
 def test_intermediate_payload_identical(backend):
+    """The record the relay chain confirms carries the committed payload;
+    the relay host keeps no confirmations of its own."""
     env = _env(backend)
+    confirmed, resolve = [], env.rc.resolve_confirmations
+
+    def sweep():
+        records = resolve()
+        confirmed.extend(records)
+        return records
+
+    env.rc.resolve_confirmations = sweep
     key = env.submit(1, 3, AssetPayload(token="X", amount=42))
     env.run(1)
-    record = env.rc.confirmations[key]
+    (record,) = confirmed
+    assert record.key == key
     assert record.ctx.payload.to_bytes() == env.submitted[key].payload.to_bytes()
     assert record.origin_chain == 1
+    assert not hasattr(env.rc, "confirmations")
 
 
 def test_rc_epoch_rotation_end_to_end(backend):
@@ -759,20 +774,28 @@ def test_both_provers_bundles_hold_one_merkle_proof(backend):
 @pytest.mark.parametrize("profiles", [("honest", "honest"), ("honest", "silent")])
 def test_no_tree_is_kept_below_the_lowest_honest_cursor(backend, profiles):
     """Over a run that crosses epochs, after every step no chain keeps the
-    Merkle tree of a block that every honest prover has read; a silent
-    prover, which reads nothing, holds no tree back."""
+    block, or the Merkle tree, of a height that every honest prover has
+    read; the chain's host sweep is never behind them, and a silent prover,
+    which reads nothing, holds nothing back. The headers stay."""
     env = _env(backend, epoch_size=4)
     env.provers.clear()
     for i, profile in enumerate(profiles):
         env.add_prover(f"p{i}", profile)
     honest = [p for p in env.provers if p.profile == "honest"]
-    read = 0  # blocks with receipts below the lowest cursor, summed over steps
+    read = 0  # released blocks that had receipts, summed over steps
     for r in range(4):
         _wave(env, r)
         for chain in _all_chains(env):
-            lowest = min(p.receipt_cursor(chain.config.chain_id) for p in honest)
+            cid = chain.config.chain_id
+            lowest = min(p.receipt_cursor(cid) for p in honest)
+            assert env.host(cid).sweep_cursor >= lowest
             assert all(height >= lowest for height in chain._trees)
-            read += sum(1 for height in range(lowest) if chain.block_at(height).receipts)
+            for height in range(lowest):
+                with pytest.raises(BlockReleased, match=f"block {height} of chain {cid} was released"):
+                    chain.block_at(height)
+                assert chain.header_at(height).height == height
+            assert lowest > chain.height or chain.block_at(lowest).header is chain.header_at(lowest)
+            read += sum(1 for height in range(lowest) if chain.header_at(height).receipt_root != EMPTY_RECEIPT_ROOT)
     assert env.rc.chain.current_epoch >= 1 and read > 0
     assert all("confirm_dc" in env.trace.stages_of(k) for k in env.submitted)
 
@@ -781,34 +804,63 @@ def _proof_key(bundle):
     return bundle.origin_chain, bundle.header.height, bundle.receipt_hash
 
 
-def test_a_freed_tree_serves_equal_proofs_to_later_readers(backend):
-    """Readers that come after the release get proofs equal to the ones the
-    freed trees gave: a forgery-corpus observer harvesting after a step,
-    and a prover added after some rounds, whose bundles for every old
-    receipt are all accepted."""
+def test_a_late_reader_gets_a_clear_error_for_a_released_height(backend):
+    """Once every registered reader has passed a block, its receipts,
+    records and tree are gone: a proof of it, a forgery corpus made after
+    the release, and a prover added after some rounds each get
+    `BlockReleased` naming the chain and the height. The headers stay, and
+    every proof the released trees gave was accepted."""
     env = _env(backend)
     seen = _captured_inboxes(env)
     for r in range(3):
         _wave(env, r)
-    given = {_proof_key(b): b.merkle_proof for _, bundles in seen for b in bundles if b.kind == "ctx"}
+    given = {_proof_key(b) for _, bundles in seen for b in bundles if b.kind == "ctx"}
     assert len(given) == 2 * 12  # 12 source receipts, 12 relay-chain receipts
-    for origin, height, _ in given:  # every tree they came from is freed
-        assert height not in (env.rc.chain if origin == env.rc_id else env.chains[origin])._trees
+    assert env.rejections == [] and all(env.trace.has_stage(k, "confirm_dc") for k in env.submitted)
+    for origin, height, _ in given:
+        chain = env.rc.chain if origin == env.rc_id else env.chains[origin]
+        with pytest.raises(BlockReleased, match=f"^block {height} of chain {origin} was released"):
+            chain.receipt_proof(height, 0)
+        assert chain.header_at(height).height == height
 
     corpus = ForgeryCorpus(env, Random(1))
-    assert corpus.harvest(corpus.live) == 12
-    for bundle in corpus.live:
-        assert bundle.merkle_proof == given[_proof_key(bundle)]
-        assert bundle.merkle_proof is not given[_proof_key(bundle)]
-        assert env.rc.relay_receive(bundle)[1].ok
-
-    seen.clear()
+    with pytest.raises(BlockReleased, match="^block 0 of chain 1 was released"):
+        corpus.harvest(corpus.live)
     env.add_prover("late")
-    env.step()
-    old = [b for _, bundles in seen for b in bundles if b.kind == "ctx"]
-    assert sorted(_proof_key(b) for b in old) == sorted(given)
-    assert all(b.merkle_proof == given[_proof_key(b)] for b in old)
-    assert env.rejections == []
+    with pytest.raises(BlockReleased, match="^block 0 of chain 1 was released"):
+        env.step()
+
+
+def test_a_run_keeps_its_record_not_its_traffic(backend):
+    """Counted with `gc.get_objects()` after a 300-transaction run with two
+    provers: the trace log holds no `TraceEvent`, every live
+    `ReceiptMessage` sits in a block at or above the lowest cursor of its
+    chain's readers, there is one `GasReceipt` per distinct receipt, and
+    one receipts-log dict per distinct entry."""
+    kinds = (TraceEvent, ReceiptMessage, GasReceipt)
+    gc.collect()
+    before = [o for o in gc.get_objects() if type(o) in kinds]  # held, so no id is reused
+    old = {id(o) for o in before}
+    env = _env(backend)
+    env.add_prover("p1")
+    keys = [env.submit(1 + i % 3, 1 + (i + 1) % 3, AssetPayload(token="T", amount=i)) for i in range(300)]
+    assert env.run_until_complete(keys)[0] and len(env.trace.events) > 0
+    gc.collect()
+    live = {kind: [] for kind in kinds}
+    for o in gc.get_objects():
+        if type(o) in kinds and id(o) not in old:
+            live[type(o)].append(o)
+    assert live[TraceEvent] == []
+    held = []
+    for chain in _all_chains(env):
+        cid = chain.config.chain_id
+        lowest = min([p.receipt_cursor(cid) for p in env.provers] + [env.host(cid).sweep_cursor])
+        held += [m for height in range(lowest, chain.height + 1) for m in chain.block_at(height).receipts]
+    assert held and sorted(map(id, live[ReceiptMessage])) == sorted(map(id, held))
+    receipts = live[GasReceipt]
+    assert len(receipts) == len({(r.operation, r.items) for r in receipts}) >= 3
+    entries = env.receipts_log
+    assert len({id(e) for e in entries}) == len({tuple(e.items()) for e in entries}) < len(entries)
 
 
 def test_a_stage_already_reached_builds_no_trace_event(backend, monkeypatch):
