@@ -8,6 +8,11 @@ and are signed by the previous epoch's set, which is exactly what a light
 client holding the previous set can verify. All headers sign over a
 fixed-size payload that embeds the announced set only as its commitment.
 
+A header's aggregate signature is computed the first time its point is
+read, from the signers' summed secret captured when the block is produced:
+the quorum check, the bitmap and `BlockWithheld` belong to production, and
+a header nobody proves is never signed.
+
 Time is logical: every block consumes one tick from a monotone clock.
 """
 
@@ -23,7 +28,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import encoding
 from .crypto import bls
-from .crypto.bn254 import G1Point
+from .crypto.bn254 import G1Point, R
 from .crypto.commitment import ValidatorSet, commitment_digest
 from .crypto.hashes import SUPPORTED, digest
 from .crypto.merkle import MerkleProof, MerkleTree
@@ -175,6 +180,27 @@ class ReceiptMessage:
 class AggregateSignature:
     point: G1Point
     bitmap: Tuple[bool, ...]
+
+    @classmethod
+    def sign_on_read(cls, bitmap: Tuple[bool, ...], secret: int, payload: bytes) -> "AggregateSignature":
+        """The aggregate whose point is `bls.sign(secret, payload)`, signed
+        the first time `point` is read: `secret` is the signers' summed
+        secret. The secret is no field, so no repr, comparison or hash
+        reads it; each of those reads `point`, and signs."""
+        agg = object.__new__(cls)
+        object.__setattr__(agg, "bitmap", bitmap)
+        object.__setattr__(agg, "_unsigned", (secret, payload))
+        return agg
+
+    def __getattr__(self, name):
+        # reached only for the `point` of an aggregate made by sign_on_read,
+        # before its first read; the signature then replaces the secret
+        unsigned = self.__dict__.pop("_unsigned", None) if name == "point" else None
+        if unsigned is None:
+            raise AttributeError(name)
+        point = bls.sign(*unsigned)
+        object.__setattr__(self, "point", point)
+        return point
 
 
 @dataclass(frozen=True)
@@ -460,8 +486,8 @@ class Chain:
             raise BlockWithheld(
                 self.config.chain_id, available, vset.total_weight, self.config.vote_threshold
             )
-        signers = [keys.secrets[e.pubkey_bytes] for e, bit in zip(vset.entries, bitmap) if bit]
-        return AggregateSignature(point=bls.sign_aggregate(signers, payload), bitmap=bitmap)
+        secret = sum(keys.secrets[e.pubkey_bytes] for e, bit in zip(vset.entries, bitmap) if bit)
+        return AggregateSignature.sign_on_read(bitmap, secret % R, payload)
 
     def produce_block(self) -> Tuple[Block, BlockHeader]:
         height = len(self._headers)

@@ -11,10 +11,12 @@ The checks the memo has not decided are decided together, by small-exponent
 batch verification (Bellare, Garay and Rabin, EUROCRYPT 1998; Camenisch,
 Hohenberger and Pedersen, EUROCRYPT 2007): k signatures cost one shared
 Miller loop and two final exponentiations on the two-sided route, one on the
-product route. A passed batch fills each member's verdict; a failed one is
-decided member by member, so every verdict is the one a check alone gives.
-A check alone is the batch of one: e(sig, g2) == e(H, apk), or its product
-form, with no coefficient.
+product route. Members under one aggregate key share one Miller pair,
+e(sum r_i H_i, apk) by bilinearity, so the loop runs over one pair per
+distinct key and one for the signatures. A passed batch fills each member's
+verdict; a failed one is decided member by member, so every verdict is the
+one a check alone gives. A check alone is the batch of one: e(sig, g2) ==
+e(H, apk), or its product form, with no coefficient.
 
 A block is signed once, with the summed secret of its available signers.
 Every signature on one message is a multiple of the same point H(m), which
@@ -114,25 +116,27 @@ def _coefficients(batch: Sequence[Triple]) -> List[int]:
 
 
 def _combine(batch: Sequence[Triple]) -> Tuple[G1Point, List[Tuple[G1Point, G2Point]]]:
-    """sum r_i sig_i and the pairs (r_i H_i, apk_i); r_1 = 1 takes no scalar
-    multiplication, so neither does a batch of one."""
-    sig, pairs = None, []
+    """sum r_i sig_i and one pair (sum r_i H_i, apk) per distinct apk, in
+    order of first appearance: by bilinearity the members under one key
+    share its Miller pair. r_1 = 1 takes no scalar multiplication, so
+    neither does a batch of one."""
+    sig, points = None, {}
     for r, (apk, point, signature) in zip(_coefficients(batch), batch):
         if r != 1:
             point, signature = bn254.g1_mul(point, r), bn254.g1_mul(signature, r)
         sig = bn254.g1_add(sig, signature)
-        pairs.append((point, apk))
-    return sig, pairs
+        points[apk] = bn254.g1_add(points.get(apk), point)
+    return sig, [(point, apk) for apk, point in points.items()]
 
 
 def _equal(batch: Sequence[Triple]) -> bool:
-    """The two-sided route: e(sum r_i sig_i, g2) == FE(prod ML(apk_i, r_i H_i))."""
+    """The two-sided route: e(sum r_i sig_i, g2) == FE(prod over keys of ML(apk, sum r_i H_i))."""
     sig, pairs = _combine(batch)
     return bn254.pairing(sig, bn254.G2_GEN) == bn254.pairing_product(pairs)
 
 
 def _product(batch: Sequence[Triple]) -> bool:
-    """The product route: FE(ML(g2, -sum r_i sig_i) prod ML(apk_i, r_i H_i)) == 1."""
+    """The product route: FE(ML(g2, -sum r_i sig_i) prod over keys of ML(apk, sum r_i H_i)) == 1."""
     sig, pairs = _combine(batch)
     return bn254.pairing_check([(bn254.g1_neg(sig), bn254.G2_GEN), *pairs])
 

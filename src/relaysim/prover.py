@@ -43,6 +43,13 @@ class Witness:
     hash_algo: str = "sha256"  # the algorithm the commitments were made under
 
 
+@functools.lru_cache(maxsize=32)
+def _message_point(t: Tuple[int, int]) -> G1Point:
+    """base_to_g of a header's base-field pair t, a public input: a pure
+    function of t, made once for every prover that proves the header."""
+    return base_to_g(BaseFieldPair(*t))
+
+
 @dataclass(frozen=True)
 class ZkStatement:
     publics: PublicInputs
@@ -69,7 +76,7 @@ class ZkStatement:
             if commitment_digest(wit.new_set, wit.hash_algo) != pub.new_commitment:
                 return None
         apk = bls.aggregate_pubkeys(vset.pubkeys(), wit.bitmap)
-        return apk, base_to_g(BaseFieldPair(*pub.t)), wit.signature
+        return apk, _message_point(pub.t), wit.signature
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 bilinearity, identity handling, the product route, the operation counts of
 the demo run (pairings, signatures, key decodes, line schedules built), the
 line-schedule cache, the flat Fp6/Fp12 arithmetic against a schoolbook
-reference, the affine G2 ladder `g2_mul` (unreduced, so [R]Q = O tells the
+reference, the GLV constants and `g1_mul` against a plain double-and-add,
+the affine G2 ladder `g2_mul` (unreduced, so [R]Q = O tells the
 subgroup apart) as the reference for the window bases and the batched
 signed-window fixed-base multiplication, and the norm-method Fp2 square
 root against the pow-chain one."""
@@ -43,6 +44,7 @@ from relaysim.crypto.bn254 import (
     pairing,
     pairing_product,
 )
+from relaysim.crypto.hash_to_curve import hash_to_curve
 from relaysim.scenario import load_scenario
 
 DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml"
@@ -100,10 +102,11 @@ def test_demo_run_operation_counts(monkeypatch):
     """The demo scenario decides its 4 statements in 2 two-sided checks, a
     batch of 3 and one alone, each one `pairing`, one `pairing_product` and
     so two Miller loops and two final exponentiations; it makes one
-    signature per produced header and one decode per validator key (15 keys
-    on four chains). The pairing routes reach the Miller loop and final
-    exponentiation, and chains reach `sign` and `g2_from_bytes`, through
-    module namespaces, so wrapping the attributes counts every call."""
+    signature per header whose signature is read (4 of the 11 produced, the
+    ones proven) and one decode per validator key (15 keys on four chains).
+    The pairing routes reach the Miller loop and final exponentiation, and
+    chains reach `sign` and `g2_from_bytes`, through module namespaces, so
+    wrapping the attributes counts every call."""
     counts = {}
     pairing_names = ("pairing", "pairing_product", "miller_loop", "final_exponentiation")
     wrapped = [(bn254, name) for name in pairing_names] + [(bls, "sign"), (commitment, "g2_from_bytes")]
@@ -120,8 +123,10 @@ def test_demo_run_operation_counts(monkeypatch):
     result = harness.run(load_scenario(DEMO))
     assert result.ok
     chains = [result.env.rc.chain, *result.env.chains.values()]
-    headers = sum(len(chain.headers) for chain in chains)
-    assert counts.pop("sign") == headers == 11
+    headers = [header for chain in chains for header in chain.headers]
+    signed = [header for header in headers if "point" in vars(header.agg)]
+    assert len(headers) == 11
+    assert counts.pop("sign") == len(signed) == 4
     assert counts == {
         "pairing": 2,
         "pairing_product": 2,
@@ -230,6 +235,66 @@ def test_cyclotomic_squaring_and_naf_power_after_easy_part(a):
     m = fp12_mul(fp12_frobenius2(t), t)
     assert fp12_cyclotomic_sqr(m) == fp12_sqr(m)
     assert bn254._cyclotomic_pow_u(m) == fp12_pow(m, U)
+
+
+def _g1_mul_reference(pt, k):
+    """[k]pt by plain affine double-and-add over the bits of k mod R."""
+    acc = None
+    for bit in bin(k % R)[2:]:
+        acc = g1_add(acc, acc)
+        if bit == "1":
+            acc = g1_add(acc, pt)
+    return acc
+
+
+GLV_BETA = 2203960485148121921418603742825762020974279258880205651966
+GLV_LAMBDA = 4407920970296243842393367215006156084916469457145843978461
+
+
+def test_glv_constants():
+    """BETA is a non-trivial cube root of unity in Fp and LAMBDA one in Fr,
+    matched so that phi(G1) = [LAMBDA]G1; the basis vectors lie in the
+    lattice of (a, b) with a + b LAMBDA = 0 mod R, span it (determinant R)
+    and are below 2^128."""
+    assert (bn254.BETA, bn254.LAMBDA) == (GLV_BETA, GLV_LAMBDA)
+    assert pow(GLV_BETA, 3, P) == 1 != GLV_BETA
+    assert (GLV_LAMBDA * GLV_LAMBDA + GLV_LAMBDA + 1) % R == 0
+    assert (GLV_BETA * G1_GEN[0] % P, G1_GEN[1]) == _g1_mul_reference(G1_GEN, GLV_LAMBDA)
+    basis = ((bn254._GLV_A1, bn254._GLV_B1), (bn254._GLV_A2, bn254._GLV_B2))
+    for a, b in basis:
+        assert (a + b * GLV_LAMBDA) % R == 0
+        assert abs(a) < 2**128 and abs(b) < 2**128
+    (a1, b1), (a2, b2) = basis
+    assert a1 * b2 - a2 * b1 == R
+
+
+G1_SCALARS = (0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 2**127, 2**128 - 1, 2**128,
+              R - 1, R, R + 1, GLV_LAMBDA, R - GLV_LAMBDA, 2 * R + 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.none(), st.just(G1_GEN), st.binary(min_size=1, max_size=16).map(hash_to_curve)),
+    st.one_of(st.sampled_from(G1_SCALARS), st.integers(0, 2**128), st.integers(0, R - 1), st.integers(0, 2**300)),
+)
+@example(None, 5)
+@example(G1_GEN, GLV_LAMBDA)
+@example(G1_GEN, R - GLV_LAMBDA)
+def test_g1_mul_matches_double_and_add(pt, k):
+    """GLV with width-4 NAF digits against the plain ladder, on random
+    curve points, the generator and the identity; the split halves stay
+    below 2^128."""
+    assert g1_mul(pt, k) == _g1_mul_reference(pt, k)
+    k1, k2 = bn254._glv_split(k % R)
+    assert (k1 + k2 * GLV_LAMBDA - k) % R == 0
+    assert abs(k1) < 2**128 and abs(k2) < 2**128
+
+
+def test_g1_mul_on_named_scalars():
+    pt = hash_to_curve(b"named scalars")
+    for k in G1_SCALARS:
+        assert g1_mul(pt, k) == _g1_mul_reference(pt, k)
+    assert g1_mul(pt, R) is None and g1_mul(pt, GLV_LAMBDA) == (GLV_BETA * pt[0] % P, pt[1])
 
 
 def test_g2_base_mul_matches_g2_mul():

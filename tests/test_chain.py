@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from relaysim.chain import (
+    AggregateSignature,
     AssetPayload,
     BlockReleased,
     BlockWithheld,
@@ -17,7 +18,7 @@ from relaysim.chain import (
     ReceiptMessage,
     decode_ctx,
 )
-from relaysim.crypto import bls
+from relaysim.crypto import bls, bn254
 from relaysim.crypto.commitment import commitment_digest
 from relaysim.crypto.merkle import merkle_verify
 
@@ -109,6 +110,66 @@ def test_quorum_is_checked_before_signing(monkeypatch):
     monkeypatch.setattr(bls, "sign", lambda *args: pytest.fail("signed a withheld block"))
     with pytest.raises(BlockWithheld):
         chain.produce_block()
+
+
+def _signer_secrets(chain, header):
+    vset = chain.signing_set_for(header)
+    secrets = chain.epoch_secrets(vset.epoch)
+    return [secrets[e.pubkey_bytes] for e, bit in zip(vset.entries, header.agg.bitmap) if bit]
+
+
+def test_a_header_is_signed_when_its_signature_is_first_read(monkeypatch):
+    """Producing a block signs nothing; the first read of `agg.point` signs
+    once, with the signers captured at production, and gives the point that
+    signing eagerly gives. Reading the bitmap or the payload signs nothing."""
+    calls = []
+    monkeypatch.setattr(bls, "sign", lambda *args, _fn=bls.sign: calls.append(args) or _fn(*args))
+    chain = Chain(ChainConfig(chain_id=1, epoch_size=3, weights=(1, 1, 1, 1), key_namespace="lazy"))
+    chain.withhold_fraction(0.25)
+    for _ in range(4):
+        chain.produce_block()
+    header = chain.header_at(2)
+    assert header.agg.bitmap == (False, True, True, True) and header.signing_payload()
+    assert calls == []
+    signers = _signer_secrets(chain, header)
+    point = header.agg.point
+    assert header.agg.point is point and len(calls) == 1
+    assert point == bls.sign_aggregate(signers, header.signing_payload())
+    assert len(calls) == 2  # the eager reference above; no header signed again
+    assert "point" not in vars(chain.header_at(1).agg)
+
+
+def test_withholding_after_production_leaves_a_produced_signature_unchanged():
+    chain = Chain(ChainConfig(chain_id=1, epoch_size=10, weights=(1, 1, 1, 1), key_namespace="wh-late"))
+    _, header = chain.produce_block()
+    expected = bls.sign_aggregate(_signer_secrets(chain, header), header.signing_payload())
+    assert chain.withhold_fraction(0.25) == 1
+    assert header.agg.bitmap == (True,) * 4
+    assert header.agg.point == expected
+    assert chain.produce_block()[1].agg.bitmap == (False, True, True, True)
+
+
+def test_a_signed_on_read_aggregate_acts_as_a_plain_one():
+    """Construction, `replace`, equality and hashing read the signature;
+    the summed secret is no field, so no repr or comparison shows it."""
+    chain = Chain(ChainConfig(chain_id=1, epoch_size=10, weights=(1, 1, 1, 1), key_namespace="plain"))
+    _, header = chain.produce_block()
+    agg = header.agg
+    secret = sum(_signer_secrets(chain, header)) % bn254.R
+    text = repr(agg)
+    assert str(secret) not in text and hex(secret)[2:] not in text
+    assert "point" in vars(agg) and "_unsigned" not in vars(agg)
+    plain = AggregateSignature(point=agg.point, bitmap=agg.bitmap)
+    assert plain == agg and agg == plain and hash(plain) == hash(agg)
+    assert replace(agg, bitmap=(True,) * 3 + (False,)) == AggregateSignature(agg.point, (True,) * 3 + (False,))
+    other = Chain(ChainConfig(chain_id=1, epoch_size=10, weights=(1, 1, 1, 1), key_namespace="plain"))
+    other.produce_block()
+    assert other.header_at(1) == header and {other.header_at(1).agg: 1}[agg] == 1
+    fresh = AggregateSignature.sign_on_read(agg.bitmap, secret + 1, header.signing_payload())
+    assert fresh != agg and fresh.point != agg.point
+    assert replace(header, agg=replace(header.agg, point=None)).agg.point is None
+    with pytest.raises(AttributeError):
+        agg.secret
 
 
 def test_boundary_header_announces_rotated_set():

@@ -447,6 +447,30 @@ def test_a_check_alone_is_the_single_equation(honest_triples, monkeypatch):
         assert counts == dict.fromkeys(counts, 0)
 
 
+def test_members_under_one_key_share_its_miller_pair(keypairs, monkeypatch):
+    """Four members under two keys take one Miller pair per key plus the
+    signature's: 3, with the same 6 g1_mul and final exponentiations as
+    four keys. Two signatures swapped under one key fail the batch, and
+    each member then gets the verdict it gets alone."""
+    triples = []
+    for i, kp in enumerate(keypairs[:2] * 2):
+        msg = b"one key, member %d" % i
+        triples.append((kp.public, hash_to_curve(msg), bls.sign(kp.secret, msg)))
+    (apk0, h0, s0), second, (apk2, h2, s2), fourth = triples
+    swapped = [(apk0, h0, s2), second, (apk2, h2, s0), fourth]
+    assert apk0 == apk2
+    counts = _count_pairing_work(monkeypatch)
+    for (verify_batch, verify), fe in zip(ROUTES, (2, 1)):
+        _clear_verify_memos()
+        assert verify_batch(triples) == [True] * 4
+        assert counts == {"miller_pairs": 3, "final_exponentiation": fe, "g1_mul": 6}
+        _clear_verify_memos()
+        assert verify_batch(swapped) == [False, True, False, True]
+        _clear_verify_memos()
+        assert [verify(*t) for t in swapped] == [False, True, False, True]
+        counts.update(dict.fromkeys(counts, 0))
+
+
 def test_failed_batch_is_decided_member_by_member(honest_triples, monkeypatch):
     """One forged member fails the batch; each member is then decided
     alone, so the honest ones still pass and every verdict is memoised."""

@@ -881,46 +881,11 @@ def test_a_stage_already_reached_builds_no_trace_event(backend, monkeypatch):
     assert built.count("prove_sc") == built.count("prove_rc") == len(env.submitted) == 8
 
 
-@pytest.mark.parametrize("route", ["transparent", "counting"])
-def test_source_scan_pairing_costs_on_a_stream_shaped_run(route, backend, counting_backend, monkeypatch):
-    """Two source chains of 4 validators, epoch 4, a 3-transaction wave a
-    round and two honest provers. The first prover's source scan decides
-    its k new headers in one check: for k >= 2 that is k + 1 Miller pairs,
-    2(k - 1) g1_mul for the coefficients (r_1 = 1), and 2 final
-    exponentiations on the two-sided route or 1 on the product route; k = 1
-    is the single check, with no g1_mul. The second prover's scans find each
-    verdict in the memo and pay no Miller loop and no final exponentiation."""
-    from relaysim.crypto import bls, bn254
-
-    counts = {"miller_pairs": 0, "final_exponentiation": 0, "g1_mul": 0}
-
-    def miller_loop(pairs, _fn=bn254.miller_loop):
-        counts["miller_pairs"] += len(pairs)
-        return _fn(pairs)
-
-    def counted(name):
-        def call(*args, _fn=getattr(bn254, name)):
-            counts[name] += 1
-            return _fn(*args)
-
-        return call
-
-    scans = []
-
-    def scan_sources(env, prover, _fn=RelayEnvironment._scan_sources):
-        before, proven = dict(counts), len(prover._zk_cache)
-        _fn(env, prover)
-        scans.append((prover.name, len(prover._zk_cache) - proven, {k: counts[k] - before[k] for k in counts}))
-
-    monkeypatch.setattr(bn254, "miller_loop", miller_loop)
-    monkeypatch.setattr(bn254, "final_exponentiation", counted("final_exponentiation"))
-    monkeypatch.setattr(bn254, "g1_mul", counted("g1_mul"))
-    monkeypatch.setattr(RelayEnvironment, "_scan_sources", scan_sources)
-    bls._pairing_equal_cached.cache_clear()
-    bls._pairing_product_cached.cache_clear()
-
-    be, fe = (backend, 2) if route == "transparent" else (counting_backend, 1)
-    env = RelayEnvironment(ChainConfig(chain_id=100, epoch_size=4, weights=(1,) * 4, key_namespace="st/rc"), be)
+def _stream_shaped_run(backend) -> RelayEnvironment:
+    """Two source chains of 4 validators, epoch 4, 16 transactions in
+    3-transaction waves, one a round, and two honest provers, run until
+    every transaction completes."""
+    env = RelayEnvironment(ChainConfig(chain_id=100, epoch_size=4, weights=(1,) * 4, key_namespace="st/rc"), backend)
     for cid in (1, 2):
         env.add_chain(ChainConfig(chain_id=cid, epoch_size=4, weights=(1,) * 4, key_namespace=f"st/{cid}"))
     env.add_prover("p0")
@@ -932,14 +897,109 @@ def test_source_scan_pairing_costs_on_a_stream_shaped_run(route, backend, counti
             keys.append(env.submit(src, 3 - src, MessagePayload(bytes([wave, i]))))
         env.step()
     assert env.run_until_complete(keys)[0]
+    return env
 
-    first = [(k, cost) for name, k, cost in scans if name == "p0"]
-    assert {k for k, _ in first} >= {1, 2, 4}
-    for k, cost in first:
+
+@pytest.mark.parametrize("route", ["transparent", "counting"])
+def test_a_header_is_signed_and_hashed_to_the_curve_once_for_every_prover(route, backend, counting_backend, monkeypatch):
+    """On the stream-shaped run `bls.sign` runs once per header whose
+    signature is read and `prover.base_to_g` once per header proven, though
+    both provers prove each of them; headers nobody proves are never signed.
+    The pairing layer runs as many Miller loops and final exponentiations
+    as when every header was signed and hashed once per prover."""
+    from relaysim import prover as prover_module
+    from relaysim.crypto import bls, bn254
+
+    counts = dict.fromkeys(("sign", "base_to_g", "miller_loop", "final_exponentiation"), 0)
+    for module, name in ((bls, "sign"), (prover_module, "base_to_g"), (bn254, "miller_loop"), (bn254, "final_exponentiation")):
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    bls._pairing_equal_cached.cache_clear()
+    bls._pairing_product_cached.cache_clear()
+    prover_module._message_point.cache_clear()
+
+    be, fe = (backend, 2) if route == "transparent" else (counting_backend, 1)
+    env = _stream_shaped_run(be)
+    chains = [env.rc.chain, *env.chains.values()]
+    read = [h for chain in chains for h in chain.headers if "point" in vars(h.agg)]
+    proven = [set(p._zk_cache) for p in env.provers]
+    assert len(proven) == 2 and proven[0] == proven[1]
+    assert counts["sign"] == len(read) == len(proven[0]) == 21
+    assert counts["base_to_g"] == len(proven[0])
+    assert sum(len(chain.headers) for chain in chains) == 31
+    # 12 checks: 2 Miller loops and 2 final exponentiations each on the
+    # two-sided route, 1 and 1 on the product route
+    assert counts["miller_loop"] == counts["final_exponentiation"] == 12 * fe
+
+
+@pytest.mark.parametrize("route", ["transparent", "counting"])
+def test_source_scan_pairing_costs_on_a_stream_shaped_run(route, backend, counting_backend, monkeypatch):
+    """Two source chains of 4 validators, epoch 4, a 3-transaction wave a
+    round and two honest provers. The first prover's source scan decides
+    its k new headers in one check: for k >= 2 that is one Miller pair per
+    distinct aggregate key plus one, 2(k - 1) g1_mul for the coefficients
+    (r_1 = 1), and 2 final exponentiations on the two-sided route or 1 on
+    the product route; k = 1 is the single check, with no g1_mul. Every
+    validator signs and keys never rotate, so a chain's headers share one
+    key. Headers are signed when the scan first reads them, so `g1_mul`
+    counts only the calls outside `bls.sign`. The second prover's scans
+    find each verdict in the memo and pay no Miller loop and no final
+    exponentiation."""
+    from relaysim.crypto import bls, bn254
+
+    counts = {"miller_pairs": 0, "final_exponentiation": 0, "g1_mul": 0}
+    signing = []
+
+    def miller_loop(pairs, _fn=bn254.miller_loop):
+        counts["miller_pairs"] += len(pairs)
+        return _fn(pairs)
+
+    def final_exponentiation(f, _fn=bn254.final_exponentiation):
+        counts["final_exponentiation"] += 1
+        return _fn(f)
+
+    def g1_mul(*args, _fn=bn254.g1_mul):
+        counts["g1_mul"] += not signing
+        return _fn(*args)
+
+    def sign(*args, _fn=bls.sign):
+        signing.append(True)
+        try:
+            return _fn(*args)
+        finally:
+            signing.pop()
+
+    scans = []
+
+    def scan_sources(env, prover, _fn=RelayEnvironment._scan_sources):
+        before, proven = dict(counts), set(prover._zk_cache)
+        _fn(env, prover)
+        new = set(prover._zk_cache) - proven
+        keys = len({cid for cid, _ in new})
+        scans.append((prover.name, len(new), keys, {k: counts[k] - before[k] for k in counts}))
+
+    monkeypatch.setattr(bn254, "miller_loop", miller_loop)
+    monkeypatch.setattr(bn254, "final_exponentiation", final_exponentiation)
+    monkeypatch.setattr(bn254, "g1_mul", g1_mul)
+    monkeypatch.setattr(bls, "sign", sign)
+    monkeypatch.setattr(RelayEnvironment, "_scan_sources", scan_sources)
+    bls._pairing_equal_cached.cache_clear()
+    bls._pairing_product_cached.cache_clear()
+
+    be, fe = (backend, 2) if route == "transparent" else (counting_backend, 1)
+    _stream_shaped_run(be)
+
+    first = [(k, n, cost) for name, k, n, cost in scans if name == "p0"]
+    assert {k for k, _, _ in first} >= {1, 2, 4}
+    assert (4, 2) in {(k, n) for k, n, _ in first}
+    for k, n, cost in first:
         if k:
-            assert cost == {"miller_pairs": k + 1, "final_exponentiation": fe, "g1_mul": 2 * (k - 1)}
+            assert cost == {"miller_pairs": n + 1, "final_exponentiation": fe, "g1_mul": 2 * (k - 1)}
         else:
             assert cost == dict.fromkeys(counts, 0)
-    second = [(k, cost) for name, k, cost in scans if name == "p1"]
-    assert [k for k, _ in second] == [k for k, _ in first]
+    second = [(k, cost) for name, k, _, cost in scans if name == "p1"]
+    assert [k for k, _ in second] == [k for k, _, _ in first]
     assert all(cost == dict.fromkeys(counts, 0) for _, cost in second)
