@@ -41,7 +41,7 @@ from .prover import (
     ZkProof,
     ZkStatement,
 )
-from .relay import DeploymentPlan, RelayEnvironment, deployment_plan, end_to_end_relay
+from .relay import DeploymentPlan, RelayEnvironment, deployment_plan
 from .scenario import Scenario, default_scenario, load_scenario
 
 __version__ = "0.1.0"
@@ -80,7 +80,6 @@ __all__ = [
     "default_scenario",
     "degradation_report",
     "deployment_plan",
-    "end_to_end_relay",
     "hlc_setup",
     "hlc_update",
     "hlc_verify",

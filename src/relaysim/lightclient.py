@@ -264,23 +264,19 @@ def public_inputs(
     )
 
 
-# The (state, header, zk_proof, backend) of the last proof check that passed.
-# All four are immutable, so the same objects get the same verdict: the
-# receipts of one block share their header's proof, which is checked once.
-# Matched by identity, and held so that no other object can take their ids.
-_passed: Tuple[object, ...] = (None, None, None, None)
-
-
 def _check_proof(
     state: HybridLcState, header: BlockHeader, zk_proof, meter: GasMeter, backend
 ) -> Optional[RejectReason]:
-    global _passed
     # the client derives every bindable public input itself, on-chain
     meter.charge("sload_word", 3)
     meter.charge("hash_op", 3)  # hash-to-base of the signing payload
     meter.charge("hash_op", 1)  # header digest
-    last_state, last_header, last_proof, last_backend = _passed
-    if state is last_state and header is last_header and zk_proof is last_proof and backend is last_backend:
+    # The backend's last passed (state, header, zk_proof): all three are
+    # immutable, so the same objects get the same verdict, and the receipts
+    # of one block share their header's proof, which is checked once.
+    # Matched by identity, and held so that no other object can take their ids.
+    last_state, last_header, last_proof = backend.last_passed
+    if state is last_state and header is last_header and zk_proof is last_proof:
         meter.charge("snark_verify")
         return None
     claimed = zk_proof.publics.claimed_weight
@@ -290,7 +286,7 @@ def _check_proof(
     meter.charge("snark_verify")
     if not backend.verify(zk_proof, expected):
         return RejectReason.PROOF_INVALID
-    _passed = (state, header, zk_proof, backend)
+    backend.last_passed = (state, header, zk_proof)
     return None
 
 

@@ -92,6 +92,7 @@ class _Backend:
     inputs under a private key; verification recomputes the binding, or
     reads it back for the public inputs it bound last. A
     backend states only its pairing decision route and its gate report.
+    Both memos live on the instance, so they go with the run that made it.
 
     Subclasses bind `prove` and `verify` in their own class body:
     perfbench/probes.py wraps each class's own methods.
@@ -102,13 +103,16 @@ class _Backend:
     def __init__(self, key: bytes):
         # HMAC keyed and fed `name || "|"` once; each attestation copies it
         # (RFC 2104 section 4: precomputed inner and outer key states)
-        self._mac = hmac.new(key, self.name.encode() + b"|", hashlib.sha256)
+        mac = hmac.new(key, self.name.encode() + b"|", hashlib.sha256)
 
-    @functools.lru_cache(maxsize=32)  # keyed on (backend, publics)
-    def _attest(self, publics: PublicInputs) -> bytes:
-        mac = self._mac.copy()
-        mac.update(publics.canonical_bytes())
-        return mac.digest()
+        @functools.lru_cache(maxsize=32)  # the last attestations, not holding self
+        def attest(publics: PublicInputs) -> bytes:
+            bound = mac.copy()
+            bound.update(publics.canonical_bytes())
+            return bound.digest()
+
+        self._attest = attest
+        self.last_passed: Tuple[object, ...] = (None, None, None)  # see lightclient._check_proof
 
     def check_statement(self, statement: ZkStatement) -> bool:
         args = statement.pairing_args

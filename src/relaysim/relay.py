@@ -43,22 +43,34 @@ from .chain import (
     decode_ctx,
 )
 from .costs import GasCostTable, GasReceipt, Items, hlc_setup_gas, lc_setup_gas
+from .crypto import bls, bn254
 from .lightclient import (
     HybridLcState,
     RejectReason,
     UpdateResult,
     VerifyResult,
+    _header_terms,
     hlc_setup,
     hlc_update,
     hlc_verify,
 )
-from .prover import ProofBundle, Prover
+from .prover import ProofBundle, Prover, _message_point
 from .trace import TraceEvent, TraceLog
 
 ICTX_TAG = b"ICTX1"  # intermediate record, written on the relay chain
 FIN_TAG = b"FIN1"  # final record, written on a destination chain
 # each tag's fixed-width head: tag, origin_chain, len(ctx)
 _HOP_HEADS = {tag: struct.Struct(f">{len(tag)}s2Q") for tag in (ICTX_TAG, FIN_TAG)}
+# The memos whose entries are pure functions of their keys: module objects
+# with their size bounds, emptied by each new environment, so the work a
+# run does depends on that run alone.
+_RUN_MEMOS = (
+    bls._pairing_equal_cached,
+    bls._pairing_product_cached,
+    bn254._line_schedule,
+    _header_terms,
+    _message_point,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,6 +320,8 @@ class RelayEnvironment:
         backend,
         table: Optional[GasCostTable] = None,
     ):
+        for memo in _RUN_MEMOS:
+            memo.cache_clear()
         self.table = table if table is not None else GasCostTable()
         self.backend = backend
         self.clock = LogicalClock()
@@ -394,34 +408,16 @@ class RelayEnvironment:
             return
         self.trace.record(TraceEvent(key=key, stage=stage, time=time, chain=chain, verdict=verdict, gas=gas))
 
-    def _log_receipt(self, context: str, chain_id: int, receipt: GasReceipt) -> None:
-        key = (context, chain_id, receipt.operation, receipt.items)
+    def _log_receipt(self, context: str, chain_id: int, receipt, **head) -> None:
+        """Log a gas receipt under its operation, or a gate report under the
+        `head` fields given: one shared dict per distinct entry."""
+        head = head or {"operation": receipt.operation}
+        key = (context, chain_id, *head.values(), receipt.items)
         entry = self._entries.get(key)
         if entry is None:
-            entry = self._entries[key] = {
-                "context": context,
-                "chain": chain_id,
-                "operation": receipt.operation,
-                "items": self._items.setdefault(receipt.items, receipt.items),
-                "total": receipt.total,
-            }
-        self.receipts_log.append(entry)
-
-    def _log_gate_report(self, bundle: ProofBundle) -> None:
-        report = bundle.zk_proof.gate_report
-        if report is None:
-            return
-        key = ("gate_report", bundle.origin_chain, report.mode, report.signers, report.items)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = self._entries[key] = {
-                "context": "gate_report",
-                "chain": bundle.origin_chain,
-                "mode": report.mode,
-                "signers": report.signers,
-                "items": self._items.setdefault(report.items, report.items),
-                "total": report.total,
-            }
+            items = self._items.setdefault(receipt.items, receipt.items)
+            entry = {"context": context, "chain": chain_id, **head, "items": items, "total": receipt.total}
+            self._entries[key] = entry
         self.receipts_log.append(entry)
 
     def _reject(self, stage: str, chain: int, key, reason: RejectReason) -> None:
@@ -537,7 +533,11 @@ class RelayEnvironment:
             self._log_receipt("hlc_verify", host_id, result.receipt)
             if at_relay:
                 self._pending_rc_gas[key] = result.receipt.total
-                self._log_gate_report(bundle)
+                report = bundle.zk_proof.gate_report
+                if report is not None:
+                    self._log_receipt(
+                        "gate_report", bundle.origin_chain, report, mode=report.mode, signers=report.signers
+                    )
             else:
                 self._record(key, "verify_dc", host_id, gas=result.receipt.total)
         return delivery
@@ -600,12 +600,3 @@ class RelayEnvironment:
             if submitted is None or submitted.payload.to_bytes() != record.ctx.payload.to_bytes():
                 bad.append(key)
         return sorted(bad)
-
-
-def end_to_end_relay(env: RelayEnvironment, source_id: int, dest_id: int, payload, horizon_rounds: int = 10):
-    """Relay one transaction and return its ordered trace events."""
-    key = env.submit(source_id, dest_id, payload)
-    done, _ = env.run_until_complete([key], horizon_rounds)
-    if not done:
-        raise RuntimeError(f"relay of {key} did not complete within the horizon")
-    return env.trace.for_key(key)

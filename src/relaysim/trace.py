@@ -145,12 +145,6 @@ class TraceLog:
             return False
         return _POSITION.unpack_from(self._positions, (row * _WIDTH + _STAGE_INDEX[stage]) * _POSITION.size)[0] >= 0
 
-    def for_key(self, key: Key) -> List[TraceEvent]:
-        row = self._rows.get(key)
-        if row is None:
-            return []
-        return [self._as_event(*fields) for fields in self._records() if fields[0] == row]
-
     def stages_of(self, key: Key) -> Dict[str, TraceEvent]:
         """The latest accepted event of each stage `key` reached."""
         return {stage: self._event(position) for stage, position in self._stage_positions(key) if position >= 0}

@@ -118,8 +118,6 @@ def test_demo_run_operation_counts(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(module, name, counted)
-    bls._pairing_equal_cached.cache_clear()
-    bls._pairing_product_cached.cache_clear()
     result = harness.run(load_scenario(DEMO))
     assert result.ok
     chains = [result.env.rc.chain, *result.env.chains.values()]
@@ -137,9 +135,9 @@ def test_demo_run_operation_counts(monkeypatch):
 
 
 def test_demo_run_builds_one_line_schedule_per_distinct_g2_argument(monkeypatch):
-    """From cleared caches the demo's 4 Miller loops run over 6 (q, p)
-    pairs on 5 distinct G2 points (G2_GEN and four aggregate keys): 5
-    schedules are built, and the other pair reads a cached one."""
+    """From the cold memos of a new run the demo's 4 Miller loops run over
+    6 (q, p) pairs on 5 distinct G2 points (G2_GEN and four aggregate
+    keys): 5 schedules are built, and the other pair reads a cached one."""
     arguments = []
 
     def recording(pairs, _fn=bn254.miller_loop):
@@ -147,9 +145,6 @@ def test_demo_run_builds_one_line_schedule_per_distinct_g2_argument(monkeypatch)
         return _fn(pairs)
 
     monkeypatch.setattr(bn254, "miller_loop", recording)
-    bls._pairing_equal_cached.cache_clear()
-    bls._pairing_product_cached.cache_clear()
-    bn254._line_schedule.cache_clear()
     assert harness.run(load_scenario(DEMO)).ok
     info = bn254._line_schedule.cache_info()
     assert len(arguments) == 6 and G2_GEN in arguments

@@ -112,6 +112,48 @@ def test_same_seed_byte_identical_artifacts(tmp_path):
         assert a == b, f"{name} differs between identical runs"
 
 
+DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml"
+
+
+def test_a_second_run_in_one_process_does_the_same_work(monkeypatch):
+    """Each environment starts with cold memos, so a second demo run in the
+    same process makes the first run's pairings, Miller loops, final
+    exponentiations and hash-to-curve steps again, not none of them."""
+    from relaysim import prover
+    from relaysim.crypto import bn254
+
+    counts = {}
+    wrapped = [(bn254, "pairing"), (bn254, "miller_loop"), (bn254, "final_exponentiation")]
+    wrapped += [(lightclient, "hash_to_base"), (prover, "base_to_g")]
+    for module, name in wrapped:
+
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    runs = []
+    for _ in range(2):
+        counts.update((name, 0) for _, name in wrapped)
+        assert harness.run(load_scenario(DEMO)).ok
+        runs.append(dict(counts))
+    expected = {"pairing": 2, "miller_loop": 4, "final_exponentiation": 4, "hash_to_base": 4, "base_to_g": 4}
+    assert runs == [expected, expected]
+
+
+def test_a_dropped_run_releases_its_backend():
+    """No memo outlives the run that filled it: once a run's result is
+    dropped, its backend is collected."""
+    import gc
+    import weakref
+
+    result = harness.run(load_scenario(DEMO))
+    backend = weakref.ref(result.env.backend)
+    del result
+    gc.collect()
+    assert backend() is None
+
+
 DEMO_ARTIFACT_SHA256 = {
     "trace.jsonl": "4b39487721f8742af7a2f742705a5695ec2c03bf92466470c529f38cbe738082",
     "receipts.jsonl": "8e5e288bff6ff5da362bc9bc0085820d3fd10b2b2f9413b01453973c0a5e52ca",
@@ -125,8 +167,7 @@ def test_demo_run_artifacts_match_pinned_digests(tmp_path, capsys):
     the pinned run: a refactor that keeps behaviour keeps these digests."""
     import hashlib
 
-    demo = Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml"
-    assert cli.main(["--scenario", str(demo), "run", "--out", str(tmp_path)]) == 0
+    assert cli.main(["--scenario", str(DEMO), "run", "--out", str(tmp_path)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == DEMO_ARTIFACT_SHA256
 
@@ -137,8 +178,7 @@ DEMO_ATTACKS_SHA256 = "5501599331ffc48a7652106973c34deaf754797b7197598ad07db43d8
 def test_demo_attack_artifact_matches_pinned_digest(tmp_path, capsys):
     """`relaysim --scenario scenarios/demo.yaml attack` writes the same
     verdicts, tallies included, as the pinned run."""
-    demo = Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml"
-    assert cli.main(["--scenario", str(demo), "attack", "--out", str(tmp_path)]) == 0
+    assert cli.main(["--scenario", str(DEMO), "attack", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     data = (tmp_path / "attacks.jsonl").read_bytes()
     assert hashlib.sha256(data).hexdigest() == DEMO_ATTACKS_SHA256
@@ -284,7 +324,7 @@ def test_consistency_with_one_receipt_per_block_rejects_all():
     receipt in each block, so every Merkle path is empty: a reused path is
     then the honest one, and the corpus reuses the donor's proof of validity
     instead."""
-    demo = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml")
+    demo = load_scenario(DEMO)
     _, corpus = harness.harvested_corpus(demo, honest_count=4)
     assert {b.merkle_proof.path for b in corpus.live} == {()}
     verdict = harness.attack_consistency(demo, forgeries=100, honest_count=4)

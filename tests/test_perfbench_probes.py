@@ -1,14 +1,17 @@
-"""The probe tables of `perfbench/probes.py` against the package: every
-traced target and every required alias binding still resolves, so deleting
-or renaming a function the benchmark patches fails here, not first in a
-traced benchmark run. The file is only read, never changed."""
+"""The probe tables of `perfbench/probes.py` and the memos
+`perfbench/worker.py` reads, against the package: every traced target,
+every required alias binding and every memo read still resolves, so
+deleting or renaming a name the benchmark uses fails here, not first in a
+traced benchmark run. The files are only read, never changed."""
 
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 PROBES = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
+WORKER = PROBES.with_name("worker.py")
 _spec = importlib.util.spec_from_file_location("perfbench_probes", PROBES)
 probes = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)  # dataclasses look it up
 _spec.loader.exec_module(probes)
@@ -42,3 +45,14 @@ def test_every_required_binding_holds_a_traced_object():
         if not any(value is obj for obj in traced):
             missing.append(binding)
     assert missing == []
+
+
+def test_every_memo_the_worker_reads_still_reports_its_field():
+    """Each `bls.<name>.cache_info().<field>` in `perfbench/worker.py` names
+    a module object of `bls` whose `cache_info()` has that field."""
+    from relaysim.crypto import bls
+
+    reads = re.findall(r"\bbls\.(\w+)\.cache_info\(\)\.(\w+)", WORKER.read_text())
+    assert reads  # the worker reads the verify memos' hits
+    assert [(name, field) for name, field in reads if not hasattr(getattr(bls, name, None), "cache_info")] == []
+    assert [(name, field) for name, field in reads if not hasattr(getattr(bls, name).cache_info(), field)] == []

@@ -36,7 +36,6 @@ from relaysim.relay import (
     RelayEnvironment,
     decode_ctx,
     deployment_plan,
-    end_to_end_relay,
 )
 from relaysim.lightclient import RejectReason, VerifyResult
 from relaysim.trace import PIPELINE_STAGES, TraceEvent
@@ -55,6 +54,14 @@ def _env(backend, n_chains=3, epoch_size=10, rc_validators=4):
     return env
 
 
+def _relay_one(env, source_id, dest_id, payload):
+    """Relay one transaction to completion and return its trace events."""
+    key = env.submit(source_id, dest_id, payload)
+    done, _ = env.run_until_complete([key], 10)
+    assert done
+    return [e for e in env.trace.events if e.key == key]
+
+
 def test_register_sources_and_duplicate(backend):
     env = _env(backend)
     assert len(env.rc.clients) == 3
@@ -70,7 +77,7 @@ def test_registration_gas_anchor(backend):
 
 def test_end_to_end_seven_stage_trace(backend):
     env = _env(backend)
-    events = end_to_end_relay(env, 1, 2, AssetPayload(token="USDC", amount=5))
+    events = _relay_one(env, 1, 2, AssetPayload(token="USDC", amount=5))
     assert [e.stage for e in events] == list(PIPELINE_STAGES)
     times = [e.time for e in events]
     assert times == sorted(times) and len(set(times)) == len(times)
@@ -109,8 +116,8 @@ def test_submit_to_unregistered_destination_fails(backend):
 
 def test_reverse_direction_works(backend):
     env = _env(backend)
-    first = end_to_end_relay(env, 1, 2, MessagePayload(b"fwd"))
-    second = end_to_end_relay(env, 2, 1, MessagePayload(b"rev"))
+    first = _relay_one(env, 1, 2, MessagePayload(b"fwd"))
+    second = _relay_one(env, 2, 1, MessagePayload(b"rev"))
     assert [e.stage for e in first] == list(PIPELINE_STAGES)
     assert [e.stage for e in second] == list(PIPELINE_STAGES)
 
@@ -220,7 +227,7 @@ def test_drain_delivers_each_copy_of_a_rejected_bundle(backend):
     env.step()
     rejection = Rejection("confirm_rc", env.rc_id, key, RejectReason.MERKLE_FAIL.value)
     assert env.rejections == [rejection, rejection]
-    assert [e.verdict for e in env.trace.for_key(key) if e.stage == "confirm_rc"] == [
+    assert [e.verdict for e in env.trace.events if e.key == key and e.stage == "confirm_rc"] == [
         "reject:merkle-fail",
         "reject:merkle-fail",
         "ok",
@@ -650,8 +657,8 @@ def test_demo_run_decode_and_hash_counts(monkeypatch):
     import sys
     from pathlib import Path
 
-    from relaysim import chain, harness, lightclient, prover, relay
-    from relaysim.crypto import bls, bn254
+    from relaysim import chain, harness, lightclient, relay
+    from relaysim.crypto import bn254
     from relaysim.scenario import load_scenario
 
     counts = {}
@@ -673,10 +680,6 @@ def test_demo_run_decode_and_hash_counts(monkeypatch):
     count("hlc_verify", relay.hlc_verify, [relay])
     count("hash_to_base", lightclient.hash_to_base, [lightclient])
     count("pairing", bn254.pairing, [bn254])
-    bls._pairing_equal_cached.cache_clear()
-    bls._pairing_product_cached.cache_clear()
-    lightclient._header_terms.cache_clear()
-    prover._Backend._attest.cache_clear()
     demo = Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml"
     result = harness.run(load_scenario(demo))
     assert result.ok and result.confirmed == 100
@@ -917,9 +920,6 @@ def test_a_header_is_signed_and_hashed_to_the_curve_once_for_every_prover(route,
             return _fn(*args)
 
         monkeypatch.setattr(module, name, counted)
-    bls._pairing_equal_cached.cache_clear()
-    bls._pairing_product_cached.cache_clear()
-    prover_module._message_point.cache_clear()
 
     be, fe = (backend, 2) if route == "transparent" else (counting_backend, 1)
     env = _stream_shaped_run(be)
@@ -986,8 +986,6 @@ def test_source_scan_pairing_costs_on_a_stream_shaped_run(route, backend, counti
     monkeypatch.setattr(bn254, "g1_mul", g1_mul)
     monkeypatch.setattr(bls, "sign", sign)
     monkeypatch.setattr(RelayEnvironment, "_scan_sources", scan_sources)
-    bls._pairing_equal_cached.cache_clear()
-    bls._pairing_product_cached.cache_clear()
 
     be, fe = (backend, 2) if route == "transparent" else (counting_backend, 1)
     _stream_shaped_run(be)

@@ -46,7 +46,6 @@ def test_index_matches_a_rescan_of_the_log(rows):
         assert dict(log.stages_of(key)) == rescan
         assert log.stage_ticks(key) == {stage: e.time for stage, e in rescan.items()}
         assert [log.has_stage(key, stage) for stage in PIPELINE_STAGES] == [s in rescan for s in PIPELINE_STAGES]
-        assert log.for_key(key) == [e for e in kept if e.key == key]
         in_flight = None  # latest rejection after a first acceptance, before confirm_dc
         for i, e in enumerate(log.events):
             earlier = [x for x in log.events[:i] if x.key == key and x.verdict == "ok"]
@@ -80,7 +79,7 @@ def test_an_accepted_event_names_a_pipeline_stage():
         log.record(TraceEvent(key=(1, 1), stage="update_rc", time=1, chain=100))
     log.record(TraceEvent(key=None, stage="update_rc", time=2, chain=100, verdict="reject:epoch-gap"))
     assert len(log.events) == 1 and log.events[0].stage == "update_rc"
-    assert not log.has_stage((1, 1), "commit_sc") and log.stages_of((1, 1)) == {} and log.for_key((1, 1)) == []
+    assert not log.has_stage((1, 1), "commit_sc") and log.stages_of((1, 1)) == {}
 
 
 def test_a_read_sees_the_events_logged_before_it_began():
