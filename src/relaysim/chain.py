@@ -282,16 +282,17 @@ def parse_threshold(value) -> Fraction:
 @dataclass(frozen=True)
 class ChainConfig:
     chain_id: int
-    epoch_size: int
-    weights: Tuple[int, ...]
+    epoch_size: int = 10
+    weights: Tuple[int, ...] = (1, 1, 1, 1)
     vote_threshold: Fraction = Fraction(2, 3)
     rotation: str = "identity"  # identity | reweight | refresh
     hash_algo: str = "sha256"
     key_namespace: str = ""
-    max_block_txs: int = 4096
+    # the fields below are set only in code; a scenario that names one is refused
+    max_block_txs: int = field(default=4096, metadata={"code_only": True})
     # relay-chain style headers announce only the set commitment; source
     # chains ship the full set so provers and normal clients can open it
-    announce_commitment_only: bool = False
+    announce_commitment_only: bool = field(default=False, metadata={"code_only": True})
 
     def __post_init__(self):
         if self.epoch_size < 1:

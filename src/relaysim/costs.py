@@ -12,8 +12,8 @@ at 4/8/16/32 signers; max relative error of the fit is 3.3%.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,6 @@ class GasCostTable:
         object.__setattr__(self, "_units", units)  # label -> unit cost, built once
         # (operation, items) -> the one GasReceipt `GasMeter.receipt` gives for it
         object.__setattr__(self, "_receipts", {})
-
-    def with_overrides(self, overrides: Mapping[str, int]) -> "GasCostTable":
-        return replace(self, **dict(overrides))
 
     def unit(self, label: str) -> int:
         try:
@@ -145,9 +142,6 @@ class GateCostTable:
         for name, value in self.__dict__.items():
             if value < 0:
                 raise ValueError(f"gate constant {name} must be non-negative")
-
-    def with_overrides(self, overrides: Mapping[str, int]) -> "GateCostTable":
-        return replace(self, **dict(overrides))
 
 
 @dataclass(frozen=True)

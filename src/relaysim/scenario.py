@@ -1,20 +1,23 @@
 """Scenario configuration: chains, provers, workloads, fault injection,
 cost-table overrides, and dataset replay rows.
 
-Scenario files are JSON or YAML (by extension). Validation collects every
-problem instead of stopping at the first; a value that is no number and a
-section of the wrong shape are problems at their path too.
+Scenario files are JSON or YAML (by extension). Every key is a field of the
+spec dataclass its section builds, and a field left out takes its default; a
+field set only in code, such as `ChainConfig.max_block_txs`, is no key. An
+unknown key, a mistyped value and a section of the wrong shape are problems
+at their path; validation collects every problem instead of stopping at the first.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 from .chain import AssetPayload, ChainConfig, MessagePayload, Payload, parse_threshold
 from .costs import GasCostTable, GateCostTable
@@ -28,10 +31,21 @@ class ScenarioError(ValueError):
         super().__init__("invalid scenario:\n" + "\n".join(f"  - {p}" for p in problems))
 
 
+def _refuse(*checks: Tuple[bool, str]) -> None:
+    """Raise one `ValueError` with the message of each failed check as an argument."""
+    wrong = [message for failed, message in checks if failed]
+    if wrong:
+        raise ValueError(*wrong)
+
+
 @dataclass(frozen=True)
 class ProverSpec:
     name: str
     profile: str = "honest"
+
+    def __post_init__(self):
+        if self.profile not in ("honest", "silent"):
+            raise ValueError(f"unknown profile {self.profile!r}")
 
 
 @dataclass(frozen=True)
@@ -44,20 +58,29 @@ class WorkloadSpec:
     token: str = "USDC"
     path: Optional[str] = None
 
+    def __post_init__(self):
+        _refuse(
+            (self.kind not in ("synthetic", "dataset"), f"unknown kind {self.kind!r}"),
+            (self.kind == "dataset" and not self.path, "dataset kind requires a path"),
+            (self.pattern not in ("mixed", "asset", "message"), f"unknown pattern {self.pattern!r}"),
+            (self.amount_min > self.amount_max, "amount_min exceeds amount_max"),
+            (self.count < 0, f"count {self.count} is negative"),
+        )
+
 
 @dataclass(frozen=True)
 class FaultSpec:
     withhold: Tuple[Tuple[int, float], ...] = ()  # (chain id, stake fraction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    name: str
-    seed: int
+    name: str = "scenario"
+    seed: int = 0
     relay_chain: ChainConfig
     chains: Tuple[ChainConfig, ...]
-    provers: Tuple[ProverSpec, ...]
-    workload: WorkloadSpec
+    provers: Tuple[ProverSpec, ...] = (ProverSpec("prover-0"),)
+    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     horizon_rounds: int = 10
     backend: str = "transparent"  # transparent | counting
     gas_table: GasCostTable = field(default_factory=GasCostTable)
@@ -65,6 +88,12 @@ class Scenario:
     pricing: PricingConfig = field(default_factory=PricingConfig)
     stakes: Tuple[Tuple[int, int], ...] = ()  # (chain id, total stake)
     faults: FaultSpec = field(default_factory=FaultSpec)
+
+    def __post_init__(self):
+        _refuse(
+            (self.horizon_rounds < 1, "horizon_rounds: must be positive"),
+            (self.backend not in ("transparent", "counting"), f"backend: unknown kind {self.backend!r}"),
+        )
 
     def ledgers(self) -> List[StakeLedger]:
         return [StakeLedger.from_total(cid, total) for cid, total in self.stakes]
@@ -90,12 +119,6 @@ def _number(convert, value, path: str, problems: List[str]):
         return None
 
 
-def _field(section: Dict, key: str, default: int, path: str, problems: List[str]) -> int:
-    """section[key] as an int; `default` when it is absent or malformed."""
-    value = _number(int, section.get(key, default), path, problems)
-    return default if value is None else value
-
-
 def _by_chain(raw, path: str, convert, problems: List[str]) -> Tuple[Tuple[int, object], ...]:
     """The sorted (chain id, value) entries of a mapping keyed by chain id;
     an entry whose id or value is malformed is a problem and is left out."""
@@ -107,150 +130,129 @@ def _by_chain(raw, path: str, convert, problems: List[str]) -> Tuple[Tuple[int, 
     return tuple(sorted(entries))
 
 
-def _chain_config(raw, problems: List[str], context: str, default_ns: str) -> Optional[ChainConfig]:
-    if _shaped(raw, dict, None, context, problems) is None:
-        return None
-    found = len(problems)
-    try:
-        chain_id = _number(int, raw["chain_id"], f"{context}.chain_id", problems)
-        if "weights" in raw:
-            listed = _shaped(raw["weights"], list, [], f"{context}.weights", problems)
-            weights = tuple(_number(int, w, f"{context}.weights[{i}]", problems) for i, w in enumerate(listed))
-        else:
-            weights = (1,) * _field(raw, "validators", 4, f"{context}.validators", problems)
-        epoch_size = _field(raw, "epoch_size", 10, f"{context}.epoch_size", problems)
-        if len(problems) > found:
+def _read(kind, value, path: str, problems: List[str]):
+    """`value` read as a field of declared type `kind`; None and a problem
+    at `path` when it is not one."""
+    if kind is int:
+        return _number(int, value, path, problems)
+    if kind is Fraction:
+        try:
+            return parse_threshold(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            problems.append(f"{path}: expected a fraction, got {value!r}")
             return None
-        return ChainConfig(
-            chain_id=chain_id,
-            epoch_size=epoch_size,
-            weights=weights,
-            vote_threshold=parse_threshold(raw.get("vote_threshold", Fraction(2, 3))),
-            rotation=raw.get("rotation", "identity"),
-            hash_algo=raw.get("hash_algo", "sha256"),
-            key_namespace=raw.get("key_namespace", f"{default_ns}/{raw.get('chain_id')}"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        problems.append(f"{context}: {exc}")
+    if kind == Tuple[int, ...]:
+        listed = _shaped(value, list, [], path, problems)
+        return tuple(_number(int, v, f"{path}[{i}]", problems) for i, v in enumerate(listed))
+    if kind == Tuple[Tuple[int, float], ...]:
+        return _by_chain(value, path, float, problems)
+    if kind in (str, Optional[str]):
+        if isinstance(value, str) or (value is None and kind is not str):
+            return value
+        problems.append(f"{path}: expected a string, got {value!r}")
         return None
+    raise TypeError(f"{path}: no scenario reader for {kind}")
+
+
+@functools.cache  # per spec class: get_type_hints evaluates each annotation string on every call
+def scenario_keys(cls) -> Dict[str, object]:
+    """The keys of a section that builds `cls`, each field not set only in code, by type."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.init and not f.metadata.get("code_only")}
+
+
+def _at(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _spec(cls, raw, path: str, problems: List[str], **given):
+    """A `cls` read from the mapping `raw` at `path`, or None and problems:
+    each key of `raw` is one of `scenario_keys(cls)`, read by its type, and a
+    field `raw` leaves out takes its value from `given`, else its default.
+    An unknown key is a problem but no value, so it keeps no spec from being
+    built; each argument of a `ValueError` from the spec's checks is a
+    problem at `path`."""
+    if _shaped(raw, dict, None, path, problems) is None:
+        return None
+    keys, values = scenario_keys(cls), dict(given)
+    problems.extend(f"{_at(path, key)}: unknown key" for key in raw if key not in keys)
+    found = len(problems)
+    for key, value in raw.items():
+        if key in keys:
+            values[key] = _read(keys[key], value, _at(path, key), problems)
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            problems.append(f"{_at(path, f.name)}: missing")
+    if len(problems) > found:
+        return None
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        problems.extend(f"{path}: {p}" if path else p for p in exc.args)
+        return None
+
+
+def _chain_config(raw, problems: List[str], path: str, default_ns: str) -> Optional[ChainConfig]:
+    """A chain section: `validators: n` stands for n validators of weight 1
+    where the section gives no `weights`, and the key namespace defaults to
+    `<default_ns>/<chain_id>`."""
+    given, counted = {}, True
+    if isinstance(raw, dict):
+        raw = dict(raw)
+        given["key_namespace"] = f"{default_ns}/{raw.get('chain_id')}"
+        if "validators" in raw:
+            validators = _number(int, raw.pop("validators"), f"{path}.validators", problems)
+            counted = validators is not None
+            if counted:
+                given["weights"] = (1,) * validators
+    config = _spec(ChainConfig, raw, path, problems, **given)
+    return config if counted else None
 
 
 def scenario_from_dict(raw: Dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError([f"scenario: expected a mapping, got {raw!r}"])
     problems: List[str] = []
-    name = raw.get("name", "scenario")
-    seed = _field(raw, "seed", 0, "seed", problems)
+    rest = dict(raw)  # the top-level keys left once the sections are read
 
-    rc_raw = raw.get("relay_chain")
-    rc = None
-    if rc_raw is None:
-        problems.append("relay_chain: missing")
+    if "relay_chain" in rest:
+        rc = _chain_config(rest.pop("relay_chain"), problems, "relay_chain", "rc")
     else:
-        rc = _chain_config(rc_raw, problems, "relay_chain", "rc")
-
-    chains: List[ChainConfig] = []
-    raw_chains = _shaped(raw.get("chains", []), list, None, "chains", problems)
+        rc = None
+        problems.append("relay_chain: missing")
+    raw_chains = _shaped(rest.pop("chains", []), list, None, "chains", problems)
     if raw_chains is not None and len(raw_chains) < 2:
         problems.append("chains: need at least one source/destination pair")
-    for i, c in enumerate(raw_chains or []):
-        cfg = _chain_config(c, problems, f"chains[{i}]", "chain")
-        if cfg is not None:
-            chains.append(cfg)
-    ids = [c.chain_id for c in chains] + ([rc.chain_id] if rc else [])
+    chains = [_chain_config(c, problems, f"chains[{i}]", "chain") for i, c in enumerate(raw_chains or [])]
+    sections = {"relay_chain": rc, "chains": tuple(c for c in chains if c is not None)}
+    ids = [c.chain_id for c in (rc, *sections["chains"]) if c is not None]
     if len(set(ids)) != len(ids):
         problems.append("chains: duplicate chain ids")
 
-    provers = []
-    raw_provers = _shaped(raw.get("provers", [{"name": "prover-0"}]), list, [], "provers", problems)
-    for i, p in enumerate(raw_provers):
-        p = _shaped(p, dict, {}, f"provers[{i}]", problems)
-        profile = p.get("profile", "honest")
-        if profile not in ("honest", "silent"):
-            problems.append(f"provers[{i}]: unknown profile {profile!r}")
-        provers.append(ProverSpec(name=p.get("name", f"prover-{i}"), profile=profile))
-
-    w = _shaped(raw.get("workload", {}), dict, {}, "workload", problems)
-    workload = WorkloadSpec(
-        kind=w.get("kind", "synthetic"),
-        count=_field(w, "count", 100, "workload.count", problems),
-        pattern=w.get("pattern", "mixed"),
-        amount_min=_field(w, "amount_min", 1, "workload.amount_min", problems),
-        amount_max=_field(w, "amount_max", 1000, "workload.amount_max", problems),
-        token=w.get("token", "USDC"),
-        path=w.get("path"),
-    )
-    if workload.kind not in ("synthetic", "dataset"):
-        problems.append(f"workload: unknown kind {workload.kind!r}")
-    if workload.kind == "dataset" and not workload.path:
-        problems.append("workload: dataset kind requires a path")
-    if workload.pattern not in ("mixed", "asset", "message"):
-        problems.append(f"workload: unknown pattern {workload.pattern!r}")
-    if workload.amount_min > workload.amount_max:
-        problems.append("workload: amount_min exceeds amount_max")
-    if workload.count < 0:
-        problems.append(f"workload: count {workload.count} is negative")
-
-    try:
-        gas_table = GasCostTable().with_overrides(raw.get("gas_table", {}))
-    except (TypeError, ValueError, KeyError) as exc:
-        problems.append(f"gas_table: {exc}")
-        gas_table = GasCostTable()
-    try:
-        gate_table = GateCostTable().with_overrides(raw.get("gate_table", {}))
-    except (TypeError, ValueError, KeyError) as exc:
-        problems.append(f"gate_table: {exc}")
-        gate_table = GateCostTable()
-
-    pricing_raw = _shaped(raw.get("pricing", {}), dict, {}, "pricing", problems)
-    try:
-        pricing = PricingConfig(
-            k=parse_threshold(pricing_raw["k"]) if "k" in pricing_raw else Fraction(1, 40),
-            base_fee_rc=_field(pricing_raw, "base_fee_rc", 1, "pricing.base_fee_rc", problems),
-            base_fee_dc=_field(pricing_raw, "base_fee_dc", 1, "pricing.base_fee_dc", problems),
-            fee_cap=_field(pricing_raw, "fee_cap", 1000, "pricing.fee_cap", problems),
+    if "provers" in rest:
+        listed = _shaped(rest.pop("provers"), list, [], "provers", problems)
+        sections["provers"] = tuple(
+            _spec(ProverSpec, p, f"provers[{i}]", problems, name=f"prover-{i}") for i, p in enumerate(listed)
         )
-    except (TypeError, ValueError) as exc:
-        problems.append(f"pricing: {exc}")
-        pricing = PricingConfig()
+    for key, kind in scenario_keys(Scenario).items():
+        if key in rest and is_dataclass(kind):  # each section left that builds one spec
+            sections[key] = _spec(kind, rest.pop(key), key, problems)
+    if "stakes" in rest:
+        sections["stakes"] = _by_chain(rest.pop("stakes"), "stakes", int, problems)
 
-    stakes = _by_chain(raw.get("stakes", {}), "stakes", int, problems)
-    for cid, _ in stakes:
+    for cid, _ in sections.get("stakes", ()):
         if cid not in ids:
             problems.append(f"stakes: unknown chain {cid}")
-    faults_raw = _shaped(raw.get("faults", {}), dict, {}, "faults", problems)
-    faults = FaultSpec(withhold=_by_chain(faults_raw.get("withhold", {}), "faults.withhold", float, problems))
-    for cid, fraction in faults.withhold:
+    for cid, fraction in getattr(sections.get("faults"), "withhold", ()):
         if cid not in ids:
             problems.append(f"faults.withhold: unknown chain {cid}")
         if not 0 <= fraction <= 1:
             problems.append(f"faults.withhold: fraction {fraction} for chain {cid} is outside [0, 1]")
 
-    horizon = _field(raw, "horizon_rounds", 10, "horizon_rounds", problems)
-    if horizon < 1:
-        problems.append("horizon_rounds: must be positive")
-
-    backend = raw.get("backend", "transparent")
-    if backend not in ("transparent", "counting"):
-        problems.append(f"backend: unknown kind {backend!r}")
-
+    scenario = _spec(Scenario, rest, "", problems, **sections)
     if problems:
         raise ScenarioError(problems)
-    return Scenario(
-        name=name,
-        seed=seed,
-        relay_chain=rc,
-        chains=tuple(chains),
-        provers=tuple(provers),
-        workload=workload,
-        horizon_rounds=horizon,
-        backend=backend,
-        gas_table=gas_table,
-        gate_table=gate_table,
-        pricing=pricing,
-        stakes=stakes,
-        faults=faults,
-    )
+    return scenario
 
 
 def load_scenario(path) -> Scenario:

@@ -3,26 +3,33 @@ cases, dataset replay, benchmarks, and the CLI surface."""
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
-from dataclasses import replace as dc_replace
+from dataclasses import fields, is_dataclass, replace as dc_replace
+from fractions import Fraction
 from pathlib import Path
+from typing import get_args
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaysim import cli, encoding, harness, lightclient
-from relaysim.chain import AssetPayload, BlockReleased
+from relaysim.chain import AssetPayload, BlockReleased, ChainConfig
+from relaysim.costs import GasCostTable, GateCostTable
 from relaysim.crypto.bn254 import g1_to_bytes
 from relaysim.crypto.hashes import SUPPORTED
 from relaysim.prover import CountingBackend, Prover, TransparentBackend
 from relaysim.scenario import (
     DatasetError,
+    Scenario,
     ScenarioError,
     completing_horizon,
     default_scenario,
     load_scenario,
     parse_dataset,
     scenario_from_dict,
+    scenario_keys,
     synthetic_workload,
 )
 
@@ -59,11 +66,15 @@ def test_scenario_validation_collects_all_problems():
     }
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(raw)
-    problems = err.value.problems
-    assert len(problems) >= 5
-    assert any("relay_chain" in p for p in problems)
-    assert any("profile" in p for p in problems)
-    assert any("horizon" in p for p in problems)
+    assert err.value.problems == [
+        "relay_chain: missing",
+        "chains: need at least one source/destination pair",
+        "chains[0]: epoch size must be at least 1",
+        "provers[0]: unknown profile 'chaotic'",
+        "workload: unknown kind 'nope'",
+        "workload: amount_min exceeds amount_max",
+        "horizon_rounds: must be positive",
+    ]
 
 
 def test_scenario_file_roundtrip(tmp_path):
@@ -643,6 +654,20 @@ _MALFORMED = {
         _set("pricing", value={"fee_cap": 99.9}),
         ["pricing.fee_cap: expected an integer, got 99.9"],
     ),
+    # a string field given another type, which the run would trip on later
+    "workload-path": (_set("workload", "path", value=5), ["workload.path: expected a string, got 5"]),
+    "workload-token": (_set("workload", "token", value=7), ["workload.token: expected a string, got 7"]),
+    # a cost constant that is no integer, one the table does not have, a table that is no mapping
+    "gas-fraction": (
+        _set("gas_table", value={"snark_verify": 1.5}),
+        ["gas_table.snark_verify: expected an integer, got 1.5"],
+    ),
+    "gas-unknown-constant": (_set("gas_table", value={"snark": 1}), ["gas_table.snark: unknown key"]),
+    "gas-section": (_set("gas_table", value=[1]), ["gas_table: expected a mapping, got [1]"]),
+    "vote-threshold": (
+        _set("chains", 0, "vote_threshold", value="a/b"),
+        ["chains[0].vote_threshold: expected a fraction, got 'a/b'", "stakes: unknown chain 1"],
+    ),
 }
 
 
@@ -654,6 +679,169 @@ def test_scenario_reports_malformed_values_and_sections(case):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(change(_valid_raw()))
     assert err.value.problems == expected
+
+
+def _steps(path):
+    """The keys and list indices of a path such as `chains[0].rotation`."""
+    return [int(step) if step.isdigit() else step for step in re.findall(r"[^.\[\]]+", path)]
+
+
+_UNKNOWN_KEYS = [
+    "horizon_round",
+    "chains[0].rotaton",
+    "faults.withold",
+    "workload.cout",
+    "pricing.fee",
+    "provers[0].profil",
+    "gas_table.snark",
+    # fields set only in code are no scenario keys
+    "relay_chain.max_block_txs",
+    "relay_chain.announce_commitment_only",
+]
+
+
+@pytest.mark.parametrize("path", _UNKNOWN_KEYS)
+def test_scenario_refuses_an_unknown_key_at_its_path(path):
+    """A key that names no field of its section's spec is a problem at its
+    path, not a value the parse drops without a word."""
+    raw = {**_valid_raw(), "provers": [{"name": "p0"}], "pricing": {}, "gas_table": {}}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(_set(*_steps(path), value=2)(raw))
+    assert err.value.problems == [f"{path}: unknown key"]
+
+
+def _minimal_raw():
+    """A scenario that names every section and leaves each field to its
+    default, but for a workload path, so that `kind: dataset` alone is valid."""
+    return {
+        "relay_chain": {"chain_id": 100},
+        "chains": [{"chain_id": 1}, {"chain_id": 2}],
+        "provers": [{}],
+        "workload": {"path": "rows.csv"},
+        "gas_table": {},
+        "gate_table": {},
+        "pricing": {},
+        "faults": {},
+    }
+
+
+_CHAIN_CASES = {
+    "chain_id": 7,
+    "epoch_size": 5,
+    "weights": [1, 2],
+    "validators": 5,
+    "vote_threshold": "3/4",
+    "rotation": "reweight",
+    "hash_algo": "blake2b_256",
+    "key_namespace": "ns",
+}
+
+# one valid value other than the default for every key the reader accepts
+_KEY_CASES = {
+    "name": "other",
+    "seed": 9,
+    "horizon_rounds": 3,
+    "backend": "counting",
+    "stakes": {"1": 5},
+    **{f"{chain}.{key}": value for chain in ("relay_chain", "chains[0]") for key, value in _CHAIN_CASES.items()},
+    "provers[0].name": "p",
+    "provers[0].profile": "silent",
+    "workload.kind": "dataset",
+    "workload.count": 5,
+    "workload.pattern": "asset",
+    "workload.amount_min": 2,
+    "workload.amount_max": 500,
+    "workload.token": "DAI",
+    "workload.path": "other.csv",
+    "pricing.k": "1/50",
+    "pricing.base_fee_rc": 2,
+    "pricing.base_fee_dc": 2,
+    "pricing.fee_cap": 999,
+    "faults.withhold": {"1": 0.5},
+    # every cost constant is an integer, so one more than its default is another valid value
+    **{
+        f"{section}.{f.name}": f.default + 1
+        for section, table in (("gas_table", GasCostTable), ("gate_table", GateCostTable))
+        for f in fields(table)
+    },
+}
+
+
+def _accepted_keys():
+    """Every key the reader accepts, derived from the spec fields: a field
+    whose type is a spec, or a tuple of specs, is a section of that spec's
+    keys; a chain section also takes the `validators` shorthand."""
+    keys = set()
+    for name, kind in scenario_keys(Scenario).items():
+        args = get_args(kind)
+        spec = args[0] if args and is_dataclass(args[0]) else kind
+        if not is_dataclass(spec):
+            keys.add(name)
+            continue
+        section = name if spec is kind else f"{name}[0]"
+        keys |= {f"{section}.{key}" for key in scenario_keys(spec)}
+        if spec is ChainConfig:
+            keys.add(f"{section}.validators")
+    return keys
+
+
+def _field_at(scenario, path):
+    """The field of a parsed scenario that the key at `path` sets."""
+    value = scenario
+    for step in _steps(path.replace("validators", "weights")):
+        value = value[step] if isinstance(step, int) else getattr(value, step)
+    return value
+
+
+def test_every_key_the_reader_accepts_reaches_the_scenario():
+    """Each key the reader accepts, given a valid value other than its
+    default, changes its field of the parsed scenario, so no accepted key is
+    read and then dropped. The cases cover exactly the keys the spec fields
+    define: a new field without a case fails here."""
+    assert set(_KEY_CASES) == _accepted_keys()
+    default = scenario_from_dict(_minimal_raw())
+    for path, value in _KEY_CASES.items():
+        parsed = scenario_from_dict(_set(*_steps(path), value=value)(_minimal_raw()))
+        assert _field_at(parsed, path) != _field_at(default, path), path
+
+
+@st.composite
+def _valid_scenarios(draw):
+    """A valid scenario of 2-4 chains through a relay chain, each given by
+    `validators` or by `weights`, with at least one honest prover."""
+
+    def chain(chain_id):
+        threshold = draw(st.fractions(Fraction(1, 2), Fraction(3, 4), max_denominator=12))
+        section = {
+            "chain_id": chain_id,
+            "epoch_size": draw(st.integers(1, 6)),
+            "vote_threshold": f"{threshold.numerator}/{threshold.denominator}",
+            "rotation": draw(st.sampled_from(["identity", "reweight", "refresh"])),
+            "hash_algo": draw(st.sampled_from(SUPPORTED)),
+        }
+        if draw(st.booleans()):
+            section["validators"] = draw(st.integers(1, 5))
+        else:
+            section["weights"] = draw(st.lists(st.integers(1, 50), min_size=1, max_size=5))
+        return section
+
+    profiles = ["honest"] * draw(st.integers(1, 2)) + ["silent"] * draw(st.integers(0, 1))
+    return {
+        "seed": draw(st.integers(0, 2**16)),
+        "relay_chain": chain(100),
+        "chains": [chain(i) for i in range(1, draw(st.integers(2, 4)) + 1)],
+        "provers": [{"profile": profile} for profile in draw(st.permutations(profiles))],
+        "backend": draw(st.sampled_from(["transparent", "counting"])),
+        "workload": {"count": draw(st.integers(1, 8))},
+    }
+
+
+@settings(max_examples=10, deadline=None)
+@given(raw=_valid_scenarios())
+def test_a_valid_scenario_parses_and_its_run_completes(raw):
+    scenario = scenario_from_dict(raw)
+    horizon = completing_horizon(scenario, scenario.workload.count)
+    assert harness.run(dc_replace(scenario, horizon_rounds=horizon)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -896,10 +1084,11 @@ def test_cli_invalid_scenario_exit_2(tmp_path, capsys):
 
 def test_cli_malformed_scenario_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**_valid_raw(), "seed": "abc", "workload": 5}))
+    bad.write_text(json.dumps({**_valid_raw(), "seed": "abc", "workload": 5, "horizon_round": 3}))
     assert cli.main(["--scenario", str(bad), "run"]) == 2
     err = capsys.readouterr().err
     assert "seed: expected an integer" in err and "workload: expected a mapping" in err
+    assert "horizon_round: unknown key" in err
 
 
 def test_cli_bench(capsys):
