@@ -262,6 +262,13 @@ class Block:
 # Configuration.
 
 
+def refuse(*checks: Tuple[bool, str]) -> None:
+    """Raise one `ValueError` with the message of each failed check as an argument."""
+    wrong = [message for failed, message in checks if failed]
+    if wrong:
+        raise ValueError(*wrong)
+
+
 def parse_threshold(value) -> Fraction:
     if isinstance(value, Fraction):
         frac = value
@@ -270,7 +277,7 @@ def parse_threshold(value) -> Fraction:
         frac = Fraction(int(num), int(den)) if den else Fraction(value)
     elif isinstance(value, (list, tuple)) and len(value) == 2:
         frac = Fraction(value[0], value[1])
-    elif isinstance(value, int):
+    elif isinstance(value, int) and not isinstance(value, bool):  # a bool is no threshold
         frac = Fraction(value)
     elif isinstance(value, float):
         frac = Fraction(value).limit_denominator(1_000_000)
@@ -295,21 +302,15 @@ class ChainConfig:
     announce_commitment_only: bool = field(default=False, metadata={"code_only": True})
 
     def __post_init__(self):
-        if self.epoch_size < 1:
-            raise ValueError("epoch size must be at least 1")
-        if not self.weights:
-            raise ValueError("need at least one validator")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("validator weights must be non-negative")
-        if sum(self.weights) <= 0:
-            raise ValueError("total validator weight must be positive")
-        t = self.vote_threshold
-        if not (Fraction(1, 2) <= t <= 1):
-            raise ValueError("vote threshold must lie in [1/2, 1]")
-        if self.rotation not in ("identity", "reweight", "refresh"):
-            raise ValueError(f"unknown rotation policy {self.rotation!r}")
-        if self.hash_algo not in SUPPORTED:
-            raise ValueError(f"unknown hash algorithm {self.hash_algo!r}; pick one of {SUPPORTED}")
+        refuse(
+            (self.epoch_size < 1, "epoch size must be at least 1"),
+            (not self.weights, "need at least one validator"),
+            (any(w < 0 for w in self.weights), "validator weights must be non-negative"),
+            (bool(self.weights) and sum(self.weights) <= 0, "total validator weight must be positive"),
+            (not Fraction(1, 2) <= self.vote_threshold <= 1, "vote threshold must lie in [1/2, 1]"),
+            (self.rotation not in ("identity", "reweight", "refresh"), f"unknown rotation policy {self.rotation!r}"),
+            (self.hash_algo not in SUPPORTED, f"unknown hash algorithm {self.hash_algo!r}; pick one of {SUPPORTED}"),
+        )
 
 
 class LogicalClock:

@@ -157,7 +157,7 @@ def run(scenario: Scenario, outdir: Optional[Path] = None) -> RunResult:
         scenario=scenario.name,
         seed=scenario.seed,
         submitted=len(keys),
-        confirmed=len(env.trace.completed_keys()),
+        confirmed=len(env.final_confirmations()),
         stalled=stalled,
         payload_violations=env.payload_conservation_violations(),
         values=values,
@@ -282,7 +282,7 @@ def attack_liveness(
         observed_breach=bool(stalled),
         details={
             "submitted": len(keys),
-            "confirmed": len(env.trace.completed_keys()),
+            "confirmed": len(env.final_confirmations()),
             "stalled": len(stalled),
             "withheld": withheld_detail,
         },
@@ -461,7 +461,7 @@ def attack_consistency(
             "accepted_at_relay": accepted_at_relay,
             "forged_final_confirmations": len(forged_finals),
             "payload_violations": len(violations),
-            "honest_confirmed": len(env.trace.completed_keys()),
+            "honest_confirmed": len(finals),
         },
     )
 
@@ -555,13 +555,10 @@ def attack_collusion(scenario: Scenario, colluding_fraction: float) -> AttackVer
         nonce=999_999_999,
     )
     outcome = forge_relay_confirmation(env, colluding_fraction, fake_ctx)
-    accepted = False
-    if outcome.bundle is not None:
-        ctx, result, fresh = env.hosts[dest].dest_receive(outcome.bundle)
-        accepted = result.ok and fresh
-        if accepted:
-            env.hosts[dest].chain.produce_block()
-            env.hosts[dest].resolve_confirmations()
+    if outcome.bundle is not None:  # delivered and swept in the next round, as an honest bundle is
+        env.transmit(outcome.bundle, dest)
+        env.step()
+    accepted = env.trace.has_stage(fake_ctx.key, "verify_dc")
     expected_breach = quorum_reached(
         outcome.colluding_weight, outcome.total_weight, env.rc.chain.config.vote_threshold
     )
@@ -574,8 +571,7 @@ def attack_collusion(scenario: Scenario, colluding_fraction: float) -> AttackVer
             "colluding_weight": outcome.colluding_weight,
             "total_weight": outcome.total_weight,
             "prover_refused": outcome.prover_refused,
-            "forged_key_confirmed": accepted
-            and fake_ctx.key in env.hosts[dest].confirmations,
+            "forged_key_confirmed": env.trace.has_stage(fake_ctx.key, "confirm_dc"),
         },
     )
 

@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .chain import AssetPayload, Payload
+from .chain import AssetPayload, Payload, refuse
 from .relay import ProofBundle, RelayEnvironment
 from .trace import TraceLog, ctx_key_str
 
@@ -51,12 +51,11 @@ class PricingConfig:
     fee_cap: int = 1000
 
     def __post_init__(self):
-        if not (0 < self.k < 1):
-            raise ValueError("fee coefficient must lie in (0, 1)")
-        if self.base_fee_rc < 0 or self.base_fee_dc < 0:
-            raise ValueError("base fees must be non-negative")
-        if self.fee_cap < self.base_fee_rc + self.base_fee_dc:
-            raise ValueError("fee cap must cover the base fees")
+        refuse(
+            (not 0 < self.k < 1, "fee coefficient must lie in (0, 1)"),
+            (self.base_fee_rc < 0 or self.base_fee_dc < 0, "base fees must be non-negative"),
+            (self.fee_cap < self.base_fee_rc + self.base_fee_dc, "fee cap must cover the base fees"),
+        )
 
     @property
     def floor(self) -> int:

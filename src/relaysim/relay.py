@@ -24,6 +24,10 @@ A chain's blocks are released (`Chain.release_blocks`) below the lowest
 cursor of their registered readers: the environment's non-silent provers,
 the chain's own host sweep and, on the source chains, the observers
 registered with `RelayEnvironment.add_observer`.
+
+No host keeps the records it swept: the trace's `confirm_dc` event is the
+one record of a key's final confirmation, and payload conservation is
+checked as each `FIN1` record is swept, against the submitted transaction.
 """
 
 from __future__ import annotations
@@ -260,21 +264,13 @@ class RelayChain(LightClientHost):
 
 class DestinationHost(LightClientHost):
     """A destination chain hosting the relay chain's light client. It reads
-    `ICTX1` records addressed to it, writes `FIN1` records, and keeps each
-    swept record as the final confirmation of its key."""
+    `ICTX1` records addressed to it and writes `FIN1` records; it keeps none
+    it swept, since the environment traces each as its key's final
+    confirmation and checks its payload as it is swept."""
 
     writes = FIN_TAG
     dest_receive = receive = LightClientHost.receive
-
-    def __init__(self, chain: Chain, table: GasCostTable, backend):
-        super().__init__(chain, table, backend)
-        self.confirmations: Dict[Tuple[int, int], HopRecord] = {}
-
-    def resolve_confirmations(self) -> List[HopRecord]:
-        records = LightClientHost.resolve_confirmations(self)
-        for record in records:
-            self.confirmations[record.key] = record
-        return records
+    resolve_confirmations = LightClientHost.resolve_confirmations
 
     @staticmethod
     def _read(bundle: ProofBundle) -> Tuple[int, CrossChainTx]:
@@ -338,6 +334,7 @@ class RelayEnvironment:
         self._entries: Dict[tuple, dict] = {}  # one shared dict per distinct log entry
         self.rejections: List[Rejection] = []
         self.submitted: Dict[Tuple[int, int], CrossChainTx] = {}
+        self._violations: set[Tuple[int, int]] = set()  # swept FIN1 keys whose payload is not the submitted one
         self._inbox: Dict[int, List[ProofBundle]] = {self.rc_id: []}
         self._pending_rc_gas: Dict[Tuple[int, int], int] = {}
         self.round = 0
@@ -477,10 +474,18 @@ class RelayEnvironment:
             self._record_confirmations(cid)
 
     def _record_confirmations(self, host_id: int) -> None:
+        """Trace the records a host's sweep finds; at a destination, keep
+        the key of a `FIN1` record whose payload is not the one submitted."""
         at_relay = host_id == self.rc_id
         for record in self.host(host_id).resolve_confirmations():
-            gas = self._pending_rc_gas.pop(record.key, None) if at_relay else None
-            self._record(record.key, "confirm_rc" if at_relay else "confirm_dc", host_id, gas=gas)
+            key = record.key
+            if at_relay:
+                self._record(key, "confirm_rc", host_id, gas=self._pending_rc_gas.pop(key, None))
+            else:
+                submitted = self.submitted.get(key)
+                if submitted is None or submitted.payload.to_bytes() != record.ctx.payload.to_bytes():
+                    self._violations.add(key)
+                self._record(key, "confirm_dc", host_id)
 
     def _scan_sources(self, prover: Prover) -> None:
         scans, headers = [], []
@@ -586,17 +591,11 @@ class RelayEnvironment:
 
     # -- invariant helpers ------------------------------------------------------------
 
-    def final_confirmations(self) -> Dict[Tuple[int, int], HopRecord]:
-        out: Dict[Tuple[int, int], HopRecord] = {}
-        for host in self.hosts.values():
-            out.update(host.confirmations)
-        return out
+    def final_confirmations(self) -> List[Tuple[int, int]]:
+        """The keys the trace holds at `confirm_dc`, in first-traced order."""
+        return self.trace.keys_at("confirm_dc")
 
     def payload_conservation_violations(self) -> List[Tuple[int, int]]:
-        """Keys whose finally confirmed payload differs from the committed one."""
-        bad = []
-        for key, record in self.final_confirmations().items():
-            submitted = self.submitted.get(key)
-            if submitted is None or submitted.payload.to_bytes() != record.ctx.payload.to_bytes():
-                bad.append(key)
-        return sorted(bad)
+        """Keys whose swept `FIN1` payload differs from the submitted one, or
+        that were never submitted."""
+        return sorted(self._violations)

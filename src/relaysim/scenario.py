@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
-from .chain import AssetPayload, ChainConfig, MessagePayload, Payload, parse_threshold
+from .chain import AssetPayload, ChainConfig, MessagePayload, Payload, parse_threshold, refuse
 from .costs import GasCostTable, GateCostTable
 from .economics import StakeLedger
 from .mos import PricingConfig
@@ -29,13 +29,6 @@ class ScenarioError(ValueError):
     def __init__(self, problems: Sequence[str]):
         self.problems = list(problems)
         super().__init__("invalid scenario:\n" + "\n".join(f"  - {p}" for p in problems))
-
-
-def _refuse(*checks: Tuple[bool, str]) -> None:
-    """Raise one `ValueError` with the message of each failed check as an argument."""
-    wrong = [message for failed, message in checks if failed]
-    if wrong:
-        raise ValueError(*wrong)
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,7 @@ class WorkloadSpec:
     path: Optional[str] = None
 
     def __post_init__(self):
-        _refuse(
+        refuse(
             (self.kind not in ("synthetic", "dataset"), f"unknown kind {self.kind!r}"),
             (self.kind == "dataset" and not self.path, "dataset kind requires a path"),
             (self.pattern not in ("mixed", "asset", "message"), f"unknown pattern {self.pattern!r}"),
@@ -90,7 +83,7 @@ class Scenario:
     faults: FaultSpec = field(default_factory=FaultSpec)
 
     def __post_init__(self):
-        _refuse(
+        refuse(
             (self.horizon_rounds < 1, "horizon_rounds: must be positive"),
             (self.backend not in ("transparent", "counting"), f"backend: unknown kind {self.backend!r}"),
         )
@@ -109,9 +102,9 @@ def _shaped(value, kind: type, default, path: str, problems: List[str]):
 
 def _number(convert, value, path: str, problems: List[str]):
     """convert(value), or None and a problem at `path` when it is no number,
-    or, for `int`, a number with a fraction that `int` would cut."""
+    a bool, or, for `int`, a number with a fraction that `int` would cut."""
     try:
-        if convert is int and isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (convert is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError(value)
         return convert(value)
     except (TypeError, ValueError):
@@ -193,8 +186,8 @@ def _spec(cls, raw, path: str, problems: List[str], **given):
 
 
 def _chain_config(raw, problems: List[str], path: str, default_ns: str) -> Optional[ChainConfig]:
-    """A chain section: `validators: n` stands for n validators of weight 1
-    where the section gives no `weights`, and the key namespace defaults to
+    """A chain section: `validators: n` stands for n validators of weight 1,
+    in place of `weights`, and the key namespace defaults to
     `<default_ns>/<chain_id>`."""
     given, counted = {}, True
     if isinstance(raw, dict):
@@ -203,7 +196,9 @@ def _chain_config(raw, problems: List[str], path: str, default_ns: str) -> Optio
         if "validators" in raw:
             validators = _number(int, raw.pop("validators"), f"{path}.validators", problems)
             counted = validators is not None
-            if counted:
+            if "weights" in raw:
+                problems.append(f"{path}: give validators or weights, not both")
+            elif counted:
                 given["weights"] = (1,) * validators
     config = _spec(ChainConfig, raw, path, problems, **given)
     return config if counted else None

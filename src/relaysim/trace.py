@@ -164,9 +164,13 @@ class TraceLog:
         position = self._rejected.get(key)
         return None if position is None else self._event(position)
 
+    def keys_at(self, stage: str) -> List[Key]:
+        """Keys with an accepted event at pipeline stage `stage`, in first-traced order."""
+        return [k for k in self._rows if self.has_stage(k, stage)]
+
     def completed_keys(self) -> List[str]:
         """Keys with an accepted final confirmation, as sorted `"o:n"` strings."""
-        return sorted(ctx_key_str(k) for k in self._rows if self.has_stage(k, "confirm_dc"))
+        return sorted(map(ctx_key_str, self.keys_at("confirm_dc")))
 
 
 class EventSequence:

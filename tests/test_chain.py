@@ -20,6 +20,7 @@ from relaysim.chain import (
 )
 from relaysim.crypto import bls, bn254
 from relaysim.crypto.commitment import commitment_digest
+from relaysim.crypto.hashes import SUPPORTED
 from relaysim.crypto.merkle import merkle_verify
 
 
@@ -38,6 +39,18 @@ def test_epoch_size_zero_rejected():
 def test_no_validators_rejected():
     with pytest.raises(ValueError):
         ChainConfig(chain_id=1, epoch_size=5, weights=())
+
+
+def test_chain_config_reports_every_failed_check():
+    with pytest.raises(ValueError) as err:
+        ChainConfig(chain_id=1, epoch_size=0, weights=(), vote_threshold=Fraction(1, 3), rotation="x", hash_algo="md5")
+    assert err.value.args == (
+        "epoch size must be at least 1",
+        "need at least one validator",
+        "vote threshold must lie in [1/2, 1]",
+        "unknown rotation policy 'x'",
+        f"unknown hash algorithm 'md5'; pick one of {SUPPORTED}",
+    )
 
 
 def test_threshold_range_enforced():

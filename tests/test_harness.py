@@ -70,6 +70,7 @@ def test_scenario_validation_collects_all_problems():
         "relay_chain: missing",
         "chains: need at least one source/destination pair",
         "chains[0]: epoch size must be at least 1",
+        "chains[0]: need at least one validator",
         "provers[0]: unknown profile 'chaotic'",
         "workload: unknown kind 'nope'",
         "workload: amount_min exceeds amount_max",
@@ -579,6 +580,18 @@ def _set(*path, value):
     return change
 
 
+def _weights(value):
+    """A change that gives chains[1] `weights: value` in place of its `validators`."""
+
+    def change(raw):
+        chain = raw["chains"][1]
+        del chain["validators"]
+        chain["weights"] = value
+        return raw
+
+    return change
+
+
 # A value that is no number, or a section of the wrong shape, is a problem at
 # its path. A relay chain or chain list that cannot be read also leaves the
 # stakes and withhold entries that name its chains unknown.
@@ -614,12 +627,17 @@ _MALFORMED = {
     ),
     "top-level-list": (lambda raw: [1], ["scenario: expected a mapping, got [1]"]),
     "weights-string": (
-        _set("chains", 1, "weights", value="123"),
+        _weights("123"),
         ["chains[1].weights: expected a list, got '123'"],
     ),
     "weights-elements": (
-        _set("chains", 1, "weights", value=[1, "x", 2.5]),
+        _weights([1, "x", 2.5]),
         ["chains[1].weights[1]: expected an integer, got 'x'", "chains[1].weights[2]: expected an integer, got 2.5"],
+    ),
+    # `validators: n` stands for n weights, so a chain gives one or the other
+    "validators-and-weights": (
+        _set("chains", 1, "weights", value=[5, 5]),
+        ["chains[1]: give validators or weights, not both"],
     ),
     # int() would cut each of these fractions without a word
     "seed-fraction": (_set("seed", value=1.9), ["seed: expected an integer, got 1.9"]),
@@ -668,6 +686,22 @@ _MALFORMED = {
         _set("chains", 0, "vote_threshold", value="a/b"),
         ["chains[0].vote_threshold: expected a fraction, got 'a/b'", "stakes: unknown chain 1"],
     ),
+    # a bool is no number, though Python counts True as 1 and False as 0
+    "validators-bool": (
+        _set("chains", 1, "validators", value=True),
+        ["chains[1].validators: expected an integer, got True"],
+    ),
+    "seed-bool": (_set("seed", value=False), ["seed: expected an integer, got False"]),
+    "count-bool": (_set("workload", "count", value=True), ["workload.count: expected an integer, got True"]),
+    "vote-threshold-bool": (
+        _set("chains", 0, "vote_threshold", value=True),
+        ["chains[0].vote_threshold: expected a fraction, got True", "stakes: unknown chain 1"],
+    ),
+    "withhold-bool": (
+        _set("faults", "withhold", "100", value=True),
+        ["faults.withhold.100: expected a number, got True"],
+    ),
+    "fee-cap-bool": (_set("pricing", value={"fee_cap": True}), ["pricing.fee_cap: expected an integer, got True"]),
 }
 
 

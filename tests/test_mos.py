@@ -68,6 +68,16 @@ def test_pricing_config_validation():
         PricingConfig(k=Fraction(1, 40), base_fee_rc=5, base_fee_dc=6, fee_cap=10)
 
 
+def test_pricing_config_reports_every_failed_check():
+    with pytest.raises(ValueError) as err:
+        PricingConfig(k=Fraction(3, 2), base_fee_rc=-1, base_fee_dc=1, fee_cap=-5)
+    assert err.value.args == (
+        "fee coefficient must lie in (0, 1)",
+        "base fees must be non-negative",
+        "fee cap must cover the base fees",
+    )
+
+
 def test_fee_monotonicity_and_bounds_10k_samples():
     import random
 

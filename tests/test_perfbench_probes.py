@@ -2,13 +2,18 @@
 `perfbench/worker.py` reads, against the package: every traced target,
 every required alias binding and every memo read still resolves, so
 deleting or renaming a name the benchmark uses fails here, not first in a
-traced benchmark run. The files are only read, never changed."""
+traced benchmark run. Two workloads also run through the worker itself.
+The files are only read, never changed."""
 
 import importlib
 import importlib.util
+import json
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PROBES = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
 WORKER = PROBES.with_name("worker.py")
@@ -56,3 +61,21 @@ def test_every_memo_the_worker_reads_still_reports_its_field():
     assert reads  # the worker reads the verify memos' hits
     assert [(name, field) for name, field in reads if not hasattr(getattr(bls, name, None), "cache_info")] == []
     assert [(name, field) for name, field in reads if not hasattr(getattr(bls, name).cache_info(), field)] == []
+
+
+@pytest.mark.parametrize("workload", ["stream", "forgery-flood"])
+def test_the_worker_runs_a_workload_correct(workload):
+    """The worker reads the run through `final_confirmations()`,
+    `submitted`, `payload_conservation_violations()` and
+    `completed_keys()`; a workload run through it fails no operation and
+    leaves no probe unused. `-B` keeps it from writing bytecode beside the
+    files it reads."""
+    done = subprocess.run(
+        [sys.executable, "-B", str(WORKER), "--workload", workload, "--seed", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    record = json.loads(done.stdout.splitlines()[-1])
+    assert (record["failed"], record["coverage_problems"]) == (0, [])

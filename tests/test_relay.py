@@ -25,7 +25,7 @@ from relaysim.chain import (
 from relaysim.costs import GasReceipt, gate_report, item_dicts
 from relaysim.crypto.commitment import commitment_digest
 from relaysim.crypto.merkle import MerkleProof
-from relaysim.harness import ForgeryCorpus
+from relaysim.harness import ForgeryCorpus, forge_relay_confirmation
 from relaysim.prover import ProofBundle, Prover
 from relaysim.relay import (
     FIN_TAG,
@@ -99,9 +99,8 @@ def test_payload_conservation_end_to_end(backend):
     done, stalled = env.run_until_complete(keys)
     assert done, stalled
     assert env.payload_conservation_violations() == []
-    finals = env.final_confirmations()
+    assert sorted(env.final_confirmations()) == sorted(keys)
     for key in keys:
-        assert finals[key].ctx.payload.to_bytes() == env.submitted[key].payload.to_bytes()
         stages = env.trace.stages_of(key)
         assert set(stages) == set(PIPELINE_STAGES), f"incomplete trace for {key}"
         times = [stages[s].time for s in PIPELINE_STAGES]
@@ -245,13 +244,13 @@ def test_dest_receive_replay_single_effect(backend):
     key = env.submit(1, 2, AssetPayload(token="T", amount=4))
     env.run(2)
     host = env.hosts[2]
-    assert key in host.confirmations
+    assert env.final_confirmations() == [key]
     # replay the full bundle at the destination
     bundle = _delivered_ctx_bundle(seen, 2)
     assert bundle.receipt_payload.startswith(ICTX_TAG)
     ctx, result, fresh = host.dest_receive(bundle)
     assert result.ok and not fresh
-    assert list(host.confirmations) == [key]
+    assert host.chain.pending_count == 0  # no second FIN1 record is queued
 
 
 def test_dest_rejects_unconfirmed_on_relay(backend):
@@ -301,6 +300,25 @@ def test_no_spontaneous_confirmation(backend):
         stages = env.trace.stages_of(key)
         assert stages["confirm_sc"].time < stages["confirm_rc"].time
         assert stages["confirm_rc"].time < stages["confirm_dc"].time
+
+
+def test_payload_conservation_flags_a_forged_final_payload(backend):
+    """Relay validators holding a quorum sign a relay confirmation of a
+    submitted key with its payload changed, and it reaches the destination
+    before the honest copy: the sweep of its `FIN1` record flags that key,
+    and only that key."""
+    env = _env(backend)
+    env.run(1)
+    key = env.submit(1, 2, AssetPayload(token="T", amount=4))
+    honest = env.submit(1, 3, AssetPayload(token="T", amount=5))
+    forged = dc_replace(env.submitted[key], payload=AssetPayload(token="T", amount=10**9))
+    outcome = forge_relay_confirmation(env, 0.75, forged)
+    assert outcome.bundle is not None
+    ctx, result, fresh = env.deliver(outcome.bundle, 2)
+    assert ctx == forged and result.ok and fresh
+    done, _ = env.run_until_complete([key, honest])
+    assert done and sorted(env.final_confirmations()) == sorted([key, honest])
+    assert env.payload_conservation_violations() == [key]
 
 
 def test_intermediate_payload_identical(backend):
@@ -700,7 +718,7 @@ def test_sweep_confirms_only_the_hosts_own_records(backend):
     chain.append_event(HopRecord(FIN_TAG, 2, ctx))
     chain.produce_block()
     assert [c.key for c in host.resolve_confirmations()] == [ctx.key]
-    assert list(host.confirmations) == [ctx.key]
+    assert host.resolve_confirmations() == [] and not hasattr(host, "confirmations")
 
 
 def _slotted_records():
