@@ -18,6 +18,7 @@ Time is logical: every block consumes one tick from a monotone clock.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import struct
@@ -125,6 +126,14 @@ class CrossChainTx:
         return hashlib.sha256(self.to_bytes()).digest()
 
 
+@functools.lru_cache(maxsize=64)
+def _decoded_name(raw: bytes) -> str:
+    """A decoded token or instruction name. A run has few, so the
+    transactions it decodes share them; the memo is bounded, since a forged
+    payload can name anything."""
+    return raw.decode()
+
+
 def decode_ctx(data: bytes) -> CrossChainTx:
     """Parse `CrossChainTx.to_bytes` output; anything else raises ValueError."""
     try:
@@ -146,7 +155,9 @@ def decode_ctx(data: bytes) -> CrossChainTx:
         if mid + _ASSET_MID.size + rest != end:
             raise ValueError("instruction length does not match the record")
         payload = AssetPayload(
-            token=data[start:mid].decode(), amount=amount, instruction=data[mid + _ASSET_MID.size :].decode()
+            token=_decoded_name(bytes(data[start:mid])),
+            amount=amount,
+            instruction=_decoded_name(bytes(data[mid + _ASSET_MID.size :])),
         )
     elif kind == b"M":
         if mid != end:
@@ -313,6 +324,14 @@ class ChainConfig:
         )
 
 
+def _receipt(record, height: int) -> ReceiptMessage:
+    """A queued record's receipt in the block at `height`: a transaction's
+    hash is its `tx_hash`, an event's is sha256("EVT" + its bytes)."""
+    payload = record.to_bytes()
+    tag = b"" if isinstance(record, CrossChainTx) else b"EVT"
+    return ReceiptMessage(tx_hash=hashlib.sha256(tag + payload).digest(), payload=payload, height=height)
+
+
 class LogicalClock:
     """Monotone tick counter shared by every chain in a scenario."""
 
@@ -365,7 +384,7 @@ class Chain:
         self._blocks: List[Optional[Block]] = []  # None: released
         self._released = 0  # every block below this height is released
         self._trees: Dict[int, MerkleTree] = {}
-        self._pending: Deque[Tuple[object, bytes, bytes]] = deque()  # (record, payload, hash)
+        self._pending: Deque[object] = deque()  # records; each is encoded when its block is made
         self._nonce = 0
         self._withhold = 0.0  # share of each signing set's weight that does not sign
         self.produce_block()  # genesis
@@ -437,19 +456,16 @@ class Chain:
             raise ValueError("cross-chain destination equals the origin chain")
         if ctx.origin_chain != self.config.chain_id:
             raise ValueError("transaction origin does not match this chain")
-        payload = ctx.to_bytes()
-        return self._enqueue(ctx, payload, hashlib.sha256(payload).digest())
+        self._pending.append(ctx)
+        return ctx.tx_hash
 
-    def append_event(self, record) -> bytes:
+    def append_event(self, record) -> None:
         """Queue a local confirmation event (relay / destination bookkeeping):
         a record that encodes itself with `to_bytes()`, kept as it is in
-        `Block.records`."""
-        payload = record.to_bytes()
-        return self._enqueue(record, payload, hashlib.sha256(b"EVT" + payload).digest())
-
-    def _enqueue(self, record, payload: bytes, receipt_hash: bytes) -> bytes:
-        self._pending.append((record, payload, receipt_hash))
-        return receipt_hash
+        `Block.records`; its receipt hash is sha256("EVT" + its bytes)."""
+        if isinstance(record, CrossChainTx):
+            raise TypeError("a cross-chain transaction is queued by submit_tx")
+        self._pending.append(record)
 
     @property
     def pending_count(self) -> int:
@@ -497,11 +513,11 @@ class Chain:
         boundary = height == 0 or height % self.config.epoch_size == 0
         signing_keys = self._ensure_epoch(epoch if height == 0 else (epoch - 1 if boundary else epoch))
 
-        items = []
-        while self._pending and len(items) < self.config.max_block_txs:
-            items.append(self._pending.popleft())
+        records = []
+        while self._pending and len(records) < self.config.max_block_txs:
+            records.append(self._pending.popleft())
 
-        receipts = tuple(ReceiptMessage(tx_hash=h, payload=p, height=height) for _, p, h in items)
+        receipts = tuple(_receipt(record, height) for record in records)
         tree = self._receipt_tree(receipts) if receipts else None
         root = tree.root if tree is not None else EMPTY_RECEIPT_ROOT
 
@@ -525,7 +541,7 @@ class Chain:
         )
         agg = self._sign_header_payload(draft.signing_payload(), signing_keys)
         header = BlockHeader(**{**draft.__dict__, "agg": agg})
-        block = Block(header=header, receipts=receipts, records=tuple(r for r, _, _ in items))
+        block = Block(header=header, receipts=receipts, records=tuple(records))
         self._headers.append(header)
         self._blocks.append(block)
         if tree is not None:

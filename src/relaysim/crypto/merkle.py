@@ -23,10 +23,6 @@ class MerkleProof:
     path: Tuple[Tuple[bytes, str], ...]  # (sibling digest, "L" | "R"), leaf level first
 
 
-def leaf_hash(leaf: bytes, algo: str = "sha256") -> bytes:
-    return hash_fn(algo)(LEAF_PREFIX + leaf).digest()
-
-
 class MerkleTree:
     """Precomputed tree levels of node hashes (the leaves themselves are not
     kept).

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple, Union
+
+from .trace import Key, ctx_key_str
 
 
 @dataclass(frozen=True)
@@ -111,12 +113,16 @@ _BUCKETS = (10**2, 10**3, 10**4, 10**5, 10**6, 10**7)
 
 
 def degradation_report(
-    values: Mapping[str, int], ledgers: Sequence[StakeLedger]
+    values: Mapping[Union[Key, str], int], ledgers: Sequence[StakeLedger]
 ) -> DegradationReport:
-    """Per-transaction safety verdicts over a completed run's value map."""
+    """Per-transaction safety verdicts over a completed run's value map,
+    keyed by transaction key or by its `"o:n"` string; degraded keys are
+    reported as those strings, in their sorted order."""
     boundary = network_security(ledgers)
     weakest = min(ledgers, key=lambda l: l.tau)
-    degraded = tuple(sorted(k for k, v in values.items() if v > boundary))
+    degraded = tuple(
+        sorted(k if isinstance(k, str) else ctx_key_str(k) for k, v in values.items() if v > boundary)
+    )
     max_value = max(values.values(), default=0)
     max_ratio = max_value / weakest.total_stake if weakest.total_stake else 0.0
     counts = [0] * (len(_BUCKETS) + 1)

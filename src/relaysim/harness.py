@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .chain import (
     AggregateSignature,
@@ -47,8 +47,8 @@ from .prover import (
     statement_for_header,
 )
 from .relay import ICTX_TAG, HopRecord, RelayEnvironment, decode_ctx, deployment_plan
-from .scenario import DatasetError, ProverSpec, Scenario, parse_dataset, synthetic_workload
-from .trace import ctx_key_str, event_lines
+from .scenario import DatasetError, DatasetRow, ProverSpec, Scenario, parse_dataset, synthetic_workload
+from .trace import Key, NonceTable, event_lines
 
 LIVENESS_CASES = ("liveness-prover-fault", "liveness-stake-withholding")
 CONSISTENCY_CASES = ("consistency-tampering-prover", "consistency-stake-collusion")
@@ -83,16 +83,24 @@ def build_environment(scenario: Scenario) -> Tuple[RelayEnvironment, MosService]
     return env, mos
 
 
-def _submit_stream(env: RelayEnvironment, mos: MosService, scenario: Scenario, stream):
-    keys = []
-    values: Dict[str, int] = {}
+def _submit_stream(env: RelayEnvironment, mos: MosService, scenario: Scenario, stream) -> NonceTable:
+    """Submit each (source, dest, payload) of `stream` through the service
+    as it is read; returns each key's asset amount (0 for a message)."""
+    values = NonceTable()
     for src, dst, payload in stream:
         amount = payload.amount if isinstance(payload, AssetPayload) else 0
         fee = compute_fee(amount, scenario.pricing)
-        key = mos.message_out(src, dst, payload, fee_token="MAPO", fee_paid=fee)
-        keys.append(key)
-        values[ctx_key_str(key)] = amount
-    return keys, values
+        values[mos.message_out(src, dst, payload, fee_token="MAPO", fee_paid=fee)] = amount
+    return values
+
+
+def _dataset_stream(rows: List[DatasetRow]) -> Iterator[Tuple[int, int, AssetPayload]]:
+    """Each row as (source, dest, payload), in order; a row is dropped from
+    `rows` as it is read."""
+    rows.reverse()
+    while rows:
+        row = rows.pop()
+        yield row.src_chain, row.dst_chain, AssetPayload(token=row.token, amount=row.amount)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +115,7 @@ class RunResult:
     confirmed: int
     stalled: List[Tuple[int, int]]
     payload_violations: List[Tuple[int, int]]
-    values: Dict[str, int]
+    values: Mapping[Key, int]  # each key's asset amount
     env: RelayEnvironment
     mos: MosService
 
@@ -145,18 +153,16 @@ def run(scenario: Scenario, outdir: Optional[Path] = None) -> RunResult:
         ]
         if problems:
             raise DatasetError(problems)
-        stream = [
-            (r.src_chain, r.dst_chain, AssetPayload(token=r.token, amount=r.amount)) for r in rows
-        ]
+        stream = _dataset_stream(rows)
     else:
         stream = synthetic_workload(scenario)
     env, mos = build_environment(scenario)
-    keys, values = _submit_stream(env, mos, scenario, stream)
-    _, stalled = env.run_until_complete(keys, scenario.horizon_rounds)
+    values = _submit_stream(env, mos, scenario, stream)
+    _, stalled = env.run_until_complete(env.submitted, scenario.horizon_rounds)
     result = RunResult(
         scenario=scenario.name,
         seed=scenario.seed,
-        submitted=len(keys),
+        submitted=len(env.submitted),
         confirmed=len(env.final_confirmations()),
         stalled=stalled,
         payload_violations=env.payload_conservation_violations(),
@@ -267,8 +273,8 @@ def attack_liveness(
             "total_weight": vset.total_weight,
         }
 
-    keys, _ = _submit_stream(env, mos, variant, synthetic_workload(variant))
-    _, stalled = env.run_until_complete(keys, variant.horizon_rounds)
+    _submit_stream(env, mos, variant, synthetic_workload(variant))
+    _, stalled = env.run_until_complete(env.submitted, variant.horizon_rounds)
 
     expected_breach = honest_provers == 0 or quorum_lost
     case = LIVENESS_CASES[1] if withhold else LIVENESS_CASES[0]
@@ -281,7 +287,7 @@ def attack_liveness(
         expected_breach=expected_breach,
         observed_breach=bool(stalled),
         details={
-            "submitted": len(keys),
+            "submitted": len(env.submitted),
             "confirmed": len(env.final_confirmations()),
             "stalled": len(stalled),
             "withheld": withheld_detail,
@@ -395,7 +401,7 @@ def harvested_corpus(
     corpus = ForgeryCorpus(env, random.Random(scenario.seed ^ 0xC0FFEE))
 
     wave = dc_replace(scenario.workload, kind="synthetic", count=honest_count)
-    stream = synthetic_workload(dc_replace(scenario, workload=wave))
+    stream = list(synthetic_workload(dc_replace(scenario, workload=wave)))
     half = max(2, honest_count // 2)
 
     # wave 1 confirms in epoch 0; its bundles become the stale pool

@@ -8,14 +8,15 @@ units, and are not refunded on rejection. A message record keeps what
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .chain import AssetPayload, Payload, refuse
 from .relay import ProofBundle, RelayEnvironment
-from .trace import TraceLog, ctx_key_str
+from .trace import Key, NonceTable, TraceLog, ctx_key_str
 
 
 class Status(Enum):
@@ -131,6 +132,50 @@ class MessageRecord:
         }
 
 
+class MessageRecords(Mapping):
+    """Each accepted message's `MessageRecord`, by key. What `message_out`
+    fixed is kept in `NonceTable` columns (destination, fee and an index
+    into the fee tokens), so a record is no object until it is read; the
+    source is the key's origin."""
+
+    def __init__(self, trace: TraceLog):
+        self._trace = trace
+        self._dest = NonceTable()
+        self._fee = NonceTable()
+        self._token = NonceTable("H", 0xFFFF)
+        self._token_codes: Dict[str, int] = {}
+        self._tokens: List[str] = []
+
+    def add(self, key: Tuple[int, int], dest_chain: int, fee: int, fee_token: str) -> None:
+        code = self._token_codes.get(fee_token)
+        if code is None:
+            code = self._token_codes[fee_token] = len(self._tokens)
+            self._tokens.append(fee_token)
+        self._dest[key] = dest_chain
+        self._fee[key] = fee
+        self._token[key] = code
+
+    def __getitem__(self, key: Key) -> MessageRecord:
+        dest = self._dest[key]
+        return MessageRecord(
+            key=key,
+            source_chain=key[0],
+            dest_chain=dest,
+            fee=self._fee[key],
+            fee_token=self._tokens[self._token[key]],
+            trace=self._trace,
+        )
+
+    def __contains__(self, key) -> bool:
+        return key in self._dest
+
+    def __iter__(self) -> Iterator[Key]:
+        return iter(self._dest)
+
+    def __len__(self) -> int:
+        return len(self._dest)
+
+
 class MosService:
     """Service layer bound to one relay environment.
 
@@ -141,7 +186,7 @@ class MosService:
     def __init__(self, env: RelayEnvironment, pricing: Optional[PricingConfig] = None):
         self.env = env
         self.pricing = pricing if pricing is not None else PricingConfig()
-        self.records: Dict[Tuple[int, int], MessageRecord] = {}
+        self.records = MessageRecords(env.trace)
 
     # -- service operations ------------------------------------------------------
 
@@ -154,14 +199,7 @@ class MosService:
         if fee_paid < required:
             raise InsufficientFee(f"fee {fee_paid} below required {required}")
         key = self.env.submit(source_chain, to_chain, payload)
-        self.records[key] = MessageRecord(
-            key=key,
-            source_chain=source_chain,
-            dest_chain=to_chain,
-            fee=required,
-            fee_token=fee_token,
-            trace=self.env.trace,
-        )
+        self.records.add(key, to_chain, required, fee_token)
         return key
 
     def message_in(self, chain_id: int, from_chain: int, bundle: ProofBundle) -> bytes:

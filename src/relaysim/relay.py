@@ -27,7 +27,10 @@ registered with `RelayEnvironment.add_observer`.
 
 No host keeps the records it swept: the trace's `confirm_dc` event is the
 one record of a key's final confirmation, and payload conservation is
-checked as each `FIN1` record is swept, against the submitted transaction.
+checked as each `FIN1` record is swept, against the submitted payload,
+which is then dropped. Per-key tables (`submitted`, the hosts' accepted
+keys, the relay gas awaiting `confirm_rc`) are `NonceTable`s: per-origin
+columns indexed by nonce, with no Python object per key.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .chain import (
     CrossChainTx,
     LogicalClock,
     ReceiptMessage,
+    _decoded_name,
     decode_ctx,
 )
 from .costs import GasCostTable, GasReceipt, Items, hlc_setup_gas, lc_setup_gas
@@ -59,16 +63,18 @@ from .lightclient import (
     hlc_verify,
 )
 from .prover import ProofBundle, Prover, _message_point
-from .trace import TraceEvent, TraceLog
+from .trace import NonceTable, TraceEvent, TraceLog
 
 ICTX_TAG = b"ICTX1"  # intermediate record, written on the relay chain
 FIN_TAG = b"FIN1"  # final record, written on a destination chain
 # each tag's fixed-width head: tag, origin_chain, len(ctx)
 _HOP_HEADS = {tag: struct.Struct(f">{len(tag)}s2Q") for tag in (ICTX_TAG, FIN_TAG)}
+_SWEPT = object()  # what `submitted` holds for a key once its FIN1 record is swept
 # The memos whose entries are pure functions of their keys: module objects
 # with their size bounds, emptied by each new environment, so the work a
 # run does depends on that run alone.
 _RUN_MEMOS = (
+    _decoded_name,
     bls._pairing_equal_cached,
     bls._pairing_product_cached,
     bn254._line_schedule,
@@ -173,7 +179,8 @@ class LightClientHost:
         self.backend = backend
         self.clients: Dict[int, HybridLcState] = {}
         self.setup_receipts: Dict[int, GasReceipt] = {}
-        self._accepted: set[Tuple[int, int]] = set()
+        # accepted keys, one bit per nonce: byte nonce >> 3 of each origin's column
+        self._accepted = NonceTable("B", 0)
         self._resolved_height = chain.height
 
     def register_source(self, source: Chain) -> GasReceipt:
@@ -224,9 +231,11 @@ class LightClientHost:
             return ctx, result, False
         if self._misrouted(ctx):
             return ctx, VerifyResult(False, result.receipt, RejectReason.PUBLIC_INPUT_MISMATCH), False
-        if ctx.key in self._accepted:
+        byte, bit = (ctx.origin_chain, ctx.nonce >> 3), 1 << (ctx.nonce & 7)
+        accepted = self._accepted.get(byte, 0)
+        if accepted & bit:
             return ctx, result, False  # idempotent duplicate
-        self._accepted.add(ctx.key)
+        self._accepted[byte] = accepted | bit
         self.chain.append_event(HopRecord(self.writes, origin, ctx))
         return ctx, result, True
 
@@ -333,10 +342,11 @@ class RelayEnvironment:
         self._items: Dict[Items, Items] = {}  # one shared tuple per distinct `items`
         self._entries: Dict[tuple, dict] = {}  # one shared dict per distinct log entry
         self.rejections: List[Rejection] = []
-        self.submitted: Dict[Tuple[int, int], CrossChainTx] = {}
+        # key -> its payload until its FIN1 record is swept, then _SWEPT
+        self.submitted = NonceTable(None, None)
         self._violations: set[Tuple[int, int]] = set()  # swept FIN1 keys whose payload is not the submitted one
         self._inbox: Dict[int, List[ProofBundle]] = {self.rc_id: []}
-        self._pending_rc_gas: Dict[Tuple[int, int], int] = {}
+        self._pending_rc_gas = NonceTable()  # key -> gas of its fresh relay verification, until confirm_rc
         self.round = 0
 
     # -- wiring ---------------------------------------------------------------
@@ -383,7 +393,7 @@ class RelayEnvironment:
         chain = self.chains[source_id]
         ctx = chain.make_tx(dest_id, payload)
         chain.submit_tx(ctx)
-        self.submitted[ctx.key] = ctx
+        self.submitted[ctx.key] = payload
         self._record(ctx.key, "commit_sc", source_id, once=False)
         return ctx.key
 
@@ -474,17 +484,21 @@ class RelayEnvironment:
             self._record_confirmations(cid)
 
     def _record_confirmations(self, host_id: int) -> None:
-        """Trace the records a host's sweep finds; at a destination, keep
-        the key of a `FIN1` record whose payload is not the one submitted."""
+        """Trace the records a host's sweep finds. At a destination, keep
+        the key of a `FIN1` record whose payload is not the one submitted:
+        a key never submitted, or one whose payload was dropped at an
+        earlier sweep of its `FIN1` (one submission, one final delivery)."""
         at_relay = host_id == self.rc_id
         for record in self.host(host_id).resolve_confirmations():
             key = record.key
             if at_relay:
                 self._record(key, "confirm_rc", host_id, gas=self._pending_rc_gas.pop(key, None))
             else:
-                submitted = self.submitted.get(key)
-                if submitted is None or submitted.payload.to_bytes() != record.ctx.payload.to_bytes():
+                payload = self.submitted.get(key)
+                if payload is None or payload is _SWEPT or payload.to_bytes() != record.ctx.payload.to_bytes():
                     self._violations.add(key)
+                if payload is not None:
+                    self.submitted[key] = _SWEPT
                 self._record(key, "confirm_dc", host_id)
 
     def _scan_sources(self, prover: Prover) -> None:
@@ -580,13 +594,22 @@ class RelayEnvironment:
 
     def run_until_complete(self, keys, horizon_rounds: int = 10) -> Tuple[bool, List[Tuple[int, int]]]:
         """Step until every key reaches final confirmation or the logical
-        horizon is exhausted; returns (all confirmed, stalled keys)."""
-        want = {tuple(k) for k in keys}
+        horizon is exhausted; returns (all confirmed, stalled keys).
+
+        `keys` is any collection of keys, such as `submitted`. A final
+        confirmation stays, so one pass over `keys` serves every round: it
+        waits at the first key not yet confirmed, and a second pass lists
+        the stalled keys."""
+        has_stage = self.trace.has_stage
+        unconfirmed = (k for k in map(tuple, keys) if not has_stage(k, "confirm_dc"))
+        waiting = next(unconfirmed, None)
         for _ in range(horizon_rounds):
-            if all(self.trace.has_stage(k, "confirm_dc") for k in want):
+            while waiting is not None and has_stage(waiting, "confirm_dc"):
+                waiting = next(unconfirmed, None)
+            if waiting is None:
                 return True, []
             self.step()
-        stalled = sorted(k for k in want if not self.trace.has_stage(k, "confirm_dc"))
+        stalled = sorted({k for k in map(tuple, keys) if not has_stage(k, "confirm_dc")})
         return not stalled, stalled
 
     # -- invariant helpers ------------------------------------------------------------

@@ -17,7 +17,7 @@ import random
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, get_type_hints
 
 from .chain import AssetPayload, ChainConfig, MessagePayload, Payload, parse_threshold, refuse
 from .costs import GasCostTable, GateCostTable
@@ -297,11 +297,11 @@ def completing_horizon(scenario: Scenario, count: int) -> int:
 # Workload generation and dataset replay rows.
 
 
-def synthetic_workload(scenario: Scenario) -> List[Tuple[int, int, Payload]]:
-    """Deterministic (source, dest, payload) stream from the scenario seed."""
+def synthetic_workload(scenario: Scenario) -> Iterator[Tuple[int, int, Payload]]:
+    """Deterministic (source, dest, payload) stream from the scenario seed,
+    each made when it is read."""
     rng = random.Random(scenario.seed)
     ids = [c.chain_id for c in scenario.chains]
-    out: List[Tuple[int, int, Payload]] = []
     for i in range(scenario.workload.count):
         src, dst = rng.sample(ids, 2)
         want_asset = scenario.workload.pattern == "asset" or (
@@ -312,8 +312,7 @@ def synthetic_workload(scenario: Scenario) -> List[Tuple[int, int, Payload]]:
             payload: Payload = AssetPayload(token=scenario.workload.token, amount=amount)
         else:
             payload = MessagePayload(call_data=rng.randbytes(8))
-        out.append((src, dst, payload))
-    return out
+        yield src, dst, payload
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from relaysim.crypto.merkle import (
     NODE_PREFIX,
     MerkleProof,
     MerkleTree,
-    leaf_hash,
     merkle_prove,
     merkle_root,
     merkle_verify,
@@ -21,7 +20,7 @@ LEAVES8 = [f"leaf-{i}".encode() for i in range(8)]
 
 
 def test_single_leaf_root_is_leaf_hash():
-    assert merkle_root([b"only"]) == leaf_hash(b"only")
+    assert merkle_root([b"only"]) == _ref_leaf_hash(b"only", "sha256")
     proof = merkle_prove([b"only"], 0)
     assert proof.path == ()
     assert merkle_verify(merkle_root([b"only"]), b"only", proof)
@@ -110,12 +109,16 @@ def test_configurable_hash_algorithms():
 # levels below the root by halving the position.
 
 
+def _ref_leaf_hash(leaf, algo):
+    return hash_fn(algo)(LEAF_PREFIX + leaf).digest()
+
+
 def _ref_node_hash(left, right, algo):
     return hash_fn(algo)(NODE_PREFIX + left + right).digest()
 
 
 def _ref_levels(leaves, algo):
-    levels = [[hash_fn(algo)(LEAF_PREFIX + leaf).digest() for leaf in leaves]]
+    levels = [[_ref_leaf_hash(leaf, algo) for leaf in leaves]]
     while len(levels[-1]) > 1:
         level = levels[-1]
         nxt = [_ref_node_hash(level[i], level[i + 1], algo) for i in range(0, len(level) - 1, 2)]

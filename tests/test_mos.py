@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaysim import harness
-from relaysim.chain import AssetPayload, ChainConfig, MessagePayload
+from relaysim.chain import AssetPayload, ChainConfig, CrossChainTx, MessagePayload
 from relaysim.mos import (
     InsufficientFee,
     MosService,
@@ -178,10 +178,11 @@ def _source_bundle(env, backend):
 def test_message_in_honest_and_idempotent(backend):
     env = _env(backend)
     mos = MosService(env, CFG)
-    key = mos.message_out(1, 2, AssetPayload(token="T", amount=5), "MAPO", fee_paid=2)
+    payload = AssetPayload(token="T", amount=5)
+    key = mos.message_out(1, 2, payload, "MAPO", fee_paid=2)
     bundle = _source_bundle(env, backend)
     tx_hash = mos.message_in(100, 1, bundle)
-    assert tx_hash == env.submitted[key].tx_hash
+    assert tx_hash == CrossChainTx(dest_chain=2, payload=payload, origin_chain=1, nonce=key[1]).tx_hash
     assert env.rc.chain.pending_count == 1
     mos.message_in(100, 1, bundle)  # replay: no extra relay inclusion
     assert env.rc.chain.pending_count == 1
@@ -318,7 +319,7 @@ def test_records_match_the_observer_rule_under_forgeries():
             env.transmit(corpus.forge(strategies[i % len(strategies)]), env.rc_id)
 
     env._produce_source_blocks = produce_then_forge
-    stream = synthetic_workload(scenario)
+    stream = list(synthetic_workload(scenario))
     seen = set()
     for round_ in range(12):
         for src, dst, payload in stream[round_ * 6 : (round_ + 1) * 6]:

@@ -311,13 +311,30 @@ def test_payload_conservation_flags_a_forged_final_payload(backend):
     env.run(1)
     key = env.submit(1, 2, AssetPayload(token="T", amount=4))
     honest = env.submit(1, 3, AssetPayload(token="T", amount=5))
-    forged = dc_replace(env.submitted[key], payload=AssetPayload(token="T", amount=10**9))
+    forged = CrossChainTx(dest_chain=2, payload=AssetPayload(token="T", amount=10**9), origin_chain=1, nonce=key[1])
     outcome = forge_relay_confirmation(env, 0.75, forged)
     assert outcome.bundle is not None
     ctx, result, fresh = env.deliver(outcome.bundle, 2)
     assert ctx == forged and result.ok and fresh
     done, _ = env.run_until_complete([key, honest])
     assert done and sorted(env.final_confirmations()) == sorted([key, honest])
+    assert env.payload_conservation_violations() == [key]
+
+
+def test_a_second_final_delivery_of_a_key_is_a_violation(backend):
+    """A key's payload is dropped once its `FIN1` record is swept. Colluding
+    relay validators then confirm the same key, with the same payload, to a
+    second destination: the sweep of that second `FIN1` record flags the
+    key, since one submission has one final delivery."""
+    env = _env(backend)
+    payload = AssetPayload(token="T", amount=4)
+    key = env.submit(1, 2, payload)
+    assert env.run_until_complete([key])[0] and env.payload_conservation_violations() == []
+    again = CrossChainTx(dest_chain=3, payload=payload, origin_chain=1, nonce=key[1])
+    outcome = forge_relay_confirmation(env, 0.75, again)
+    env.deliver(outcome.bundle, 3)
+    env.step()
+    assert env.trace.has_stage(key, "confirm_dc") and key in env.submitted
     assert env.payload_conservation_violations() == [key]
 
 
@@ -337,7 +354,7 @@ def test_intermediate_payload_identical(backend):
     env.run(1)
     (record,) = confirmed
     assert record.key == key
-    assert record.ctx.payload.to_bytes() == env.submitted[key].payload.to_bytes()
+    assert record.ctx.payload.to_bytes() == AssetPayload(token="X", amount=42).to_bytes()
     assert record.origin_chain == 1
     assert not hasattr(env.rc, "confirmations")
 

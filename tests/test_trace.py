@@ -9,7 +9,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from relaysim.trace import PIPELINE_STAGES, TraceEvent, TraceLog, ctx_key_str, event_lines
+from relaysim.trace import PIPELINE_STAGES, NonceTable, TraceEvent, TraceLog, ctx_key_str, event_lines
 
 _keys = st.none() | st.tuples(st.integers(0, 3), st.integers(0, 12))
 _rows = st.lists(
@@ -135,3 +135,83 @@ def test_event_lines_equal_sorted_json_dumps(events):
         for e in events
     ]
     assert list(event_lines(events)) == [json.dumps(row, sort_keys=True) + "\n" for row in rows]
+
+
+# Keys as the runs make them and as forgers make them: dense and sparse
+# nonces per origin (a destination sees every other nonce of an origin),
+# nonces within and beyond a column's growth window, the None key, and
+# forged nonces that must grow no column.
+_table_keys = st.none() | st.tuples(
+    st.integers(0, 3),
+    st.integers(0, 40)
+    | st.integers(0, 100).map(lambda n: 2 * n + 1)
+    | st.sampled_from((-1, 4095, 4200, 8300, 999_999_999, 2**64 - 1)),
+)
+_TABLES = {
+    "i": (-1, st.integers(-(2**31) - 2, 2**31 + 1)),
+    "B": (0, st.integers(-1, 256)),
+    None: (None, st.none() | st.integers(-5, 5) | st.text(max_size=2)),
+}
+
+
+@pytest.mark.parametrize("fmt", list(_TABLES), ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_nonce_table_equals_a_dict(fmt, data):
+    """A `NonceTable` reads, writes and deletes as a plain dict does, keys
+    in any order, values its columns cannot hold included; each origin's
+    column keys iterate in nonce order, and a column grows only for nonces
+    stored within its window, by an eighth of its length at a time."""
+    fill, values = _TABLES[fmt]
+    table, oracle = NonceTable(fmt, fill), {}
+    grown: dict = {}  # origin -> the largest nonce stored within the window of its column
+    ops = st.tuples(st.sampled_from(("set", "set", "del", "pop")), _table_keys, values)
+    for op, key, value in data.draw(st.lists(ops, max_size=60)):
+        if op == "set":
+            size = len(table._columns.get(key[0], ())) if key is not None else 0
+            if key is not None and size <= key[1] < size + 4096:
+                grown[key[0]] = max(grown.get(key[0], 0), key[1])
+            table[key] = oracle[key] = value
+        elif op == "del":
+            if key in oracle:
+                del table[key], oracle[key]
+            else:
+                with pytest.raises(KeyError):
+                    del table[key]
+        else:
+            assert table.pop(key, "gone") == oracle.pop(key, "gone")
+        assert (key in table) == (key in oracle) and table.get(key, "gone") == oracle.get(key, "gone")
+    assert dict(table) == oracle and len(table) == len(oracle) == len(list(table))
+    held = [(o, n) for o in sorted(table._columns) for n, v in enumerate(table._columns[o]) if v != fill]
+    assert list(table)[: len(held)] == held  # the column keys come first, in (origin, nonce) order
+    for origin, column in table._columns.items():
+        assert len(column) <= max(16, grown[origin] + 1 + (grown[origin] >> 3))
+
+
+def test_a_forged_nonce_grows_no_column():
+    """Nonces far past a column's end, None and negative nonces go to the
+    side dict: they allocate no dense storage, before or after a column
+    exists."""
+    table = NonceTable()
+    for key in ((1, 999_999_999), (1, 2**64 - 1), (2, 2**64 - 1), None, (1, -1), (3, 4096)):
+        table[key] = 7
+    assert table._columns == {} and len(table) == 6
+    table[(1, 3)] = 8
+    table[(1, 20 + 4096)] = 9
+    assert {o: len(c) for o, c in table._columns.items()} == {1: 16}
+    assert dict(table) == {(1, 3): 8, (1, 999_999_999): 7, (1, 2**64 - 1): 7, (2, 2**64 - 1): 7,
+                           None: 7, (1, -1): 7, (3, 4096): 7, (1, 4116): 9}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_table_keys, max_size=40))
+def test_rows_are_numbered_in_first_traced_order(keys):
+    """Whatever the keys, in whatever order, the trace numbers its rows in
+    first-traced order: `keys_at` and the `trace.jsonl` lines give the keys
+    back as they were first traced."""
+    log = TraceLog()
+    for time, key in enumerate(keys):
+        log.record(TraceEvent(key=key, stage="commit_sc", time=time, chain=1))
+    assert log.keys_at("commit_sc") == list(dict.fromkeys(keys))
+    assert [e.key for e in log.events] == keys
+    assert [json.loads(line)["ctx"] for line in event_lines(log.events)] == [ctx_key_str(k) for k in keys]
