@@ -65,7 +65,9 @@ def keygen_many(seeds: Sequence[bytes | str]) -> List[KeyPair]:
             raise ValueError("keygen seed must be nonempty")
         material = expand_message_xmd(seed, DST_KEYGEN, 48)
         secrets.append(int.from_bytes(material, "big") % (bn254.R - 1) + 1)
-    return [KeyPair(sk, pk) for sk, pk in zip(secrets, bn254.g2_base_mul_many(secrets))]
+    publics = bn254.g2_base_mul_many(secrets)
+    bn254._keygen_points.keep(publics)  # [sk]G2: decoding these encodings needs no square root
+    return [KeyPair(sk, pk) for sk, pk in zip(secrets, publics)]
 
 
 def keygen(seed: bytes | str) -> KeyPair:

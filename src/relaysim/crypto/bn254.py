@@ -24,12 +24,12 @@ and a^7, where the NAF took 23, inverting by conjugation.
 
 G1 scalar multiplication g1_mul uses the GLV endomorphism (Gallant, Lambert
 and Vanstone, CRYPTO 2001) phi(x, y) = (BETA x, y) = [LAMBDA](x, y): k is
-split by a reduced lattice basis into two halves of about 128 bits, and one
-pass of Jacobian doublings adds the width-4 NAF digits of both halves from
-the odd multiples P, 3P, 5P, 7P, made affine with one inversion, and their
-images under phi. That is about 128 doublings and 52 additions, where
-double-and-add took 254 and 127. It is exact on the curve, which is all of
-G1 (cofactor one).
+split by a reduced lattice basis into two halves of about 128 bits (a k
+below 2^128 is used whole), and one pass of Jacobian doublings adds the
+width-4 NAF digits of both halves from the odd multiples P, 3P, 5P, 7P,
+made affine with one inversion, and their images under phi. That is about
+128 doublings and 52 additions, where double-and-add took 254 and 127. It
+is exact on the curve, which is all of G1 (cofactor one).
 
 The general G2 scalar multiplication g2_mul is affine double-and-add, with
 no reduction of the scalar mod R. The fixed-base g2_base_mul_many, which
@@ -44,13 +44,14 @@ once, at import, by Jacobian doublings on six ints. Public-key aggregation sums
 through the same batch adder. Key decompression takes its Fp2 square root
 by the norm method for p = 3 mod 4 (Adj and Rodriguez-Henriquez, IEEE
 Trans. Computers 2014), which moves the exponentiations into Fp, where
-they are the builtin pow.
+they are the builtin pow; a key that keygen made in this run takes none,
+since keygen leaves its points in a memo g2_from_bytes reads first.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 # Curve parameters. p and r are the base-field and group orders generated by
 # the BN construction from the seed U.
@@ -485,17 +486,19 @@ def g1_mul(pt: G1Point, k: int) -> G1Point:
     halves of about 128 bits, k = k1 + k2 LAMBDA mod R, and one pass of
     about 128 doublings adds the width-4 NAF digits of k1 from the odd
     multiples of pt and those of k2 from their images under phi, which
-    cost one multiplication by BETA each. The result is exact only on the
-    curve, where phi is multiplication by LAMBDA: G1's cofactor is 1, so
-    every curve point qualifies, and `bls` checks points on the curve before
-    a batch multiplies them."""
+    cost one multiplication by BETA each. A k below 2^128, as a batch
+    coefficient is, is already that short: it is its own k1 with k2 = 0,
+    where a split could leave a second half of about 64 bits. The result
+    is exact only on the curve, where phi is multiplication by LAMBDA: G1's
+    cofactor is 1, so every curve point qualifies, and `bls` checks points
+    on the curve before a batch multiplies them."""
     k %= R
     if pt is None or k == 0:
         return None
-    k1, k2 = _glv_split(k)
+    k1, k2 = _glv_split(k) if k >> 128 else (k, 0)
     odd = _g1_odd_multiples(*pt)
     tables = []
-    for points in (odd, [(BETA * x % P, y) for x, y in odd]):
+    for points in (odd, [(BETA * x % P, y) for x, y in odd] if k2 else []):
         table: List[Optional[Tuple[int, int]]] = [None] * 16  # indexed by digit: -d reads table[16 - d]
         for d, (x, y) in zip((1, 3, 5, 7), points):
             table[d], table[-d] = (x, y), (x, P - y)
@@ -1007,9 +1010,42 @@ def g2_to_bytes(pt: G2Point) -> bytes:
     return bytes([0x02 | _fp2_sign(y)]) + x[0].to_bytes(32, "big") + x[1].to_bytes(32, "big")
 
 
+class _KeygenPoints:
+    """Encoding -> point of each public key `bls.keygen_many` made, the
+    oldest dropped past `maxsize`, so `g2_from_bytes` returns a key this
+    run made without a square root. Each point is [sk]G2, in G2 by
+    construction, and its encoding is made here from it; nothing else fills
+    the memo, so an encoding of an off-curve or off-subgroup point always
+    takes the full decode. `cache_clear` empties it with the other run memos."""
+
+    maxsize = 1024
+
+    def __init__(self):
+        self._points: Dict[bytes, G2Point] = {}
+
+    def keep(self, points: Sequence[G2Point]) -> None:
+        """Keep keygen's [sk]G2 points; never a point from anywhere else."""
+        for pt in points:
+            self._points[g2_to_bytes(pt)] = pt
+        while len(self._points) > self.maxsize:
+            del self._points[next(iter(self._points))]
+
+    def get(self, data: bytes) -> Optional[G2Point]:
+        return self._points.get(data)
+
+    def cache_clear(self) -> None:
+        self._points.clear()
+
+
+_keygen_points = _KeygenPoints()
+
+
 def g2_from_bytes(data: bytes) -> G2Point:
     if len(data) != G2_ENC_LEN:
         raise ValueError("bad G2 encoding length")
+    kept = _keygen_points.get(bytes(data))
+    if kept is not None:
+        return kept
     if data[0] == 0x00:
         if any(data[1:]):
             raise ValueError("bad G2 identity encoding")

@@ -77,6 +77,7 @@ _RUN_MEMOS = (
     _decoded_name,
     bls._pairing_equal_cached,
     bls._pairing_product_cached,
+    bn254._keygen_points,
     bn254._line_schedule,
     _header_terms,
     _message_point,

@@ -5,8 +5,9 @@ line-schedule cache, the flat Fp6/Fp12 arithmetic against a schoolbook
 reference, the GLV constants and `g1_mul` against a plain double-and-add,
 the affine G2 ladder `g2_mul` (unreduced, so [R]Q = O tells the
 subgroup apart) as the reference for the window bases and the batched
-signed-window fixed-base multiplication, and the norm-method Fp2 square
-root against the pow-chain one."""
+signed-window fixed-base multiplication, the norm-method Fp2 square
+root against the pow-chain one, and G2 decoding from keygen's memo of its
+points against the full decoder."""
 
 import hashlib
 import random
@@ -292,6 +293,21 @@ def test_g1_mul_on_named_scalars():
     assert g1_mul(pt, R) is None and g1_mul(pt, GLV_LAMBDA) == (GLV_BETA * pt[0] % P, pt[1])
 
 
+def test_g1_mul_splits_only_a_scalar_of_2_128_or_more(monkeypatch):
+    """A k below 2^128, as a batch coefficient is, takes no GLV split;
+    `test_g1_mul_matches_double_and_add` draws random ones."""
+    pt, splits = hash_to_curve(b"short scalars"), []
+
+    def split(k, _fn=bn254._glv_split):
+        splits.append(k)
+        return _fn(k)
+
+    monkeypatch.setattr(bn254, "_glv_split", split)
+    for k in (1, 2**127, 2**128 - 1, 2**128, R - 1):
+        assert g1_mul(pt, k) == _g1_mul_reference(pt, k)
+    assert splits == [2**128, R - 1]
+
+
 def test_g2_base_mul_matches_g2_mul():
     q = g2_mul(G2_GEN, 0xC0FFEE)
     for k in (1, 2, 3, 0xDEADBEEF, R - 1, A % R):
@@ -417,3 +433,59 @@ def test_g2_decode_restores_the_point_for_both_sign_bits(k):
     encodings = [g2_to_bytes(q), g2_to_bytes(g2_neg(q))]
     assert {e[0] for e in encodings} == {0x02, 0x03}
     assert [g2_from_bytes(e) for e in encodings] == [q, g2_neg(q)]
+
+
+def _decoded(data):
+    """g2_from_bytes's point, or the type and text of its ValueError."""
+    try:
+        return g2_from_bytes(data)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.binary(min_size=1, max_size=16))
+def test_a_kept_keygen_point_decodes_as_the_full_decoder_does(stray_twist_point, seed):
+    """With keygen's point kept and with the memo empty, g2_from_bytes gives
+    the same point or the same ValueError on a key's encoding and on its
+    tampered variants, and a hit returns the kept point itself. Encoding and
+    decoding points keygen did not make leave the memo as it was."""
+    memo = bn254._keygen_points
+    memo.cache_clear()
+    kp = bls.keygen(seed)
+    enc = kp.public_bytes
+    c0, c1 = int.from_bytes(enc[1:33], "big"), int.from_bytes(enc[33:], "big")
+    variants = [
+        enc,
+        bytes([enc[0] ^ 1]) + enc[1:],  # sign bit flipped
+        enc[:1] + (c0 + 1).to_bytes(32, "big") + enc[33:],  # x + 1
+        enc[:-1],  # truncated
+        bytes(bn254.G2_ENC_LEN),  # identity
+        enc[:1] + (c0 + P).to_bytes(32, "big") + enc[33:],  # x.c0 >= P
+        enc[:33] + (c1 + P).to_bytes(32, "big"),  # x.c1 >= P
+    ]
+    filled = [_decoded(v) for v in variants]
+    assert filled[0] is kp.public
+    strangers = [stray_twist_point, g2_neg(kp.public), g2_mul(G2_GEN, int.from_bytes(seed, "big"))]
+    for pt in strangers:
+        _decoded(g2_to_bytes(pt))
+    assert memo._points == {enc: kp.public}
+    memo.cache_clear()
+    assert [_decoded(v) for v in variants] == filled
+    for pt in strangers:
+        _decoded(g2_to_bytes(pt))
+    assert memo._points == {}
+
+
+def test_the_keygen_memo_keeps_its_newest_keys_up_to_its_bound(monkeypatch):
+    """Past `maxsize` the oldest key is dropped, and its encoding then takes
+    the full decode."""
+    memo = bn254._keygen_points
+    memo.cache_clear()
+    monkeypatch.setattr(memo, "maxsize", 3)
+    points = [bn254.g2_base_mul(k) for k in range(1, 5)]
+    memo.keep(points)
+    assert list(memo._points.values()) == points[1:]
+    assert memo.get(g2_to_bytes(points[0])) is None
+    assert g2_from_bytes(g2_to_bytes(points[0])) == points[0]
+    memo.cache_clear()

@@ -130,13 +130,17 @@ DEMO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml"
 def test_a_second_run_in_one_process_does_the_same_work(monkeypatch):
     """Each environment starts with cold memos, so a second demo run in the
     same process makes the first run's pairings, Miller loops, final
-    exponentiations and hash-to-curve steps again, not none of them."""
+    exponentiations, hash-to-curve steps and key decodes again, not none of
+    them; the keys it decodes are its own, kept by its keygen, so none takes
+    a square root. A new environment forgets the last run's keys."""
     from relaysim import prover
-    from relaysim.crypto import bn254
+    from relaysim.crypto import bn254, commitment
+    from relaysim.relay import RelayEnvironment
 
     counts = {}
     wrapped = [(bn254, "pairing"), (bn254, "miller_loop"), (bn254, "final_exponentiation")]
     wrapped += [(lightclient, "hash_to_base"), (prover, "base_to_g")]
+    wrapped += [(commitment, "g2_from_bytes"), (bn254, "fp2_sqrt")]
     for module, name in wrapped:
 
         def counted(*args, _name=name, _fn=getattr(module, name)):
@@ -150,7 +154,50 @@ def test_a_second_run_in_one_process_does_the_same_work(monkeypatch):
         assert harness.run(load_scenario(DEMO)).ok
         runs.append(dict(counts))
     expected = {"pairing": 2, "miller_loop": 4, "final_exponentiation": 4, "hash_to_base": 4, "base_to_g": 4}
+    expected |= {"g2_from_bytes": 15, "fp2_sqrt": 0}
     assert runs == [expected, expected]
+    last_keys = set(bn254._keygen_points._points)
+    env = RelayEnvironment(ChainConfig(chain_id=100, weights=(1, 1), key_namespace="fresh"), harness.backend_for(SCEN))
+    rc_keys = {e.pubkey_bytes for e in env.rc.chain.validator_set(0).entries}
+    assert len(last_keys) == 15 and set(bn254._keygen_points._points) == rc_keys
+    assert not last_keys & rc_keys
+
+
+def test_a_64_validator_run_decodes_its_keys_without_a_square_root(monkeypatch):
+    """Three chains of 64 validators decode their 192 keys through
+    `commitment.g2_from_bytes`, and each is a key the run's keygen kept, so
+    none reaches `fp2_sqrt` from `g2_from_bytes` (each of the 192 did when
+    every key was decompressed)."""
+    from relaysim.crypto import bn254, commitment
+
+    counts = {"decodes": 0, "roots": 0}
+    decoding = []
+
+    def decode(data, _fn=commitment.g2_from_bytes):
+        counts["decodes"] += 1
+        decoding.append(True)
+        try:
+            return _fn(data)
+        finally:
+            decoding.pop()
+
+    def sqrt(a, _fn=bn254.fp2_sqrt):
+        counts["roots"] += bool(decoding)
+        return _fn(a)
+
+    monkeypatch.setattr(commitment, "g2_from_bytes", decode)
+    monkeypatch.setattr(bn254, "fp2_sqrt", sqrt)
+    chain = {"validators": 64, "epoch_size": 10}
+    scenario = scenario_from_dict({
+        "name": "committee-64",
+        "seed": 1,
+        "relay_chain": {"chain_id": 100, **chain},
+        "chains": [{"chain_id": 1, **chain}, {"chain_id": 2, **chain}],
+        "provers": [{"name": "p0"}],
+        "workload": {"kind": "synthetic", "count": 8},
+    })
+    assert harness.run(scenario).ok
+    assert counts == {"decodes": 192, "roots": 0}
 
 
 def test_a_dropped_run_releases_its_backend():
