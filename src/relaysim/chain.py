@@ -384,6 +384,8 @@ class Chain:
         self._blocks: List[Optional[Block]] = []  # None: released
         self._released = 0  # every block below this height is released
         self._trees: Dict[int, MerkleTree] = {}
+        # height -> leaf index -> the relay bundle its provers share (`Prover.ctx_bundle`)
+        self.bundles: Dict[int, Dict[int, object]] = {}
         self._pending: Deque[object] = deque()  # records; each is encoded when its block is made
         self._nonce = 0
         self._withhold = 0.0  # share of each signing set's weight that does not sign
@@ -451,13 +453,14 @@ class Chain:
         self._nonce += 1
         return tx
 
-    def submit_tx(self, ctx: CrossChainTx) -> bytes:
+    def submit_tx(self, ctx: CrossChainTx) -> None:
+        """Queue `ctx` for the next block; its receipt hash, `ctx.tx_hash`,
+        is computed when that block is made."""
         if ctx.dest_chain == self.config.chain_id:
             raise ValueError("cross-chain destination equals the origin chain")
         if ctx.origin_chain != self.config.chain_id:
             raise ValueError("transaction origin does not match this chain")
         self._pending.append(ctx)
-        return ctx.tx_hash
 
     def append_event(self, record) -> None:
         """Queue a local confirmation event (relay / destination bookkeeping):
@@ -568,14 +571,15 @@ class Chain:
         raise IndexError(f"block {height} of chain {self.config.chain_id} has no receipt {index}")
 
     def release_blocks(self, below_height: int) -> None:
-        """Drop the receipts, records and Merkle tree of every block below
-        `below_height`, keeping their headers: call it once every reader of
-        those blocks has passed them. A later read of a released block
-        raises `BlockReleased`."""
+        """Drop the receipts, records, Merkle tree and shared bundles of
+        every block below `below_height`, keeping their headers: call it
+        once every reader of those blocks has passed them. A later read of a
+        released block raises `BlockReleased`."""
         below_height = min(below_height, len(self._blocks))
         for height in range(self._released, below_height):
             self._blocks[height] = None
             self._trees.pop(height, None)
+            self.bundles.pop(height, None)
         self._released = max(self._released, below_height)
 
     def signing_set_for(self, header: BlockHeader) -> ValidatorSet:

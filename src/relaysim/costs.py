@@ -42,6 +42,8 @@ class GasCostTable:
         object.__setattr__(self, "_units", units)  # label -> unit cost, built once
         # (operation, items) -> the one GasReceipt `GasMeter.receipt` gives for it
         object.__setattr__(self, "_receipts", {})
+        # (reason, depth) -> lightclient.hlc_verify's shared result for that outcome
+        object.__setattr__(self, "_verify_results", {})
 
     def unit(self, label: str) -> int:
         try:

@@ -3,6 +3,8 @@ proof-offloaded client.
 
 Both are pure state machines over immutable states; every call returns a
 result object carrying a gas receipt built from instrumentation counters.
+`hlc_verify`'s receipt depends only on the branch it took and the proof
+depth, so its results are built once per gas table and then looked up.
 The public verify contract is boolean, but rejections carry an enumerated
 reason for the adversarial test harness.
 
@@ -18,7 +20,7 @@ import functools
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import encoding
 from .chain import BlockHeader, ReceiptMessage, quorum_reached
@@ -26,8 +28,8 @@ from .costs import GasCostTable, GasMeter, GasReceipt
 from .crypto import bls
 from .crypto.commitment import ValidatorSet, commitment_digest
 from .crypto.hash_to_curve import base_to_g, hash_to_base
-from .crypto.hashes import digest
-from .crypto.merkle import MerkleProof, merkle_verify
+from .crypto.hashes import digest, hash_fn
+from .crypto.merkle import LEAF_PREFIX, NODE_PREFIX, MerkleProof, merkle_verify
 
 
 class RejectReason(Enum):
@@ -173,6 +175,65 @@ def _check_inclusion(
     return None
 
 
+class InclusionMemo:
+    """`merkle_verify`'s verdicts for one host, with the nodes of the paths
+    it verified under one root kept: the receipts of a block share their
+    root and the upper nodes of their paths. A memo holds one root at a
+    time; a path under another root empties it.
+
+    Each kept node, above leaf level (only the same receipt shares a leaf
+    node), maps to the rest of the path it was verified on, from its level
+    up to the root. A path is hashed up from its leaf until it reaches a
+    kept node; the path is accepted there if its remaining entries equal
+    the kept ones, every one of them compared, since hashing that node up
+    those entries gave the root. Any other path (the first under a root,
+    one that meets no kept node, or one whose remaining entries differ) is
+    decided by `merkle_verify` itself, and the nodes hashed on it are kept
+    when it is accepted."""
+
+    __slots__ = ("_root", "_algo", "_nodes")
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self._root: Optional[bytes] = None
+        self._algo: Optional[str] = None
+        self._nodes: Dict[bytes, tuple] = {}  # node -> the rest of its verified path under _root
+
+    def verify(self, root: bytes, leaf: bytes, proof: MerkleProof, algo: str = "sha256") -> bool:
+        if root != self._root or algo != self._algo:
+            self.clear()
+            self._root, self._algo = root, algo
+        nodes, path, new = self._nodes, proof.path, hash_fn(algo)
+        hashed: List[Tuple[int, bytes]] = []  # (level, node) above leaf level, hashed on this path
+        acc = new(LEAF_PREFIX + leaf).digest()
+        for level, (sibling, side) in enumerate(path):
+            if level:
+                kept = nodes.get(acc)
+                if kept is not None:
+                    if kept == path[level:]:
+                        self._keep(path, hashed)
+                        return True
+                    break
+                hashed.append((level, acc))
+            if side == "L":
+                acc = new(NODE_PREFIX + sibling + acc).digest()
+            elif side == "R":
+                acc = new(NODE_PREFIX + acc + sibling).digest()
+            else:
+                break
+        if merkle_verify(root, leaf, proof, algo):
+            self._keep(path, hashed)
+            return True
+        return False
+
+    def _keep(self, path, hashed: List[Tuple[int, bytes]]) -> None:
+        nodes = self._nodes
+        for level, node in hashed:
+            nodes[node] = path[level:]
+
+
 def lc_update(state: NormalLcState, header: BlockHeader, table: GasCostTable) -> UpdateResult:
     meter = GasMeter(table, "lc_update")
     meter.charge("call_overhead")
@@ -264,30 +325,50 @@ def public_inputs(
     )
 
 
-def _check_proof(
-    state: HybridLcState, header: BlockHeader, zk_proof, meter: GasMeter, backend
-) -> Optional[RejectReason]:
-    # the client derives every bindable public input itself, on-chain
-    meter.charge("sload_word", 3)
-    meter.charge("hash_op", 3)  # hash-to-base of the signing payload
-    meter.charge("hash_op", 1)  # header digest
+def _check_proof(state: HybridLcState, header: BlockHeader, zk_proof, backend) -> Optional[RejectReason]:
     # The backend's last passed (state, header, zk_proof): all three are
     # immutable, so the same objects get the same verdict, and the receipts
     # of one block share their header's proof, which is checked once.
     # Matched by identity, and held so that no other object can take their ids.
     last_state, last_header, last_proof = backend.last_passed
     if state is last_state and header is last_header and zk_proof is last_proof:
-        meter.charge("snark_verify")
         return None
     claimed = zk_proof.publics.claimed_weight
     expected = public_inputs(header, state.commitment, state.threshold, state.hash_algo, claimed)
     if zk_proof.publics != expected or claimed <= 0:
         return RejectReason.PUBLIC_INPUT_MISMATCH
-    meter.charge("snark_verify")
     if not backend.verify(zk_proof, expected):
         return RejectReason.PROOF_INVALID
     backend.last_passed = (state, header, zk_proof)
     return None
+
+
+def _charge_proof(meter: GasMeter, reason: Optional[RejectReason]) -> None:
+    """What `_check_proof` costs on-chain, given its verdict."""
+    # the client derives every bindable public input itself, on-chain
+    meter.charge("sload_word", 3)
+    meter.charge("hash_op", 3)  # hash-to-base of the signing payload
+    meter.charge("hash_op", 1)  # header digest
+    if reason is not RejectReason.PUBLIC_INPUT_MISMATCH:
+        meter.charge("snark_verify")
+
+
+def verify_result(table: GasCostTable, reason: Optional[RejectReason], depth: int = 0) -> VerifyResult:
+    """`hlc_verify`'s result when it stops with `reason` (None: accepted)
+    on a proof of `depth` levels (read only past the proof checks): one
+    shared object per outcome and table, its receipt made once by a
+    `GasMeter`."""
+    key = (reason, depth)
+    result = table._verify_results.get(key)
+    if result is None:
+        meter = GasMeter(table, "hlc_verify")
+        meter.charge("call_overhead")
+        if reason is not RejectReason.EPOCH_GAP:
+            _charge_proof(meter, reason)
+            if reason is None or reason is RejectReason.MERKLE_FAIL:
+                meter.charge("merkle_level", depth)
+        result = table._verify_results[key] = VerifyResult(reason is None, meter.receipt(), reason)
+    return result
 
 
 def hlc_update(
@@ -301,7 +382,8 @@ def hlc_update(
     meter.charge("call_overhead")
     if not header.is_boundary or header.epoch != state.epoch + 1:
         return UpdateResult(False, state, meter.receipt(), RejectReason.EPOCH_GAP)
-    reason = _check_proof(state, header, zk_proof, meter, backend)
+    reason = _check_proof(state, header, zk_proof, backend)
+    _charge_proof(meter, reason)
     if reason is not None:
         return UpdateResult(False, state, meter.receipt(), reason)
     meter.charge("sstore_word", 2)
@@ -317,12 +399,15 @@ def hlc_verify(
     zk_proof,
     table: GasCostTable,
     backend,
+    inclusion: Optional[InclusionMemo] = None,
 ) -> VerifyResult:
-    meter = GasMeter(table, "hlc_verify")
-    meter.charge("call_overhead")
+    """Verify a receipt against a hybrid client; `inclusion`, a host's
+    memo, gives `merkle_verify`'s verdict on its audit path."""
     if header.chain_id != state.chain_id or not _header_matches_epoch(state.epoch, header):
-        return VerifyResult(False, meter.receipt(), RejectReason.EPOCH_GAP)
-    reason = _check_proof(state, header, zk_proof, meter, backend) or _check_inclusion(
-        message, header, merkle_proof, state.hash_algo, meter
-    )
-    return VerifyResult(reason is None, meter.receipt(), reason)
+        return verify_result(table, RejectReason.EPOCH_GAP)
+    reason = _check_proof(state, header, zk_proof, backend)
+    if reason is not None:
+        return verify_result(table, reason)
+    check = merkle_verify if inclusion is None else inclusion.verify
+    included = check(header.receipt_root, message.to_bytes(), merkle_proof, state.hash_algo)
+    return verify_result(table, None if included else RejectReason.MERKLE_FAIL, len(merkle_proof.path))

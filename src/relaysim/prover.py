@@ -90,9 +90,10 @@ class ZkProof:
 class _Backend:
     """Shared by both backends: checks the witness, then binds the public
     inputs under a private key; verification recomputes the binding, or
-    reads it back for the public inputs it bound last. A
-    backend states only its pairing decision route and its gate report.
-    Both memos live on the instance, so they go with the run that made it.
+    reads it back for the public inputs it bound last. Provers that prove
+    one header through one backend get one `ZkProof` object. A backend
+    states only its pairing decision route and its gate report. Its memos
+    live on the instance, so they go with the run that made it.
 
     Subclasses bind `prove` and `verify` in their own class body:
     perfbench/probes.py wraps each class's own methods.
@@ -111,7 +112,14 @@ class _Backend:
             bound.update(publics.canonical_bytes())
             return bound.digest()
 
+        name = self.name
+
+        @functools.lru_cache(maxsize=64)  # the last proofs, by what they hold
+        def proof(publics: PublicInputs, report: Optional[GateReport]) -> ZkProof:
+            return ZkProof(backend=name, attestation=attest(publics), publics=publics, gate_report=report)
+
         self._attest = attest
+        self._proof = proof
         self.last_passed: Tuple[object, ...] = (None, None, None)  # see lightclient._check_proof
 
     def check_statement(self, statement: ZkStatement) -> bool:
@@ -137,12 +145,7 @@ class _Backend:
     def prove(self, statement: ZkStatement) -> ZkProof:
         if not self.check_statement(statement):
             raise UnsatisfiedStatement("witness does not satisfy the statement")
-        return ZkProof(
-            backend=self.name,
-            attestation=self._attest(statement.publics),
-            publics=statement.publics,
-            gate_report=self._gate_report(statement.witness),
-        )
+        return self._proof(statement.publics, self._gate_report(statement.witness))
 
     def verify(self, proof: ZkProof, publics: PublicInputs) -> bool:
         if proof.publics != publics:
@@ -299,16 +302,26 @@ class Prover:
 
     def ctx_bundle(self, chain: Chain, confirmation: Confirmation) -> ProofBundle:
         """The bundle for a confirmation this prover read off `chain`: the
-        receipt is proven by its position in its block."""
-        return ProofBundle(
-            kind="ctx",
-            origin_chain=chain.config.chain_id,
-            header=confirmation.header,
-            zk_proof=self.zk_proof_for(chain, confirmation.header),
-            merkle_proof=chain.receipt_proof(confirmation.header.height, confirmation.leaf_index),
-            receipt_payload=confirmation.message.payload,
-            receipt_hash=confirmation.message.tx_hash,
-        )
+        receipt is proven by its position in its block. The provers of one
+        receipt share one bundle, kept with its block (`Chain.bundles`),
+        when their proofs of its header are one object, as the proofs of
+        provers with one backend are."""
+        header, leaf = confirmation.header, confirmation.leaf_index
+        zk_proof = self.zk_proof_for(chain, header)
+        kept = chain.bundles.get(header.height)
+        bundle = None if kept is None else kept.get(leaf)
+        if bundle is None or bundle.zk_proof is not zk_proof:
+            bundle = ProofBundle(
+                kind="ctx",
+                origin_chain=chain.config.chain_id,
+                header=header,
+                zk_proof=zk_proof,
+                merkle_proof=chain.receipt_proof(header.height, leaf),
+                receipt_payload=confirmation.message.payload,
+                receipt_hash=confirmation.message.tx_hash,
+            )
+            chain.bundles.setdefault(header.height, {}).setdefault(leaf, bundle)
+        return bundle
 
     def update_bundle(self, chain: Chain, header: BlockHeader) -> ProofBundle:
         return ProofBundle(

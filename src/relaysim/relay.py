@@ -9,9 +9,12 @@ at-least-once prover delivery is harmless.
 
 Everything runs on one deterministic scheduler; within a round, bundles are
 applied in (origin, height, ctx-before-update, leaf) order so results do not
-depend on prover interleaving. That order puts the honest provers' equal
-copies of a bundle side by side, and a host verifies only the first of them:
-once it is accepted, an equal copy costs no second verification.
+depend on prover interleaving. The honest provers share one bundle object
+per receipt (`Prover.ctx_bundle`), and each transmits it; the order puts
+those copies side by side, and a host verifies only the first of them: once
+it is accepted, the same object again costs no second verification. Each
+host checks inclusion through its `InclusionMemo`, which keeps the nodes of
+the paths it verified under the current root.
 
 `RelayEnvironment.receipts_log` holds one entry per paid receipt,
 `{"context", "chain", "operation", "items", "total"}`, and one per gate
@@ -54,6 +57,7 @@ from .costs import GasCostTable, GasReceipt, Items, hlc_setup_gas, lc_setup_gas
 from .crypto import bls, bn254
 from .lightclient import (
     HybridLcState,
+    InclusionMemo,
     RejectReason,
     UpdateResult,
     VerifyResult,
@@ -63,7 +67,7 @@ from .lightclient import (
     hlc_verify,
 )
 from .prover import ProofBundle, Prover, _message_point
-from .trace import NonceTable, TraceEvent, TraceLog
+from .trace import NonceTable, TraceLog
 
 ICTX_TAG = b"ICTX1"  # intermediate record, written on the relay chain
 FIN_TAG = b"FIN1"  # final record, written on a destination chain
@@ -183,6 +187,7 @@ class LightClientHost:
         # accepted keys, one bit per nonce: byte nonce >> 3 of each origin's column
         self._accepted = NonceTable("B", 0)
         self._resolved_height = chain.height
+        self.inclusion = InclusionMemo()
 
     def register_source(self, source: Chain) -> GasReceipt:
         """Set up a light client of `source` from its genesis validator set."""
@@ -226,7 +231,14 @@ class LightClientHost:
             height=bundle.header.height,
         )
         result = hlc_verify(
-            state, message, bundle.header, bundle.merkle_proof, bundle.zk_proof, self.table, self.backend
+            state,
+            message,
+            bundle.header,
+            bundle.merkle_proof,
+            bundle.zk_proof,
+            self.table,
+            self.backend,
+            self.inclusion,
         )
         if not result.ok:
             return ctx, result, False
@@ -342,6 +354,10 @@ class RelayEnvironment:
         self.receipts_log: List[dict] = []  # entry shapes: see the module docstring
         self._items: Dict[Items, Items] = {}  # one shared tuple per distinct `items`
         self._entries: Dict[tuple, dict] = {}  # one shared dict per distinct log entry
+        # (context, chain, id(receipt)) -> (receipt, its entry): receipts are shared objects, and
+        # holding each keeps its id its own
+        self._entry_of: Dict[Tuple[str, int, int], Tuple[object, dict]] = {}
+        self._delivered: Dict[int, DeliveryReceipt] = {}  # target -> the receipt `transmit` returns
         self.rejections: List[Rejection] = []
         # key -> its payload until its FIN1 record is swept, then _SWEPT
         self.submitted = NonceTable(None, None)
@@ -402,7 +418,10 @@ class RelayEnvironment:
         if target not in self._inbox:
             raise ValueError(f"unknown transmit target {target}")
         self._inbox[target].append(bundle)
-        return DeliveryReceipt(target=target)
+        receipt = self._delivered.get(target)
+        if receipt is None:
+            receipt = self._delivered[target] = DeliveryReceipt(target=target)
+        return receipt
 
     # -- bookkeeping --------------------------------------------------------------
 
@@ -411,14 +430,16 @@ class RelayEnvironment:
     ) -> None:
         """Trace `stage` of `key` at the next tick; with `once`, a stage `key`
         already reached takes its tick but is not logged again."""
-        time = self.clock.next()
-        if once and self.trace.has_stage(key, stage):
-            return
-        self.trace.record(TraceEvent(key=key, stage=stage, time=time, chain=chain, verdict=verdict, gas=gas))
+        self.trace.record(key, stage, self.clock.next(), chain, verdict, gas, once)
 
     def _log_receipt(self, context: str, chain_id: int, receipt, **head) -> None:
         """Log a gas receipt under its operation, or a gate report under the
-        `head` fields given: one shared dict per distinct entry."""
+        `head` fields given, which are read off the report: one shared dict
+        per distinct entry, found by the receipt object once it was logged."""
+        known = self._entry_of.get((context, chain_id, id(receipt)))
+        if known is not None:
+            self.receipts_log.append(known[1])
+            return
         head = head or {"operation": receipt.operation}
         key = (context, chain_id, *head.values(), receipt.items)
         entry = self._entries.get(key)
@@ -426,6 +447,7 @@ class RelayEnvironment:
             items = self._items.setdefault(receipt.items, receipt.items)
             entry = {"context": context, "chain": chain_id, **head, "items": items, "total": receipt.total}
             self._entries[key] = entry
+        self._entry_of[context, chain_id, id(receipt)] = (receipt, entry)
         self.receipts_log.append(entry)
 
     def _reject(self, stage: str, chain: int, key, reason: RejectReason) -> None:
@@ -470,33 +492,40 @@ class RelayEnvironment:
 
     def _produce_source_blocks(self) -> None:
         for cid in sorted(self.chains):
-            chain = self.chains[cid]
-            if not chain.pending_count:
-                continue
-            try:
-                block, _ = chain.produce_block()
-            except BlockWithheld:  # liveness fault: txs stay pending
-                continue
-            for record in block.records:
-                if isinstance(record, CrossChainTx):
-                    self._record(record.key, "confirm_sc", cid)
-            # delivery events ride in these blocks too (every chain is also
-            # a destination); sweep their final confirmations now
-            self._record_confirmations(cid)
+            self._produce(cid)
+
+    def _produce(self, chain_id: int) -> None:
+        """Make the next block of chain `chain_id`, if anything is pending,
+        and trace what it confirms: each `CrossChainTx` it holds at
+        `confirm_sc`, then the records its host's sweep finds. Every block
+        of the run is made here, so a transaction confirmed in any of them
+        reaches `confirm_sc`."""
+        host = self.host(chain_id)
+        if not host.chain.pending_count:
+            return
+        try:
+            block, _ = host.chain.produce_block()
+        except BlockWithheld:  # liveness fault: records stay pending
+            return
+        for record in block.records:
+            if isinstance(record, CrossChainTx):
+                self._record(record.key, "confirm_sc", chain_id)
+        self._record_confirmations(chain_id)
 
     def _record_confirmations(self, host_id: int) -> None:
         """Trace the records a host's sweep finds. At a destination, keep
         the key of a `FIN1` record whose payload is not the one submitted:
         a key never submitted, or one whose payload was dropped at an
-        earlier sweep of its `FIN1` (one submission, one final delivery)."""
+        earlier sweep of its `FIN1` (one submission, one final delivery).
+        Equal payloads encode equally, so only unequal ones are encoded."""
         at_relay = host_id == self.rc_id
         for record in self.host(host_id).resolve_confirmations():
             key = record.key
             if at_relay:
                 self._record(key, "confirm_rc", host_id, gas=self._pending_rc_gas.pop(key, None))
             else:
-                payload = self.submitted.get(key)
-                if payload is None or payload is _SWEPT or payload.to_bytes() != record.ctx.payload.to_bytes():
+                payload, got = self.submitted.get(key), record.ctx.payload
+                if payload is None or payload is _SWEPT or (payload != got and payload.to_bytes() != got.to_bytes()):
                     self._violations.add(key)
                 if payload is not None:
                     self.submitted[key] = _SWEPT
@@ -509,7 +538,9 @@ class RelayEnvironment:
             boundaries = prover.new_boundaries(chain)
             confs = prover.monitor(chain, CrossChainTx)  # local events are not relayed outward
             scans.append((chain, boundaries, confs))
-            headers += [(chain, h) for h in boundaries] + [(chain, c.header) for c in confs]
+            # each header once: a block's confirmations share its header object
+            confirmed = {id(c.header): c.header for c in confs}.values()
+            headers += [(chain, h) for h in boundaries] + [(chain, h) for h in confirmed]
         # every new header of the scan is proven, as one batch, before its bundles are built
         prover.prove_many(headers)
         for chain, boundaries, confs in scans:
@@ -564,28 +595,26 @@ class RelayEnvironment:
 
     def _drain(self, host_id: int) -> None:
         """Deliver a host's inbox in bundle order, then produce its next block
-        and trace the records that block confirms.
+        and trace the records that block confirms (`_produce`).
 
-        A bundle equal to the one delivered just before it is skipped when
-        that delivery was accepted: equal bundles share an order key, so the
-        honest provers' copies sort side by side; no update between them
-        changes the host's clients, and verifying the twin would return an
-        accepted idempotent duplicate, which logs nothing. A copy after a
-        rejected one is delivered and logs its own rejection."""
+        A bundle that is the very object delivered just before it is skipped
+        when that delivery was accepted: the honest provers transmit the one
+        bundle they share for a receipt, and its copies share an order key,
+        so they sort side by side; no update between them changes the host's
+        clients, and verifying the twin would return an accepted idempotent
+        duplicate, which logs nothing. A copy after a rejected one is
+        delivered and logs its own rejection, and a bundle built apart, even
+        an equal one, is delivered too. The host's inclusion memo is emptied
+        once the inbox is delivered."""
         bundles = sorted(self._inbox[host_id], key=self._bundle_order)
         self._inbox[host_id].clear()
         previous = delivery = None
         for bundle in bundles:
-            if delivery is not None and delivery[1].ok and bundle == previous:
+            if delivery is not None and delivery[1].ok and bundle is previous:
                 continue
             previous, delivery = bundle, self.deliver(bundle, host_id)
-        host = self.host(host_id)
-        if host.chain.pending_count:
-            try:
-                host.chain.produce_block()
-            except BlockWithheld:
-                return
-            self._record_confirmations(host_id)
+        self.host(host_id).inclusion.clear()
+        self._produce(host_id)
 
     # -- driving -------------------------------------------------------------------
 

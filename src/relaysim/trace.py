@@ -176,9 +176,10 @@ class TraceLog:
     """The event log, kept as one `bytearray` of fixed-width records of
     machine integers (32 bytes each), one per event: the key's row, the
     stage, the tick, the chain, the verdict and the gas. Stage and verdict
-    text is stored once, as an index into a table of names. A `TraceEvent`
-    is built only when an event is read. (`struct` is loaded by the package
-    anyway; the `array` module would cost about 0.13 MB of RSS to load.)
+    text is stored once, as an index into a table of names. `record` takes
+    an event's fields, and a `TraceEvent` is built only when an event is
+    read. (`struct` is loaded by the package anyway; the `array` module
+    would cost about 0.13 MB of RSS to load.)
 
     The per-key index is filled as events are recorded: each key's row holds,
     for every pipeline stage, the position of its latest accepted (`"ok"`)
@@ -204,16 +205,24 @@ class TraceLog:
         self._names.append(name)
         return code
 
-    def record(self, event: TraceEvent) -> None:
-        """Append `event`; an accepted event must name a pipeline stage."""
-        key, stage, verdict, gas = event.key, event.stage, event.verdict, event.gas
+    def record(
+        self,
+        key: Key,
+        stage: str,
+        time: int,
+        chain: int,
+        verdict: str = "ok",
+        gas: Optional[int] = None,
+        once: bool = False,
+    ) -> None:
+        """Append an event from its fields; an accepted event must name a
+        pipeline stage. With `once`, an event at a stage `key` has already
+        reached is not logged (its tick, taken by the caller, stays spent).
+        The key's row is looked up once, for both."""
         codes = self._codes
         stage_code = codes.get(stage)
         if stage_code is None:
             stage_code = self._code(stage)
-        verdict_code = codes.get(verdict)
-        if verdict_code is None:
-            verdict_code = self._code(verdict)
         accepted = verdict == "ok"
         if accepted and stage_code >= _WIDTH:  # the pipeline stages hold codes 0 to _WIDTH - 1
             raise ValueError(f"an accepted event must name a pipeline stage, not {stage!r}")
@@ -226,8 +235,14 @@ class TraceLog:
                 self._odd_keys[row] = key
                 self._keys += _KEY.pack(0, 0)
             self._positions += _EMPTY_ROW
+        elif once and stage_code < _WIDTH:
+            if _POSITION.unpack_from(self._positions, (row * _WIDTH + stage_code) * _POSITION.size)[0] >= 0:
+                return
+        verdict_code = codes.get(verdict)
+        if verdict_code is None:
+            verdict_code = self._code(verdict)
         position = len(self._events) // _EVENT.size
-        self._events += _EVENT.pack(row, stage_code, event.time, event.chain, verdict_code, _NO_GAS if gas is None else gas)
+        self._events += _EVENT.pack(row, stage_code, time, chain, verdict_code, _NO_GAS if gas is None else gas)
         if accepted:
             _POSITION.pack_into(self._positions, (row * _WIDTH + stage_code) * _POSITION.size, position)
         else:

@@ -65,12 +65,15 @@ def test_identical_configs_identical_genesis():
     assert Chain(cfg).headers[0] == Chain(cfg).headers[0]
 
 
-def test_submit_returns_hash_and_queues(small_chain):
+def test_submit_queues_and_the_block_hashes(small_chain):
+    """`submit_tx` only queues; the receipt hash, `ctx.tx_hash`, is made
+    with the block."""
     ctx = small_chain.make_tx(2, AssetPayload(token="USDC", amount=100))
-    tx_hash = small_chain.submit_tx(ctx)
-    assert tx_hash == ctx.tx_hash
+    assert small_chain.submit_tx(ctx) is None
     assert small_chain.pending_count == 1
     assert small_chain.block_at(small_chain.height).receipts == ()  # not yet produced
+    block, _ = small_chain.produce_block()
+    assert [r.tx_hash for r in block.receipts] == [ctx.tx_hash]
 
 
 def test_submit_to_self_rejected(small_chain):
@@ -85,7 +88,8 @@ def test_submission_order_preserved_across_blocks():
     hashes = []
     for i in range(100):
         ctx = chain.make_tx(2, MessagePayload(call_data=bytes([i])))
-        hashes.append(chain.submit_tx(ctx))
+        chain.submit_tx(ctx)
+        hashes.append(ctx.tx_hash)
     confirmed = []
     while chain.pending_count:
         block, _ = chain.produce_block()

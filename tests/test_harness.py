@@ -20,6 +20,7 @@ from relaysim.costs import GasCostTable, GateCostTable
 from relaysim.crypto.bn254 import g1_to_bytes
 from relaysim.crypto.hashes import SUPPORTED
 from relaysim.prover import CountingBackend, Prover, TransparentBackend
+from relaysim.trace import PIPELINE_STAGES
 from relaysim.scenario import (
     DatasetError,
     Scenario,
@@ -521,6 +522,22 @@ def test_a_short_horizon_stalls_at_one_relay_block_a_round_and_the_computed_one_
         result = harness.run(dc_replace(scenario, horizon_rounds=horizon))
         assert result.ok and result.confirmed == 22
     assert base.horizon_rounds == 10 and completing_horizon(base, 50_000) == 14
+
+
+def test_every_key_of_a_small_block_run_reaches_every_stage():
+    """With blocks of at most 4 records on every chain, a chain's outgoing
+    backlog overflows into the blocks its destination host makes after
+    draining its inbox. Those transactions are traced at `confirm_sc` too:
+    every key reaches all seven stages, and none is confirmed on its source
+    chain later than it is proven there."""
+    scenario = _block_bound(default_scenario(seed=1, count=61), 4, 4)
+    result = harness.run(dc_replace(scenario, horizon_rounds=completing_horizon(scenario, 61)))
+    assert result.ok and result.confirmed == 61
+    env = result.env
+    for key in env.submitted:
+        ticks = env.trace.stage_ticks(key)
+        assert list(ticks) == list(PIPELINE_STAGES), key
+        assert ticks["confirm_sc"] <= ticks["prove_sc"]
 
 
 def test_scale_run_reports_the_run_it_measured(tmp_path):

@@ -9,6 +9,8 @@ import pytest
 
 from relaysim import lightclient
 from relaysim.chain import AssetPayload, Chain, ChainConfig, MessagePayload
+from relaysim.costs import GasCostTable, GasMeter
+from relaysim.crypto.merkle import MerkleProof
 from relaysim.crypto.bn254 import P, g1_neg
 from relaysim.crypto.commitment import commitment_digest
 from relaysim.lightclient import (
@@ -20,6 +22,7 @@ from relaysim.lightclient import (
     lc_update,
     lc_verify,
     public_inputs,
+    verify_result,
 )
 from relaysim.prover import Prover, UnsatisfiedStatement, statement_for_header
 
@@ -384,6 +387,65 @@ def test_hybrid_receipt_items_pinned(gas_table, backend):
         assert (result.accepted, result.reason) == (reason is None, reason)
         assert result.receipt.operation == "hlc_update"
         assert result.receipt.items == items, reason
+
+
+_VERIFY_OUTCOMES = [
+    None,
+    RejectReason.EPOCH_GAP,
+    RejectReason.PUBLIC_INPUT_MISMATCH,
+    RejectReason.PROOF_INVALID,
+    RejectReason.MERKLE_FAIL,
+]
+
+
+def _metered_verify_receipt(table, reason, depth):
+    """`hlc_verify`'s receipt charged step by step on a `GasMeter`, as the
+    client's branches reach each charge."""
+    meter = GasMeter(table, "hlc_verify")
+    meter.charge("call_overhead")
+    if reason is not RejectReason.EPOCH_GAP:
+        meter.charge("sload_word", 3)
+        meter.charge("hash_op", 3)
+        meter.charge("hash_op", 1)
+        if reason is not RejectReason.PUBLIC_INPUT_MISMATCH:
+            meter.charge("snark_verify")
+            if reason is not RejectReason.PROOF_INVALID:
+                meter.charge("merkle_level", depth)
+    return meter.receipt()
+
+
+@pytest.mark.parametrize("table", [GasCostTable(), GasCostTable(merkle_level=3, snark_verify=11, sload_word=0)])
+@pytest.mark.parametrize("reason", _VERIFY_OUTCOMES, ids=lambda r: "ok" if r is None else r.value)
+def test_verify_receipts_by_lookup_equal_metered_ones(table, reason):
+    """For each outcome and each proof depth from 0 to 13, the result
+    `hlc_verify` looks up holds the receipt a `GasMeter` builds for that
+    branch, one shared object per outcome and table; only an accepted or
+    Merkle-refused receipt reads the depth."""
+    for depth in range(14):
+        read = depth if reason in (None, RejectReason.MERKLE_FAIL) else 0
+        result = verify_result(table, reason, read)
+        metered = _metered_verify_receipt(table, reason, depth)
+        assert (result.ok, result.reason) == (reason is None, reason)
+        assert result.receipt == metered and result.receipt.items == metered.items
+        assert result.receipt.total == metered.total
+        assert verify_result(table, reason, read) is result
+    assert verify_result(GasCostTable(call_overhead=1), reason).receipt != verify_result(table, reason).receipt
+
+
+def test_a_refused_path_of_each_depth_pays_its_levels(gas_table, backend):
+    """Through `hlc_verify`, an audit path of 0 to 13 levels that does not
+    lead to the root from a tampered receipt is refused with the receipt
+    metered for its depth."""
+    chain = _chain(ns="depths")
+    state = hlc_setup(1, chain.validator_set(0), 4, T23, gas_table).state
+    conf, _, header = _confirmed(chain)
+    zk = Prover("p", backend).zk_proof_for(chain, header)
+    tampered = dc_replace(conf.message, payload=conf.message.payload + b"\x00")
+    for depth in range(14):
+        path = tuple((bytes([level]) * 32, "LR"[level % 2]) for level in range(depth))
+        result = hlc_verify(state, tampered, header, MerkleProof(path), zk, gas_table, backend)
+        assert result.reason == RejectReason.MERKLE_FAIL
+        assert result.receipt == _metered_verify_receipt(gas_table, RejectReason.MERKLE_FAIL, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from relaysim.crypto.merkle import (
     merkle_root,
     merkle_verify,
 )
+from relaysim.lightclient import InclusionMemo
 
 LEAVES8 = [f"leaf-{i}".encode() for i in range(8)]
 
@@ -214,3 +215,58 @@ def test_repeated_prove_returns_the_same_object():
     # node over leaves 4-7) all four paths hold
     assert len({id(proofs[i].path[2]) for i in range(4)}) == 1
     assert len({id(proofs[i].path[1]) for i in range(4)}) == 2  # one per level-1 node
+
+
+def _memo_queries(leaves, algo, data):
+    """(root, leaf, path) queries on the tree of `leaves`: every honest
+    path, and for a drawn leaf each tampered form, at every level: the
+    sibling changed, the side swapped, the side made neither "L" nor "R",
+    the path cut after each level, the path extended, a wrong leaf, and
+    the leaf with another leaf's path."""
+    tree = MerkleTree(leaves, algo)
+    root, n = tree.root, len(leaves)
+    queries = [(root, leaves[i], tree.prove(i).path) for i in range(n)]
+    i = data.draw(st.integers(0, n - 1))
+    path = tree.prove(i).path
+    for level, (sibling, side) in enumerate(path):
+        changed = bytes([sibling[0] ^ 1]) + sibling[1:]
+        for entry in ((changed, side), (sibling, "R" if side == "L" else "L"), (sibling, "X")):
+            queries.append((root, leaves[i], path[:level] + (entry,) + path[level + 1 :]))
+        queries.append((root, leaves[i], path[:level]))
+    extra = data.draw(st.binary(min_size=32, max_size=32))
+    queries += [
+        (root, leaves[i], path + ((extra, "L"),)),
+        (root, leaves[i], path + ((extra, "R"),)),
+        (root, leaves[i] + b"!", path),
+        (root, leaves[i], tree.prove(data.draw(st.integers(0, n - 1))).path),
+    ]
+    return queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.binary(max_size=3), min_size=1, max_size=40), min_size=1, max_size=3),
+    st.sampled_from(SUPPORTED),
+    st.data(),
+)
+def test_the_inclusion_memo_gives_merkle_verify_verdicts(trees, algo, data):
+    """One `InclusionMemo` asked about the paths of up to three trees and
+    of a fourth that extends the first by a leaf (so it shares the first's
+    lower nodes, under another root), their queries interleaved in a drawn
+    order (so the memo's root changes back and forth), honest and tampered
+    at every level, a path of each also under every other root, leaves repeated
+    included: each verdict equals `merkle_verify`'s on the same input."""
+    trees = trees + [trees[0] + [b"extension"]]
+    queries = [q for leaves in trees for q in _memo_queries(leaves, algo, data)]
+    roots = [MerkleTree(leaves, algo).root for leaves in trees]
+    for leaves, root in zip(trees, roots):
+        i = data.draw(st.integers(0, len(leaves) - 1))
+        path = MerkleTree(leaves, algo).prove(i).path
+        queries += [(other, leaves[i], path) for other in roots if other != root]
+    order = list(range(len(queries)))
+    data.draw(st.randoms(use_true_random=False)).shuffle(order)
+    memo = InclusionMemo()
+    for k in order:
+        root, leaf, path = queries[k]
+        proof = MerkleProof(path)
+        assert memo.verify(root, leaf, proof, algo) == merkle_verify(root, leaf, proof, algo), (k, queries[k])

@@ -40,7 +40,8 @@ def test_monitor_yields_confirmations_in_order(backend):
     hashes = []
     for i in range(10):
         ctx = chain.make_tx(2, MessagePayload(bytes([i])))
-        hashes.append(chain.submit_tx(ctx))
+        chain.submit_tx(ctx)
+        hashes.append(ctx.tx_hash)
         if i % 3 == 2:
             chain.produce_block()
     chain.produce_block()

@@ -10,7 +10,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from relaysim import relay
+from relaysim import relay, trace as trace_module
 from relaysim.chain import (
     EMPTY_RECEIPT_ROOT,
     AssetPayload,
@@ -789,10 +789,10 @@ def _wave(env, r, size=4):
 
 
 def test_both_provers_bundles_hold_one_merkle_proof(backend):
-    """The honest provers' copies of a ctx bundle hold the identical
-    `MerkleProof` object, at the relay chain and at the destinations: the
-    tree that proves a receipt for the first prover is still there for the
-    second."""
+    """The honest provers transmit one shared ctx bundle object per receipt,
+    at the relay chain and at the destinations, so it holds one
+    `MerkleProof`: the bundle the first prover built for a receipt is still
+    kept with its block for the second."""
     env = _env(backend)
     env.add_prover("p1")
     seen = _captured_inboxes(env)
@@ -805,8 +805,7 @@ def test_both_provers_bundles_hold_one_merkle_proof(backend):
                 copies.setdefault((host_id, b.origin_chain, b.header.height, b.receipt_hash), []).append(b)
     assert {host_id for host_id, _, _, _ in copies} == {env.rc_id, 1, 2, 3}
     for pair in copies.values():
-        assert len(pair) == 2 and pair[0] is not pair[1]
-        assert pair[0].merkle_proof is pair[1].merkle_proof
+        assert len(pair) == 2 and pair[0] is pair[1]
 
 
 @pytest.mark.parametrize("profiles", [("honest", "honest"), ("honest", "silent")])
@@ -902,21 +901,27 @@ def test_a_run_keeps_its_record_not_its_traffic(backend):
 
 
 def test_a_stage_already_reached_builds_no_trace_event(backend, monkeypatch):
-    """The second prover's `prove_sc` and `prove_rc` take their ticks but
-    build no `TraceEvent` for the log to drop."""
+    """A run builds no `TraceEvent`: the trace is written from fields. The
+    second prover's `prove_sc` and `prove_rc` take their ticks but are not
+    logged, so each key has one event at each stage and the ticks the
+    repeats took are missing from the log."""
     built = []
 
     def counting(**fields):
         built.append(fields["stage"])
         return TraceEvent(**fields)
 
-    monkeypatch.setattr(relay, "TraceEvent", counting)
+    monkeypatch.setattr(trace_module, "TraceEvent", counting)
     env = _env(backend)
     env.add_prover("p1")
     for r in range(2):
         _wave(env, r)
-    assert len(built) == len(env.trace.events)
-    assert built.count("prove_sc") == built.count("prove_rc") == len(env.submitted) == 8
+    assert built == []
+    monkeypatch.undo()
+    stages = [e.stage for e in env.trace.events]
+    assert stages.count("prove_sc") == stages.count("prove_rc") == len(env.submitted) == 8
+    blocks = sum(chain.height + 1 for chain in _all_chains(env))  # a tick each, genesis included
+    assert env.clock.now == len(stages) + blocks + 2 * 8
 
 
 def _stream_shaped_run(backend) -> RelayEnvironment:
