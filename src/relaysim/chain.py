@@ -454,12 +454,14 @@ class Chain:
         return tx
 
     def submit_tx(self, ctx: CrossChainTx) -> None:
-        """Queue `ctx` for the next block; its receipt hash, `ctx.tx_hash`,
-        is computed when that block is made."""
+        """Queue `ctx` for the next block. A transaction that does not encode
+        (a field out of range, a token that is not text) raises here, before
+        it is queued; its bytes and receipt hash are made with the block."""
         if ctx.dest_chain == self.config.chain_id:
             raise ValueError("cross-chain destination equals the origin chain")
         if ctx.origin_chain != self.config.chain_id:
             raise ValueError("transaction origin does not match this chain")
+        ctx.to_bytes()
         self._pending.append(ctx)
 
     def append_event(self, record) -> None:

@@ -8,7 +8,7 @@ index) triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hashes import hash_fn
 
@@ -97,3 +97,77 @@ def merkle_verify(root: bytes, leaf: bytes, proof: MerkleProof, algo: str = "sha
         else:
             return False
     return acc == root
+
+
+class InclusionMemo:
+    """Verdicts on audit paths under one root at a time, each equal to
+    `merkle_verify`'s, with the nodes of the accepted paths kept: the
+    receipts of one block share their root and the upper nodes of their
+    paths. A path under another root empties the memo.
+
+    Every call passes `check`, `merkle_verify` or a binding of it, which
+    decides each path the memo cannot. A path of fewer than two entries, and
+    the first path under a root, go straight to `check`; the first one's
+    nodes are hashed only when a second path under that root comes, so a
+    root that covers one receipt costs one walk up its path. Each kept node above leaf level (only the same receipt shares a
+    leaf node) maps to the rest of the path it was accepted on, from its
+    level up to the root. A path is hashed up from its leaf until it
+    reaches a kept node, and is accepted there if its remaining entries
+    equal the kept ones, every one of them compared, since hashing that node
+    up those entries gave the root. Any other path goes to `check`, and its
+    nodes are kept if it is accepted."""
+
+    __slots__ = ("_root", "_algo", "_first", "_nodes")
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self._root: Optional[bytes] = None
+        self._algo: Optional[str] = None
+        self._first: Optional[Tuple[bytes, tuple]] = None  # (leaf, path) accepted, its nodes not yet kept
+        self._nodes: Dict[bytes, tuple] = {}  # node -> the rest of its accepted path under _root
+
+    def verify(self, root: bytes, leaf: bytes, proof: MerkleProof, algo: str, check) -> bool:
+        if len(proof.path) < 2:  # no node between its leaf and the root to keep or meet
+            return check(root, leaf, proof, algo)
+        if root != self._root or algo != self._algo:
+            self.clear()
+            if not check(root, leaf, proof, algo):
+                return False
+            self._root, self._algo, self._first = root, algo, (leaf, proof.path)
+            return True
+        new = hash_fn(algo)
+        if self._first is not None:
+            first, self._first = self._first, None
+            self._keep(first[1], self._walk(new, *first)[0])
+        hashed, met = self._walk(new, leaf, proof.path)
+        if not met and not check(root, leaf, proof, algo):
+            return False
+        self._keep(proof.path, hashed)
+        return True
+
+    def _walk(self, new, leaf: bytes, path: tuple) -> Tuple[List[Tuple[int, bytes]], bool]:
+        """The nodes above leaf level hashed on `path`, as (level, node), up
+        to the first kept node, and whether the rest of `path` from there
+        equals that node's kept rest."""
+        nodes, hashed = self._nodes, []
+        acc = new(LEAF_PREFIX + leaf).digest()
+        for level, (sibling, side) in enumerate(path):
+            if level:
+                kept = nodes.get(acc)
+                if kept is not None:
+                    return hashed, kept == path[level:]
+                hashed.append((level, acc))
+            if side == "L":
+                acc = new(NODE_PREFIX + sibling + acc).digest()
+            elif side == "R":
+                acc = new(NODE_PREFIX + acc + sibling).digest()
+            else:
+                break
+        return hashed, False
+
+    def _keep(self, path: tuple, hashed: List[Tuple[int, bytes]]) -> None:
+        nodes = self._nodes
+        for level, node in hashed:
+            nodes[node] = path[level:]

@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import encoding
 from .chain import BlockHeader, ReceiptMessage, quorum_reached
@@ -28,8 +28,8 @@ from .costs import GasCostTable, GasMeter, GasReceipt
 from .crypto import bls
 from .crypto.commitment import ValidatorSet, commitment_digest
 from .crypto.hash_to_curve import base_to_g, hash_to_base
-from .crypto.hashes import digest, hash_fn
-from .crypto.merkle import LEAF_PREFIX, NODE_PREFIX, MerkleProof, merkle_verify
+from .crypto.hashes import digest
+from .crypto.merkle import InclusionMemo, MerkleProof, merkle_verify
 
 
 class RejectReason(Enum):
@@ -173,65 +173,6 @@ def _check_inclusion(
     if not merkle_verify(header.receipt_root, message.to_bytes(), proof, hash_algo):
         return RejectReason.MERKLE_FAIL
     return None
-
-
-class InclusionMemo:
-    """`merkle_verify`'s verdicts for one host, with the nodes of the paths
-    it verified under one root kept: the receipts of a block share their
-    root and the upper nodes of their paths. A memo holds one root at a
-    time; a path under another root empties it.
-
-    Each kept node, above leaf level (only the same receipt shares a leaf
-    node), maps to the rest of the path it was verified on, from its level
-    up to the root. A path is hashed up from its leaf until it reaches a
-    kept node; the path is accepted there if its remaining entries equal
-    the kept ones, every one of them compared, since hashing that node up
-    those entries gave the root. Any other path (the first under a root,
-    one that meets no kept node, or one whose remaining entries differ) is
-    decided by `merkle_verify` itself, and the nodes hashed on it are kept
-    when it is accepted."""
-
-    __slots__ = ("_root", "_algo", "_nodes")
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self) -> None:
-        self._root: Optional[bytes] = None
-        self._algo: Optional[str] = None
-        self._nodes: Dict[bytes, tuple] = {}  # node -> the rest of its verified path under _root
-
-    def verify(self, root: bytes, leaf: bytes, proof: MerkleProof, algo: str = "sha256") -> bool:
-        if root != self._root or algo != self._algo:
-            self.clear()
-            self._root, self._algo = root, algo
-        nodes, path, new = self._nodes, proof.path, hash_fn(algo)
-        hashed: List[Tuple[int, bytes]] = []  # (level, node) above leaf level, hashed on this path
-        acc = new(LEAF_PREFIX + leaf).digest()
-        for level, (sibling, side) in enumerate(path):
-            if level:
-                kept = nodes.get(acc)
-                if kept is not None:
-                    if kept == path[level:]:
-                        self._keep(path, hashed)
-                        return True
-                    break
-                hashed.append((level, acc))
-            if side == "L":
-                acc = new(NODE_PREFIX + sibling + acc).digest()
-            elif side == "R":
-                acc = new(NODE_PREFIX + acc + sibling).digest()
-            else:
-                break
-        if merkle_verify(root, leaf, proof, algo):
-            self._keep(path, hashed)
-            return True
-        return False
-
-    def _keep(self, path, hashed: List[Tuple[int, bytes]]) -> None:
-        nodes = self._nodes
-        for level, node in hashed:
-            nodes[node] = path[level:]
 
 
 def lc_update(state: NormalLcState, header: BlockHeader, table: GasCostTable) -> UpdateResult:
@@ -401,13 +342,17 @@ def hlc_verify(
     backend,
     inclusion: Optional[InclusionMemo] = None,
 ) -> VerifyResult:
-    """Verify a receipt against a hybrid client; `inclusion`, a host's
-    memo, gives `merkle_verify`'s verdict on its audit path."""
+    """Verify a receipt against a hybrid client. Given `inclusion`, a
+    host's memo, the audit path is checked through it, with this module's
+    `merkle_verify` binding deciding every path the memo cannot."""
     if header.chain_id != state.chain_id or not _header_matches_epoch(state.epoch, header):
         return verify_result(table, RejectReason.EPOCH_GAP)
     reason = _check_proof(state, header, zk_proof, backend)
     if reason is not None:
         return verify_result(table, reason)
-    check = merkle_verify if inclusion is None else inclusion.verify
-    included = check(header.receipt_root, message.to_bytes(), merkle_proof, state.hash_algo)
+    root, leaf = header.receipt_root, message.to_bytes()
+    if inclusion is None:
+        included = merkle_verify(root, leaf, merkle_proof, state.hash_algo)
+    else:
+        included = inclusion.verify(root, leaf, merkle_proof, state.hash_algo, merkle_verify)
     return verify_result(table, None if included else RejectReason.MERKLE_FAIL, len(merkle_proof.path))

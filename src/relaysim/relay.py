@@ -55,9 +55,9 @@ from .chain import (
 )
 from .costs import GasCostTable, GasReceipt, Items, hlc_setup_gas, lc_setup_gas
 from .crypto import bls, bn254
+from .crypto.merkle import InclusionMemo
 from .lightclient import (
     HybridLcState,
-    InclusionMemo,
     RejectReason,
     UpdateResult,
     VerifyResult,
@@ -354,10 +354,6 @@ class RelayEnvironment:
         self.receipts_log: List[dict] = []  # entry shapes: see the module docstring
         self._items: Dict[Items, Items] = {}  # one shared tuple per distinct `items`
         self._entries: Dict[tuple, dict] = {}  # one shared dict per distinct log entry
-        # (context, chain, id(receipt)) -> (receipt, its entry): receipts are shared objects, and
-        # holding each keeps its id its own
-        self._entry_of: Dict[Tuple[str, int, int], Tuple[object, dict]] = {}
-        self._delivered: Dict[int, DeliveryReceipt] = {}  # target -> the receipt `transmit` returns
         self.rejections: List[Rejection] = []
         # key -> its payload until its FIN1 record is swept, then _SWEPT
         self.submitted = NonceTable(None, None)
@@ -418,10 +414,7 @@ class RelayEnvironment:
         if target not in self._inbox:
             raise ValueError(f"unknown transmit target {target}")
         self._inbox[target].append(bundle)
-        receipt = self._delivered.get(target)
-        if receipt is None:
-            receipt = self._delivered[target] = DeliveryReceipt(target=target)
-        return receipt
+        return DeliveryReceipt(target=target)
 
     # -- bookkeeping --------------------------------------------------------------
 
@@ -434,12 +427,7 @@ class RelayEnvironment:
 
     def _log_receipt(self, context: str, chain_id: int, receipt, **head) -> None:
         """Log a gas receipt under its operation, or a gate report under the
-        `head` fields given, which are read off the report: one shared dict
-        per distinct entry, found by the receipt object once it was logged."""
-        known = self._entry_of.get((context, chain_id, id(receipt)))
-        if known is not None:
-            self.receipts_log.append(known[1])
-            return
+        `head` fields given: one shared dict per distinct entry."""
         head = head or {"operation": receipt.operation}
         key = (context, chain_id, *head.values(), receipt.items)
         entry = self._entries.get(key)
@@ -447,7 +435,6 @@ class RelayEnvironment:
             items = self._items.setdefault(receipt.items, receipt.items)
             entry = {"context": context, "chain": chain_id, **head, "items": items, "total": receipt.total}
             self._entries[key] = entry
-        self._entry_of[context, chain_id, id(receipt)] = (receipt, entry)
         self.receipts_log.append(entry)
 
     def _reject(self, stage: str, chain: int, key, reason: RejectReason) -> None:

@@ -66,8 +66,8 @@ def test_identical_configs_identical_genesis():
 
 
 def test_submit_queues_and_the_block_hashes(small_chain):
-    """`submit_tx` only queues; the receipt hash, `ctx.tx_hash`, is made
-    with the block."""
+    """`submit_tx` queues and returns nothing; the receipt hash,
+    `ctx.tx_hash`, is made with the block."""
     ctx = small_chain.make_tx(2, AssetPayload(token="USDC", amount=100))
     assert small_chain.submit_tx(ctx) is None
     assert small_chain.pending_count == 1

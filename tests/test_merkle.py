@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaysim.crypto.hashes import SUPPORTED, hash_fn
+from relaysim.crypto import merkle
 from relaysim.crypto.merkle import (
     LEAF_PREFIX,
     NODE_PREFIX,
@@ -13,9 +14,9 @@ from relaysim.crypto.merkle import (
     MerkleTree,
     merkle_prove,
     merkle_root,
+    InclusionMemo,
     merkle_verify,
 )
-from relaysim.lightclient import InclusionMemo
 
 LEAVES8 = [f"leaf-{i}".encode() for i in range(8)]
 
@@ -269,4 +270,57 @@ def test_the_inclusion_memo_gives_merkle_verify_verdicts(trees, algo, data):
     for k in order:
         root, leaf, path = queries[k]
         proof = MerkleProof(path)
-        assert memo.verify(root, leaf, proof, algo) == merkle_verify(root, leaf, proof, algo), (k, queries[k])
+        got = memo.verify(root, leaf, proof, algo, merkle_verify)
+        assert got == merkle_verify(root, leaf, proof, algo), (k, queries[k])
+
+
+def _counted(monkeypatch):
+    """Count the hashes made through `merkle.hash_fn` and the paths the
+    memo sends to its check."""
+    counts = {"hashes": 0, "checks": 0}
+
+    def counting_hash_fn(algo):
+        new = hash_fn(algo)
+
+        def counted(data):
+            counts["hashes"] += 1
+            return new(data)
+
+        return counted
+
+    def check(*args):
+        counts["checks"] += 1
+        return merkle_verify(*args)
+
+    monkeypatch.setattr(merkle, "hash_fn", counting_hash_fn)
+    return counts, check
+
+
+def test_a_root_with_one_path_costs_the_memo_one_walk(monkeypatch):
+    """The first path under each root goes straight to the check: a run of
+    roots that each cover one receipt hashes exactly what `merkle_verify`
+    alone would."""
+    trees = [MerkleTree([f"tx-{r}".encode(), f"event-{r}".encode(), b"pad"]) for r in range(40)]
+    queries = [(tree.root, f"tx-{r}".encode(), tree.prove(0)) for r, tree in enumerate(trees)]
+    counts, check = _counted(monkeypatch)
+    assert all(merkle_verify(*query) for query in queries)
+    alone, counts["hashes"] = counts["hashes"], 0
+    memo = InclusionMemo()
+    assert all(memo.verify(*query, "sha256", check) for query in queries)
+    assert counts["checks"] == len(queries) and counts["hashes"] == alone
+
+
+def test_the_paths_of_one_root_reach_the_check_at_most_twice(monkeypatch):
+    """Every leaf of a 2000-leaf tree, in order, under one root: the first
+    path and the first one in the other half of the tree go to the check;
+    every other path is decided at a kept node, below its root."""
+    leaves = [f"receipt-{i}".encode() for i in range(2000)]
+    tree = MerkleTree(leaves)
+    queries = [(tree.root, leaf, tree.prove(i)) for i, leaf in enumerate(leaves)]
+    counts, check = _counted(monkeypatch)
+    assert all(merkle_verify(*query) for query in queries)
+    alone, counts["hashes"] = counts["hashes"], 0
+    memo = InclusionMemo()
+    assert all(memo.verify(*query, "sha256", check) for query in queries)
+    assert counts["checks"] == 2
+    assert counts["hashes"] < alone / 3

@@ -126,6 +126,27 @@ def test_message_out_creates_pending_record(backend):
     assert record.fee == 25
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [AssetPayload(token="T", amount=2**64), AssetPayload(token=7, amount=1)],
+    ids=["amount-past-u64", "token-not-text"],
+)
+def test_a_payload_that_does_not_encode_is_refused_at_submission(backend, payload):
+    """An amount past 64 bits or a token that is not text cannot be
+    encoded: `env.submit` and `message_out` refuse it before anything is
+    queued, recorded or traced, so no block is left to fail on it."""
+    env = _env(backend)
+    mos = MosService(env, CFG)
+    chain = env.chains[1]
+    for submit in (lambda: env.submit(1, 2, payload), lambda: mos.message_out(1, 2, payload, "MAPO", 1000)):
+        with pytest.raises((ValueError, AttributeError)):
+            submit()
+        assert chain.pending_count == 0 and len(env.submitted) == 0
+        assert len(env.trace) == 0 and len(mos.records) == 0
+    env.step()  # the round after a refusal runs
+    assert chain.pending_count == 0
+
+
 def test_message_out_insufficient_fee(backend):
     env = _env(backend)
     mos = MosService(env, CFG)
