@@ -243,30 +243,21 @@ class BlockHeader:
         return digest(self.signing_payload(), algo)
 
 
-@dataclass(frozen=True, slots=True)
-class Confirmation:
-    header: BlockHeader
-    message: ReceiptMessage
-    leaf_index: int
-    record: object  # what the receipt was built from: see `Block.records`
-
-
 @dataclass(frozen=True)
 class Block:
+    """A produced block and what it confirmed, kept until its chain
+    releases it; its header outlives it."""
+
     header: BlockHeader
     receipts: Tuple[ReceiptMessage, ...]
     # per receipt, the object it was encoded from: the submitted CrossChainTx
     # or the queued event record, so readers of the chain's own blocks need
     # not parse the receipt bytes again
     records: Tuple[object, ...]
-
-    def confirmation(self, index: int) -> Confirmation:
-        return Confirmation(
-            header=self.header,
-            message=self.receipts[index],
-            leaf_index=index,
-            record=self.records[index],
-        )
+    # the Merkle tree over `receipts`, whose root the header carries; None with no receipts
+    tree: Optional[MerkleTree] = field(compare=False, repr=False)
+    # leaf index -> the relay bundle its provers share (`Prover.ctx_bundle`)
+    bundles: Dict[int, object] = field(default_factory=dict, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +374,6 @@ class Chain:
         self._headers: List[BlockHeader] = []
         self._blocks: List[Optional[Block]] = []  # None: released
         self._released = 0  # every block below this height is released
-        self._trees: Dict[int, MerkleTree] = {}
-        # height -> leaf index -> the relay bundle its provers share (`Prover.ctx_bundle`)
-        self.bundles: Dict[int, Dict[int, object]] = {}
         self._pending: Deque[object] = deque()  # records; each is encoded when its block is made
         self._nonce = 0
         self._withhold = 0.0  # share of each signing set's weight that does not sign
@@ -523,7 +511,7 @@ class Chain:
             records.append(self._pending.popleft())
 
         receipts = tuple(_receipt(record, height) for record in records)
-        tree = self._receipt_tree(receipts) if receipts else None
+        tree = MerkleTree([r.to_bytes() for r in receipts], self.config.hash_algo) if receipts else None
         root = tree.root if tree is not None else EMPTY_RECEIPT_ROOT
 
         announced_commitment, announced_set = ZERO32, None
@@ -546,42 +534,32 @@ class Chain:
         )
         agg = self._sign_header_payload(draft.signing_payload(), signing_keys)
         header = BlockHeader(**{**draft.__dict__, "agg": agg})
-        block = Block(header=header, receipts=receipts, records=tuple(records))
+        block = Block(header=header, receipts=receipts, records=tuple(records), tree=tree)
         self._headers.append(header)
         self._blocks.append(block)
-        if tree is not None:
-            self._trees[height] = tree
         return block, header
 
     # -- confirmation queries ------------------------------------------------
-
-    def _receipt_tree(self, receipts: Sequence[ReceiptMessage]) -> MerkleTree:
-        return MerkleTree([r.to_bytes() for r in receipts], self.config.hash_algo)
 
     def receipt_proof(self, height: int, index: int) -> MerkleProof:
         """The audit path of receipt `index` of the block at `height`; an
         IndexError when that block has no such receipt or does not exist,
         `BlockReleased` once the block is released."""
-        tree = self._trees.get(height)
+        tree = self.block_at(height).tree if 0 <= height < len(self._blocks) else None
         if tree is not None:
             try:
                 return tree.prove(index)
             except IndexError:
                 pass
-        elif 0 <= height < self._released:
-            raise BlockReleased(self.config.chain_id, height)
         raise IndexError(f"block {height} of chain {self.config.chain_id} has no receipt {index}")
 
     def release_blocks(self, below_height: int) -> None:
-        """Drop the receipts, records, Merkle tree and shared bundles of
-        every block below `below_height`, keeping their headers: call it
-        once every reader of those blocks has passed them. A later read of a
-        released block raises `BlockReleased`."""
+        """Drop every block below `below_height`, with what it confirmed,
+        keeping their headers: call it once every reader of those blocks has
+        passed them. A later read of a released block raises `BlockReleased`."""
         below_height = min(below_height, len(self._blocks))
         for height in range(self._released, below_height):
             self._blocks[height] = None
-            self._trees.pop(height, None)
-            self.bundles.pop(height, None)
         self._released = max(self._released, below_height)
 
     def signing_set_for(self, header: BlockHeader) -> ValidatorSet:

@@ -40,8 +40,6 @@ class GasCostTable:
             if value < 0:
                 raise ValueError(f"gas constant {name} must be non-negative")
         object.__setattr__(self, "_units", units)  # label -> unit cost, built once
-        # (operation, items) -> the one GasReceipt `GasMeter.receipt` gives for it
-        object.__setattr__(self, "_receipts", {})
         # (reason, depth) -> lightclient.hlc_verify's shared result for that outcome
         object.__setattr__(self, "_verify_results", {})
 
@@ -101,15 +99,9 @@ class GasMeter:
             self._counts[label] = self._counts.get(label, 0) + count
 
     def receipt(self) -> GasReceipt:
-        """The receipt of the charges so far: one shared object per distinct
-        (operation, items) of this meter's table."""
-        units = self._units
-        items = tuple((label, count, units[label]) for label, count in self._counts.items())
-        receipts = self.table._receipts
-        receipt = receipts.get((self.operation, items))
-        if receipt is None:
-            receipt = receipts[self.operation, items] = GasReceipt(operation=self.operation, items=items)
-        return receipt
+        """The receipt of the charges so far."""
+        items = tuple((label, count, self._units[label]) for label, count in self._counts.items())
+        return GasReceipt(operation=self.operation, items=items)
 
 
 def lc_setup_gas(table: GasCostTable, n_validators: int) -> int:

@@ -325,12 +325,12 @@ class ForgeryCorpus:
         found = 0
         for cid in sorted(self.env.chains):
             chain = self.env.chains[cid]
-            for conf in self.observer.monitor(chain):
+            for block, leaf in self.observer.monitor(chain):
                 try:
-                    decode_ctx(conf.message.payload)
+                    decode_ctx(block.receipts[leaf].payload)
                 except ValueError:
                     continue
-                into.append(self.observer.ctx_bundle(chain, conf))
+                into.append(self.observer.ctx_bundle(chain, block, leaf))
                 found += 1
         return found
 
@@ -641,16 +641,16 @@ def bench(scenario: Scenario, validators: int = 100) -> Dict:
     chain = Chain(cfg)
     chain.submit_tx(chain.make_tx(901, AssetPayload(token="USDC", amount=100)))
     block, header = chain.produce_block()
-    conf = block.confirmation(0)
-    merkle_proof = chain.receipt_proof(header.height, conf.leaf_index)
+    message = block.receipts[0]
+    merkle_proof = chain.receipt_proof(header.height, 0)
     prover = Prover("bench-prover", backend)
     zk = prover.zk_proof_for(chain, header)
 
     genesis = chain.validator_set(0)
     normal = lc_setup(cfg.chain_id, genesis, cfg.epoch_size, cfg.vote_threshold, table)
     hybrid = hlc_setup(cfg.chain_id, genesis, cfg.epoch_size, cfg.vote_threshold, table)
-    normal_verify = lc_verify(normal.state, conf.message, header, merkle_proof, table)
-    hybrid_verify = hlc_verify(hybrid.state, conf.message, header, merkle_proof, zk, table, backend)
+    normal_verify = lc_verify(normal.state, message, header, merkle_proof, table)
+    hybrid_verify = hlc_verify(hybrid.state, message, header, merkle_proof, zk, table, backend)
     assert normal_verify.ok and hybrid_verify.ok
 
     gas = {

@@ -20,7 +20,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .chain import BlockHeader, Chain, Confirmation, quorum_reached
+from .chain import Block, BlockHeader, Chain, quorum_reached
 from .costs import GateCostTable, GateReport, gate_report
 from .crypto import bls
 from .crypto.bn254 import G1Point
@@ -251,15 +251,15 @@ class Prover:
 
     # -- observation ---------------------------------------------------------
 
-    def monitor(self, chain: Chain, kind: type = object) -> List[Confirmation]:
-        """Yield the confirmations (receipt granularity) of records of type
-        `kind` in chain order, each exactly once per prover; the cursor
+    def monitor(self, chain: Chain, kind: type = object) -> List[Tuple[Block, int]]:
+        """The (block, leaf index) of each receipt whose record is of type
+        `kind`, in chain order, each exactly once per prover; the cursor
         passes the other receipts too."""
         start = self.receipt_cursor(chain.config.chain_id)
-        out: List[Confirmation] = []
+        out: List[Tuple[Block, int]] = []
         for height in range(start, chain.height + 1):
             block = chain.block_at(height)
-            out.extend(block.confirmation(i) for i, record in enumerate(block.records) if isinstance(record, kind))
+            out += [(block, i) for i, record in enumerate(block.records) if isinstance(record, kind)]
         self._receipt_cursors[chain.config.chain_id] = chain.height + 1
         return out
 
@@ -300,27 +300,27 @@ class Prover:
             self._zk_cache[key] = self.backend.prove(statement_for_header(chain, header))
         return self._zk_cache[key]
 
-    def ctx_bundle(self, chain: Chain, confirmation: Confirmation) -> ProofBundle:
-        """The bundle for a confirmation this prover read off `chain`: the
-        receipt is proven by its position in its block. The provers of one
-        receipt share one bundle, kept with its block (`Chain.bundles`),
-        when their proofs of its header are one object, as the proofs of
-        provers with one backend are."""
-        header, leaf = confirmation.header, confirmation.leaf_index
+    def ctx_bundle(self, chain: Chain, block: Block, leaf: int) -> ProofBundle:
+        """The bundle for receipt `leaf` of a block this prover read off
+        `chain`: the receipt is proven by its position in its block. The
+        provers of one receipt share one bundle, kept on its block
+        (`Block.bundles`), when their proofs of its header are one object,
+        as the proofs of provers with one backend are."""
+        header = block.header
         zk_proof = self.zk_proof_for(chain, header)
-        kept = chain.bundles.get(header.height)
-        bundle = None if kept is None else kept.get(leaf)
+        bundle = block.bundles.get(leaf)
         if bundle is None or bundle.zk_proof is not zk_proof:
+            message = block.receipts[leaf]
             bundle = ProofBundle(
                 kind="ctx",
                 origin_chain=chain.config.chain_id,
                 header=header,
                 zk_proof=zk_proof,
                 merkle_proof=chain.receipt_proof(header.height, leaf),
-                receipt_payload=confirmation.message.payload,
-                receipt_hash=confirmation.message.tx_hash,
+                receipt_payload=message.payload,
+                receipt_hash=message.tx_hash,
             )
-            chain.bundles.setdefault(header.height, {}).setdefault(leaf, bundle)
+            block.bundles.setdefault(leaf, bundle)
         return bundle
 
     def update_bundle(self, chain: Chain, header: BlockHeader) -> ProofBundle:

@@ -8,9 +8,11 @@ confirmation). Idempotence is keyed by (origin chain id, origin nonce), so
 at-least-once prover delivery is harmless.
 
 Everything runs on one deterministic scheduler; within a round, bundles are
-applied in (origin, height, ctx-before-update, leaf) order so results do not
-depend on prover interleaving. The honest provers share one bundle object
-per receipt (`Prover.ctx_bundle`), and each transmits it; the order puts
+applied in (origin, height, ctx-before-update, receipt hash) order so
+results do not depend on prover interleaving. A prover's scan reads each
+receipt in place, as a (block, leaf index) pair. The honest provers share
+one bundle object per receipt (`Prover.ctx_bundle`), kept on its block
+(`Block.bundles`), and each transmits it; the order puts
 those copies side by side, and a host verifies only the first of them: once
 it is accepted, the same object again costs no second verification. Each
 host checks inclusion through its `InclusionMemo`, which keeps the nodes of
@@ -26,7 +28,8 @@ Equal entries are one shared dict, so the log is read-only.
 A chain's blocks are released (`Chain.release_blocks`) below the lowest
 cursor of their registered readers: the environment's non-silent provers,
 the chain's own host sweep and, on the source chains, the observers
-registered with `RelayEnvironment.add_observer`.
+registered with `RelayEnvironment.add_observer`. A block goes with what it
+confirmed: its receipts, records, Merkle tree and shared bundles.
 
 No host keeps the records it swept: the trace's `confirm_dc` event is the
 one record of a key's final confirmation, and payload conservation is
@@ -183,7 +186,6 @@ class LightClientHost:
         self.table = table
         self.backend = backend
         self.clients: Dict[int, HybridLcState] = {}
-        self.setup_receipts: Dict[int, GasReceipt] = {}
         # accepted keys, one bit per nonce: byte nonce >> 3 of each origin's column
         self._accepted = NonceTable("B", 0)
         self._resolved_height = chain.height
@@ -203,7 +205,6 @@ class LightClientHost:
             source.config.hash_algo,
         )
         self.clients[chain_id] = result.state
-        self.setup_receipts[chain_id] = result.receipt
         return result.receipt
 
     def receive_update(self, bundle: ProofBundle) -> UpdateResult:
@@ -523,29 +524,28 @@ class RelayEnvironment:
         for cid in sorted(self.chains):
             chain = self.chains[cid]
             boundaries = prover.new_boundaries(chain)
-            confs = prover.monitor(chain, CrossChainTx)  # local events are not relayed outward
-            scans.append((chain, boundaries, confs))
-            # each header once: a block's confirmations share its header object
-            confirmed = {id(c.header): c.header for c in confs}.values()
-            headers += [(chain, h) for h in boundaries] + [(chain, h) for h in confirmed]
+            leaves = prover.monitor(chain, CrossChainTx)  # local events are not relayed outward
+            scans.append((chain, boundaries, leaves))
+            blocks = {id(block): block for block, _ in leaves}.values()  # each header once
+            headers += [(chain, h) for h in boundaries] + [(chain, b.header) for b in blocks]
         # every new header of the scan is proven, as one batch, before its bundles are built
         prover.prove_many(headers)
-        for chain, boundaries, confs in scans:
+        for chain, boundaries, leaves in scans:
             for header in boundaries:
                 self.transmit(prover.update_bundle(chain, header), self.rc_id)
-            for conf in confs:
-                self.transmit(prover.ctx_bundle(chain, conf), self.rc_id)
-                self._record(conf.record.key, "prove_sc", chain.config.chain_id)
+            for block, leaf in leaves:
+                self.transmit(prover.ctx_bundle(chain, block, leaf), self.rc_id)
+                self._record(block.records[leaf].key, "prove_sc", chain.config.chain_id)
 
     def _scan_relay(self, prover: Prover) -> None:
         for header in prover.new_boundaries(self.rc.chain):
             bundle = prover.update_bundle(self.rc.chain, header)
             for host_id in sorted(self.hosts):
                 self.transmit(bundle, host_id)
-        for conf in prover.monitor(self.rc.chain, HopRecord):  # the relay chain's own ICTX1 records
-            ctx = conf.record.ctx
+        for block, leaf in prover.monitor(self.rc.chain, HopRecord):  # the relay chain's own ICTX1 records
+            ctx = block.records[leaf].ctx
             if ctx.dest_chain in self.hosts:
-                self.transmit(prover.ctx_bundle(self.rc.chain, conf), ctx.dest_chain)
+                self.transmit(prover.ctx_bundle(self.rc.chain, block, leaf), ctx.dest_chain)
                 self._record(ctx.key, "prove_rc", self.rc_id)
 
     def deliver(self, bundle: ProofBundle, host_id: int) -> Optional[Delivery]:

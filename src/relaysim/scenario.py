@@ -56,7 +56,9 @@ class WorkloadSpec:
             (self.kind not in ("synthetic", "dataset"), f"unknown kind {self.kind!r}"),
             (self.kind == "dataset" and not self.path, "dataset kind requires a path"),
             (self.pattern not in ("mixed", "asset", "message"), f"unknown pattern {self.pattern!r}"),
+            (self.amount_min < 0, f"amount_min {self.amount_min} is negative"),
             (self.amount_min > self.amount_max, "amount_min exceeds amount_max"),
+            (self.amount_max >= 1 << 64, f"amount_max {self.amount_max} does not fit in 64 bits"),
             (self.count < 0, f"count {self.count} is negative"),
         )
 
@@ -328,8 +330,8 @@ class DatasetRow:
     def __post_init__(self):
         if self.end_ts < self.start_ts:
             raise ValueError("end timestamp precedes start timestamp")
-        if self.amount < 0:
-            raise ValueError("amount must be non-negative")
+        if not 0 <= self.amount < 1 << 64:
+            raise ValueError(f"amount {self.amount} is outside [0, 2^64)")
 
 
 DATASET_COLUMNS = ("src_chain", "dst_chain", "start_ts", "end_ts", "token", "amount")

@@ -1,6 +1,7 @@
 """The verdicts of `tools/bench_pairs.py` on synthetic pairs of runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,44 @@ def test_higher_is_better_and_the_regression_bound():
     assert verdict([5.0], [4.0], "lower", 0.1)["a_quartiles"] == [5.0, 5.0]
     with pytest.raises(ValueError):
         verdict(PARENT, PARENT[:9], "lower", 0.1)
+
+
+def _run(counts, digests, value=1.0):
+    """A `run_benchmark` result of one repetition, for one metric `m`."""
+    return {"metrics": {"m": {"value": value}}, "correct": True, "attempted": 4, "failed": 0,
+            "detail": {"counts": counts, "digests": digests, "repetitions": [{}]}}
+
+
+def test_the_sides_agree_only_where_counts_and_digests_are_equal():
+    a = _run({"pairings": 2, "gas_total": 10}, {"trace.jsonl": "ab"})
+    assert bench_pairs.disagreements(a, _run(dict(a["detail"]["counts"]), {"trace.jsonl": "ab"}, 2.0)) == []
+    b = _run({"pairings": 3, "gas_total": 10, "extra": 0}, {"trace.jsonl": "cd"})
+    assert bench_pairs.disagreements(a, b) == ["counts.extra", "counts.pairings", "digests.trace.jsonl"]
+    assert bench_pairs.disagreements(b, a) == ["counts.extra", "counts.pairings", "digests.trace.jsonl"]
+
+
+def test_the_report_says_whether_every_pair_agrees(tmp_path, monkeypatch, capsys):
+    """`--out` holds `agree` and each pair's differing keys; a pair whose
+    digests differ makes `agree` false, and the keys are printed."""
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "a" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "m", "better": "lower", "bound": 0.25}]})
+    )
+    runs = {"a": _run({"pairings": 2}, {"trace.jsonl": "ab"})}
+
+    def fake(checkout, workload, seed, seconds):
+        if checkout.name == "a" or seed == 1:
+            return runs["a"]
+        return _run({"pairings": 2}, {"trace.jsonl": "cd"})
+
+    monkeypatch.setattr(bench_pairs, "run_benchmark", fake)
+    argv = ["--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"), "--workload", "w", "--seconds", "1"]
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(argv + ["--pairs", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["agree"] and report["pairs"][0]["differ"] == []
+    assert bench_pairs.main(argv + ["--pairs", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert not report["agree"] and [p["differ"] for p in report["pairs"]] == [[], ["digests.trace.jsonl"]]
+    assert "seed 2: digests.trace.jsonl" in capsys.readouterr().out

@@ -215,18 +215,18 @@ def test_epoch_is_height_over_epoch_size():
 
 
 def test_block_confirmation_and_receipt_proof_verify(small_chain):
-    """Each receipt's confirmation comes from its block, and its audit path
-    from its position there; the two verify against the header's root."""
+    """Each receipt and its record are read from its block, and its audit
+    path from its position there; the two verify against the header's root."""
     ctxs = [small_chain.make_tx(2, AssetPayload(token="USDC", amount=100 + i)) for i in range(3)]
     for ctx in ctxs:
         small_chain.submit_tx(ctx)
     block, header = small_chain.produce_block()
     for i, ctx in enumerate(ctxs):
-        conf = block.confirmation(i)
-        assert (conf.header, conf.leaf_index, conf.record) == (header, i, ctx)
-        assert conf.message.payload == ctx.to_bytes()
-        proof = small_chain.receipt_proof(header.height, conf.leaf_index)
-        assert merkle_verify(header.receipt_root, conf.message.to_bytes(), proof)
+        message = block.receipts[i]
+        assert (block.header, block.records[i]) == (header, ctx)
+        assert message.payload == ctx.to_bytes()
+        proof = small_chain.receipt_proof(header.height, i)
+        assert merkle_verify(header.receipt_root, message.to_bytes(), proof)
 
 
 def test_receipt_proof_index_out_of_range(small_chain):
@@ -391,8 +391,8 @@ def test_receipt_message_has_no_instance_dict():
 
 
 def test_a_released_block_keeps_its_header_and_refuses_reads(small_chain):
-    """`release_blocks` drops the receipts, records and tree of the blocks
-    below the height it is given and keeps their headers; a read of a
+    """`release_blocks` drops the blocks below the height it is given, with
+    their receipts, records and tree, and keeps their headers; a read of a
     released block raises `BlockReleased` naming the chain and the height,
     a block above it still serves its proofs, and a release is never
     undone."""
@@ -404,7 +404,7 @@ def test_a_released_block_keeps_its_header_and_refuses_reads(small_chain):
     proofs = {(b.header.height, i): small_chain.receipt_proof(b.header.height, i) for b in blocks for i in range(len(b.receipts))}
     first, second = (b.header.height for b in blocks)
     small_chain.release_blocks(second)
-    assert sorted(small_chain._trees) == [second]
+    assert [h for h, b in enumerate(small_chain._blocks) if b is not None] == [second]
     for read in (lambda: small_chain.block_at(first), lambda: small_chain.receipt_proof(first, 0)):
         with pytest.raises(BlockReleased, match=f"^block {first} of chain 1 was released") as caught:
             read()
@@ -418,7 +418,7 @@ def test_a_released_block_keeps_its_header_and_refuses_reads(small_chain):
     with pytest.raises(BlockReleased):
         small_chain.block_at(first)
     small_chain.release_blocks(small_chain.height + 5)
-    assert small_chain._trees == {} and small_chain.height == second
+    assert set(small_chain._blocks) == {None} and small_chain.height == second
     with pytest.raises(BlockReleased, match=f"^block {second} of chain 1 was released"):
         small_chain.receipt_proof(second, 0)
     for height, index in ((-1, 0), (small_chain.height + 1, 0)):

@@ -79,6 +79,31 @@ def test_scenario_validation_collects_all_problems():
     ]
 
 
+@pytest.mark.parametrize(
+    "amounts, problem",
+    [
+        ((-5, 10), "workload: amount_min -5 is negative"),
+        ((1, 2**64), "workload: amount_max 18446744073709551616 does not fit in 64 bits"),
+    ],
+    ids=["negative-min", "max-past-u64"],
+)
+def test_workload_amounts_are_bounded_where_they_enter(amounts, problem):
+    """A workload needs 0 <= amount_min <= amount_max < 2^64: a breach is a
+    problem at `workload`, not an error at the run's first submission. The
+    widest range allowed draws amounts that encode."""
+    raw = {
+        "relay_chain": {"chain_id": 100, "validators": 4},
+        "chains": [{"chain_id": 1, "validators": 3}, {"chain_id": 2, "validators": 3}],
+        "workload": {"pattern": "asset", "count": 5, "amount_min": amounts[0], "amount_max": amounts[1]},
+    }
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(raw)
+    assert err.value.problems == [problem]
+    widest = dict(raw, workload={**raw["workload"], "amount_min": 0, "amount_max": 2**64 - 1})
+    for _, _, payload in synthetic_workload(scenario_from_dict(widest)):
+        assert payload.to_bytes()
+
+
 def test_scenario_file_roundtrip(tmp_path):
     raw = {
         "name": "file",
@@ -260,6 +285,20 @@ def test_demo_run_artifacts_match_pinned_digests(tmp_path, capsys):
     assert digests == DEMO_ARTIFACT_SHA256
 
 
+def test_the_demo_logs_the_verification_gas_its_trace_holds():
+    """Each confirmed key of the demo is verified once a hop: the receipts
+    log holds exactly two `hlc_verify` entries a key, and their summed gas
+    is the gas of the accepted `confirm_rc` and `verify_dc` trace events."""
+    result = harness.run(load_scenario(DEMO))
+    assert result.ok and result.confirmed == 100
+    logged = [e["total"] for e in result.env.receipts_log if e["context"] == "hlc_verify"]
+    traced = [
+        e.gas for e in result.env.trace.events if e.stage in ("confirm_rc", "verify_dc") and e.verdict == "ok"
+    ]
+    assert len(logged) == len(traced) == 200 and None not in traced
+    assert sum(logged) == sum(traced) == 130_793_200
+
+
 DEMO_ATTACKS_SHA256 = "5501599331ffc48a7652106973c34deaf754797b7197598ad07db43d85c992d1"
 
 
@@ -324,8 +363,8 @@ def _run_with_rejections() -> harness.RunResult:
     env.run_until_complete(env.submitted, scenario.horizon_rounds)
     key = mos.message_out(1, 2, AssetPayload(token="T", amount=5), "MAPO", fee_paid=10)
     env._produce_source_blocks()
-    conf = [c for c in observer.monitor(env.chains[1]) if c.record.key == key][0]
-    bundle = observer.ctx_bundle(env.chains[1], conf)
+    block, leaf = [(b, i) for b, i in observer.monitor(env.chains[1]) if b.records[i].key == key][0]
+    bundle = observer.ctx_bundle(env.chains[1], block, leaf)
     longer = dc_replace(bundle.merkle_proof, path=((bytes(32), "L"),) + bundle.merkle_proof.path)
     mos.message_in(env.rc_id, 1, dc_replace(bundle, merkle_proof=longer))
     with pytest.raises(ValueError):
@@ -524,15 +563,27 @@ def test_a_short_horizon_stalls_at_one_relay_block_a_round_and_the_computed_one_
     assert base.horizon_rounds == 10 and completing_horizon(base, 50_000) == 14
 
 
-def test_every_key_of_a_small_block_run_reaches_every_stage():
+SMALL_BLOCK_ARTIFACT_SHA256 = {
+    "receipts.jsonl": "ef8d9c702573628ead8f66698a094bf7ede35385ebce6903694b5cbbcb822826",
+    "records.jsonl": "244edaea59171bf9375e90dc247f846ae2daacc19c1bb3f8f4733e4a443e4dbd",
+    "summary.json": "62445922447e5ffac58b453bdd5da4b5173ff39a316c425c4cbace00fed89c82",
+    "trace.jsonl": "5780b16e725f86bc7d8962294d6e263fe5603f771d0695e3831649e6d170dabc",
+}
+
+
+def test_every_key_of_a_small_block_run_reaches_every_stage(tmp_path):
     """With blocks of at most 4 records on every chain, a chain's outgoing
     backlog overflows into the blocks its destination host makes after
     draining its inbox. Those transactions are traced at `confirm_sc` too:
     every key reaches all seven stages, and none is confirmed on its source
-    chain later than it is proven there."""
+    chain later than it is proven there. The run releases blocks as it goes
+    and shares bundles across several blocks a round; its artifacts are
+    pinned byte for byte."""
     scenario = _block_bound(default_scenario(seed=1, count=61), 4, 4)
-    result = harness.run(dc_replace(scenario, horizon_rounds=completing_horizon(scenario, 61)))
-    assert result.ok and result.confirmed == 61
+    result = harness.run(dc_replace(scenario, horizon_rounds=completing_horizon(scenario, 61)), tmp_path)
+    assert result.ok and result.confirmed == 61 and result.env.round == 16
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert digests == SMALL_BLOCK_ARTIFACT_SHA256
     env = result.env
     for key in env.submitted:
         ticks = env.trace.stage_ticks(key)
@@ -1040,6 +1091,18 @@ def test_replay_rejects_bad_rows(tmp_path):
     problems = err.value.problems
     assert len(problems) == 3
     assert all("line" in p for p in problems)
+
+
+def test_a_dataset_amount_must_fit_in_64_bits(tmp_path):
+    """A row's amount of 2^64 or more is a problem at its line; 2^64 - 1 is
+    read."""
+    data = tmp_path / "wide.csv"
+    _write_dataset(data, [(1, 2, 1, 2, "USDC", 2**64 - 1), (1, 2, 1, 2, "USDC", 2**64)])
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(data)
+    assert err.value.problems == ["line 3: amount 18446744073709551616 is outside [0, 2^64)"]
+    _write_dataset(data, [(1, 2, 1, 2, "USDC", 2**64 - 1)])
+    assert [row.amount for row in parse_dataset(data)] == [2**64 - 1]
 
 
 def test_replay_rejects_unknown_chains(tmp_path):

@@ -44,7 +44,7 @@ def _chain(n=4, epoch_size=4, rotation="identity", chain_id=1, ns="lc"):
 def _confirmed(chain, dest=2, amount=5):
     chain.submit_tx(chain.make_tx(dest, AssetPayload(token="T", amount=amount)))
     block, header = chain.produce_block()
-    return block.confirmation(0), chain.receipt_proof(header.height, 0), header
+    return block.receipts[0], chain.receipt_proof(header.height, 0), header
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +97,16 @@ def test_setup_rejects_empty_set():
 def test_normal_verify_honest(gas_table):
     chain = _chain()
     state = lc_setup(1, chain.validator_set(0), 4, T23, gas_table).state
-    conf, proof, header = _confirmed(chain)
-    result = lc_verify(state, conf.message, header, proof, gas_table)
+    message, proof, header = _confirmed(chain)
+    result = lc_verify(state, message, header, proof, gas_table)
     assert result.ok and result.reason is None
 
 
 def test_normal_verify_tampered_message(gas_table):
     chain = _chain()
     state = lc_setup(1, chain.validator_set(0), 4, T23, gas_table).state
-    conf, proof, header = _confirmed(chain)
-    tampered = dc_replace(conf.message, payload=conf.message.payload + b"x")
+    message, proof, header = _confirmed(chain)
+    tampered = dc_replace(message, payload=message.payload + b"x")
     result = lc_verify(state, tampered, header, proof, gas_table)
     assert not result.ok and result.reason == RejectReason.MERKLE_FAIL
 
@@ -119,9 +119,9 @@ def test_normal_verify_wrong_leaf_proof(gas_table):
     chain.submit_tx(ctx_a)
     chain.submit_tx(ctx_b)
     block, header = chain.produce_block()
-    conf_a = block.confirmation(0)
+    message_a = block.receipts[0]
     proof_b = chain.receipt_proof(header.height, 1)
-    result = lc_verify(state, conf_a.message, header, proof_b, gas_table)
+    result = lc_verify(state, message_a, header, proof_b, gas_table)
     assert not result.ok and result.reason == RejectReason.MERKLE_FAIL
 
 
@@ -130,8 +130,8 @@ def test_normal_verify_foreign_epoch(gas_table):
     state = lc_setup(1, chain.validator_set(0), 2, T23, gas_table).state
     for _ in range(2):
         chain.produce_block()
-    conf, proof, header = _confirmed(chain)  # header in epoch 1
-    result = lc_verify(state, conf.message, header, proof, gas_table)
+    message, proof, header = _confirmed(chain)  # header in epoch 1
+    result = lc_verify(state, message, header, proof, gas_table)
     assert not result.ok and result.reason == RejectReason.EPOCH_GAP
 
 
@@ -236,26 +236,26 @@ def test_hybrid_verify_perturbation_sweep(gas_table, backend):
     flips the verdict to false."""
     chain = _chain(ns="sweep")
     state = hlc_setup(1, chain.validator_set(0), 4, T23, gas_table).state
-    conf, proof, header = _confirmed(chain)
+    message, proof, header = _confirmed(chain)
     prover = Prover("p", backend)
     zk = prover.zk_proof_for(chain, header)
-    ok = hlc_verify(state, conf.message, header, proof, zk, gas_table, backend)
+    ok = hlc_verify(state, message, header, proof, zk, gas_table, backend)
     assert ok.ok
 
-    tampered_m = dc_replace(conf.message, payload=conf.message.payload[:-1] + b"\x00")
+    tampered_m = dc_replace(message, payload=message.payload[:-1] + b"\x00")
     assert not hlc_verify(state, tampered_m, header, proof, zk, gas_table, backend).ok
 
     tampered_root = dc_replace(header, receipt_root=b"\x11" * 32)
-    assert not hlc_verify(state, conf.message, tampered_root, proof, zk, gas_table, backend).ok
+    assert not hlc_verify(state, message, tampered_root, proof, zk, gas_table, backend).ok
 
     tampered_proof = dc_replace(proof, path=((b"\x22" * 32, "L"),) + proof.path)
-    assert not hlc_verify(state, conf.message, header, tampered_proof, zk, gas_table, backend).ok
+    assert not hlc_verify(state, message, header, tampered_proof, zk, gas_table, backend).ok
 
     tampered_state = dc_replace(state, commitment=b"\x33" * 32)
-    assert not hlc_verify(tampered_state, conf.message, header, proof, zk, gas_table, backend).ok
+    assert not hlc_verify(tampered_state, message, header, proof, zk, gas_table, backend).ok
 
     tampered_zk = dc_replace(zk, attestation=bytes(32))
-    assert not hlc_verify(state, conf.message, header, proof, tampered_zk, gas_table, backend).ok
+    assert not hlc_verify(state, message, header, proof, tampered_zk, gas_table, backend).ok
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +266,12 @@ def _hundred_validator_workload(gas_table, backend):
     chain = Chain(
         ChainConfig(chain_id=9, epoch_size=10, weights=(1,) * 100, key_namespace="anchor")
     )
-    conf, proof, header = _confirmed(chain, dest=10)
+    message, proof, header = _confirmed(chain, dest=10)
     normal = lc_setup(9, chain.validator_set(0), 10, T23, gas_table)
     hybrid = hlc_setup(9, chain.validator_set(0), 10, T23, gas_table)
     zk = Prover("p", backend).zk_proof_for(chain, header)
-    nv = lc_verify(normal.state, conf.message, header, proof, gas_table)
-    hv = hlc_verify(hybrid.state, conf.message, header, proof, zk, gas_table, backend)
+    nv = lc_verify(normal.state, message, header, proof, gas_table)
+    hv = hlc_verify(hybrid.state, message, header, proof, zk, gas_table, backend)
     assert nv.ok and hv.ok
     return normal, hybrid, nv, hv
 
@@ -325,9 +325,9 @@ def test_metering_soundness(gas_table, backend):
     for c in ctxs:
         chain.submit_tx(c)
     block, header = chain.produce_block()
-    conf = block.confirmation(0)
+    message = block.receipts[0]
     proof = chain.receipt_proof(header.height, 0)
-    result = lc_verify(state, conf.message, header, proof, gas_table)
+    result = lc_verify(state, message, header, proof, gas_table)
     assert result.ok
     receipt = result.receipt
     recomputed = sum(count * gas_table.unit(label) for label, count, _ in receipt.items)
@@ -348,22 +348,22 @@ def test_hybrid_receipt_items_pinned(gas_table, backend):
     for ctx in ctxs:
         chain.submit_tx(ctx)
     block, header = chain.produce_block()
-    conf, proof = block.confirmation(0), chain.receipt_proof(header.height, 0)
+    message, proof = block.receipts[0], chain.receipt_proof(header.height, 0)
     state = hlc_setup(1, chain.validator_set(0), 4, T23, gas_table).state
     prover = Prover("p", backend)
     zk = prover.zk_proof_for(chain, header)
     bad_zk = dc_replace(zk, attestation=bytes(32))
-    tampered = dc_replace(conf.message, payload=conf.message.payload[:-1] + b"\x00")
+    tampered = dc_replace(message, payload=message.payload[:-1] + b"\x00")
     other_state = dc_replace(state, commitment=b"\x33" * 32)
 
     call = (("call_overhead", 1, 21_000),)
     publics = call + (("sload_word", 3, 800), ("hash_op", 4, 60))
     snark = publics + (("snark_verify", 1, 626_000),)
     verify_cases = [
-        (state, conf.message, zk, None, snark + (("merkle_level", 2, 700),)),
-        (dc_replace(state, epoch=2), conf.message, zk, RejectReason.EPOCH_GAP, call),
-        (other_state, conf.message, zk, RejectReason.PUBLIC_INPUT_MISMATCH, publics),
-        (state, conf.message, bad_zk, RejectReason.PROOF_INVALID, snark),
+        (state, message, zk, None, snark + (("merkle_level", 2, 700),)),
+        (dc_replace(state, epoch=2), message, zk, RejectReason.EPOCH_GAP, call),
+        (other_state, message, zk, RejectReason.PUBLIC_INPUT_MISMATCH, publics),
+        (state, message, bad_zk, RejectReason.PROOF_INVALID, snark),
         (state, tampered, zk, RejectReason.MERKLE_FAIL, snark + (("merkle_level", 2, 700),)),
     ]
     for st, message, zk_proof, reason, items in verify_cases:
@@ -438,9 +438,9 @@ def test_a_refused_path_of_each_depth_pays_its_levels(gas_table, backend):
     metered for its depth."""
     chain = _chain(ns="depths")
     state = hlc_setup(1, chain.validator_set(0), 4, T23, gas_table).state
-    conf, _, header = _confirmed(chain)
+    message, _, header = _confirmed(chain)
     zk = Prover("p", backend).zk_proof_for(chain, header)
-    tampered = dc_replace(conf.message, payload=conf.message.payload + b"\x00")
+    tampered = dc_replace(message, payload=message.payload + b"\x00")
     for depth in range(14):
         path = tuple((bytes([level]) * 32, "LR"[level % 2]) for level in range(depth))
         result = hlc_verify(state, tampered, header, MerkleProof(path), zk, gas_table, backend)
@@ -457,13 +457,13 @@ def test_stale_quorum_rejected_after_key_rotation(gas_table):
     longer verify against the advanced client."""
     chain = _chain(n=3, epoch_size=2, rotation="refresh", ns="stale")
     state = lc_setup(1, chain.validator_set(0), 2, T23, gas_table).state
-    old_epoch_conf, old_proof, old_header = _confirmed(chain)  # height 1, epoch 0
+    old_message, old_proof, old_header = _confirmed(chain)  # height 1, epoch 0
     while chain.height < 2:
         chain.produce_block()
     advanced = lc_update(state, chain.headers[2], gas_table)
     assert advanced.accepted
     # replaying the epoch-0 header against the advanced client fails
-    result = lc_verify(advanced.state, old_epoch_conf.message, old_header, old_proof, gas_table)
+    result = lc_verify(advanced.state, old_message, old_header, old_proof, gas_table)
     assert not result.ok and result.reason == RejectReason.EPOCH_GAP
     # a fresh header forged with the stale keys carries the wrong signatures
     stale_secrets = chain.epoch_secrets(0)
@@ -480,9 +480,9 @@ def test_stale_quorum_rejected_after_key_rotation(gas_table):
     ctx = chain.make_tx(2, AssetPayload(token="S", amount=1))
     chain.submit_tx(ctx)
     block, _ = chain.produce_block()
-    conf = block.confirmation(0)
+    message = block.receipts[0]
     proof = chain.receipt_proof(block.header.height, 0)
-    result = lc_verify(advanced.state, conf.message, forged, proof, gas_table)
+    result = lc_verify(advanced.state, message, forged, proof, gas_table)
     assert not result.ok and result.reason == RejectReason.BAD_SIGNATURE
 
 
@@ -571,9 +571,9 @@ def test_client_equivalence_randomized_suite(gas_table, backend):
             ctx = chain.make_tx(9, AssetPayload(token="E", amount=rng.randrange(100)))
             chain.submit_tx(ctx)
             block, header = chain.produce_block()
-            conf = block.confirmation(0)
+            message = block.receipts[0]
             proof = chain.receipt_proof(header.height, 0)
-            cases.append((conf.message, header, proof))
+            cases.append((message, header, proof))
         if chain.height % 3 == 0 or chain.headers[-1].is_boundary:
             pass
         # advance clients when a boundary appears
@@ -653,13 +653,13 @@ def test_warm_memo_still_rejects_header_with_other_receipt_root(gas_table, backe
     charged exactly what a cold rejection is charged."""
     chain = _chain(ns="memo-root")
     state = hlc_setup(1, chain.validator_set(0), 4, T23, gas_table).state
-    conf, proof, header = _confirmed(chain)
+    message, proof, header = _confirmed(chain)
     zk = Prover("p", backend).zk_proof_for(chain, header)
     forged = dc_replace(header, receipt_root=b"\x11" * 32)
     lightclient._header_terms.cache_clear()
-    cold = hlc_verify(state, conf.message, forged, proof, zk, gas_table, backend)
-    assert hlc_verify(state, conf.message, header, proof, zk, gas_table, backend).ok
-    warm = hlc_verify(state, conf.message, forged, proof, zk, gas_table, backend)
+    cold = hlc_verify(state, message, forged, proof, zk, gas_table, backend)
+    assert hlc_verify(state, message, header, proof, zk, gas_table, backend).ok
+    warm = hlc_verify(state, message, forged, proof, zk, gas_table, backend)
     assert warm.reason == cold.reason == RejectReason.PUBLIC_INPUT_MISMATCH
     assert warm.receipt == cold.receipt
 
@@ -686,17 +686,17 @@ def test_passed_proof_memo_rejects_tampered_proof_for_same_header(gas_table, bac
     header is rejected as a cold client rejects it: same reason, same gas."""
     chain = _chain(ns="memo-proof")
     state = hlc_setup(1, chain.validator_set(0), 4, T23, gas_table).state
-    conf, proof, header = _confirmed(chain)
+    message, proof, header = _confirmed(chain)
     zk = Prover("p", backend).zk_proof_for(chain, header)
     other_publics = dc_replace(zk.publics, commitment=b"\x33" * 32)
     forged = [
         (dc_replace(zk, attestation=bytes(32)), RejectReason.PROOF_INVALID),
         (dc_replace(zk, publics=other_publics), RejectReason.PUBLIC_INPUT_MISMATCH),
     ]
-    cold = [hlc_verify(state, conf.message, header, proof, z, gas_table, backend) for z, _ in forged]
-    assert hlc_verify(state, conf.message, header, proof, zk, gas_table, backend).ok
+    cold = [hlc_verify(state, message, header, proof, z, gas_table, backend) for z, _ in forged]
+    assert hlc_verify(state, message, header, proof, zk, gas_table, backend).ok
     for (z, reason), before in zip(forged, cold):
-        warm = hlc_verify(state, conf.message, header, proof, z, gas_table, backend)
+        warm = hlc_verify(state, message, header, proof, z, gas_table, backend)
         assert warm.reason == before.reason == reason
         assert warm.receipt == before.receipt
 
@@ -713,13 +713,13 @@ def test_passed_proof_memo_rechecks_under_another_client_state(monkeypatch, gas_
     boundary = chain.headers[2]
     update = hlc_update(state0, boundary, prover.zk_proof_for(chain, boundary), gas_table, backend)
     assert update.accepted
-    conf, proof, header = _confirmed(chain)  # mid-epoch 1, signed by the rotated set
+    message, proof, header = _confirmed(chain)  # mid-epoch 1, signed by the rotated set
     zk = prover.zk_proof_for(chain, header)
     calls = _counted_verify(monkeypatch, backend)
-    assert hlc_verify(update.state, conf.message, header, proof, zk, gas_table, backend).ok
+    assert hlc_verify(update.state, message, header, proof, zk, gas_table, backend).ok
     assert calls == [zk]
     stale = dc_replace(update.state, commitment=state0.commitment)
-    result = hlc_verify(stale, conf.message, header, proof, zk, gas_table, backend)
+    result = hlc_verify(stale, message, header, proof, zk, gas_table, backend)
     assert result.reason == RejectReason.PUBLIC_INPUT_MISMATCH
 
 
@@ -728,13 +728,13 @@ def test_equal_copy_of_passed_proof_is_verified_again(monkeypatch, gas_table, ba
     verified again, at the same gas, but an equal copy of it is."""
     chain = _chain(ns="memo-copy")
     state = hlc_setup(1, chain.validator_set(0), 4, T23, gas_table).state
-    conf, proof, header = _confirmed(chain)
+    message, proof, header = _confirmed(chain)
     zk = Prover("p", backend).zk_proof_for(chain, header)
     calls = _counted_verify(monkeypatch, backend)
-    first, again = (hlc_verify(state, conf.message, header, proof, zk, gas_table, backend) for _ in range(2))
+    first, again = (hlc_verify(state, message, header, proof, zk, gas_table, backend) for _ in range(2))
     assert first.ok and again.ok and again.receipt == first.receipt
     assert calls == [zk]
     copy = dc_replace(zk)
     assert copy == zk and copy is not zk
-    assert hlc_verify(state, conf.message, header, proof, copy, gas_table, backend).ok
+    assert hlc_verify(state, message, header, proof, copy, gas_table, backend).ok
     assert len(calls) == 2 and calls[1] is copy

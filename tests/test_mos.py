@@ -192,8 +192,7 @@ def _source_bundle(env, backend):
     """An honest bundle for the first transaction confirmed on chain 1."""
     env._produce_source_blocks()
     observer = Prover("obs", backend)
-    conf = observer.monitor(env.chains[1])[0]
-    return observer.ctx_bundle(env.chains[1], conf)
+    return observer.ctx_bundle(env.chains[1], *observer.monitor(env.chains[1])[0])
 
 
 def test_message_in_honest_and_idempotent(backend):

@@ -46,7 +46,7 @@ def test_monitor_yields_confirmations_in_order(backend):
             chain.produce_block()
     chain.produce_block()
     prover = Prover("m", backend)
-    seen = [c.message.tx_hash for c in prover.monitor(chain)]
+    seen = [block.receipts[i].tx_hash for block, i in prover.monitor(chain)]
     assert seen == hashes
 
 
@@ -72,14 +72,14 @@ def test_twin_provers_identical_streams(backend):
         chain.submit_tx(chain.make_tx(2, MessagePayload(bytes([i]))))
     chain.produce_block()
     p1, p2 = Prover("a", backend), Prover("b", backend)
-    s1 = [(c.header.height, c.leaf_index, c.message.tx_hash) for c in p1.monitor(chain)]
-    s2 = [(c.header.height, c.leaf_index, c.message.tx_hash) for c in p2.monitor(chain)]
+    s1 = [(b.header.height, i, b.receipts[i].tx_hash) for b, i in p1.monitor(chain)]
+    s2 = [(b.header.height, i, b.receipts[i].tx_hash) for b, i in p2.monitor(chain)]
     assert s1 == s2
 
 
 def test_monitor_yields_only_the_records_of_its_kind(backend):
-    """Given a record type, the monitor yields the confirmations of that
-    type alone, and its cursor still passes the other receipts."""
+    """Given a record type, the monitor yields the receipts of that type
+    alone, and its cursor still passes the other receipts."""
 
     class Event:
         def to_bytes(self):
@@ -91,12 +91,12 @@ def test_monitor_yields_only_the_records_of_its_kind(backend):
     chain.submit_tx(chain.make_tx(2, MessagePayload(b"b")))
     chain.produce_block()
     prover = Prover("m", backend)
-    assert [c.leaf_index for c in prover.monitor(chain, CrossChainTx)] == [0, 2]
+    assert [i for _, i in prover.monitor(chain, CrossChainTx)] == [0, 2]
     chain.append_event(Event())
     chain.produce_block()
     assert prover.monitor(chain, CrossChainTx) == []
     assert prover.monitor(chain) == []
-    everything = [type(c.record) for c in Prover("n", backend).monitor(chain)]
+    everything = [type(b.records[i]) for b, i in Prover("n", backend).monitor(chain)]
     assert everything == [CrossChainTx, Event, CrossChainTx, Event]
 
 
@@ -110,11 +110,10 @@ def test_ctx_bundle_roundtrip(backend, gas_table):
     chain = _chain(ns="gen")
     chain.submit_tx(chain.make_tx(2, AssetPayload(token="T", amount=9)))
     block, header = chain.produce_block()
-    conf = block.confirmation(0)
-    bundle = Prover("p", backend).ctx_bundle(chain, conf)
+    bundle = Prover("p", backend).ctx_bundle(chain, block, 0)
     assert bundle.header == header
     state = hlc_setup(1, chain.validator_set(0), 6, T23, gas_table).state
-    result = hlc_verify(state, conf.message, header, bundle.merkle_proof, bundle.zk_proof, gas_table, backend)
+    result = hlc_verify(state, block.receipts[0], header, bundle.merkle_proof, bundle.zk_proof, gas_table, backend)
     assert result.ok
 
 
@@ -131,16 +130,16 @@ def test_resubmitted_ctx_is_proven_in_each_block(backend, gas_table):
         chain.submit_tx(ctx)
         chain.produce_block()
     prover = Prover("p", backend)
-    confirmations = prover.monitor(chain)
-    copies = [c for c in confirmations if c.message.payload == ctx.to_bytes()]
-    assert [(c.header.height, c.leaf_index) for c in copies] == [(1, 1), (2, 1)]
+    leaves = prover.monitor(chain)
+    copies = [(b.header.height, i) for b, i in leaves if b.receipts[i].payload == ctx.to_bytes()]
+    assert copies == [(1, 1), (2, 1)]
     state = hlc_setup(1, chain.validator_set(0), 6, T23, gas_table).state
-    for conf in confirmations:
-        bundle = prover.ctx_bundle(chain, conf)
+    for block, i in leaves:
+        bundle = prover.ctx_bundle(chain, block, i)
         result = hlc_verify(
-            state, conf.message, conf.header, bundle.merkle_proof, bundle.zk_proof, gas_table, backend
+            state, block.receipts[i], block.header, bundle.merkle_proof, bundle.zk_proof, gas_table, backend
         )
-        assert result.ok, (conf.header.height, conf.leaf_index, result.reason)
+        assert result.ok, (block.header.height, i, result.reason)
 
 
 def test_zk_proof_cached_per_header(backend):
@@ -151,8 +150,8 @@ def test_zk_proof_cached_per_header(backend):
     chain.submit_tx(b)
     block, _ = chain.produce_block()
     prover = Prover("p", backend)
-    bundle_a = prover.ctx_bundle(chain, block.confirmation(0))
-    bundle_b = prover.ctx_bundle(chain, block.confirmation(1))
+    bundle_a = prover.ctx_bundle(chain, block, 0)
+    bundle_b = prover.ctx_bundle(chain, block, 1)
     assert bundle_a.zk_proof is bundle_b.zk_proof
     assert bundle_a.merkle_proof != bundle_b.merkle_proof
 

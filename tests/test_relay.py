@@ -17,7 +17,6 @@ from relaysim.chain import (
     BlockHeader,
     BlockReleased,
     ChainConfig,
-    Confirmation,
     CrossChainTx,
     MessagePayload,
     ReceiptMessage,
@@ -37,7 +36,7 @@ from relaysim.relay import (
     decode_ctx,
     deployment_plan,
 )
-from relaysim.lightclient import RejectReason, VerifyResult
+from relaysim.lightclient import RejectReason, VerifyResult, hlc_setup
 from relaysim.trace import PIPELINE_STAGES, TraceEvent
 
 
@@ -71,8 +70,10 @@ def test_register_sources_and_duplicate(backend):
 
 def test_registration_gas_anchor(backend):
     env = _env(backend)
-    for receipt in env.rc.setup_receipts.values():
-        assert receipt.total == 100_000
+    setup = [e for e in env.receipts_log if e["context"] == "register_source"]
+    assert len(setup) == len(env.chains)
+    for entry in setup:
+        assert entry["total"] == 100_000
 
 
 def test_end_to_end_seven_stage_trace(backend):
@@ -126,8 +127,7 @@ def test_relay_receive_rejects_tampered_payload(backend):
     key = env.submit(1, 2, AssetPayload(token="T", amount=7))
     env._produce_source_blocks()
     prover = Prover("observer", backend)
-    conf = prover.monitor(env.chains[1])[0]
-    bundle = prover.ctx_bundle(env.chains[1], conf)
+    bundle = prover.ctx_bundle(env.chains[1], *prover.monitor(env.chains[1])[0])
     tampered = dc_replace(bundle, receipt_payload=bundle.receipt_payload[:-1] + b"\xff")
     ctx, result, fresh = env.rc.relay_receive(tampered)
     assert not result.ok
@@ -140,9 +140,9 @@ def test_relay_receive_rejects_proofs_for_other_ctx(backend):
     env.submit(1, 2, AssetPayload(token="B", amount=2))
     env._produce_source_blocks()
     prover = Prover("observer", backend)
-    confs = prover.monitor(env.chains[1])
-    b0 = prover.ctx_bundle(env.chains[1], confs[0])
-    b1 = prover.ctx_bundle(env.chains[1], confs[1])
+    leaves = prover.monitor(env.chains[1])
+    b0 = prover.ctx_bundle(env.chains[1], *leaves[0])
+    b1 = prover.ctx_bundle(env.chains[1], *leaves[1])
     crossed = dc_replace(b0, merkle_proof=b1.merkle_proof)
     _, result, _ = env.rc.relay_receive(crossed)
     assert not result.ok and result.reason == RejectReason.MERKLE_FAIL
@@ -155,7 +155,7 @@ def test_unknown_origin_rejected_without_aborting_round(backend):
     key = env.submit(1, 2, AssetPayload(token="T", amount=9))
     env._produce_source_blocks()
     observer = Prover("observer", backend)
-    honest = observer.ctx_bundle(env.chains[1], observer.monitor(env.chains[1])[0])
+    honest = observer.ctx_bundle(env.chains[1], *observer.monitor(env.chains[1])[0])
     stray = dc_replace(honest, origin_chain=0)  # sorts before the honest bundle
     env.transmit(stray, env.rc_id)
     env.transmit(dc_replace(stray, kind="update"), env.rc_id)
@@ -172,8 +172,7 @@ def test_relay_receive_idempotent_duplicate(backend):
     env.submit(1, 2, AssetPayload(token="T", amount=3))
     env._produce_source_blocks()
     prover = Prover("observer", backend)
-    conf = prover.monitor(env.chains[1])[0]
-    bundle = prover.ctx_bundle(env.chains[1], conf)
+    bundle = prover.ctx_bundle(env.chains[1], *prover.monitor(env.chains[1])[0])
     ctx1, r1, fresh1 = env.rc.relay_receive(bundle)
     ctx2, r2, fresh2 = env.rc.relay_receive(bundle)
     assert r1.ok and fresh1
@@ -197,7 +196,7 @@ def _two_tx_source_block(env):
     env.submit(1, 2, AssetPayload(token="T", amount=2))
     env._produce_source_blocks()
     observer = Prover("observer", env.backend)
-    return key, observer.ctx_bundle(env.chains[1], observer.monitor(env.chains[1])[0])
+    return key, observer.ctx_bundle(env.chains[1], *observer.monitor(env.chains[1])[0])
 
 
 def test_drain_verifies_a_tampered_copy_after_an_accepted_one(backend):
@@ -260,8 +259,7 @@ def test_dest_rejects_unconfirmed_on_relay(backend):
     env.submit(1, 2, AssetPayload(token="T", amount=4))
     env._produce_source_blocks()
     prover = Prover("observer", backend)
-    conf = prover.monitor(env.chains[1])[0]
-    bundle = prover.ctx_bundle(env.chains[1], conf)  # source header, not relay
+    bundle = prover.ctx_bundle(env.chains[1], *prover.monitor(env.chains[1])[0])  # source header, not relay
     ctx, result, fresh = env.hosts[2].dest_receive(bundle)
     assert not result.ok
 
@@ -414,9 +412,11 @@ def test_receipts_log_entries_expand_to_the_receipt_dicts(counting_backend):
     assert env.run_until_complete([key])[0]
     expanded = [{**e, "items": item_dicts(e["items"])} for e in env.receipts_log]
     setup = [e for e in expanded if e["context"] == "register_source"]
-    assert setup == [
-        {"context": "register_source", "chain": 100, **r.to_dict()} for r in env.rc.setup_receipts.values()
-    ]
+    expected = []
+    for cid, c in sorted(env.chains.items()):
+        receipt = hlc_setup(cid, c.validator_set(0), c.config.epoch_size, c.config.vote_threshold, env.table).receipt
+        expected.append({"context": "register_source", "chain": 100, **receipt.to_dict()})
+    assert setup == expected
     gates = [e for e in expanded if e["context"] == "gate_report"]
     assert gates
     for entry in gates:
@@ -439,8 +439,7 @@ def test_transmit_unknown_target(backend):
     env.submit(1, 2, AssetPayload(token="T", amount=1))
     env._produce_source_blocks()
     prover = Prover("observer", backend)
-    conf = prover.monitor(env.chains[1])[0]
-    bundle = prover.ctx_bundle(env.chains[1], conf)
+    bundle = prover.ctx_bundle(env.chains[1], *prover.monitor(env.chains[1])[0])
     with pytest.raises(ValueError):
         env.transmit(bundle, 424242)
 
@@ -740,9 +739,7 @@ def test_sweep_confirms_only_the_hosts_own_records(backend):
 
 def _slotted_records():
     receipt = GasReceipt("hlc_verify", (("call_overhead", 1, 21_000),))
-    message = ReceiptMessage(b"h", b"p", 1)
     return [
-        Confirmation(None, message, 0, None),
         ProofBundle("ctx", 1, None, None, MerkleProof(()), b"p", b"h"),
         MerkleProof(((b"\x00" * 32, "L"),)),
         DeliveryReceipt(1),
@@ -826,7 +823,7 @@ def test_no_tree_is_kept_below_the_lowest_honest_cursor(backend, profiles):
             cid = chain.config.chain_id
             lowest = min(p.receipt_cursor(cid) for p in honest)
             assert env.host(cid).sweep_cursor >= lowest
-            assert all(height >= lowest for height in chain._trees)
+            assert chain._blocks[:lowest] == [None] * lowest
             for height in range(lowest):
                 with pytest.raises(BlockReleased, match=f"block {height} of chain {cid} was released"):
                     chain.block_at(height)

@@ -17,8 +17,11 @@ for neither side), and two verdicts for B against A:
   metric's bound.
 
 It also prints each side's attempted and failed operations and whether
-every run was correct. `--out` writes every pair's results and the
-verdicts as one JSON object. Runners start with bytecode writing off, so
+every run was correct, and whether the two sides agree: in each pair, B's
+operation counts and artifact digests (`detail.counts`, `detail.digests`)
+must equal A's, since both ran one seed; the keys that differ are printed.
+`--out` writes every pair's results, the verdicts and `agree` as one JSON
+object. Runners start with bytecode writing off, so
 the tool writes nothing under either checkout's `perfbench/`; use fresh
 copies of the committed files (`git archive`), since a checkout holding old
 bytecode there measures differently.
@@ -74,6 +77,17 @@ def verdict(a: Sequence[float], b: Sequence[float], better: str, bound: float) -
     }
 
 
+def disagreements(a: Dict, b: Dict) -> List[str]:
+    """The `detail.counts` and `detail.digests` keys on which run `b`
+    differs from run `a`, as "counts.<key>" or "digests.<key>"; a key that
+    one side lacks differs."""
+    out = []
+    for section in ("counts", "digests"):
+        x, y = a["detail"][section], b["detail"][section]
+        out += [f"{section}.{k}" for k in sorted(x.keys() | y.keys()) if k not in x or k not in y or x[k] != y[k]]
+    return out
+
+
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float) -> Dict:
     """The result object of one `perfbench/run.py` run of `checkout`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -108,10 +122,12 @@ def main(argv=None) -> int:
         order = ("a", "b") if i % 2 == 0 else ("b", "a")
         results = {side: run_benchmark(a_dir if side == "a" else b_dir, args.workload, seed, args.seconds)
                    for side in order}
-        pairs.append({"seed": seed, "first": order[0], **results})
+        differ = disagreements(results["a"], results["b"])
+        pairs.append({"seed": seed, "first": order[0], "differ": differ, **results})
         print(f"pair {i + 1}/{args.pairs} seed {seed}, {order[0].upper()} first: "
               + ", ".join(f"{m['name']} {results['a']['metrics'][m['name']]['value']:.4g} -> "
-                          f"{results['b']['metrics'][m['name']]['value']:.4g}" for m in spec),
+                          f"{results['b']['metrics'][m['name']]['value']:.4g}" for m in spec)
+              + (f"; B differs in {', '.join(differ)}" if differ else "; counts and digests agree"),
               file=sys.stderr)
 
     verdicts = {}
@@ -135,6 +151,9 @@ def main(argv=None) -> int:
               f"gain {'met' if v['gain'] else 'not met'}, {'within' if v['within_bound'] else 'outside'} bound")
     for side, s in sides.items():
         print(f"{side.upper()}: correct {s['correct']}, failed {s['failed']} of {s['attempted']}")
+    agree = not any(p["differ"] for p in pairs)
+    print("counts and digests agree in every pair" if agree else "counts and digests differ: "
+          + "; ".join(f"seed {p['seed']}: {', '.join(p['differ'])}" for p in pairs if p["differ"]))
     if args.out is not None:
         report = {
             "command": f"python3 perfbench/run.py --workload {args.workload} --seed <seed> "
@@ -143,8 +162,9 @@ def main(argv=None) -> int:
             "a": str(a_dir),
             "b": str(b_dir),
             "sides": sides,
+            "agree": agree,
             "verdicts": verdicts,
-            "pairs": [{"seed": p["seed"], "first": p["first"],
+            "pairs": [{"seed": p["seed"], "first": p["first"], "differ": p["differ"],
                        **{side: {"metrics": {k: v["value"] for k, v in p[side]["metrics"].items()},
                                  "correct": p[side]["correct"], "failed": p[side]["failed"],
                                  "repetitions": len(p[side]["detail"]["repetitions"])}
