@@ -315,7 +315,7 @@ class ChainConfig:
         )
 
 
-def _receipt(record, height: int) -> ReceiptMessage:
+def record_receipt(record, height: int) -> ReceiptMessage:
     """A queued record's receipt in the block at `height`: a transaction's
     hash is its `tx_hash`, an event's is sha256("EVT" + its bytes)."""
     payload = record.to_bytes()
@@ -510,7 +510,7 @@ class Chain:
         while self._pending and len(records) < self.config.max_block_txs:
             records.append(self._pending.popleft())
 
-        receipts = tuple(_receipt(record, height) for record in records)
+        receipts = tuple(record_receipt(record, height) for record in records)
         tree = MerkleTree([r.to_bytes() for r in receipts], self.config.hash_algo) if receipts else None
         root = tree.root if tree is not None else EMPTY_RECEIPT_ROOT
 

@@ -18,6 +18,18 @@ from .relay import deployment_plan
 from .scenario import DatasetError, ScenarioError, default_scenario, load_scenario
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return integer
+
+
 def _load(args) -> "Scenario":
     if args.scenario:
         scenario = load_scenario(args.scenario)
@@ -120,7 +132,7 @@ def main(argv=None) -> int:
 
     p_attack = sub.add_parser("attack", help="run the adversarial case analyses")
     p_attack.add_argument("--kind", choices=("liveness", "consistency", "all"), default="all")
-    p_attack.add_argument("--forgeries", type=int, default=200)
+    p_attack.add_argument("--forgeries", type=_at_least(1), default=200)
     p_attack.add_argument("--out", help="artifact output directory")
     p_attack.set_defaults(func=_cmd_attack)
 
@@ -134,7 +146,7 @@ def main(argv=None) -> int:
     p_bench.set_defaults(func=_cmd_bench)
 
     p_plan = sub.add_parser("plan", help="deployment complexity for N chains")
-    p_plan.add_argument("--chains", type=int, required=True)
+    p_plan.add_argument("--chains", type=_at_least(2), required=True)
     p_plan.add_argument("--topology", choices=("pairwise", "relayed", "both"), default="both")
     p_plan.add_argument("--out", help="artifact output directory")
     p_plan.set_defaults(func=_cmd_plan)

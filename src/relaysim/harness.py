@@ -27,9 +27,9 @@ from .chain import (
     Chain,
     ChainConfig,
     CrossChainTx,
-    ReceiptMessage,
     ZERO32,
     quorum_reached,
+    record_receipt,
 )
 from .costs import baseline_gates, item_dicts, split_gates
 from .crypto import bls
@@ -508,12 +508,8 @@ def forge_relay_confirmation(
     if not colluders:
         return CollusionOutcome(None, True, 0, vset.total_weight)
 
-    payload = HopRecord(ICTX_TAG, fake_ctx.origin_chain, fake_ctx).to_bytes()
-    receipt = ReceiptMessage(
-        tx_hash=hashlib.sha256(b"EVT" + payload).digest(),
-        payload=payload,
-        height=epoch * rc_chain.config.epoch_size + 1,
-    )
+    record = HopRecord(ICTX_TAG, fake_ctx.origin_chain, fake_ctx)
+    receipt = record_receipt(record, epoch * rc_chain.config.epoch_size + 1)
     leaves = [receipt.to_bytes()]
     draft = BlockHeader(
         chain_id=rc_chain.config.chain_id,
@@ -542,7 +538,7 @@ def forge_relay_confirmation(
         header=header,
         zk_proof=zk,
         merkle_proof=merkle_prove(leaves, 0, rc_chain.config.hash_algo),
-        receipt_payload=payload,
+        receipt_payload=receipt.payload,
         receipt_hash=receipt.tx_hash,
     )
     return CollusionOutcome(bundle, False, acc, vset.total_weight)

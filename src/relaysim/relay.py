@@ -35,14 +35,14 @@ No host keeps the records it swept: the trace's `confirm_dc` event is the
 one record of a key's final confirmation, and payload conservation is
 checked as each `FIN1` record is swept, against the submitted payload,
 which is then dropped. Per-key tables (`submitted`, the hosts' accepted
-keys, the relay gas awaiting `confirm_rc`) are `NonceTable`s: per-origin
-columns indexed by nonce, with no Python object per key.
+keys) are `NonceTable`s: per-origin columns indexed by nonce, with no Python
+object per key. A record carries the gas of the verification that admitted it.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from . import encoding
@@ -99,6 +99,7 @@ class HopRecord:
     tag: bytes
     origin_chain: int
     ctx: CrossChainTx
+    gas: Optional[int] = field(default=None, compare=False)  # of the verification that admitted it; not in the bytes
 
     def to_bytes(self) -> bytes:
         ctx = self.ctx.to_bytes()
@@ -250,7 +251,7 @@ class LightClientHost:
         if accepted & bit:
             return ctx, result, False  # idempotent duplicate
         self._accepted[byte] = accepted | bit
-        self.chain.append_event(HopRecord(self.writes, origin, ctx))
+        self.chain.append_event(HopRecord(self.writes, origin, ctx, result.receipt.total))
         return ctx, result, True
 
     def resolve_confirmations(self) -> List[HopRecord]:
@@ -360,7 +361,6 @@ class RelayEnvironment:
         self.submitted = NonceTable(None, None)
         self._violations: set[Tuple[int, int]] = set()  # swept FIN1 keys whose payload is not the submitted one
         self._inbox: Dict[int, List[ProofBundle]] = {self.rc_id: []}
-        self._pending_rc_gas = NonceTable()  # key -> gas of its fresh relay verification, until confirm_rc
         self.round = 0
 
     # -- wiring ---------------------------------------------------------------
@@ -510,7 +510,7 @@ class RelayEnvironment:
         for record in self.host(host_id).resolve_confirmations():
             key = record.key
             if at_relay:
-                self._record(key, "confirm_rc", host_id, gas=self._pending_rc_gas.pop(key, None))
+                self._record(key, "confirm_rc", host_id, gas=record.gas)
             else:
                 payload, got = self.submitted.get(key), record.ctx.payload
                 if payload is None or payload is _SWEPT or (payload != got and payload.to_bytes() != got.to_bytes()):
@@ -570,7 +570,6 @@ class RelayEnvironment:
         elif fresh:
             self._log_receipt("hlc_verify", host_id, result.receipt)
             if at_relay:
-                self._pending_rc_gas[key] = result.receipt.total
                 report = bundle.zk_proof.gate_report
                 if report is not None:
                     self._log_receipt(

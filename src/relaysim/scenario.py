@@ -258,9 +258,13 @@ def load_scenario(path) -> Scenario:
     if path.suffix in (".yaml", ".yml"):
         import yaml
 
-        raw = yaml.safe_load(text)
+        parse, invalid, kind = yaml.safe_load, yaml.YAMLError, "YAML"
     else:
-        raw = json.loads(text)
+        parse, invalid, kind = json.loads, json.JSONDecodeError, "JSON"
+    try:
+        raw = parse(text)
+    except invalid as exc:
+        raise ScenarioError([f"{path}: not valid {kind}: {exc}"]) from None
     return scenario_from_dict(raw)
 
 
@@ -330,6 +334,8 @@ class DatasetRow:
     def __post_init__(self):
         if self.end_ts < self.start_ts:
             raise ValueError("end timestamp precedes start timestamp")
+        if self.src_chain == self.dst_chain:
+            raise ValueError(f"source and destination are the same chain {self.src_chain}")
         if not 0 <= self.amount < 1 << 64:
             raise ValueError(f"amount {self.amount} is outside [0, 2^64)")
 

@@ -34,7 +34,6 @@ _TIME_OFFSET = struct.calcsize("<iH")
 _POSITION = struct.Struct("<i")  # an event's position in the log
 _ROW = struct.Struct(f"<{_WIDTH}i")  # a key's positions, one per pipeline stage
 _EMPTY_ROW = _ROW.pack(*(-1,) * _WIDTH)
-_KEY = struct.Struct("<QQ")  # a row's key: origin and nonce
 
 Key = Optional[Tuple[int, int]]
 
@@ -185,16 +184,14 @@ class TraceLog:
     for every pipeline stage, the position of its latest accepted (`"ok"`)
     event, or -1, in one flat array; beside it, the position of the key's
     latest rejection in flight. Rows are numbered in first-traced order; a
-    `NonceTable` maps each key to its row, and each row's key is packed as
-    two u64 fields (a key they cannot hold, such as None, is kept aside by
-    row), so the index keeps no Python object per key."""
+    `NonceTable` maps each key to its row, so the index keeps no Python
+    object per key. A read that needs rows' keys reads that map backwards,
+    once per read (`_row_keys`); a read of one key's events uses that key."""
 
     def __init__(self):
         self._events = bytearray()  # one _EVENT record per event
         self._names: List[str] = [*PIPELINE_STAGES, "ok"]
         self._codes: Dict[str, int] = {name: i for i, name in enumerate(self._names)}
-        self._keys = bytearray()  # per row: its key, one _KEY record
-        self._odd_keys: Dict[int, Key] = {}  # row -> a key _KEY cannot pack, such as None
         self._rows = NonceTable("i")  # key -> row, numbered in first-traced order
         self._positions = bytearray()  # one _ROW per row
         self._rejected: Dict[Key, int] = {}  # key -> position of its latest rejection in flight
@@ -229,11 +226,6 @@ class TraceLog:
         row = self._rows.get(key, -1)
         if row < 0:
             row = self._rows[key] = len(self._positions) // _ROW.size
-            try:
-                self._keys += _KEY.pack(*key)
-            except (TypeError, struct.error):
-                self._odd_keys[row] = key
-                self._keys += _KEY.pack(0, 0)
             self._positions += _EMPTY_ROW
         elif once and stage_code < _WIDTH:
             if _POSITION.unpack_from(self._positions, (row * _WIDTH + stage_code) * _POSITION.size)[0] >= 0:
@@ -253,13 +245,19 @@ class TraceLog:
     def __len__(self) -> int:
         return len(self._events) // _EVENT.size
 
-    def _event(self, position: int) -> TraceEvent:
-        return self._as_event(*_EVENT.unpack_from(self._events, position * _EVENT.size))
+    def _fields(self, position: int) -> Tuple[int, int, int, int, int, int]:
+        """The fields of the event at `position`, its key's row first."""
+        return _EVENT.unpack_from(self._events, position * _EVENT.size)
 
-    def _as_event(self, row: int, stage: int, time: int, chain: int, verdict: int, gas: int) -> TraceEvent:
+    def _event(self, position: int, key: Key) -> TraceEvent:
+        """The event at `position`, which `key` logged."""
+        _, *fields = self._fields(position)
+        return self._as_event(key, *fields)
+
+    def _as_event(self, key: Key, stage: int, time: int, chain: int, verdict: int, gas: int) -> TraceEvent:
         names = self._names
         return TraceEvent(
-            key=self._key(row),
+            key=key,
             stage=names[stage],
             time=time,
             chain=chain,
@@ -267,14 +265,12 @@ class TraceLog:
             gas=None if gas == _NO_GAS else gas,
         )
 
-    def _key(self, row: int) -> Key:
-        odd = self._odd_keys
-        return odd[row] if odd and row in odd else _KEY.unpack_from(self._keys, row * _KEY.size)
-
     def _row_keys(self) -> List[Key]:
-        """Each row's key, in row order."""
-        odd = self._odd_keys
-        return [odd.get(row, key) for row, key in enumerate(_KEY.iter_unpack(self._keys))]
+        """Each row's key, in row order, read back from the key -> row map."""
+        keys: List[Key] = [None] * (len(self._positions) // _ROW.size)
+        for key, row in self._rows.items():
+            keys[row] = key
+        return keys
 
     def _records(self) -> Iterator[Tuple[int, int, int, int, int, int]]:
         """The fields of each event logged before the first read, in order.
@@ -300,7 +296,7 @@ class TraceLog:
 
     def stages_of(self, key: Key) -> Dict[str, TraceEvent]:
         """The latest accepted event of each stage `key` reached."""
-        return {stage: self._event(position) for stage, position in self._stage_positions(key) if position >= 0}
+        return {stage: self._event(position, key) for stage, position in self._stage_positions(key) if position >= 0}
 
     def stage_ticks(self, key: Key) -> Dict[str, int]:
         """The tick of the latest accepted event of each stage `key` reached."""
@@ -315,14 +311,12 @@ class TraceLog:
         """The latest rejection of `key` logged after its first accepted
         event and before its accepted `confirm_dc`, if any."""
         position = self._rejected.get(key)
-        return None if position is None else self._event(position)
+        return None if position is None else self._event(position, key)
 
     def keys_at(self, stage: str) -> List[Key]:
         """Keys with an accepted event at pipeline stage `stage`, in first-traced order."""
-        index = _STAGE_INDEX[stage]
-        return [
-            self._key(row) for row, positions in enumerate(_ROW.iter_unpack(self._positions)) if positions[index] >= 0
-        ]
+        index, keys = _STAGE_INDEX[stage], self._row_keys()
+        return [keys[row] for row, positions in enumerate(_ROW.iter_unpack(self._positions)) if positions[index] >= 0]
 
     def completed_keys(self) -> List[str]:
         """Keys with an accepted final confirmation, as sorted `"o:n"` strings."""
@@ -343,16 +337,18 @@ class EventSequence:
         return len(self._log)
 
     def __getitem__(self, index):
+        positions = range(len(self))[index]  # a range for a slice; IndexError past either end
+        log, keys = self._log, self._log._row_keys()
         if isinstance(index, slice):
-            return [self._log._event(i) for i in range(*index.indices(len(self)))]
-        position = index + len(self) if index < 0 else index
-        if not 0 <= position < len(self):
-            raise IndexError("event index out of range")
-        return self._log._event(position)
+            return [log._as_event(keys[row], *fields) for row, *fields in map(log._fields, positions)]
+        row, *fields = log._fields(positions)
+        return log._as_event(keys[row], *fields)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         log = self._log
-        return (log._as_event(*fields) for fields in log._records())
+        keys = log._row_keys()  # at the first read, as `_records` takes its end
+        for row, *fields in log._records():
+            yield log._as_event(keys[row], *fields)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (EventSequence, list, tuple)):

@@ -51,6 +51,31 @@ def test_higher_is_better_and_the_regression_bound():
         verdict(PARENT, PARENT[:9], "lower", 0.1)
 
 
+def test_a_memory_gain_needs_a_shift_beyond_the_layout_floor(tmp_path, monkeypatch, capsys):
+    """In MB, a shift must clear 0.1 MB beside the parent's spread: 0.02 MB
+    in every pair is no gain, though it clears a spread of 0.015 MB. The
+    tool takes each metric's unit from `BENCHMARK.json`."""
+    parent = [28.83, 28.82, 28.84, 28.83, 28.83, 28.82, 28.84, 28.83, 28.82, 28.84]
+    small = verdict(parent, [a - 0.02 for a in parent], "lower", 0.1, "MB")
+    assert small["b_wins"] == 10 and small["a_iqr"] < 0.02 and not small["gain"]
+    assert verdict(parent, [a - 0.02 for a in parent], "lower", 0.1, "s")["gain"]  # no floor in seconds
+    assert verdict(parent, [a - 0.15 for a in parent], "lower", 0.1, "MB")["gain"]
+    assert verdict(parent, [a + 0.15 for a in parent], "higher", 0.1, "MB")["gain"]
+
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "a" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "m", "unit": "MB", "better": "lower", "bound": 0.1}]}))
+    monkeypatch.setattr(bench_pairs, "run_benchmark", lambda checkout, workload, seed, seconds:
+                        _run({}, {}, parent[seed - 1] - 0.02 * (checkout.name == "b")))
+    out = tmp_path / "out.json"
+    argv = ["--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"), "--workload", "w", "--seconds", "1"]
+    assert bench_pairs.main(argv + ["--pairs", "10", "--out", str(out)]) == 0
+    v = json.loads(out.read_text())["verdicts"]["m"]
+    assert v["b_wins"] == 10 and not v["gain"]
+    capsys.readouterr()
+
+
 def _run(counts, digests, value=1.0):
     """A `run_benchmark` result of one repetition, for one metric `m`."""
     return {"metrics": {"m": {"value": value}}, "correct": True, "attempted": 4, "failed": 0,

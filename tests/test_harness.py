@@ -129,6 +129,20 @@ def test_scenario_file_roundtrip(tmp_path):
     assert load_scenario(yaml_path).seed == 9
 
 
+@pytest.mark.parametrize("name, text", [("bad.json", '{"name": "bad",'), ("bad.yaml", "name: [unclosed\n")])
+def test_a_scenario_file_that_does_not_parse_is_a_scenario_error(tmp_path, capsys, name, text):
+    """A file that is not valid JSON or YAML is one problem naming the
+    path, and the command exits 2 as for any invalid scenario."""
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    kind = "YAML" if name.endswith(".yaml") else "JSON"
+    assert len(err.value.problems) == 1 and err.value.problems[0].startswith(f"{path}: not valid {kind}: ")
+    assert cli.main(["--scenario", str(path), "run"]) == 2
+    assert f"{path}: not valid {kind}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # run + reproducibility
 
@@ -1105,6 +1119,18 @@ def test_a_dataset_amount_must_fit_in_64_bits(tmp_path):
     assert [row.amount for row in parse_dataset(data)] == [2**64 - 1]
 
 
+def test_a_dataset_row_to_its_own_chain_is_refused_at_its_line(tmp_path):
+    """A row whose source and destination are the same chain is a problem
+    at its line when the dataset loads, before any row is submitted."""
+    data = tmp_path / "loop.csv"
+    _write_dataset(data, [(1, 2, 1, 2, "USDC", 5), (2, 2, 1, 6, "USDC", 20)])
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(data)
+    assert err.value.problems == ["line 3: source and destination are the same chain 2"]
+    with pytest.raises(DatasetError):
+        harness.replay(data, _small_scenario())
+
+
 def test_replay_rejects_unknown_chains(tmp_path):
     data = tmp_path / "chains.csv"
     _write_dataset(data, [(1, 77, 1, 2, "USDC", 5)])
@@ -1254,6 +1280,22 @@ def test_cli_plan(capsys):
     assert cli.main(["plan", "--chains", "3"]) == 0
     out = capsys.readouterr().out
     assert "pairwise" in out and "relayed" in out
+
+
+def test_cli_plan_needs_two_chains(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["plan", "--chains", "1"])
+    assert exc.value.code == 2
+    assert "argument --chains: must be at least 2, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("forgeries", ["0", "-5"])
+def test_cli_attack_needs_a_forgery(capsys, forgeries):
+    """A consistency verdict over no forgeries would pass vacuously."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["attack", "--kind", "consistency", "--forgeries", forgeries])
+    assert exc.value.code == 2
+    assert f"argument --forgeries: must be at least 1, got {forgeries}" in capsys.readouterr().err
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):

@@ -12,7 +12,8 @@ tool prints both sides' medians and quartiles, the pairs B wins (ties count
 for neither side), and two verdicts for B against A:
 
 * `gain`: B wins at least 9 pairs in 10, and the medians differ in B's
-  favour by more than A's interquartile range;
+  favour by more than A's interquartile range and, for a metric in MB, by
+  more than 0.1 MB, how far RSS moves with allocator layout alone;
 * `within_bound`: B's median is no worse than A's by more than the
   metric's bound.
 
@@ -47,10 +48,14 @@ def quartiles(values: Sequence[float]) -> List[float]:
     return [q1, q3]
 
 
-def verdict(a: Sequence[float], b: Sequence[float], better: str, bound: float) -> Dict:
+# the least shift of a median that counts as a gain, by unit
+GAIN_FLOORS = {"MB": 0.1}
+
+
+def verdict(a: Sequence[float], b: Sequence[float], better: str, bound: float, unit: str = "") -> Dict:
     """The gain rule and the regression bound for B against A over the
     pairs (a[i], b[i]); `better` is "lower" or "higher", `bound` the share
-    by which B's median may be worse than A's."""
+    by which B's median may be worse than A's, `unit` the metric's unit."""
     if len(a) != len(b) or not a:
         raise ValueError("need the same positive number of runs on each side")
     sign = 1 if better == "lower" else -1
@@ -70,7 +75,7 @@ def verdict(a: Sequence[float], b: Sequence[float], better: str, bound: float) -
         "b_wins": wins,
         "b_losses": losses,
         "a_iqr": a_iqr,
-        "gain": 10 * wins >= 9 * len(a) and gain > a_iqr,
+        "gain": 10 * wins >= 9 * len(a) and gain > max(a_iqr, GAIN_FLOORS.get(unit, 0.0)),
         "within_bound": -gain <= bound * abs(a_median),
         "a_values": list(a),
         "b_values": list(b),
@@ -135,7 +140,7 @@ def main(argv=None) -> int:
         name = metric["name"]
         a = [p["a"]["metrics"][name]["value"] for p in pairs]
         b = [p["b"]["metrics"][name]["value"] for p in pairs]
-        verdicts[name] = verdict(a, b, metric["better"], metric["bound"])
+        verdicts[name] = verdict(a, b, metric["better"], metric["bound"], metric.get("unit", ""))
     sides = {
         side: {
             "correct": all(p[side]["correct"] for p in pairs),
