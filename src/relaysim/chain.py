@@ -304,12 +304,21 @@ class ChainConfig:
     announce_commitment_only: bool = field(default=False, metadata={"code_only": True})
 
     def __post_init__(self):
+        # chain ids, epoch sizes, weights and the threshold's terms are encoded as u64s
         refuse(
+            (not 0 <= self.chain_id < 1 << 64, f"chain id {self.chain_id} is outside [0, 2^64)"),
             (self.epoch_size < 1, "epoch size must be at least 1"),
+            (self.epoch_size >= 1 << 64, f"epoch size {self.epoch_size} does not fit in 64 bits"),
             (not self.weights, "need at least one validator"),
             (any(w < 0 for w in self.weights), "validator weights must be non-negative"),
             (bool(self.weights) and sum(self.weights) <= 0, "total validator weight must be positive"),
+            (sum(self.weights) >= 1 << 64, f"total validator weight {sum(self.weights)} does not fit in 64 bits"),
             (not Fraction(1, 2) <= self.vote_threshold <= 1, "vote threshold must lie in [1/2, 1]"),
+            (
+                Fraction(self.vote_threshold).denominator >= 1 << 64,
+                f"vote threshold {self.vote_threshold} has a denominator that does not fit in 64 bits",
+            ),
+            (self.max_block_txs < 1, "a block must hold at least one record"),
             (self.rotation not in ("identity", "reweight", "refresh"), f"unknown rotation policy {self.rotation!r}"),
             (self.hash_algo not in SUPPORTED, f"unknown hash algorithm {self.hash_algo!r}; pick one of {SUPPORTED}"),
         )

@@ -408,9 +408,12 @@ def harvested_corpus(
     _submit_stream(env, mos, scenario, stream[:half])
     env.step()
     corpus.harvest(corpus.stale)
-    # advance every source one epoch so the relay clients move past epoch 0
+    # advance every source one epoch so the relay clients move past epoch 0;
+    # a block made here is not read for confirmations, so it must hold no record
     for cid in sorted(env.chains):
         chain = env.chains[cid]
+        if chain.pending_count:
+            raise RuntimeError(f"chain {cid} still has pending records before the epoch advance")
         target = (chain.current_epoch + 1) * chain.config.epoch_size
         while chain.height < target:
             chain.produce_block()

@@ -26,17 +26,20 @@ distinct value; `harness.write_artifacts` spells it out as item dicts.
 Equal entries are one shared dict, so the log is read-only.
 
 A chain's blocks are released (`Chain.release_blocks`) below the lowest
-cursor of their registered readers: the environment's non-silent provers,
-the chain's own host sweep and, on the source chains, the observers
-registered with `RelayEnvironment.add_observer`. A block goes with what it
-confirmed: its receipts, records, Merkle tree and shared bundles.
+cursor of their registered readers: the environment's non-silent provers
+and, on the source chains, the observers registered with
+`RelayEnvironment.add_observer`; with no reader, every block is released. A
+block goes with what it confirmed: its receipts, records, Merkle tree and
+shared bundles.
 
-No host keeps the records it swept: the trace's `confirm_dc` event is the
-one record of a key's final confirmation, and payload conservation is
-checked as each `FIN1` record is swept, against the submitted payload,
-which is then dropped. Per-key tables (`submitted`, the hosts' accepted
-keys) are `NonceTable`s: per-origin columns indexed by nonce, with no Python
-object per key. A record carries the gas of the verification that admitted it.
+A host's records are read from each block as it is made
+(`RelayEnvironment._produce`), and no host keeps them: the trace's
+`confirm_dc` event is the one record of a key's final confirmation, and
+payload conservation is checked as each `FIN1` record is confirmed, against
+the submitted payload, which is then dropped. Per-key tables (`submitted`,
+the hosts' accepted keys) are `NonceTable`s: per-origin columns indexed by
+nonce, with no Python object per key. A record carries the gas of the
+verification that admitted it.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import encoding
 from .chain import (
+    Block,
     BlockWithheld,
     Chain,
     ChainConfig,
@@ -76,7 +80,7 @@ ICTX_TAG = b"ICTX1"  # intermediate record, written on the relay chain
 FIN_TAG = b"FIN1"  # final record, written on a destination chain
 # each tag's fixed-width head: tag, origin_chain, len(ctx)
 _HOP_HEADS = {tag: struct.Struct(f">{len(tag)}s2Q") for tag in (ICTX_TAG, FIN_TAG)}
-_SWEPT = object()  # what `submitted` holds for a key once its FIN1 record is swept
+_CONFIRMED = object()  # what `submitted` holds for a key once its FIN1 record is confirmed
 # The memos whose entries are pure functions of their keys: module objects
 # with their size bounds, emptied by each new environment, so the work a
 # run does depends on that run alone.
@@ -172,7 +176,8 @@ class LightClientHost:
     The relay chain hosts one client per source chain; each destination hosts
     one client of the relay chain. A host verifies a record delivered from a
     tracked chain against that chain's client, queues its own record of the
-    transaction for its next block, and sweeps its blocks for those records.
+    transaction for its next block, and picks those records out of each
+    block its chain makes.
     Subclasses state which record they read and which they write.
 
     Subclasses bind `receive` and `resolve_confirmations` in their own class
@@ -189,7 +194,6 @@ class LightClientHost:
         self.clients: Dict[int, HybridLcState] = {}
         # accepted keys, one bit per nonce: byte nonce >> 3 of each origin's column
         self._accepted = NonceTable("B", 0)
-        self._resolved_height = chain.height
         self.inclusion = InclusionMemo()
 
     def register_source(self, source: Chain) -> GasReceipt:
@@ -254,20 +258,9 @@ class LightClientHost:
         self.chain.append_event(HopRecord(self.writes, origin, ctx, result.receipt.total))
         return ctx, result, True
 
-    def resolve_confirmations(self) -> List[HopRecord]:
-        """Collect this host's records confirmed by blocks not yet swept."""
-        out = []
-        while self._resolved_height < self.chain.height:
-            self._resolved_height += 1
-            for record in self.chain.block_at(self._resolved_height).records:
-                if _is_record(record, self.writes):
-                    out.append(record)
-        return out
-
-    @property
-    def sweep_cursor(self) -> int:
-        """The height the sweep reads next on this host's chain."""
-        return self._resolved_height + 1
+    def resolve_confirmations(self, block: Block) -> List[HopRecord]:
+        """This host's records that `block`, just made on its chain, confirms."""
+        return [r for r in block.records if isinstance(r, HopRecord) and r.tag == self.writes]
 
     def _misrouted(self, ctx: CrossChainTx) -> bool:
         return False
@@ -289,8 +282,8 @@ class RelayChain(LightClientHost):
 class DestinationHost(LightClientHost):
     """A destination chain hosting the relay chain's light client. It reads
     `ICTX1` records addressed to it and writes `FIN1` records; it keeps none
-    it swept, since the environment traces each as its key's final
-    confirmation and checks its payload as it is swept."""
+    of them, since the environment traces each as its key's final
+    confirmation and checks its payload as its block is made."""
 
     writes = FIN_TAG
     dest_receive = receive = LightClientHost.receive
@@ -303,10 +296,6 @@ class DestinationHost(LightClientHost):
 
     def _misrouted(self, ctx: CrossChainTx) -> bool:
         return ctx.dest_chain != self.chain.config.chain_id
-
-
-def _is_record(record, tag: bytes) -> bool:
-    return isinstance(record, HopRecord) and record.tag == tag
 
 
 def _empty_receipt(table: GasCostTable) -> GasReceipt:
@@ -357,9 +346,9 @@ class RelayEnvironment:
         self._items: Dict[Items, Items] = {}  # one shared tuple per distinct `items`
         self._entries: Dict[tuple, dict] = {}  # one shared dict per distinct log entry
         self.rejections: List[Rejection] = []
-        # key -> its payload until its FIN1 record is swept, then _SWEPT
+        # key -> its payload until its FIN1 record is confirmed, then _CONFIRMED
         self.submitted = NonceTable(None, None)
-        self._violations: set[Tuple[int, int]] = set()  # swept FIN1 keys whose payload is not the submitted one
+        self._violations: set[Tuple[int, int]] = set()  # confirmed FIN1 keys whose payload is not the submitted one
         self._inbox: Dict[int, List[ProofBundle]] = {self.rc_id: []}
         self.round = 0
 
@@ -471,12 +460,12 @@ class RelayEnvironment:
             self._drain(host_id)
 
     def _release_blocks(self, chains, readers: List[Prover]) -> None:
-        """Release each chain's blocks below the lowest cursor of its
-        readers: the given provers and the chain's own host sweep. A silent
-        prover reads nothing and holds nothing back."""
+        """Release each chain's blocks below the lowest cursor of the given
+        readers, or all of them when there is none. A silent prover reads
+        nothing and holds nothing back."""
         for chain in chains:
             cid = chain.config.chain_id
-            chain.release_blocks(min([self.host(cid).sweep_cursor] + [r.receipt_cursor(cid) for r in readers]))
+            chain.release_blocks(min((r.receipt_cursor(cid) for r in readers), default=chain.height + 1))
 
     def _produce_source_blocks(self) -> None:
         for cid in sorted(self.chains):
@@ -485,9 +474,12 @@ class RelayEnvironment:
     def _produce(self, chain_id: int) -> None:
         """Make the next block of chain `chain_id`, if anything is pending,
         and trace what it confirms: each `CrossChainTx` it holds at
-        `confirm_sc`, then the records its host's sweep finds. Every block
-        of the run is made here, so a transaction confirmed in any of them
-        reaches `confirm_sc`."""
+        `confirm_sc`, then the records of its host's tag. Every block of the
+        run that holds records is made here. At a destination, keep the key
+        of a `FIN1` record whose payload is not the one submitted: a key
+        never submitted, or one whose payload was dropped when an earlier
+        block confirmed its `FIN1` (one submission, one final delivery).
+        Equal payloads encode equally, so only unequal ones are encoded."""
         host = self.host(chain_id)
         if not host.chain.pending_count:
             return
@@ -498,26 +490,18 @@ class RelayEnvironment:
         for record in block.records:
             if isinstance(record, CrossChainTx):
                 self._record(record.key, "confirm_sc", chain_id)
-        self._record_confirmations(chain_id)
-
-    def _record_confirmations(self, host_id: int) -> None:
-        """Trace the records a host's sweep finds. At a destination, keep
-        the key of a `FIN1` record whose payload is not the one submitted:
-        a key never submitted, or one whose payload was dropped at an
-        earlier sweep of its `FIN1` (one submission, one final delivery).
-        Equal payloads encode equally, so only unequal ones are encoded."""
-        at_relay = host_id == self.rc_id
-        for record in self.host(host_id).resolve_confirmations():
+        at_relay = chain_id == self.rc_id
+        for record in host.resolve_confirmations(block):
             key = record.key
             if at_relay:
-                self._record(key, "confirm_rc", host_id, gas=record.gas)
+                self._record(key, "confirm_rc", chain_id, gas=record.gas)
             else:
                 payload, got = self.submitted.get(key), record.ctx.payload
-                if payload is None or payload is _SWEPT or (payload != got and payload.to_bytes() != got.to_bytes()):
+                if payload is None or payload is _CONFIRMED or (payload != got and payload.to_bytes() != got.to_bytes()):
                     self._violations.add(key)
                 if payload is not None:
-                    self.submitted[key] = _SWEPT
-                self._record(key, "confirm_dc", host_id)
+                    self.submitted[key] = _CONFIRMED
+                self._record(key, "confirm_dc", chain_id)
 
     def _scan_sources(self, prover: Prover) -> None:
         scans, headers = [], []
@@ -635,6 +619,6 @@ class RelayEnvironment:
         return self.trace.keys_at("confirm_dc")
 
     def payload_conservation_violations(self) -> List[Tuple[int, int]]:
-        """Keys whose swept `FIN1` payload differs from the submitted one, or
+        """Keys whose confirmed `FIN1` payload differs from the submitted one, or
         that were never submitted."""
         return sorted(self._violations)

@@ -252,9 +252,19 @@ def scenario_from_dict(raw: Dict) -> Scenario:
     return scenario
 
 
+def _unreadable(path, exc: Exception) -> str:
+    """The problem of an input file that cannot be read as UTF-8 text."""
+    if isinstance(exc, UnicodeDecodeError):
+        return f"{path}: not UTF-8 text: {exc.reason}"
+    return f"{path}: cannot be read: {exc.strerror or exc}"
+
+
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError([_unreadable(path, exc)]) from None
     if path.suffix in (".yaml", ".yml"):
         import yaml
 
@@ -350,43 +360,51 @@ class DatasetError(ValueError):
 
 
 def parse_dataset(path) -> List[DatasetRow]:
-    """Parse a replay dataset; every malformed row is reported with its line."""
+    """Parse a replay dataset; every malformed row is reported with its
+    line, and a file that cannot be read as UTF-8 text is one problem."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _dataset_rows(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError([_unreadable(path, exc)]) from None
+
+
+def _dataset_rows(reader) -> List[DatasetRow]:
+    """The rows of a dataset file read by `reader`, a `csv.reader`."""
     problems: List[str] = []
     rows: List[DatasetRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetError(["line 1: empty file"]) from None
+    if tuple(h.strip() for h in header) != DATASET_COLUMNS:
+        raise DatasetError(
+            [f"line 1: expected header {','.join(DATASET_COLUMNS)}, got {','.join(header)}"]
+        )
+    end = reader.line_num  # the last file line read so far
+    for row in reader:
+        # a record starts on the line after the last one's end: quoted
+        # fields may span lines, so records and lines need not agree
+        lineno, end = end + 1, reader.line_num
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(DATASET_COLUMNS):
+            problems.append(f"line {lineno}: expected {len(DATASET_COLUMNS)} fields, got {len(row)}")
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(["line 1: empty file"]) from None
-        if tuple(h.strip() for h in header) != DATASET_COLUMNS:
-            raise DatasetError(
-                [f"line 1: expected header {','.join(DATASET_COLUMNS)}, got {','.join(header)}"]
-            )
-        end = reader.line_num  # the last file line read so far
-        for row in reader:
-            # a record starts on the line after the last one's end: quoted
-            # fields may span lines, so records and lines need not agree
-            lineno, end = end + 1, reader.line_num
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(DATASET_COLUMNS):
-                problems.append(f"line {lineno}: expected {len(DATASET_COLUMNS)} fields, got {len(row)}")
-                continue
-            try:
-                rows.append(
-                    DatasetRow(
-                        src_chain=int(row[0]),
-                        dst_chain=int(row[1]),
-                        start_ts=int(row[2]),
-                        end_ts=int(row[3]),
-                        token=row[4].strip(),
-                        amount=int(row[5]),
-                        line=lineno,
-                    )
+            rows.append(
+                DatasetRow(
+                    src_chain=int(row[0]),
+                    dst_chain=int(row[1]),
+                    start_ts=int(row[2]),
+                    end_ts=int(row[3]),
+                    token=row[4].strip(),
+                    amount=int(row[5]),
+                    line=lineno,
                 )
-            except ValueError as exc:
-                problems.append(f"line {lineno}: {exc}")
+            )
+        except ValueError as exc:
+            problems.append(f"line {lineno}: {exc}")
     if problems:
         raise DatasetError(problems)
     return rows

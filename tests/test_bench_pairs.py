@@ -76,6 +76,28 @@ def test_a_memory_gain_needs_a_shift_beyond_the_layout_floor(tmp_path, monkeypat
     capsys.readouterr()
 
 
+def test_fewer_than_ten_pairs_meet_no_gain(tmp_path, monkeypatch, capsys):
+    """Five wins in five pairs by far more than the parent's spread meet no
+    gain: the rule needs at least ten pairs, and the tool prints `too few
+    pairs` instead of a gain verdict; the regression bound is still judged."""
+    v = verdict(PARENT[:5], [a - 0.1 for a in PARENT[:5]], "lower", 0.25)
+    assert (v["b_wins"], v["gain"], v["within_bound"]) == (5, False, True)
+    assert verdict(PARENT[:9], [a - 0.1 for a in PARENT[:9]], "lower", 0.25)["gain"] is False
+
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "a" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "m", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    monkeypatch.setattr(bench_pairs, "run_benchmark", lambda checkout, workload, seed, seconds:
+                        _run({}, {}, PARENT[seed - 1] - 0.1 * (checkout.name == "b")))
+    argv = ["--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"), "--workload", "w", "--seconds", "1"]
+    assert bench_pairs.main(argv + ["--pairs", "5"]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("w m:"))
+    assert "B wins 5 of 5, too few pairs, within bound" in line
+    assert bench_pairs.main(argv + ["--pairs", "10"]) == 0
+    assert "B wins 10 of 10, gain met, within bound" in capsys.readouterr().out
+
+
 def _run(counts, digests, value=1.0):
     """A `run_benchmark` result of one repetition, for one metric `m`."""
     return {"metrics": {"m": {"value": value}}, "correct": True, "attempted": 4, "failed": 0,

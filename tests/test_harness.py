@@ -104,6 +104,82 @@ def test_workload_amounts_are_bounded_where_they_enter(amounts, problem):
         assert payload.to_bytes()
 
 
+@pytest.mark.parametrize(
+    "chain, problem",
+    [
+        ({"chain_id": -1}, "chains[0]: chain id -1 is outside [0, 2^64)"),
+        ({"chain_id": 2**64}, "chains[0]: chain id 18446744073709551616 is outside [0, 2^64)"),
+        ({"epoch_size": 2**64}, "chains[0]: epoch size 18446744073709551616 does not fit in 64 bits"),
+        ({"weights": [2**64, 1, 1]}, "chains[0]: total validator weight 18446744073709551618 does not fit in 64 bits"),
+        ({"weights": [2**63, 2**63]}, "chains[0]: total validator weight 18446744073709551616 does not fit in 64 bits"),
+        (
+            {"vote_threshold": "36893488147419103231/36893488147419103232"},
+            "chains[0]: vote threshold 36893488147419103231/36893488147419103232 has a denominator"
+            " that does not fit in 64 bits",
+        ),
+    ],
+    ids=["negative-id", "id-past-u64", "epoch-past-u64", "weight-past-u64", "total-past-u64", "threshold-past-u64"],
+)
+def test_a_chain_value_its_encodings_cannot_hold_is_a_problem_at_its_path(tmp_path, capsys, chain, problem):
+    """Chain ids, epoch sizes, validator weights and the threshold's terms
+    are encoded as u64s, so one that does not fit is refused where the
+    scenario is read, and `run` exits 2, not in the genesis block or the
+    first proof. The largest values that fit run end to end."""
+    def scenario(first):
+        return {
+            "relay_chain": {"chain_id": 100, "validators": 4},
+            "chains": [{"chain_id": 1, "weights": [1, 1, 1], **first}, {"chain_id": 2, "validators": 3}],
+            "workload": {"count": 4},
+        }
+
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(scenario(chain))
+    assert err.value.problems == [problem]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario(chain)))
+    assert cli.main(["--scenario", str(path), "run"]) == 2
+    assert problem in capsys.readouterr().err
+    widest = {"chain_id": 2**64 - 1, "epoch_size": 2**64 - 1, "weights": [2**64 - 2, 1],
+              "vote_threshold": f"{2**64 - 2}/{2**64 - 1}"}
+    result = harness.run(scenario_from_dict(scenario(widest)))
+    assert result.ok and result.confirmed == 4
+
+
+def test_a_block_must_hold_a_record():
+    """`max_block_txs`, set only in code, below 1 would stall every run and
+    leave `completing_horizon` dividing by zero."""
+    with pytest.raises(ValueError, match="^a block must hold at least one record$"):
+        ChainConfig(chain_id=1, max_block_txs=0)
+    with pytest.raises(ValueError):
+        dc_replace(SCEN.relay_chain, max_block_txs=0)
+
+
+def test_an_input_file_that_cannot_be_read_is_a_problem_naming_it(tmp_path, capsys):
+    """A missing scenario or dataset file, and a dataset that is not UTF-8
+    text, are each one problem naming the path, and the command exits 2."""
+    missing = tmp_path / "missing.yaml"
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(missing)
+    assert err.value.problems == [f"{missing}: cannot be read: No such file or directory"]
+    assert cli.main(["--scenario", str(missing), "run"]) == 2
+    assert f"{missing}: cannot be read" in capsys.readouterr().err
+
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(missing)
+    assert err.value.problems == [f"{missing}: cannot be read: No such file or directory"]
+    assert cli.main(["replay", "--dataset", str(missing)]) == 2
+    assert f"{missing}: cannot be read" in capsys.readouterr().err
+
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"src_chain,dst_chain,start_ts,end_ts,token,amount\n1,2,1,2,\xe9USDC,5\n")
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(latin)
+    assert err.value.problems == [f"{latin}: not UTF-8 text: invalid continuation byte"]
+    assert cli.main(["replay", "--dataset", str(latin)]) == 2
+    assert f"{latin}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_scenario_file_roundtrip(tmp_path):
     raw = {
         "name": "file",
@@ -548,6 +624,16 @@ def test_the_corpus_observer_harvests_both_pools_while_rounds_release_blocks():
             chain.block_at(cursor - 1)
         for height in range(cursor, chain.height + 1):
             assert chain.block_at(height).header is chain.header_at(height)
+
+
+def test_the_corpus_refuses_an_epoch_advance_over_pending_records():
+    """The corpus advances each source one epoch with blocks made outside
+    the rounds, which no host reads for confirmations: with at most two
+    records a block, wave 1 leaves records pending, and the corpus stops
+    instead of confirming them in a block nothing reads."""
+    scenario = _block_bound(_small_scenario(), 2, 2)
+    with pytest.raises(RuntimeError, match="^chain 1 still has pending records"):
+        harness.harvested_corpus(scenario, honest_count=20)
 
 
 def _block_bound(scenario, relay_txs, source_txs):

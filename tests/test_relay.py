@@ -40,14 +40,16 @@ from relaysim.lightclient import RejectReason, VerifyResult, hlc_setup
 from relaysim.trace import PIPELINE_STAGES, TraceEvent
 
 
-def _env(backend, n_chains=3, epoch_size=10, rc_validators=4):
+def _env(backend, n_chains=3, epoch_size=10, rc_validators=4, max_block_txs=4096):
     rc_cfg = ChainConfig(
-        chain_id=100, epoch_size=epoch_size, weights=(1,) * rc_validators, key_namespace="rc"
+        chain_id=100, epoch_size=epoch_size, weights=(1,) * rc_validators, key_namespace="rc",
+        max_block_txs=max_block_txs,
     )
     env = RelayEnvironment(rc_cfg, backend)
     for i in range(1, n_chains + 1):
         env.add_chain(
-            ChainConfig(chain_id=i, epoch_size=epoch_size, weights=(1, 1, 1), key_namespace=f"c{i}")
+            ChainConfig(chain_id=i, epoch_size=epoch_size, weights=(1, 1, 1), key_namespace=f"c{i}",
+                        max_block_txs=max_block_txs)
         )
     env.add_prover("p0")
     return env
@@ -342,8 +344,8 @@ def test_intermediate_payload_identical(backend):
     env = _env(backend)
     confirmed, resolve = [], env.rc.resolve_confirmations
 
-    def sweep():
-        records = resolve()
+    def sweep(block):
+        records = resolve(block)
         confirmed.extend(records)
         return records
 
@@ -721,20 +723,53 @@ def test_demo_run_decode_and_hash_counts(monkeypatch):
 
 
 def test_sweep_confirms_only_the_hosts_own_records(backend):
-    """A destination's sweep of its own blocks confirms the `FIN1` records it
-    queued, not a transaction submitted on the same chain (`CTX1`) nor the
-    relay chain's kind of record (`ICTX1`)."""
+    """A destination confirms from each block of its chain the `FIN1`
+    records it queued, not a transaction submitted on the same chain
+    (`CTX1`) nor the relay chain's kind of record (`ICTX1`)."""
     env = _env(backend)
     chain, host = env.chains[2], env.hosts[2]
     ctx = chain.make_tx(1, AssetPayload(token="T", amount=3))
     chain.submit_tx(ctx)
     chain.append_event(HopRecord(ICTX_TAG, 2, ctx))
-    chain.produce_block()
-    assert host.resolve_confirmations() == []
+    assert host.resolve_confirmations(chain.produce_block()[0]) == []
     chain.append_event(HopRecord(FIN_TAG, 2, ctx))
-    chain.produce_block()
-    assert [c.key for c in host.resolve_confirmations()] == [ctx.key]
-    assert host.resolve_confirmations() == [] and not hasattr(host, "confirmations")
+    block, _ = chain.produce_block()
+    assert [c.key for c in host.resolve_confirmations(block)] == [ctx.key]
+    assert not hasattr(host, "confirmations")
+
+
+def test_each_block_is_swept_where_it_is_made(backend):
+    """With at most four records a block, so that records wait over rounds,
+    the records each host's sweeps return, joined, are the records of its
+    tag in every block its chain made, each once and in height order. The
+    blocks are captured as they are made, since the run releases them."""
+    env = _env(backend, max_block_txs=4)
+    made, swept = {}, {}
+    for cid in (env.rc_id, *env.chains):
+        host = env.host(cid)
+
+        def producing(produce=host.chain.produce_block, blocks=made.setdefault(cid, [])):
+            block, header = produce()
+            blocks.append(block)
+            return block, header
+
+        def sweeping(block, resolve=host.resolve_confirmations, records=swept.setdefault(cid, [])):
+            found = resolve(block)
+            records.extend(found)
+            return found
+
+        host.chain.produce_block, host.resolve_confirmations = producing, sweeping
+    keys = [env.submit(1 + i % 3, 1 + (i + 1) % 3, AssetPayload(token="T", amount=i)) for i in range(30)]
+    assert env.run_until_complete(keys, horizon_rounds=20)[0]
+    for cid, blocks in made.items():
+        tag = env.host(cid).writes
+        assert [b.header.height for b in blocks] == list(range(1, env.host(cid).chain.height + 1))
+        held = [r for b in blocks for r in b.records if isinstance(r, HopRecord) and r.tag == tag]
+        assert [id(r) for r in swept[cid]] == [id(r) for r in held]
+        assert len({r.key for r in held}) == len(held)
+    assert sorted(r.key for r in swept[env.rc_id]) == sorted(keys)
+    assert sorted(r.key for cid in env.chains for r in swept[cid]) == sorted(keys)
+    assert sum(1 for b in made[env.rc_id] if b.records) >= 30 // 4
 
 
 def _slotted_records():
@@ -809,8 +844,8 @@ def test_both_provers_bundles_hold_one_merkle_proof(backend):
 def test_no_tree_is_kept_below_the_lowest_honest_cursor(backend, profiles):
     """Over a run that crosses epochs, after every step no chain keeps the
     block, or the Merkle tree, of a height that every honest prover has
-    read; the chain's host sweep is never behind them, and a silent prover,
-    which reads nothing, holds nothing back. The headers stay."""
+    read, and a silent prover, which reads nothing, holds nothing back. The
+    headers stay."""
     env = _env(backend, epoch_size=4)
     env.provers.clear()
     for i, profile in enumerate(profiles):
@@ -822,7 +857,6 @@ def test_no_tree_is_kept_below_the_lowest_honest_cursor(backend, profiles):
         for chain in _all_chains(env):
             cid = chain.config.chain_id
             lowest = min(p.receipt_cursor(cid) for p in honest)
-            assert env.host(cid).sweep_cursor >= lowest
             assert chain._blocks[:lowest] == [None] * lowest
             for height in range(lowest):
                 with pytest.raises(BlockReleased, match=f"block {height} of chain {cid} was released"):
@@ -888,7 +922,7 @@ def test_a_run_keeps_its_record_not_its_traffic(backend):
     held = []
     for chain in _all_chains(env):
         cid = chain.config.chain_id
-        lowest = min([p.receipt_cursor(cid) for p in env.provers] + [env.host(cid).sweep_cursor])
+        lowest = min(p.receipt_cursor(cid) for p in env.provers)
         held += [m for height in range(lowest, chain.height + 1) for m in chain.block_at(height).receipts]
     assert held and sorted(map(id, live[ReceiptMessage])) == sorted(map(id, held))
     receipts = live[GasReceipt]

@@ -11,9 +11,10 @@ ones. For each end-to-end metric that A's `BENCHMARK.json` declares, the
 tool prints both sides' medians and quartiles, the pairs B wins (ties count
 for neither side), and two verdicts for B against A:
 
-* `gain`: B wins at least 9 pairs in 10, and the medians differ in B's
-  favour by more than A's interquartile range and, for a metric in MB, by
-  more than 0.1 MB, how far RSS moves with allocator layout alone;
+* `gain`: over at least ten pairs, B wins at least 9 pairs in 10, and the
+  medians differ in B's favour by more than A's interquartile range and,
+  for a metric in MB, by more than 0.1 MB, how far RSS moves with
+  allocator layout alone; on fewer pairs the tool prints `too few pairs`;
 * `within_bound`: B's median is no worse than A's by more than the
   metric's bound.
 
@@ -50,6 +51,7 @@ def quartiles(values: Sequence[float]) -> List[float]:
 
 # the least shift of a median that counts as a gain, by unit
 GAIN_FLOORS = {"MB": 0.1}
+GAIN_PAIRS = 10  # the fewest pairs on which a gain can be met
 
 
 def verdict(a: Sequence[float], b: Sequence[float], better: str, bound: float, unit: str = "") -> Dict:
@@ -75,7 +77,8 @@ def verdict(a: Sequence[float], b: Sequence[float], better: str, bound: float, u
         "b_wins": wins,
         "b_losses": losses,
         "a_iqr": a_iqr,
-        "gain": 10 * wins >= 9 * len(a) and gain > max(a_iqr, GAIN_FLOORS.get(unit, 0.0)),
+        "gain": len(a) >= GAIN_PAIRS and 10 * wins >= 9 * len(a)
+        and gain > max(a_iqr, GAIN_FLOORS.get(unit, 0.0)),
         "within_bound": -gain <= bound * abs(a_median),
         "a_values": list(a),
         "b_values": list(b),
@@ -150,10 +153,11 @@ def main(argv=None) -> int:
         for side in ("a", "b")
     }
     for name, v in verdicts.items():
+        gain = "too few pairs" if v["pairs"] < GAIN_PAIRS else f"gain {'met' if v['gain'] else 'not met'}"
         print(f"{args.workload} {name}: A median {v['a_median']:.4g} [{v['a_quartiles'][0]:.4g}, "
               f"{v['a_quartiles'][1]:.4g}], B median {v['b_median']:.4g} [{v['b_quartiles'][0]:.4g}, "
               f"{v['b_quartiles'][1]:.4g}] ({v['change_pct']:+.1f}%), B wins {v['b_wins']} of {v['pairs']}, "
-              f"gain {'met' if v['gain'] else 'not met'}, {'within' if v['within_bound'] else 'outside'} bound")
+              f"{gain}, {'within' if v['within_bound'] else 'outside'} bound")
     for side, s in sides.items():
         print(f"{side.upper()}: correct {s['correct']}, failed {s['failed']} of {s['attempted']}")
     agree = not any(p["differ"] for p in pairs)
