@@ -8,10 +8,12 @@ and are signed by the previous epoch's set, which is exactly what a light
 client holding the previous set can verify. All headers sign over a
 fixed-size payload that embeds the announced set only as its commitment.
 
-A header's aggregate signature is computed the first time its point is
-read, from the signers' summed secret captured when the block is produced:
-the quorum check, the bitmap and `BlockWithheld` belong to production, and
-a header nobody proves is never signed.
+One step assembles every block, produced or forged: its receipts, Merkle
+tree, announced set and header, signed by the signers it is given. A
+header's aggregate signature is computed the first time its point is read,
+from the signers' summed secret captured at assembly, so a header nobody
+proves is never signed. The quorum check and `BlockWithheld` belong to
+production.
 
 Time is logical: every block consumes one tick from a monotone clock.
 """
@@ -214,6 +216,12 @@ class AggregateSignature:
         return point
 
 
+def _signing_payload(chain_id, height, epoch, epoch_size, timestamp, root: bytes, announced: bytes) -> bytes:
+    """The bytes a header's signers sign: its fields before `announced_set`."""
+    head = encoding.pack(_BH_HEAD, b"BH1", chain_id, height, epoch, epoch_size, timestamp, len(root))
+    return b"".join((head, root, encoding.U64.pack(len(announced)), announced))
+
+
 @dataclass(frozen=True)
 class BlockHeader:
     chain_id: int
@@ -233,11 +241,10 @@ class BlockHeader:
         return self.announced_commitment != ZERO32
 
     def signing_payload(self) -> bytes:
-        root, announced = self.receipt_root, self.announced_commitment
-        head = encoding.pack(
-            _BH_HEAD, b"BH1", self.chain_id, self.height, self.epoch, self.epoch_size, self.timestamp, len(root)
+        return _signing_payload(
+            self.chain_id, self.height, self.epoch, self.epoch_size, self.timestamp,
+            self.receipt_root, self.announced_commitment,
         )
-        return b"".join((head, root, encoding.U64.pack(len(announced)), announced))
 
     def digest(self, algo: str = "sha256") -> bytes:
         return digest(self.signing_payload(), algo)
@@ -324,7 +331,7 @@ class ChainConfig:
         )
 
 
-def record_receipt(record, height: int) -> ReceiptMessage:
+def _record_receipt(record, height: int) -> ReceiptMessage:
     """A queued record's receipt in the block at `height`: a transaction's
     hash is its `tx_hash`, an event's is sha256("EVT" + its bytes)."""
     payload = record.to_bytes()
@@ -418,7 +425,7 @@ class Chain:
         return self._ensure_epoch(epoch).vset
 
     def epoch_secrets(self, epoch: int) -> Dict[bytes, int]:
-        """Simulation-control surface: signing keys for fault injection."""
+        """Simulation-control surface: an epoch's signing keys, by public key."""
         return dict(self._ensure_epoch(epoch).secrets)
 
     # -- fault injection ----------------------------------------------------
@@ -429,6 +436,11 @@ class Chain:
         `fraction` of the set's total; returns the weight withheld from the
         current epoch's set."""
         self._withhold = fraction
+        return self.withheld_weight
+
+    @property
+    def withheld_weight(self) -> int:
+        """The weight withheld from the current epoch's signing set."""
         vset = self._epochs[min(self.current_epoch, len(self._epochs) - 1)].vset
         return vset.total_weight - vset.bitmap_weight(self._available(vset))
 
@@ -498,55 +510,54 @@ class Chain:
             raise BlockReleased(self.config.chain_id, height)
         return block
 
-    def _sign_header_payload(self, payload: bytes, keys: _EpochKeys) -> AggregateSignature:
-        vset = keys.vset
+    def _signing_keys(self, height: int) -> _EpochKeys:
+        """The keys of the set that signs the block at `height`: the previous
+        epoch's at an epoch boundary past genesis."""
+        epoch, offset = divmod(height, self.config.epoch_size)
+        return self._ensure_epoch(epoch - 1 if epoch and not offset else epoch)
+
+    def produce_block(self) -> Tuple[Block, BlockHeader]:
+        """Make the next block from the pending records, signed by the
+        available validators of its signing set, and append it. Below the
+        vote threshold raise `BlockWithheld`: the records stay pending and
+        the clock does not tick."""
+        height = len(self._headers)
+        vset = self._signing_keys(height).vset
         bitmap = self._available(vset)
         available = vset.bitmap_weight(bitmap)
         if not quorum_reached(available, vset.total_weight, self.config.vote_threshold):
-            raise BlockWithheld(
-                self.config.chain_id, available, vset.total_weight, self.config.vote_threshold
-            )
-        secret = sum(keys.secrets[e.pubkey_bytes] for e, bit in zip(vset.entries, bitmap) if bit)
-        return AggregateSignature.sign_on_read(bitmap, secret % R, payload)
-
-    def produce_block(self) -> Tuple[Block, BlockHeader]:
-        height = len(self._headers)
-        epoch = height // self.config.epoch_size
-        boundary = height == 0 or height % self.config.epoch_size == 0
-        signing_keys = self._ensure_epoch(epoch if height == 0 else (epoch - 1 if boundary else epoch))
-
+            raise BlockWithheld(self.config.chain_id, available, vset.total_weight, self.config.vote_threshold)
         records = []
         while self._pending and len(records) < self.config.max_block_txs:
             records.append(self._pending.popleft())
-
-        receipts = tuple(record_receipt(record, height) for record in records)
-        tree = MerkleTree([r.to_bytes() for r in receipts], self.config.hash_algo) if receipts else None
-        root = tree.root if tree is not None else EMPTY_RECEIPT_ROOT
-
-        announced_commitment, announced_set = ZERO32, None
-        if boundary:
-            announced = self._ensure_epoch(epoch).vset
-            announced_commitment = commitment_digest(announced, self.config.hash_algo)
-            if not self.config.announce_commitment_only:
-                announced_set = announced
-
-        draft = BlockHeader(
-            chain_id=self.config.chain_id,
-            height=height,
-            epoch=epoch,
-            epoch_size=self.config.epoch_size,
-            timestamp=self.clock.next(),
-            receipt_root=root,
-            announced_commitment=announced_commitment,
-            announced_set=announced_set,
-            agg=AggregateSignature(point=None, bitmap=()),
-        )
-        agg = self._sign_header_payload(draft.signing_payload(), signing_keys)
-        header = BlockHeader(**{**draft.__dict__, "agg": agg})
-        block = Block(header=header, receipts=receipts, records=tuple(records), tree=tree)
-        self._headers.append(header)
+        block = self.assemble_block(height, records, bitmap)
+        self._headers.append(block.header)
         self._blocks.append(block)
-        return block, header
+        return block, block.header
+
+    def assemble_block(self, height: int, records: Sequence[object], bitmap: Tuple[bool, ...]) -> Block:
+        """The block at `height` holding `records`: their receipts and Merkle
+        tree, at an epoch boundary the announced set, and a header that
+        takes the clock's next tick, signed by the validators `bitmap` marks
+        in the set that signs at `height`. Nothing is appended and no quorum
+        is checked, so a fault injector can sign a fork block with it."""
+        cfg = self.config
+        epoch = height // cfg.epoch_size
+        keys = self._signing_keys(height)
+        receipts = tuple(_record_receipt(record, height) for record in records)
+        tree = MerkleTree([r.to_bytes() for r in receipts], cfg.hash_algo) if receipts else None
+        announced_commitment, announced_set = ZERO32, None
+        if height % cfg.epoch_size == 0:
+            announced = self._ensure_epoch(epoch).vset
+            announced_commitment = commitment_digest(announced, cfg.hash_algo)
+            if not cfg.announce_commitment_only:
+                announced_set = announced
+        root = tree.root if tree is not None else EMPTY_RECEIPT_ROOT
+        fields = (cfg.chain_id, height, epoch, cfg.epoch_size, self.clock.next(), root, announced_commitment)
+        secret = sum(keys.secrets[e.pubkey_bytes] for e, bit in zip(keys.vset.entries, bitmap) if bit)
+        agg = AggregateSignature.sign_on_read(bitmap, secret % R, _signing_payload(*fields))
+        header = BlockHeader(*fields, announced_set, agg)
+        return Block(header=header, receipts=receipts, records=tuple(records), tree=tree)
 
     # -- confirmation queries ------------------------------------------------
 

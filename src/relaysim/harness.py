@@ -20,20 +20,8 @@ from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from .chain import (
-    AggregateSignature,
-    AssetPayload,
-    BlockHeader,
-    Chain,
-    ChainConfig,
-    CrossChainTx,
-    ZERO32,
-    quorum_reached,
-    record_receipt,
-)
+from .chain import AssetPayload, Chain, ChainConfig, CrossChainTx, quorum_reached
 from .costs import baseline_gates, item_dicts, split_gates
-from .crypto import bls
-from .crypto.merkle import merkle_prove, merkle_root
 from .economics import DegradationReport, StakeLedger, degradation_report
 from .lightclient import hlc_setup, hlc_verify, lc_setup, lc_verify, public_inputs
 from .mos import MosService, compute_fee
@@ -77,8 +65,7 @@ def build_environment(scenario: Scenario) -> Tuple[RelayEnvironment, MosService]
     for spec in scenario.provers:
         env.add_prover(spec.name, spec.profile)
     for chain_id, fraction in scenario.faults.withhold:
-        chain = env.rc.chain if chain_id == env.rc_id else env.chains[chain_id]
-        chain.withhold_fraction(fraction)
+        env.host(chain_id).chain.withhold_fraction(fraction)
     mos = MosService(env, scenario.pricing)
     return env, mos
 
@@ -253,24 +240,20 @@ def attack_liveness(
         + [ProverSpec(name=f"silent-{i}", profile="silent") for i in range(silent_provers)]
     )
     wl = dc_replace(scenario.workload, kind="synthetic", count=count)
-    variant = dc_replace(
-        scenario, provers=provers, workload=wl, faults=dc_replace(scenario.faults, withhold=())
-    )
+    faults = dc_replace(scenario.faults, withhold=tuple(sorted(withhold.items())))
+    variant = dc_replace(scenario, provers=provers, workload=wl, faults=faults)
     env, mos = build_environment(variant)
 
     quorum_lost = False
     withheld_detail = {}
-    for chain_id, fraction in sorted(withhold.items()):
-        chain = env.rc.chain if chain_id == env.rc_id else env.chains[chain_id]
-        withheld_weight = chain.withhold_fraction(fraction)
-        vset = chain.validator_set(chain.current_epoch)
-        remaining = vset.total_weight - withheld_weight
-        if not quorum_reached(remaining, vset.total_weight, chain.config.vote_threshold):
-            quorum_lost = True
+    for chain_id, fraction in faults.withhold:  # applied by build_environment
+        chain = env.host(chain_id).chain
+        total, withheld = chain.validator_set(chain.current_epoch).total_weight, chain.withheld_weight
+        quorum_lost |= not quorum_reached(total - withheld, total, chain.config.vote_threshold)
         withheld_detail[str(chain_id)] = {
             "requested_fraction": fraction,
-            "withheld_weight": withheld_weight,
-            "total_weight": vset.total_weight,
+            "withheld_weight": withheld,
+            "total_weight": total,
         }
 
     _submit_stream(env, mos, variant, synthetic_workload(variant))
@@ -282,7 +265,7 @@ def attack_liveness(
         case=case,
         description=(
             f"{honest_provers} honest / {silent_provers} silent provers, "
-            f"withhold={withhold or {}}, {count} transactions"
+            f"withhold={withhold}, {count} transactions"
         ),
         expected_breach=expected_breach,
         observed_breach=bool(stalled),
@@ -498,7 +481,6 @@ def forge_relay_confirmation(
     host = env.hosts[fake_ctx.dest_chain]
     epoch = host.clients[env.rc_id].epoch
     vset = rc_chain.validator_set(epoch)
-    secrets = rc_chain.epoch_secrets(epoch)
 
     budget = colluding_fraction * vset.total_weight
     colluders = set()
@@ -511,36 +493,22 @@ def forge_relay_confirmation(
     if not colluders:
         return CollusionOutcome(None, True, 0, vset.total_weight)
 
-    record = HopRecord(ICTX_TAG, fake_ctx.origin_chain, fake_ctx)
-    receipt = record_receipt(record, epoch * rc_chain.config.epoch_size + 1)
-    leaves = [receipt.to_bytes()]
-    draft = BlockHeader(
-        chain_id=rc_chain.config.chain_id,
-        height=receipt.height,
-        epoch=epoch,
-        epoch_size=rc_chain.config.epoch_size,
-        timestamp=env.clock.next(),
-        receipt_root=merkle_root(leaves, rc_chain.config.hash_algo),
-        announced_commitment=ZERO32,
-        announced_set=None,
-        agg=AggregateSignature(point=None, bitmap=()),
-    )
+    # the colluders' fork of the block after the epoch's boundary: not a
+    # boundary block, so its signing set is this epoch's `vset`
     bitmap = tuple(e.pubkey_bytes in colluders for e in vset.entries)
-    point = bls.sign_aggregate([secrets[pk] for pk in colluders], draft.signing_payload())
-    header = dc_replace(draft, agg=AggregateSignature(point=point, bitmap=bitmap))
-
-    # not a boundary header, so its signing set is this epoch's `vset`
-    statement = statement_for_header(rc_chain, header)
+    record = HopRecord(ICTX_TAG, fake_ctx.origin_chain, fake_ctx)
+    block = rc_chain.assemble_block(epoch * rc_chain.config.epoch_size + 1, [record], bitmap)
     try:
-        zk = env.backend.prove(statement)
+        zk = env.backend.prove(statement_for_header(rc_chain, block.header))
     except UnsatisfiedStatement:
         return CollusionOutcome(None, True, acc, vset.total_weight)
+    receipt = block.receipts[0]
     bundle = ProofBundle(
         kind="ctx",
         origin_chain=rc_chain.config.chain_id,
-        header=header,
+        header=block.header,
         zk_proof=zk,
-        merkle_proof=merkle_prove(leaves, 0, rc_chain.config.hash_algo),
+        merkle_proof=block.tree.prove(0),
         receipt_payload=receipt.payload,
         receipt_hash=receipt.tx_hash,
     )

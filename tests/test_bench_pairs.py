@@ -98,6 +98,33 @@ def test_fewer_than_ten_pairs_meet_no_gain(tmp_path, monkeypatch, capsys):
     assert "B wins 10 of 10, gain met, within bound" in capsys.readouterr().out
 
 
+def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved(tmp_path, monkeypatch, capsys):
+    """When A's interquartile range exceeds the bound's share of A's median,
+    a median within the bound is `unresolved`; it is resolved only when
+    every B run beats every A run. A median outside the bound stays outside."""
+    wide = [1.0, 1.5, 0.8, 1.2, 0.7, 1.4, 0.9, 1.3, 1.1, 0.6]
+    v = verdict(wide, list(wide), "lower", 0.25)
+    assert v["a_iqr"] > 0.25 * v["a_median"] and v["within_bound"] and v["unresolved"]
+    assert not verdict(PARENT, list(PARENT), "lower", 0.25)["unresolved"]  # a spread inside the bound
+    below = [0.55] * 10  # every run beats A's best
+    assert not verdict(wide, below, "lower", 0.25)["unresolved"]
+    worse = verdict(wide, below, "higher", 0.25)
+    assert worse["unresolved"] and not worse["within_bound"]  # printed as outside the bound
+    assert verdict(wide, [1.6] * 10, "higher", 0.25)["unresolved"] is False
+    assert verdict(wide, [0.59] + [1.6] * 9, "higher", 0.25)["unresolved"]  # one B run loses to A
+
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "a" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "m", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    monkeypatch.setattr(bench_pairs, "run_benchmark", lambda checkout, workload, seed, seconds:
+                        _run({}, {}, wide[seed - 1] * (1.2 if checkout.name == "b" else 1)))
+    argv = ["--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"), "--workload", "w", "--seconds", "1"]
+    assert bench_pairs.main(argv + ["--pairs", "10"]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("w m:"))
+    assert line.endswith("B wins 0 of 10, gain not met, unresolved")
+
+
 def _run(counts, digests, value=1.0):
     """A `run_benchmark` result of one repetition, for one metric `m`."""
     return {"metrics": {"m": {"value": value}}, "correct": True, "attempted": 4, "failed": 0,

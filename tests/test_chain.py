@@ -129,6 +129,55 @@ def test_quorum_is_checked_before_signing(monkeypatch):
         chain.produce_block()
 
 
+def test_a_withheld_block_leaves_its_records_pending_and_the_clock_still():
+    """A block below the quorum takes nothing: its records wait for the
+    next block that reaches it, and no tick is spent on it."""
+    chain = Chain(ChainConfig(chain_id=1, epoch_size=10, weights=(30, 30, 40), key_namespace="wh-keep"))
+    tx = chain.make_tx(2, AssetPayload(token="T", amount=1))
+    chain.submit_tx(tx)
+    chain.withhold_fraction(0.6)
+    now = chain.clock.now
+    for _ in range(2):
+        with pytest.raises(BlockWithheld):
+            chain.produce_block()
+    assert (chain.pending_count, chain.clock.now, chain.height) == (1, now, 0)
+    chain.withhold_fraction(0.0)
+    block, header = chain.produce_block()
+    assert block.records == (tx,) and header.timestamp == now + 1 and chain.pending_count == 0
+
+
+def test_each_block_is_assembled_once_and_a_fork_is_not_appended(monkeypatch):
+    """`produce_block` builds one header per block. `assemble_block` makes
+    the block at a given height with any signers, quorum or not, and
+    appends nothing: its header takes one tick and is signed by exactly the
+    marked validators of the set that signs at that height."""
+    import relaysim.chain as chain_module
+
+    built = []
+    header_type = chain_module.BlockHeader
+    monkeypatch.setattr(chain_module, "BlockHeader", lambda *args: built.append(args) or header_type(*args))
+    chain = Chain(ChainConfig(chain_id=1, epoch_size=4, weights=(1, 1, 1, 1), key_namespace="fork"))
+    for _ in range(5):
+        chain.produce_block()
+    assert len(built) == chain.height + 1 == 6
+
+    tx = chain.make_tx(2, AssetPayload(token="F", amount=9))
+    now, bitmap = chain.clock.now, (True, False, False, True)  # half the weight: no quorum
+    fork = chain.assemble_block(5, [tx], bitmap)
+    assert (chain.height, chain.clock.now, chain.pending_count) == (5, now + 1, 0)
+    header = fork.header
+    assert (header.height, header.epoch, header.timestamp, header.is_boundary) == (5, 1, now + 1, False)
+    assert header != chain.header_at(5) and fork.records == (tx,)
+    assert header.receipt_root == fork.tree.root and merkle_verify(
+        header.receipt_root, fork.receipts[0].to_bytes(), fork.tree.prove(0)
+    )
+    vset = chain.signing_set_for(header)
+    assert vset == chain.validator_set(1) and header.agg.bitmap == bitmap
+    secrets = chain.epoch_secrets(1)
+    signers = [secrets[e.pubkey_bytes] for e, bit in zip(vset.entries, bitmap) if bit]
+    assert header.agg.point == bls.sign_aggregate(signers, header.signing_payload())
+
+
 def _signer_secrets(chain, header):
     vset = chain.signing_set_for(header)
     secrets = chain.epoch_secrets(vset.epoch)

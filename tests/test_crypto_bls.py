@@ -486,6 +486,29 @@ def test_failed_batch_is_decided_member_by_member(honest_triples, monkeypatch):
     assert bls._pairing_equal_cached.cache_info().hits == 3
 
 
+def test_a_route_drops_its_least_recently_used_verdict_past_maxsize():
+    """Past `maxsize` the verdict read longest ago is dropped; a later
+    read of it is decided again, with the same verdict. The route's memo
+    is keyed on whatever it is given, so plain tuples stand in for points."""
+    calls = []
+
+    def decide(batch):
+        calls.append(list(batch))
+        return all(ok for ok, _ in batch)
+
+    route = bls._Route(decide)
+    route.maxsize = 2
+    a, b, c = (True, "a"), (False, "b"), (True, "c")
+    assert route([a]) + route([b]) + route([a]) == [True, False, True]  # the second `a` is a hit
+    assert route([c]) == [True]  # drops `b`, the least recently used
+    info = route.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (1, 3, 2, 2)
+    del calls[:]
+    assert route([b]) == [False] and calls == [[b]]  # decided again; drops `a`
+    assert route([c]) == [True] and route([a]) == [True] and calls == [[b], [a]]
+    assert bls._Route.maxsize == 16384  # the instance's bound is its own
+
+
 def test_forgeries_that_cancel_in_a_plain_sum_fail_the_batch(honest_triples):
     """sig_0 + D and sig_1 - D sum to the honest sum, so a batch with every
     coefficient 1 would pass them; the hashed coefficients do not."""

@@ -23,6 +23,7 @@ from relaysim.prover import CountingBackend, Prover, TransparentBackend
 from relaysim.trace import PIPELINE_STAGES
 from relaysim.scenario import (
     DatasetError,
+    FaultSpec,
     Scenario,
     ScenarioError,
     completing_horizon,
@@ -522,6 +523,33 @@ def test_liveness_small_withholding_harmless():
         _small_scenario(), honest_provers=1, withhold={100: 0.25}, count=5
     )
     assert verdict.ok and not verdict.observed_breach
+
+
+@pytest.mark.parametrize("fraction, withheld, stalls", [(0.4, 2, True), (0.25, 1, False)])
+def test_a_scenario_withhold_fault_applies_where_the_environment_is_built(fraction, withheld, stalls):
+    """`faults.withhold` of a scenario holds end to end: withholding 2 of
+    the relay chain's 4 validators stalls every key, and 1 of 4 none."""
+    scenario = dc_replace(_small_scenario(count=5), faults=FaultSpec(withhold=((100, fraction),)))
+    result = harness.run(scenario)
+    assert result.env.rc.chain.withheld_weight == withheld
+    assert (len(result.stalled), result.confirmed) == ((5, 0) if stalls else (0, 5))
+
+
+def test_liveness_withholding_goes_through_the_scenario_faults(monkeypatch):
+    """`attack_liveness` puts its withhold map in place of the scenario's
+    own `faults.withhold`, and its verdict reads each chain's withheld
+    weight back from the chain that `build_environment` set up."""
+    built = []
+    build = harness.build_environment
+    monkeypatch.setattr(harness, "build_environment", lambda s: built.append(s.faults.withhold) or build(s))
+    scenario = dc_replace(_small_scenario(), faults=FaultSpec(withhold=((1, 0.5),)))
+    verdict = harness.attack_liveness(scenario, honest_provers=1, withhold={100: 0.4, 2: 0.0}, count=5)
+    assert built == [((2, 0.0), (100, 0.4))]
+    assert verdict.details["withheld"] == {
+        "2": {"requested_fraction": 0.0, "withheld_weight": 0, "total_weight": 3},
+        "100": {"requested_fraction": 0.4, "withheld_weight": 2, "total_weight": 4},
+    }
+    assert verdict.ok and verdict.expected_breach
 
 
 def test_consistency_corpus_rejects_all():

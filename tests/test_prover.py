@@ -295,6 +295,33 @@ def test_check_statement_requires_new_set_iff_new_commitment(backend, counting_b
         assert not b.check_statement(missing)
 
 
+def test_prove_refuses_a_bitmap_longer_than_the_set(backend, counting_backend):
+    """A trailing unset bit changes neither the weight nor the aggregate
+    key, so only the length check refuses the bitmap."""
+    chain = _chain(ns="bitlen")
+    stmt = _true_statement(chain)
+    longer = dc_replace(stmt, witness=dc_replace(stmt.witness, bitmap=stmt.witness.bitmap + (False,)))
+    for b in (backend, counting_backend):
+        assert b.prove(stmt)
+        with pytest.raises(UnsatisfiedStatement):
+            b.prove(longer)
+
+
+def test_prove_refuses_a_new_set_that_does_not_open_the_announced_commitment(backend, counting_backend):
+    """A boundary witness must open `new_commitment`: the signing set and
+    signature stay honest, the announced set is another chain's."""
+    chain = _chain(ns="open", epoch_size=2)
+    chain.produce_block()
+    _, boundary = chain.produce_block()
+    stmt = statement_for_header(chain, boundary)
+    other = _chain(ns="open-other", epoch_size=2).validator_set(1)
+    wrong = dc_replace(stmt, witness=dc_replace(stmt.witness, new_set=other))
+    for b in (backend, counting_backend):
+        assert b.prove(stmt)
+        with pytest.raises(UnsatisfiedStatement):
+            b.prove(wrong)
+
+
 # ---------------------------------------------------------------------------
 # gate model
 

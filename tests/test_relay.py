@@ -380,6 +380,29 @@ def test_rc_epoch_rotation_end_to_end(backend):
     assert boundary.announced_commitment == commitment_digest(announced, rc_chain.config.hash_algo)
 
 
+@pytest.mark.parametrize("at_relay", [True, False], ids=["relay", "destination"])
+def test_a_tampered_boundary_update_is_rejected_and_traced(backend, at_relay):
+    """An update to the next epoch whose attestation is forged is refused
+    for that, not for an epoch gap: the host logs a rejection at its update
+    stage, the trace holds its `reject:` event, and the client keeps its
+    epoch until the honest update advances it."""
+    env = _env(backend, epoch_size=3)
+    origin, host_id, stage = (env.chains[1], env.rc_id, "update_rc") if at_relay else (env.rc.chain, 2, "update_dc")
+    while origin.height < 3:
+        origin.produce_block()
+    honest = env.provers[0].update_bundle(origin, origin.header_at(3))
+    forged = dc_replace(honest, zk_proof=dc_replace(honest.zk_proof, attestation=bytes(32)))
+    clients = env.host(host_id).clients
+    reason = RejectReason.PROOF_INVALID.value
+
+    assert env.deliver(forged, host_id) is None
+    assert env.rejections == [Rejection(stage, host_id, None, reason)]
+    assert [(e.stage, e.chain, e.verdict) for e in env.trace.events] == [(stage, host_id, f"reject:{reason}")]
+    assert clients[origin.config.chain_id].epoch == 0
+    env.deliver(honest, host_id)
+    assert clients[origin.config.chain_id].epoch == 1 and len(env.rejections) == 1
+
+
 def test_receipts_log_entries_share_the_receipts_item_tuples(counting_backend):
     """Each entry keeps its receipt's (label, count, unit) tuples, not
     per-item dicts, and equal item tuples are one object across the log."""

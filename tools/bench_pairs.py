@@ -16,7 +16,10 @@ for neither side), and two verdicts for B against A:
   for a metric in MB, by more than 0.1 MB, how far RSS moves with
   allocator layout alone; on fewer pairs the tool prints `too few pairs`;
 * `within_bound`: B's median is no worse than A's by more than the
-  metric's bound.
+  metric's bound. The tool prints `unresolved` in place of `within bound`
+  when A's interquartile range is wider than the bound's share of A's
+  median, unless every B run beats every A run: a spread that wide cannot
+  tell a move within the bound from one beyond it.
 
 It also prints each side's attempted and failed operations and whether
 every run was correct, and whether the two sides agree: in each pair, B's
@@ -67,6 +70,7 @@ def verdict(a: Sequence[float], b: Sequence[float], better: str, bound: float, u
     a_q, b_q = quartiles(a), quartiles(b)
     a_iqr = a_q[1] - a_q[0]
     gain = sign * (a_median - b_median)  # positive when B's median is better
+    beats_every_a = max(sign * y for y in b) < min(sign * x for x in a)
     return {
         "pairs": len(a),
         "a_median": a_median,
@@ -80,6 +84,7 @@ def verdict(a: Sequence[float], b: Sequence[float], better: str, bound: float, u
         "gain": len(a) >= GAIN_PAIRS and 10 * wins >= 9 * len(a)
         and gain > max(a_iqr, GAIN_FLOORS.get(unit, 0.0)),
         "within_bound": -gain <= bound * abs(a_median),
+        "unresolved": a_iqr > bound * abs(a_median) and not beats_every_a,
         "a_values": list(a),
         "b_values": list(b),
     }
@@ -154,10 +159,11 @@ def main(argv=None) -> int:
     }
     for name, v in verdicts.items():
         gain = "too few pairs" if v["pairs"] < GAIN_PAIRS else f"gain {'met' if v['gain'] else 'not met'}"
+        within = "outside bound" if not v["within_bound"] else "unresolved" if v["unresolved"] else "within bound"
         print(f"{args.workload} {name}: A median {v['a_median']:.4g} [{v['a_quartiles'][0]:.4g}, "
               f"{v['a_quartiles'][1]:.4g}], B median {v['b_median']:.4g} [{v['b_quartiles'][0]:.4g}, "
               f"{v['b_quartiles'][1]:.4g}] ({v['change_pct']:+.1f}%), B wins {v['b_wins']} of {v['pairs']}, "
-              f"{gain}, {'within' if v['within_bound'] else 'outside'} bound")
+              f"{gain}, {within}")
     for side, s in sides.items():
         print(f"{side.upper()}: correct {s['correct']}, failed {s['failed']} of {s['attempted']}")
     agree = not any(p["differ"] for p in pairs)
